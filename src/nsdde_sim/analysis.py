@@ -9,14 +9,13 @@ then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
 
 Paths that blow up are excluded from aggregates and reported separately
-via ``diverged_count`` — they are never silently dropped.  All aggregation
-is by path index, so results do not depend on execution order; the
-optional ``threads`` argument only fans out independent path work.
+via ``diverged_count`` — they are never silently dropped.  Every study
+reduces from one ladder driver that handles one path at a time, in path
+index order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,13 +25,6 @@ from .brownian import coarsen, generate
 from .errors import DegenerateSampling, IncompatibleGrids, InvalidRange, NonFiniteState
 from .euler import PathGrid, refine_to, simulate
 from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
-
-
-def _run_paths(worker, n_paths: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(n_paths)))
-    return [worker(i) for i in range(n_paths)]
 
 
 def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
@@ -47,6 +39,34 @@ def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
                 f"ladder steps {g1.delta} and {g2.delta} are not nested"
             )
     return grids
+
+
+def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int):
+    """Yield, for each path index, every level's solution on the finest grid.
+
+    Per path the finest increments are generated once; each coarser level
+    is driven by their block sums, simulated, and refined onto the finest
+    grid, while the finest level is simulated on them directly.  The
+    yielded list holds one array of grid values on [0, horizon] per level,
+    or None where that level diverged, so a one-level ladder yields the
+    simulated paths themselves.
+    """
+    fine = grids[-1]
+    skip = fine.steps_per_delay
+    for index in range(n_paths):
+        fine_noise = generate(fine, model.noise_dim, seed, index)
+        levels = []
+        for grid in grids:
+            factor = fine.steps_per_delay // grid.steps_per_delay
+            noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
+            try:
+                path = simulate(model, xi, grid, noise)
+                if factor > 1:
+                    path = refine_to(path, model, xi, fine, fine_noise)
+                levels.append(path.values[skip:])
+            except NonFiniteState:
+                levels.append(None)
+        yield levels
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,6 @@ def converge_study(
     epsilon: float,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Coupled refinement study across a ladder of nested steps.
 
@@ -119,34 +138,14 @@ def converge_study(
     if model.delay != tau:
         raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
     grids = _ladder_grids(tau, horizon, ladder)
-    fine = grids[-1]
-    factors = [fine.steps_per_delay // g.steps_per_delay for g in grids]
-    skip = fine.steps_per_delay  # compare on [0, horizon] only
-
-    def worker(index: int):
-        fine_noise = generate(fine, model.noise_dim, seed, index)
-        refined = []
-        for grid, factor in zip(grids, factors):
-            noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
-            try:
-                path = simulate(model, xi, grid, noise)
-                refined.append(refine_to(path, model, xi, fine, fine_noise).values[skip:])
-            except NonFiniteState:
-                refined.append(None)
-        sups = []
-        for lo, hi in zip(refined, refined[1:]):
-            if lo is None or hi is None:
-                sups.append(None)
-            else:
+    pair_sups = [[] for _ in grids[1:]]
+    for levels in _ladder_paths(model, xi, grids, n_paths, seed):
+        for sups, lo, hi in zip(pair_sups, levels, levels[1:]):
+            if lo is not None and hi is not None:
                 sups.append(float(np.linalg.norm(lo - hi, axis=1).max()))
-        return sups
-
-    results = _run_paths(worker, n_paths, threads)
     rows = []
     for pair_index in range(len(grids) - 1):
-        sups = np.array(
-            [r[pair_index] for r in results if r[pair_index] is not None], dtype=float
-        )
+        sups = np.array(pair_sups[pair_index], dtype=float)
         diverged = n_paths - sups.size
         rows.append(
             LevelPairRow(
@@ -202,7 +201,6 @@ def perturbation_integrability(
     seed: int,
     radius: float,
     weight: Callable[[float], float],
-    threads: int = 1,
 ) -> PerturbationTable:
     """Mean integrals of the deviation from the last coarse node, per level.
 
@@ -220,33 +218,27 @@ def perturbation_integrability(
         raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
     grids = _ladder_grids(tau, horizon, ladder)
     fine = grids[-1]
-    factors = [fine.steps_per_delay // g.steps_per_delay for g in grids]
-    n_fine, m_fine = fine.steps_per_delay, fine.total_steps
+    m_fine = fine.total_steps
     delta_f = fine.delta
-    times = fine.times[n_fine:]
+    times = fine.times[fine.steps_per_delay :]
     weights = np.array([float(weight(float(t))) for t in times])
     threshold = radius / 3.0
 
     # interval anchors: coarse cell start for each fine interval j -> j+1
     interval_idx = np.arange(m_fine)
+    factors = [fine.steps_per_delay // g.steps_per_delay for g in grids]
     anchor_per_level = [(interval_idx // f) * f for f in factors]
 
-    def worker(index: int):
-        fine_noise = generate(fine, model.noise_dim, seed, index)
-        out = []
-        for grid, factor, anchors in zip(grids, factors, anchor_per_level):
-            noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
-            try:
-                path = simulate(model, xi, grid, noise)
-                ref = refine_to(path, model, xi, fine, fine_noise).values[n_fine:]
-            except NonFiniteState:
-                out.append(None)
+    level_vals = [[] for _ in grids]
+    for levels in _ladder_paths(model, xi, grids, n_paths, seed):
+        for vals, ref, anchors in zip(level_vals, levels, anchor_per_level):
+            if ref is None:
                 continue
             norms = np.linalg.norm(ref, axis=1)
             exceeded = norms > threshold
             stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
             if stop == 0:
-                out.append((0.0, 0.0))
+                vals.append((0.0, 0.0))
                 continue
             cells = anchors[:stop]
             left = np.linalg.norm(ref[cells] - ref[:stop], axis=1)
@@ -255,13 +247,9 @@ def perturbation_integrability(
             w_int = 0.5 * delta_f * float(
                 (left * weights[:stop] + right * weights[1 : stop + 1]).sum()
             )
-            out.append((abs_int, w_int))
-        return out
-
-    results = _run_paths(worker, n_paths, threads)
+            vals.append((abs_int, w_int))
     rows = []
-    for level, grid in enumerate(grids):
-        vals = [r[level] for r in results if r[level] is not None]
+    for level, (grid, vals) in enumerate(zip(grids, level_vals)):
         diverged = n_paths - len(vals)
         if vals:
             abs_mean = float(np.mean([v[0] for v in vals]))
@@ -298,7 +286,6 @@ def estimate_moments(
     delta: float,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> MomentReport:
     """Estimate sup-of-mean-square and mean-of-sup-square over grid times."""
     if n_paths < 2:
@@ -307,18 +294,11 @@ def estimate_moments(
         raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
     grid = make_grid(tau, horizon, delta)
     n0 = grid.steps_per_delay
-
-    def worker(index: int):
-        noise = generate(grid, model.noise_dim, seed, index)
-        try:
-            path = simulate(model, xi, grid, noise)
-        except NonFiniteState:
-            return None
-        sq = np.einsum("ij,ij->i", path.values[n0:], path.values[n0:])
-        return sq
-
-    results = _run_paths(worker, n_paths, threads)
-    curves = [r for r in results if r is not None]
+    curves = [
+        np.einsum("ij,ij->i", level, level)
+        for (level,) in _ladder_paths(model, xi, [grid], n_paths, seed)
+        if level is not None
+    ]
     diverged = n_paths - len(curves)
     if not curves:
         raise DegenerateSampling("every simulated path diverged")

@@ -8,9 +8,8 @@ Subcommands::
     nsdde-sim perturbation --config cfg.json [--output DIR]
     nsdde-sim check        --config cfg.json [--output DIR]
 
-Common flags: ``--seed`` overrides the config seed, ``--threads`` is an
-advisory fan-out width (falling back to the NSDDE_SIM_THREADS environment
-variable), ``--strict`` turns path divergence into exit code 3.
+Common flags: ``--seed`` overrides the config seed, ``--strict`` turns path
+divergence into exit code 3.
 
 Exit codes: 0 success, 1 condition-check failure, 2 invalid input,
 3 divergence under --strict.
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,13 +92,13 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _real(doc: dict, key: str, value) -> float:
+def _real(key: str, value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     return float(value)
 
 
-def _whole(doc: dict, key: str, value) -> int:
+def _whole(key: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return value
@@ -133,19 +131,19 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(params, dict):
         raise ConfigError('config "model.params" must be an object')
     for key, value in params.items():
-        _real(params, f"model.params.{key}", value)
+        _real(f"model.params.{key}", value)
 
     xi = doc.get("xi", {"kind": "constant", "value": 0.0})
     if not isinstance(xi, dict) or xi.get("kind") not in ("constant", "affine"):
         raise ConfigError('config "xi.kind" must be "constant" or "affine"')
     if xi["kind"] == "constant":
         allowed = {"kind", "value"}
-        xi_args = {"value": _real(xi, "xi.value", _need(xi, "value"))}
+        xi_args = {"value": _real("xi.value", _need(xi, "value"))}
     else:
         allowed = {"kind", "a", "b"}
         xi_args = {
-            "a": _real(xi, "xi.a", _need(xi, "a")),
-            "b": _real(xi, "xi.b", _need(xi, "b")),
+            "a": _real("xi.a", _need(xi, "a")),
+            "b": _real("xi.b", _need(xi, "b")),
         }
     if set(xi) - allowed:
         raise ConfigError(f"unknown xi keys: {sorted(set(xi) - allowed)}")
@@ -165,20 +163,20 @@ def load_config(path: str | Path) -> RunConfig:
     if rates is not None:
         if not isinstance(rates, dict) or set(rates) - _RATE_KEYS:
             raise ConfigError(f'config "rates" keys must be among {sorted(_RATE_KEYS)}')
-        rates = {k: _real(rates, f"rates.{k}", v) for k, v in rates.items()}
+        rates = {k: _real(f"rates.{k}", v) for k, v in rates.items()}
         missing = _RATE_KEYS - set(rates)
         if missing:
             raise ConfigError(f'config "rates" is missing {sorted(missing)}')
 
-    seed = _whole(doc, "seed", _need(doc, "seed"))
+    seed = _whole("seed", _need(doc, "seed"))
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
     cfg = RunConfig(
         model_id=model_id,
         params=params,
-        tau=_real(doc, "tau", _need(doc, "tau")),
-        horizon=_real(doc, "horizon", _need(doc, "horizon")),
+        tau=_real("tau", _need(doc, "tau")),
+        horizon=_real("horizon", _need(doc, "horizon")),
         ladder=ladder,
         seed=seed,
         xi_kind=xi["kind"],
@@ -186,23 +184,23 @@ def load_config(path: str | Path) -> RunConfig:
         raw=doc,
     )
     if "epsilon" in doc:
-        cfg.epsilon = _real(doc, "epsilon", doc["epsilon"])
+        cfg.epsilon = _real("epsilon", doc["epsilon"])
         if cfg.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
     if "n_paths" in doc:
-        cfg.n_paths = _whole(doc, "n_paths", doc["n_paths"])
+        cfg.n_paths = _whole("n_paths", doc["n_paths"])
         if cfg.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
     if "box_radius" in doc:
-        cfg.box_radius = _real(doc, "box_radius", doc["box_radius"])
+        cfg.box_radius = _real("box_radius", doc["box_radius"])
         if cfg.box_radius <= 0:
             raise ConfigError("box_radius must be positive")
     if "samples" in doc:
-        cfg.samples = _whole(doc, "samples", doc["samples"])
+        cfg.samples = _whole("samples", doc["samples"])
         if cfg.samples < 1:
             raise ConfigError("samples must be >= 1")
     if "truncation_radius" in doc:
-        cfg.truncation_radius = _real(doc, "truncation_radius", doc["truncation_radius"])
+        cfg.truncation_radius = _real("truncation_radius", doc["truncation_radius"])
         if cfg.truncation_radius <= 0:
             raise ConfigError("truncation_radius must be positive")
     if "output_dir" in doc:
@@ -279,7 +277,7 @@ def _require(cfg: RunConfig, command: str, *keys: str) -> None:
             raise ConfigError(f"command {command!r} requires config key {key!r}")
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: bool, dump_noise: bool) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_noise: bool) -> int:
     _require(cfg, "simulate", "n_paths")
     if len(cfg.ladder) != 1:
         raise ConfigError("simulate expects a single-entry ladder")
@@ -314,13 +312,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict:
     return 3 if (strict and diverged) else 0
 
 
-def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: bool) -> int:
+def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "converge", "n_paths", "epsilon")
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
     table = analysis.converge_study(
         model, xi, cfg.tau, cfg.horizon, cfg.ladder, cfg.epsilon,
-        cfg.n_paths, seed, threads=threads,
+        cfg.n_paths, seed,
     )
     header = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
@@ -345,14 +343,14 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict:
     return 3 if (strict and total_diverged) else 0
 
 
-def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: bool) -> int:
+def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "moments", "n_paths")
     if len(cfg.ladder) != 1:
         raise ConfigError("moments expects a single-entry ladder")
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
     report = analysis.estimate_moments(
-        model, xi, cfg.tau, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed, threads=threads
+        model, xi, cfg.tau, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed
     )
     header = [
         "delta", "n_paths", "diverged_count", "sup_mean_square",
@@ -370,7 +368,7 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: 
     return 3 if (strict and report.diverged_count) else 0
 
 
-def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: bool) -> int:
+def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "perturbation", "n_paths")
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
@@ -383,7 +381,7 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, threads: int, str
         weight_id = "constant 1"
     table = analysis.perturbation_integrability(
         model, xi, cfg.tau, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
-        radius=cfg.truncation_radius, weight=weight, threads=threads,
+        radius=cfg.truncation_radius, weight=weight,
     )
     header = [
         "level", "delta", "n_paths", "mean_abs_integral",
@@ -404,7 +402,7 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, threads: int, str
     return 3 if (strict and total_diverged) else 0
 
 
-def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, threads: int, strict: bool) -> int:
+def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "check", "samples")
     model = _build_model(cfg)
     box = cfg.box_radius if cfg.box_radius is not None else model.box_radius
@@ -476,8 +474,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON run configuration")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="advisory path-level fan-out (default: NSDDE_SIM_THREADS or 1)")
         p.add_argument("--strict", action="store_true",
                        help="exit with code 3 when any path diverges")
         if name == "simulate":
@@ -493,17 +489,11 @@ def main(argv=None) -> int:
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        if args.threads is not None:
-            threads = args.threads
-        else:
-            threads = int(os.environ.get("NSDDE_SIM_THREADS", "1"))
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         out_dir = Path(args.output if args.output is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed, threads, args.strict, args.dump_noise)
-        return _COMMANDS[args.command](cfg, out_dir, seed, threads, args.strict)
+            return cmd_simulate(cfg, out_dir, seed, args.strict, args.dump_noise)
+        return _COMMANDS[args.command](cfg, out_dir, seed, args.strict)
     except NonFiniteState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -203,16 +203,38 @@ def estimate_contraction(
     return best
 
 
-def _coercivity_sides(model: NsddeModel, spec: ConditionSpec, x, y, t):
-    tau = model.delay
-    dvy = np.asarray(model.neutral(y), dtype=float).reshape(model.state_dim)
-    bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(model.state_dim)
+def _coefficients(model: NsddeModel, x, y, t: float):
+    """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))."""
+    dim = model.state_dim
+    dvy = np.asarray(model.neutral(y), dtype=float).reshape(dim)
+    bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
     sv = np.asarray(model.diffusion(x, y, t), dtype=float)
-    lhs = 2.0 * float(np.dot(x - dvy, bv)) + float(np.sum(sv * sv))
-    rhs = float(spec.growth_rate(t)) * (1.0 + float(np.dot(x, x))) + float(
-        spec.growth_rate_delayed(t - tau)
-    ) * (1.0 + float(np.dot(y, y)))
-    return lhs, rhs
+    return dvy, bv, sv
+
+
+def _growth_lhs(x, coeffs) -> float:
+    """Coercivity left side 2<x - D(y), b> + |sigma|^2."""
+    dvy, bv, sv = coeffs
+    return 2.0 * float(np.dot(x - dvy, bv)) + float(np.sum(sv * sv))
+
+
+def _local_lhs(x, xb, coeffs, coeffs_b) -> float:
+    """Monotonicity left side 2<x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2."""
+    (dvy, bv, sv), (dvyb, bvb, svb) = coeffs, coeffs_b
+    sdiff = sv - svb
+    return 2.0 * float(np.dot(x - dvy - xb + dvyb, bv - bvb)) + float(np.sum(sdiff * sdiff))
+
+
+def _record_rates(violations, rate, rate_delayed, delay_factor: float, t: float, tau: float):
+    """Record the rate inequalities C2 and C3 both require at time t:
+    K >= 0, K~ >= 0, K(t) <= factor * K(t - tau) and K~ <= K."""
+    now = float(rate(t))
+    past = float(rate(t - tau))
+    delayed_now = float(rate_delayed(t))
+    _record(violations, {"check": "rate-nonnegative", "t": t}, 0.0, now)
+    _record(violations, {"check": "rate-nonnegative-delayed", "t": t}, 0.0, delayed_now)
+    _record(violations, {"check": "delay-comparison", "t": t}, now, delay_factor * past)
+    _record(violations, {"check": "dominates-delayed", "t": t}, delayed_now, now)
 
 
 def check_coercivity(
@@ -240,20 +262,15 @@ def check_coercivity(
     ts = _alternating_times(times, len(probe_pairs)) + [float(t) for t in draw_times]
     tested = 0
     for (x, y), t in zip(pts, ts):
-        lhs, rhs = _coercivity_sides(model, spec, x, y, t)
+        lhs = _growth_lhs(x, _coefficients(model, x, y, t))
+        rhs = float(spec.growth_rate(t)) * (1.0 + float(np.dot(x, x))) + float(
+            spec.growth_rate_delayed(t - model.delay)
+        ) * (1.0 + float(np.dot(y, y)))
         _record(violations, {"t": t, "x": x.tolist(), "y": y.tolist()}, lhs, rhs)
-        k1_now = float(spec.growth_rate(t))
-        k1_past = float(spec.growth_rate(t - model.delay))
-        k1d_now = float(spec.growth_rate_delayed(t))
-        _record(violations, {"check": "rate-nonnegative", "t": t}, 0.0, k1_now)
-        _record(violations, {"check": "rate-nonnegative-delayed", "t": t}, 0.0, k1d_now)
-        _record(
-            violations,
-            {"check": "delay-comparison", "t": t},
-            k1_now,
-            spec.growth_delay_factor * k1_past,
+        _record_rates(
+            violations, spec.growth_rate, spec.growth_rate_delayed,
+            spec.growth_delay_factor, t, model.delay,
         )
-        _record(violations, {"check": "dominates-delayed", "t": t}, k1d_now, k1_now)
         tested += 1
     return _finish("C2", tested, samples, violations)
 
@@ -307,14 +324,9 @@ def check_monotonicity(
     tested = 0
     for (x, y, xb, yb), t in zip(quads, ts):
         x, y, xb, yb = (_clip_to_ball(np.asarray(v, dtype=float), box) for v in (x, y, xb, yb))
-        dvy = np.asarray(model.neutral(y), dtype=float).reshape(dim)
-        dvyb = np.asarray(model.neutral(yb), dtype=float).reshape(dim)
-        bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
-        bvb = np.asarray(model.drift(xb, yb, t), dtype=float).reshape(dim)
-        sv = np.asarray(model.diffusion(x, y, t), dtype=float)
-        svb = np.asarray(model.diffusion(xb, yb, t), dtype=float)
-        sdiff = sv - svb
-        lhs = 2.0 * float(np.dot(x - dvy - xb + dvyb, bv - bvb)) + float(np.sum(sdiff * sdiff))
+        lhs = _local_lhs(
+            x, xb, _coefficients(model, x, y, t), _coefficients(model, xb, yb, t)
+        )
         rhs = float(spec.local_rate(t)) * float(np.dot(x - xb, x - xb)) + float(
             spec.local_rate_delayed(t - tau)
         ) * float(np.dot(y - yb, y - yb))
@@ -324,18 +336,10 @@ def check_monotonicity(
             lhs,
             rhs,
         )
-        kr_now = float(spec.local_rate(t))
-        kr_past = float(spec.local_rate(t - tau))
-        krd_now = float(spec.local_rate_delayed(t))
-        _record(violations, {"check": "rate-nonnegative", "t": t}, 0.0, kr_now)
-        _record(violations, {"check": "rate-nonnegative-delayed", "t": t}, 0.0, krd_now)
-        _record(
-            violations,
-            {"check": "delay-comparison", "t": t},
-            kr_now,
-            spec.local_delay_factor * kr_past,
+        _record_rates(
+            violations, spec.local_rate, spec.local_rate_delayed,
+            spec.local_delay_factor, t, tau,
         )
-        _record(violations, {"check": "dominates-delayed", "t": t}, krd_now, kr_now)
         tested += 1
     return _finish("C3", tested, samples, violations)
 
@@ -398,7 +402,7 @@ def propose_constant_rates(
     if box <= 0.0 or samples < 1:
         raise InvalidRange("need a positive box and at least one sample")
     rng = np.random.default_rng(seed)
-    dim, tau = model.state_dim, model.delay
+    dim = model.state_dim
     n0 = grid.steps_per_delay
     times = grid.times[n0:]
 
@@ -407,21 +411,13 @@ def propose_constant_rates(
     for _ in range(samples):
         t = float(times[rng.integers(0, len(times))])
         x, y, xb, yb = rng.uniform(-box, box, size=(4, dim))
-        dvy = np.asarray(model.neutral(y), dtype=float).reshape(dim)
-        bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
-        sv = np.asarray(model.diffusion(x, y, t), dtype=float)
-        lhs = 2.0 * float(np.dot(x - dvy, bv)) + float(np.sum(sv * sv))
+        coeffs = _coefficients(model, x, y, t)
+        lhs = _growth_lhs(x, coeffs)
         growth = max(growth, lhs / (2.0 + float(np.dot(x, x)) + float(np.dot(y, y))))
 
         gap = float(np.dot(x - xb, x - xb)) + float(np.dot(y - yb, y - yb))
         if gap >= 1e-12:
-            dvyb = np.asarray(model.neutral(yb), dtype=float).reshape(dim)
-            bvb = np.asarray(model.drift(xb, yb, t), dtype=float).reshape(dim)
-            svb = np.asarray(model.diffusion(xb, yb, t), dtype=float)
-            sdiff = sv - svb
-            lhs3 = 2.0 * float(np.dot(x - dvy - xb + dvyb, bv - bvb)) + float(
-                np.sum(sdiff * sdiff)
-            )
+            lhs3 = _local_lhs(x, xb, coeffs, _coefficients(model, xb, yb, t))
             local = max(local, lhs3 / gap)
     return {"growth_rate": growth, "local_rate": local}
 

@@ -72,16 +72,6 @@ def test_deterministic_model_halves_per_level():
         assert coarse / fine == pytest.approx(2.0, rel=0.2)
 
 
-def test_converge_study_is_thread_invariant(cubic_model, unit_segment):
-    kwargs = dict(
-        tau=1.0, horizon=2.0, ladder=[0.1, 0.05], epsilon=0.1, n_paths=12, seed=5
-    )
-    serial = converge_study(cubic_model, unit_segment, **kwargs)
-    threaded = converge_study(cubic_model, unit_segment, threads=4, **kwargs)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert np.array_equal(a.sup_diffs, b.sup_diffs)
-
-
 def test_converge_study_validates_ladder(cubic_model, unit_segment):
     with pytest.raises(InvalidRange):
         converge_study(cubic_model, unit_segment, 1.0, 2.0, [0.05, 0.1], 0.1, 4, 0)

@@ -121,6 +121,13 @@ class TestExitCodes:
         assert main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_threads_flag_is_rejected(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", cfg, "--output", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(tmp_path, ladder=[0.25])
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
@@ -240,11 +247,12 @@ class TestReruns:
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_stale_thread_variable_is_ignored(self, tmp_path, monkeypatch):
+        # a leftover NSDDE_SIM_THREADS in the environment must not affect a run
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["converge", "--config", cfg, "--output", str(a)]) == 0
-        monkeypatch.setenv("NSDDE_SIM_THREADS", "3")
+        monkeypatch.setenv("NSDDE_SIM_THREADS", "abc")
         assert main(["converge", "--config", cfg, "--output", str(b)]) == 0
         assert (a / "converge.csv").read_bytes() == (b / "converge.csv").read_bytes()
 
