@@ -10,8 +10,9 @@ the ladder.
 
 Paths that blow up are excluded from aggregates and reported separately
 via ``diverged_count`` — they are never silently dropped.  Every study
-reduces from one ladder driver that handles one path at a time, in path
-index order.
+reduces from one ladder driver that runs the paths in blocks of
+:data:`PATH_BLOCK`, every path of a block through one engine call per
+level, and hands them on in path index order.
 """
 
 from __future__ import annotations
@@ -22,9 +23,24 @@ from typing import Callable
 import numpy as np
 
 from .brownian import coarsen, generate
-from .errors import DegenerateSampling, IncompatibleGrids, InvalidRange, NonFiniteState
+from .errors import DegenerateSampling, IncompatibleGrids, InvalidRange
 from .euler import PathGrid, refine_to, simulate
 from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
+
+# Paths per engine call.  Memory grows with levels x PATH_BLOCK x grid
+# points; every shipped config fits in one block.
+PATH_BLOCK = 1024
+
+# Default sup |X| over [0, horizon] beyond which a moments path counts as
+# diverged (the config's truncation_radius).
+TRUNCATION_RADIUS = 3.0e6
+
+
+def path_blocks(n_paths: int) -> list[range]:
+    """Consecutive index ranges of at most :data:`PATH_BLOCK` paths covering
+    0 .. n_paths - 1."""
+    return [range(start, min(start + PATH_BLOCK, n_paths))
+            for start in range(0, n_paths, PATH_BLOCK)]
 
 
 def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
@@ -42,30 +58,28 @@ def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
 
 
 def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int):
-    """Yield, for each path index, every level's solution on the finest grid.
+    """Yield, per block of paths, every level's solution on the finest grid.
 
-    Per path the finest increments are generated once; each coarser level
+    Per block the finest increments are generated once; each coarser level
     is driven by their block sums, simulated, and refined onto the finest
     grid, while the finest level is simulated on them directly.  The
-    yielded list holds one array of grid values on [0, horizon] per level,
-    or None where that level diverged, so a one-level ladder yields the
-    simulated paths themselves.
+    yielded list holds one ``(values, finite)`` pair per level: ``values``
+    has shape (paths, M + 1, state_dim) on [0, horizon] and ``finite`` is
+    False for a path that diverged at that level.  A one-level ladder
+    yields the simulated paths themselves.
     """
     fine = grids[-1]
     skip = fine.steps_per_delay
-    for index in range(n_paths):
-        fine_noise = generate(fine, model.noise_dim, seed, index)
+    for indices in path_blocks(n_paths):
+        fine_noise = generate(fine, model.noise_dim, seed, indices)
         levels = []
         for grid in grids:
             factor = fine.steps_per_delay // grid.steps_per_delay
             noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
-            try:
-                path = simulate(model, xi, grid, noise)
-                if factor > 1:
-                    path = refine_to(path, model, xi, fine, fine_noise)
-                levels.append(path.values[skip:])
-            except NonFiniteState:
-                levels.append(None)
+            path = simulate(model, xi, grid, noise)
+            if factor > 1:
+                path = refine_to(path, model, xi, fine, fine_noise)
+            levels.append((path.values[:, skip:], path.finite))
         yield levels
 
 
@@ -140,12 +154,12 @@ def converge_study(
     grids = _ladder_grids(tau, horizon, ladder)
     pair_sups = [[] for _ in grids[1:]]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
-        for sups, lo, hi in zip(pair_sups, levels, levels[1:]):
-            if lo is not None and hi is not None:
-                sups.append(float(np.linalg.norm(lo - hi, axis=1).max()))
+        for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
+            both = lo_ok & hi_ok
+            sups.append(np.linalg.norm(lo[both] - hi[both], axis=-1).max(axis=-1))
     rows = []
     for pair_index in range(len(grids) - 1):
-        sups = np.array(pair_sups[pair_index], dtype=float)
+        sups = np.concatenate(pair_sups[pair_index])
         diverged = n_paths - sups.size
         rows.append(
             LevelPairRow(
@@ -231,23 +245,22 @@ def perturbation_integrability(
 
     level_vals = [[] for _ in grids]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
-        for vals, ref, anchors in zip(level_vals, levels, anchor_per_level):
-            if ref is None:
-                continue
-            norms = np.linalg.norm(ref, axis=1)
-            exceeded = norms > threshold
-            stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
-            if stop == 0:
-                vals.append((0.0, 0.0))
-                continue
-            cells = anchors[:stop]
-            left = np.linalg.norm(ref[cells] - ref[:stop], axis=1)
-            right = np.linalg.norm(ref[cells] - ref[1 : stop + 1], axis=1)
-            abs_int = 0.5 * delta_f * float((left + right).sum())
-            w_int = 0.5 * delta_f * float(
-                (left * weights[:stop] + right * weights[1 : stop + 1]).sum()
-            )
-            vals.append((abs_int, w_int))
+        for vals, (level, finite), anchors in zip(level_vals, levels, anchor_per_level):
+            for ref in level[finite]:
+                norms = np.linalg.norm(ref, axis=1)
+                exceeded = norms > threshold
+                stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
+                if stop == 0:
+                    vals.append((0.0, 0.0))
+                    continue
+                cells = anchors[:stop]
+                left = np.linalg.norm(ref[cells] - ref[:stop], axis=1)
+                right = np.linalg.norm(ref[cells] - ref[1 : stop + 1], axis=1)
+                abs_int = 0.5 * delta_f * float((left + right).sum())
+                w_int = 0.5 * delta_f * float(
+                    (left * weights[:stop] + right * weights[1 : stop + 1]).sum()
+                )
+                vals.append((abs_int, w_int))
     rows = []
     for level, (grid, vals) in enumerate(zip(grids, level_vals)):
         diverged = n_paths - len(vals)
@@ -286,26 +299,35 @@ def estimate_moments(
     delta: float,
     n_paths: int,
     seed: int,
+    radius: float = TRUNCATION_RADIUS,
 ) -> MomentReport:
-    """Estimate sup-of-mean-square and mean-of-sup-square over grid times."""
+    """Estimate sup-of-mean-square and mean-of-sup-square over grid times.
+
+    A path counts as diverged, and is left out of every estimate, when it
+    turns non-finite or when its sup |X| over [0, horizon] exceeds
+    ``radius``: explicit Euler under superlinear drift can blow up to
+    values that are huge but finite.
+    """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
+    if radius <= 0.0:
+        raise InvalidRange(f"radius must be positive, got {radius}")
     if model.delay != tau:
         raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
     grid = make_grid(tau, horizon, delta)
     n0 = grid.steps_per_delay
-    curves = [
-        np.einsum("ij,ij->i", level, level)
-        for (level,) in _ladder_paths(model, xi, [grid], n_paths, seed)
-        if level is not None
-    ]
-    diverged = n_paths - len(curves)
-    if not curves:
+    curves = []
+    for ((level, finite),) in _ladder_paths(model, xi, [grid], n_paths, seed):
+        kept = level[finite]
+        squares = np.einsum("pij,pij->pi", kept, kept)
+        curves.append(squares[np.sqrt(squares.max(axis=1)) <= radius])
+    stacked = np.concatenate(curves)
+    used = stacked.shape[0]
+    diverged = n_paths - used
+    if not used:
         raise DegenerateSampling("every simulated path diverged")
-    stacked = np.array(curves)
     mean_curve = stacked.mean(axis=0)
     peak = int(np.argmax(mean_curve))
-    used = stacked.shape[0]
     spread = float(stacked[:, peak].std(ddof=1)) if used > 1 else 0.0
     return MomentReport(
         delta=grid.delta,
@@ -355,7 +377,9 @@ def check_contraction_sup_bound(
 
     where ||xi|| is the sup over the sampled initial segment.  Holds for
     any path of a model whose neutral map is a kappa-contraction with
-    D(0) = 0.  Returns (ok, first violating prefix index or None).
+    D(0) = 0.  ``path`` is a single path; ``neutral`` is called once on
+    its (M + 1, state_dim) block of delayed states.  Returns (ok, first
+    violating prefix index or None).
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
@@ -367,10 +391,7 @@ def check_contraction_sup_bound(
 
     states = path.values[n0:]
     delayed = path.values[: path.grid.total_steps + 1]
-    diff_norms = np.empty(len(states))
-    for l in range(len(states)):
-        dv = np.asarray(neutral(delayed[l]), dtype=float)
-        diff_norms[l] = np.linalg.norm(states[l] - dv)
+    diff_norms = np.linalg.norm(states - np.asarray(neutral(delayed), dtype=float), axis=1)
 
     sup_state = np.maximum.accumulate(norms[n0:])
     sup_diff = np.maximum.accumulate(diff_norms)

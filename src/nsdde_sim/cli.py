@@ -82,7 +82,7 @@ class RunConfig:
     samples: int | None = None
     output_dir: str = "out"
     rates: dict | None = None
-    truncation_radius: float = 3.0e6
+    truncation_radius: float = analysis.TRUNCATION_RADIUS
     raw: dict = field(default_factory=dict)
 
 
@@ -288,24 +288,24 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
     outputs: list[str] = []
     diverged: list[int] = []
     header = ["t"] + [f"x_{i + 1}" for i in range(model.state_dim)]
-    for index in range(cfg.n_paths):
-        noise = generate(grid, model.noise_dim, seed, index)
-        try:
-            path = simulate(model, xi, grid, noise)
-        except NonFiniteState:
-            diverged.append(index)
-            continue
-        name = f"path_{index:04d}.csv"
-        rows = [
-            [float(t)] + [float(v) for v in state]
-            for t, state in zip(grid.times, path.values)
-        ]
-        _write_csv(out_dir / name, header, rows)
-        outputs.append(name)
-        if dump_noise:
-            bin_name = f"noise_{index:04d}.bin"
-            (out_dir / bin_name).write_bytes(noise.to_bytes())
-            outputs.append(bin_name)
+    for indices in analysis.path_blocks(cfg.n_paths):
+        noise = generate(grid, model.noise_dim, seed, indices)
+        paths = simulate(model, xi, grid, noise)
+        for row, (index, finite) in enumerate(zip(indices, paths.finite)):
+            if not finite:
+                diverged.append(index)
+                continue
+            name = f"path_{index:04d}.csv"
+            rows = [
+                [float(t)] + [float(v) for v in state]
+                for t, state in zip(grid.times, paths.values[row])
+            ]
+            _write_csv(out_dir / name, header, rows)
+            outputs.append(name)
+            if dump_noise:
+                bin_name = f"noise_{index:04d}.bin"
+                (out_dir / bin_name).write_bytes(noise.path(row).to_bytes())
+                outputs.append(bin_name)
     _write_manifest(out_dir, "simulate", cfg, seed, outputs, {"diverged_paths": diverged})
     print(f"simulate: wrote {cfg.n_paths - len(diverged)} paths to {out_dir} "
           f"({len(diverged)} diverged)")
@@ -350,7 +350,8 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
     report = analysis.estimate_moments(
-        model, xi, cfg.tau, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed
+        model, xi, cfg.tau, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
+        radius=cfg.truncation_radius,
     )
     header = [
         "delta", "n_paths", "diverged_count", "sup_mean_square",

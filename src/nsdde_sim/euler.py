@@ -21,6 +21,15 @@ time) stay frozen at the left endpoint,
 which reproduces the discrete values at the coarse nodes exactly and needs
 only fine-grid quantities (the delayed term recurses forward in time
 through already-interpolated values).
+
+Both advance every path of a :class:`~nsdde_sim.brownian.BrownianPath`
+stack together: one time loop, and one coefficient call per step for all
+paths.  Evaluators therefore receive states of shape ``(..., state_dim)``
+with leading path axes and the time as a Python float, and must act
+elementwise over the path axes, so that each path's values are bitwise
+those of a one-path run.  A single path is a stack of one.  A path of a
+stack that blows up is reported through :attr:`PathGrid.finite` and leaves
+the other paths untouched; a single path raises :class:`NonFiniteState`.
 """
 
 from __future__ import annotations
@@ -46,13 +55,14 @@ _RATIO_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PathGrid:
-    """One solution path sampled on a delay grid.
+    """One solution path, or a stack of paths, sampled on a delay grid.
 
-    ``values[l + N]`` is the state at grid index ``l`` for
-    ``l = -N .. M`` (indices up to 0 hold the sampled initial segment).
-    ``noise`` is the Brownian path that drove the solution.  Construction
-    fails with :class:`NonFiniteState` if any entry is NaN or infinite —
-    diverged paths are reported, never silently kept.
+    ``values[..., l + N, :]`` is the state at grid index ``l`` for
+    ``l = -N .. M`` (indices up to 0 hold the sampled initial segment);
+    leading axes index paths as in ``noise``, the Brownian path or stack
+    that drove the solution.  A single path fails construction with
+    :class:`NonFiniteState` if any entry is NaN or infinite — diverged paths
+    are reported, never silently kept; a stack marks them in :attr:`finite`.
     """
 
     grid: DelayGrid
@@ -61,24 +71,32 @@ class PathGrid:
 
     def __post_init__(self):
         n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
-        if self.values.ndim != 2 or self.values.shape[0] != n_rows:
+        lead = self.noise.increments.shape[:-2]
+        if self.values.ndim != len(lead) + 2 or self.values.shape[:-1] != lead + (n_rows,):
             raise DimensionMismatch(
-                f"values shape {self.values.shape} does not match grid ({n_rows} rows)"
+                f"values shape {self.values.shape} does not match grid ({n_rows} rows) "
+                f"and noise paths {lead}"
             )
-        finite = np.isfinite(self.values).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite)) - self.grid.steps_per_delay
-            raise NonFiniteState(bad, self.grid.time(bad))
+        if not lead:
+            finite = np.isfinite(self.values).all(axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite)) - self.grid.steps_per_delay
+                raise NonFiniteState(bad, self.grid.time(bad))
 
     @property
     def state_dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Per path: True when every value of the path is finite."""
+        return np.isfinite(self.values).all(axis=(-2, -1))
 
     def value(self, index: int) -> np.ndarray:
         """State at signed grid index in [-steps_per_delay, total_steps]."""
         if not -self.grid.steps_per_delay <= index <= self.grid.total_steps:
             raise InvalidRange(f"index {index} outside grid")
-        return self.values[index + self.grid.steps_per_delay]
+        return self.values[..., index + self.grid.steps_per_delay, :]
 
 
 @dataclass(frozen=True)
@@ -120,12 +138,12 @@ def grid_floor(delta: float, t: float) -> float:
 def simulate(
     model: NsddeModel, xi: InitialSegment, grid: DelayGrid, noise: BrownianPath
 ) -> PathGrid:
-    """Run the explicit scheme over the grid, driven by the given increments.
+    """Run the explicit scheme over the grid for every path of ``noise``.
 
-    Raises :class:`NonFiniteState` with the first offending step if the
-    path blows up.  Evaluators must return numpy arrays of shape
-    ``(state_dim,)`` for drift/neutral and ``(state_dim, noise_dim)`` for
-    the diffusion.
+    Evaluators must return arrays broadcastable to ``(..., state_dim)`` for
+    drift/neutral and ``(..., state_dim, noise_dim)`` for the diffusion.  A
+    single path raises :class:`NonFiniteState` with the first offending
+    step if it blows up.
     """
     if model.delay != grid.tau:
         raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grid.tau}")
@@ -139,25 +157,29 @@ def simulate(
         raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
 
     n_delay, n_steps = grid.steps_per_delay, grid.total_steps
-    vals = np.empty((n_delay + n_steps + 1, model.state_dim))
-    vals[: n_delay + 1] = xi.sample(grid)
+    steps = _time_major(noise.increments)
+    vals = np.empty((n_delay + n_steps + 1, steps.shape[1], model.state_dim))
+    vals[: n_delay + 1] = xi.sample(grid)[:, None]
 
     neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
-    times = grid.times
-    steps = noise.increments
+    times = grid.times.tolist()
     dt = grid.delta
     with np.errstate(all="ignore"):
+        # D(X(t_l - tau)) at step l is D(X(t_{l+1} - tau)) of step l - 1
+        d_lag = neutral(vals[0])
         for l in range(n_steps):
             il = l + n_delay
             x = vals[il]
             y = vals[l]
             t = times[il]
+            d_next = neutral(vals[l + 1])
             vals[il + 1] = (
-                neutral(vals[l + 1]) + x - neutral(y)
+                d_next + x - d_lag
                 + drift(x, y, t) * dt
-                + diffusion(x, y, t) @ steps[l]
+                + _noise_term(diffusion(x, y, t), steps[l])
             )
-    return PathGrid(grid, vals, noise)
+            d_lag = d_next
+    return PathGrid(grid, _path_major(vals, noise), noise)
 
 
 def refine_to(
@@ -169,11 +191,12 @@ def refine_to(
 ) -> PathGrid:
     """Evaluate the continuous interpolation of ``path`` on a nested finer grid.
 
-    ``fine_noise`` must coarsen exactly (bitwise) onto the increments that
-    produced ``path`` — the interpolation is only meaningful against the
-    same Brownian motion.  Coarse grid values are copied, so the refined
-    path agrees with ``path`` at coarse nodes bit-exactly.  With equal
-    steps the input path is returned unchanged.
+    Every path of a stack is refined together.  ``fine_noise`` must
+    coarsen exactly (bitwise) onto the increments that produced ``path`` —
+    the interpolation is only meaningful against the same Brownian motion.
+    Coarse grid values are copied, so the refined path agrees with ``path``
+    at coarse nodes bit-exactly.  With equal steps the input path is
+    returned unchanged.
     """
     coarse = path.grid
     if fine_grid.tau != coarse.tau or model.delay != coarse.tau:
@@ -201,13 +224,13 @@ def refine_to(
 
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
     cells = coarse.total_steps
-    out = np.empty((n_fine + fine_grid.total_steps + 1, model.state_dim))
-    out[: n_fine + 1] = xi.sample(fine_grid)
+    cvals = _time_major(path.values)
+    out = np.empty((n_fine + fine_grid.total_steps + 1, cvals.shape[1], model.state_dim))
+    out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
 
     neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
-    cvals = path.values
-    bsum = fine_noise.partial_sums()
-    times = fine_grid.times
+    bsum = _time_major(fine_noise.partial_sums())
+    times = fine_grid.times.tolist()
     # Exact in-cell offsets r * tau / n_fine for r = 1 .. factor - 1.
     frac_tau = Fraction(coarse.tau)
     offs = [float(r * frac_tau / n_fine) for r in range(factor)]
@@ -225,10 +248,27 @@ def refine_to(
             for r in range(1, factor):
                 j = j0 + r
                 out[j + n_fine] = (
-                    neutral(out[j]) + base + bval * offs[r] + sval @ (bsum[j] - b0)
+                    neutral(out[j]) + base + bval * offs[r]
+                    + _noise_term(sval, bsum[j] - b0)
                 )
             out[j0 + factor + n_fine] = cvals[l + 1 + n_coarse]
-    return PathGrid(fine_grid, out, fine_noise)
+    return PathGrid(fine_grid, _path_major(out, fine_noise), fine_noise)
+
+
+def _time_major(arr: np.ndarray) -> np.ndarray:
+    """View a ``(..., rows, dim)`` stack as ``(rows, paths, dim)``."""
+    return np.moveaxis(arr.reshape((-1,) + arr.shape[-2:]), 1, 0)
+
+
+def _path_major(vals: np.ndarray, noise: BrownianPath) -> np.ndarray:
+    """Inverse of :func:`_time_major`: restore the path axes of ``noise``."""
+    lead = noise.increments.shape[:-2]
+    return np.ascontiguousarray(np.moveaxis(vals, 1, 0)).reshape(lead + vals.shape[::2])
+
+
+def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """sigma @ dB per path: ``(..., d, k)`` matrices times ``(paths, k)`` increments."""
+    return (sigma @ db[..., None])[..., 0]
 
 
 def perturbation(coarse_on_fine: PathGrid, coarse_step: float) -> PerturbationSeries:
@@ -252,12 +292,13 @@ def perturbation(coarse_on_fine: PathGrid, coarse_step: float) -> PerturbationSe
     idx = np.arange(grid.total_steps + 1)
     anchor = (idx // factor) * factor
     out = np.zeros_like(vals)
-    out[n_delay:] = vals[anchor + n_delay] - vals[idx + n_delay]
+    out[..., n_delay:, :] = vals[..., anchor + n_delay, :] - vals[..., idx + n_delay, :]
     return PerturbationSeries(grid, coarse_step, out)
 
 
 def truncation_time(path: PathGrid, radius: float) -> float | None:
-    """First grid time t >= 0 with |X(t)| > radius / 3, or None if never."""
+    """First grid time t >= 0 with |X(t)| > radius / 3 on a single path,
+    or None if never."""
     if radius <= 0.0:
         raise InvalidRange(f"radius must be positive, got {radius}")
     n_delay = path.grid.steps_per_delay

@@ -3,7 +3,11 @@
 A model bundles the neutral map ``D``, drift ``b(x, y, t)`` and diffusion
 ``sigma(x, y, t)`` together with the delay.  ``x`` is the current state,
 ``y`` the state one delay in the past.  Evaluators receive numpy arrays of
-shape ``(state_dim,)`` and the scalar time, and must be pure functions.
+shape ``(..., state_dim)`` — leading axes index paths, so the Euler engine
+evaluates every path of a batch in one call — and the time ``t`` as a
+Python float.  They must be pure functions that act elementwise over the
+leading axes: path ``p`` of a batch must get bitwise the result of a call
+on path ``p`` alone.
 
 Grids tie the delay and the horizon to a common step: ``delta = tau / N``
 with ``M`` steps to the horizon.  Grid times are always derived from the
@@ -154,10 +158,13 @@ def affine_segment(a: float, b: float, dim: int = 1) -> InitialSegment:
 class NsddeModel:
     """Coefficients of d[X(t) - D(X(t - tau))] = b dt + sigma dB(t).
 
-    ``neutral`` maps (state_dim,) -> (state_dim,); ``drift`` maps
-    (x, y, t) -> (state_dim,); ``diffusion`` maps (x, y, t) ->
-    (state_dim, noise_dim).  ``box_radius`` is the recommended radius for
-    sampling-based condition checks.
+    ``neutral`` maps (..., state_dim) -> (..., state_dim); ``drift`` maps
+    (x, y, t) -> (..., state_dim); ``diffusion`` maps (x, y, t) ->
+    (..., state_dim, noise_dim).  The leading axes ``...`` index paths: each
+    evaluator acts elementwise over them, and ``t`` is a scalar float.  A
+    result without the leading axes (a constant) broadcasts to every path.
+    ``box_radius`` is the recommended radius for sampling-based condition
+    checks.
     """
 
     state_dim: int
@@ -204,7 +211,7 @@ def neutral_cubic_model(k: float, c1: float, c2: float, tau: float) -> NsddeMode
         return math.exp(c1 * t) * (1.0 + u - u * (x * x + ksq * y * y))
 
     def diffusion(x, y, t):
-        return (math.exp(c2 * t) * (1.0 + x - k * y)).reshape(1, 1)
+        return (math.exp(c2 * t) * (1.0 + x - k * y))[..., None]
 
     return NsddeModel(1, 1, tau, neutral, drift, diffusion)
 

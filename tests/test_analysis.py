@@ -215,7 +215,7 @@ def test_moments_exclude_diverged_paths():
     blow = NsddeModel(
         1, 1, 1.0,
         neutral=lambda y: np.zeros(1),
-        drift=lambda x, y, t: np.zeros(1) if t < 1.5 or x[0] <= 0 else np.full(1, np.inf),
+        drift=lambda x, y, t: np.where((t < 1.5) | (x <= 0), 0.0, np.inf),
         diffusion=lambda x, y, t: np.eye(1),
     )
     report = estimate_moments(

@@ -46,6 +46,20 @@ def test_path_order_does_not_matter():
     assert np.array_equal(late.increments, again.increments)
 
 
+def test_stacked_paths_match_single_paths():
+    # a stack draws each row from that path's own stream, in the given order,
+    # and coarsens and sums along the step axis only
+    stack = generate(GRID, 2, seed=11, path_index=[5, 0, 3])
+    assert stack.increments.shape == (3, GRID.total_steps, 2)
+    assert stack.path_index == (5, 0, 3)
+    coarse, sums = coarsen(stack, 4), stack.partial_sums()
+    for row, index in enumerate((5, 0, 3)):
+        single = generate(GRID, 2, seed=11, path_index=index)
+        assert stack.path(row).to_bytes() == single.to_bytes()
+        assert np.array_equal(coarse.increments[row], coarsen(single, 4).increments)
+        assert np.array_equal(sums[row], single.partial_sums())
+
+
 def test_bytes_roundtrip():
     path = generate(GRID, 3, seed=1, path_index=2)
     raw = path.to_bytes()

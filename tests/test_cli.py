@@ -162,6 +162,21 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["diverged_paths"] == list(range(5))
 
+    def test_moments_count_huge_finite_paths_as_diverged(self, tmp_path):
+        # explicit Euler on the cubic drift from xi = 3 at step 0.5 blows up
+        # to huge but finite values on 34 of these 50 paths (sup-of-mean-
+        # square 1.7e33 if they were kept); truncation_radius decides
+        doc = dict(ladder=[0.5], n_paths=50, seed=1, xi={"kind": "constant", "value": 3.0})
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, **doc)
+        assert main(["moments", "--config", cfg, "--output", str(out), "--strict"]) == 3
+        assert main(["moments", "--config", cfg, "--output", str(out)]) == 0
+        row = (out / "moments.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "34" and float(row[3]) < 3e6**2
+        loose = write_config(tmp_path, "loose.json", truncation_radius=1e40, **doc)
+        assert main(["moments", "--config", loose, "--output", str(out), "--strict"]) == 0
+        assert (out / "moments.csv").read_text().splitlines()[1].split(",")[2] == "0"
+
 
 class TestOutputs:
     def run_simulate(self, tmp_path, **overrides):

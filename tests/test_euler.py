@@ -231,6 +231,67 @@ def test_refine_node_agreement_property(seed, factor):
     assert np.array_equal(fine.values[::factor], coarse.values)
 
 
+# --- path batches -----------------------------------------------------------
+
+
+def mixing_model() -> NsddeModel:
+    """2-D model whose diffusion mixes both noise components into each state."""
+    scale = np.array([[0.3, -0.7], [1.1, 0.2]])
+    return NsddeModel(
+        2, 2, 1.0,
+        neutral=lambda y: 0.4 * y[..., ::-1],
+        drift=lambda x, y, t: -x * (x * x).sum(axis=-1, keepdims=True) + 0.3 * y,
+        diffusion=lambda x, y, t: scale * (1.0 + 0.5 * x[..., :, None] - 0.2 * y[..., None, :]),
+    )
+
+
+@pytest.mark.parametrize("which", ["sec4", "mixing"])
+def test_batch_rows_match_single_path_runs(which, cubic_model):
+    # row p of a P-path run is bitwise the one-path run of path p, also
+    # where sigma @ dB sums over several noise components
+    model = cubic_model if which == "sec4" else mixing_model()
+    xi = affine_segment(0.5, 0.3, model.state_dim)
+    coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
+    fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
+    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, 4))
+    refined = refine_to(batch, model, xi, fine_grid, fine_noise)
+    assert batch.values.shape == (6, 31, model.state_dim) and batch.finite.all()
+    for p in range(6):
+        single_noise = generate(fine_grid, model.noise_dim, 5, p)
+        single = simulate(model, xi, coarse_grid, coarsen(single_noise, 4))
+        assert batch.values[p].tobytes() == single.values.tobytes()
+        single_refined = refine_to(single, model, xi, fine_grid, single_noise)
+        assert refined.values[p].tobytes() == single_refined.values.tobytes()
+
+
+def test_diverged_path_in_batch_is_masked():
+    # the drift is infinite for positive states after t = 1.5, so only
+    # paths that are then above zero blow up; the rest must not notice
+    model = NsddeModel(
+        1, 1, 1.0,
+        neutral=lambda y: np.zeros(1),
+        drift=lambda x, y, t: np.where((t < 1.5) | (x <= 0), 0.0, np.inf),
+        diffusion=lambda x, y, t: np.eye(1),
+    )
+    xi = constant_segment(0.0)
+    coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
+    fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
+    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
+    refined = refine_to(batch, model, xi, fine_grid, fine_noise)
+    assert 0 < batch.finite.sum() < 8
+    assert np.array_equal(refined.finite, batch.finite)
+    for p in range(8):
+        single_noise = generate(fine_grid, 1, 0, p)
+        if not batch.finite[p]:
+            with pytest.raises(NonFiniteState):
+                simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
+            continue
+        single = simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
+        assert batch.values[p].tobytes() == single.values.tobytes()
+        single_refined = refine_to(single, model, xi, fine_grid, single_noise)
+        assert refined.values[p].tobytes() == single_refined.values.tobytes()
+
+
 # --- perturbation and truncation ------------------------------------------
 
 
