@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,7 +96,13 @@ def _need(doc: dict, key: str):
 def _real(key: str, value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # also NaN, Infinity and literals such as 1e400
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _whole(key: str, value) -> int:
@@ -112,7 +119,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -149,13 +156,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown xi keys: {sorted(set(xi) - allowed)}")
 
     ladder = _need(doc, "ladder")
-    if (
-        not isinstance(ladder, list)
-        or not ladder
-        or any(not isinstance(d, (int, float)) or isinstance(d, bool) for d in ladder)
-    ):
+    if not isinstance(ladder, list) or not ladder:
         raise ConfigError('config "ladder" must be a non-empty array of steps')
-    ladder = [float(d) for d in ladder]
+    ladder = [_real("ladder", d) for d in ladder]
     if any(d2 >= d1 for d1, d2 in zip(ladder, ladder[1:])):
         raise ConfigError("ladder steps must be strictly decreasing")
 

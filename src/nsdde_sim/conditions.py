@@ -20,11 +20,17 @@ points, the origin, coincident pairs) are injected alongside the random
 samples so that known failure modes are hit with certainty.  All checkers
 are deterministic given their seed, and violations are sorted by severity
 before the list is capped.
+
+Coefficients, and the bare ``neutral`` map of the contraction checks, are
+called on ``(S, state_dim)`` stacks of samples under the evaluator contract
+of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a Python
+float, a constant broadcasts): once per evaluator and distinct sampled time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +45,9 @@ SLACK = 1e-9
 
 # At most this many violations are kept per report (after severity sorting).
 MAX_VIOLATIONS = 100
+
+# Largest box radius whose sampling width 2 * box is still a finite float.
+_WIDEST_BOX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,8 @@ class ConditionSpec:
                 f"(max {max(self.growth_delay_factor, self.local_delay_factor)} "
                 f"> {1.0 / self.kappa})"
             )
-        if self.box_radius <= 0.0:
-            raise InvalidRange("box_radius must be positive")
+        if not 0.0 < self.box_radius <= _WIDEST_BOX:
+            raise InvalidRange("box_radius must be positive, with 2 * box_radius finite")
 
 
 def constant_rate(value: float) -> Callable[[float], float]:
@@ -99,46 +108,67 @@ def constant_rate(value: float) -> Callable[[float], float]:
     return lambda t: value
 
 
-def _finish(
-    condition_id: str,
-    tested: int,
-    requested: int,
-    violations: list,
-    estimate: float | None = None,
-) -> ConditionReport:
+def _finish(condition_id: str, tested: int, requested: int, violations: list,
+            estimate: float | None = None) -> ConditionReport:
     violations.sort(key=lambda v: (-(v.lhs - v.rhs), repr(sorted(v.inputs.items()))))
     kept = tuple(violations[:MAX_VIOLATIONS])
-    if kept:
-        verdict = "fail"
-    elif tested >= requested:
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
+    verdict = "fail" if kept else "pass" if tested >= requested else "inconclusive"
     return ConditionReport(condition_id, tested, kept, verdict, estimate)
 
 
-def _record(violations, inputs, lhs, rhs):
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        violations.append(Violation(inputs, float(lhs), float(rhs)))
-    elif lhs > rhs + SLACK:
-        violations.append(Violation(inputs, float(lhs), float(rhs)))
+def _check_sampling(box: float, samples: int) -> None:
+    if not 0.0 < box <= _WIDEST_BOX or samples < 1:
+        raise InvalidRange("need a positive box of finite width and at least one sample")
 
 
-def _point_probes(box: float, dim: int) -> list[np.ndarray]:
-    pts = [np.zeros(dim), np.full(dim, box), np.full(dim, -box)]
-    e1 = np.zeros(dim)
-    e1[0] = box
-    pts.append(e1)
-    pts.append(-e1)
-    return pts
+def _failed(lhs, rhs):
+    """Where lhs <= rhs fails by more than SLACK; a non-finite side always fails."""
+    return ~(np.isfinite(lhs) & np.isfinite(rhs)) | (lhs > rhs + SLACK)
 
 
-def _pair_probes(box: float, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    pts = _point_probes(box, dim)
-    pairs = [(pts[3], pts[0])]  # (box * e1, 0): guarantees a separated pair
-    pairs += [(p, p.copy()) for p in pts]  # coincident pairs
-    pairs += [(pts[1], pts[2]), (pts[0], pts[1])]
-    return pairs
+def _rowdot(a, b):
+    """Dot products of matching rows of (S, d) stacks, bitwise ``np.dot`` of each row pair.
+
+    matmul of (S, 1, d) by (S, d, 1) reaches the same BLAS dot; a summed
+    product or einsum rounds differently for d >= 2."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _rownorm(a):
+    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of the row."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _sqsum(s):
+    """|sigma|^2 of each sample: its (d, m) block's squares summed as ``np.sum`` does."""
+    return np.sum((s * s).reshape(len(s), -1), axis=-1)
+
+
+def _rows(value, shape):
+    """An evaluator result as a float stack of ``shape``; a constant broadcasts."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
+def _running_max(start, values):
+    """max(start, *values) as a running Python ``max``: NaN never becomes the maximum."""
+    above = values[values > start]
+    return float(above.max()) if above.size else start
+
+
+def _probes_and_draws(rng, box: float, dim: int, probes: list, samples: int) -> np.ndarray:
+    """The probe tuples (rows of the origin, (box, .., box), (-box, .., -box), box e1
+    and -box e1), then ``samples`` tuples drawn uniformly from the box."""
+    pts = np.zeros((5, dim))
+    pts[1], pts[2], pts[3, 0] = box, -box, box
+    pts[4] = -pts[3]
+    draws = rng.uniform(-box, box, size=(samples, len(probes[0]), dim))
+    return np.concatenate([pts[probes], draws])
+
+
+# Probe pairs (x, y) and quadruples (x, y, x', y') as point rows; the first
+# pair, (box e1, 0), is separated, most of the others coincide.
+_PAIRS = [[3, 0], [0, 0], [1, 1], [2, 2], [3, 3], [4, 4], [1, 2], [0, 1]]
+_QUADS = [[3, 0, 4, 0], [1, 2, 2, 1], [0, 0, 0, 0], [1, 1, 1, 1], [3, 1, 0, 2]]
 
 
 def check_contraction(
@@ -147,25 +177,22 @@ def check_contraction(
     """Check D(0) = 0 and |D(x) - D(y)| <= kappa |x - y| on the box (id C4)."""
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    if box <= 0.0 or samples < 1:
-        raise InvalidRange("need a positive box and at least one sample")
-    rng = np.random.default_rng(seed)
-    violations: list[Violation] = []
-
-    origin = np.asarray(neutral(np.zeros(dim)), dtype=float).reshape(dim)
-    _record(violations, {"check": "zero-at-origin"}, float(np.linalg.norm(origin)), 0.0)
-
-    pairs = _pair_probes(box, dim)
-    draws = rng.uniform(-box, box, size=(samples, 2, dim))
-    tested = 0
-    for x, y in pairs + [(d[0], d[1]) for d in draws]:
-        dx = np.asarray(neutral(x), dtype=float).reshape(dim)
-        dy = np.asarray(neutral(y), dtype=float).reshape(dim)
-        lhs = float(np.linalg.norm(dx - dy))
-        rhs = kappa * float(np.linalg.norm(x - y))
-        _record(violations, {"x": x.tolist(), "y": y.tolist()}, lhs, rhs)
-        tested += 1
-    return _finish("C4", tested, samples, violations)
+    _check_sampling(box, samples)
+    pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
+    n = len(pairs)
+    vals = _rows(neutral(np.concatenate([pairs[:, 0], pairs[:, 1]])), (2 * n, dim))
+    # D(0) is vals[n]: the first probe pair is (box e1, 0)
+    lhs = _rownorm(np.concatenate([vals[n : n + 1], vals[:n] - vals[n:]]))
+    rhs = np.concatenate([[0.0], kappa * _rownorm(pairs[:, 0] - pairs[:, 1])])
+    violations = [
+        Violation(
+            {"x": pairs[i - 1, 0].tolist(), "y": pairs[i - 1, 1].tolist()}
+            if i else {"check": "zero-at-origin"},
+            float(lhs[i]), float(rhs[i]),
+        )
+        for i in np.flatnonzero(_failed(lhs, rhs)).tolist()
+    ]
+    return _finish("C4", n, samples, violations)
 
 
 def estimate_contraction(
@@ -177,64 +204,92 @@ def estimate_contraction(
     if nothing remains.  Probes at tiny separations are included so smooth
     maps report a value close to their true modulus.
     """
-    if box <= 0.0 or samples < 1:
-        raise InvalidRange("need a positive box and at least one sample")
+    _check_sampling(box, samples)
     rng = np.random.default_rng(seed)
     h = 1e-4 * box
-    probes = []
-    for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h):
-        centre = np.full(dim, c)
-        probes.append((centre - h, centre + h))
-    probes += [(np.zeros(dim), np.full(dim, box))]
-    draws = rng.uniform(-box, box, size=(samples, 2, dim))
-
-    best = None
-    for x, y in probes + [(d[0], d[1]) for d in draws]:
-        gap = float(np.linalg.norm(x - y))
-        if gap < 1e-9:
-            continue
-        dx = np.asarray(neutral(x), dtype=float).reshape(dim)
-        dy = np.asarray(neutral(y), dtype=float).reshape(dim)
-        ratio = float(np.linalg.norm(dx - dy)) / gap
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    centres = [np.full(dim, c) for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)]
+    probes = [(c - h, c + h) for c in centres] + [(np.zeros(dim), np.full(dim, box))]
+    pairs = np.concatenate([probes, rng.uniform(-box, box, size=(samples, 2, dim))])
+    gap = _rownorm(pairs[:, 0] - pairs[:, 1])
+    kept = ~(gap < 1e-9)
+    n = int(kept.sum())
+    if n == 0:
         raise DegenerateSampling("all sampled pairs were closer than 1e-9")
-    return best
+    vals = _rows(neutral(np.concatenate([pairs[kept, 0], pairs[kept, 1]])), (2 * n, dim))
+    ratio = _rownorm(vals[:n] - vals[n:]) / gap[kept]
+    return float(_running_max(ratio[0], ratio[1:]))
 
 
 def _coefficients(model: NsddeModel, x, y, t: float):
-    """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))."""
-    dim = model.state_dim
-    dvy = np.asarray(model.neutral(y), dtype=float).reshape(dim)
-    bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
-    sv = np.asarray(model.diffusion(x, y, t), dtype=float)
-    return dvy, bv, sv
+    """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))
+    for (S, d) stacks x and y, one call per evaluator."""
+    rows = (len(x), model.state_dim)
+    dvy, bv, sv = model.neutral(y), model.drift(x, y, t), model.diffusion(x, y, t)
+    return _rows(dvy, rows), _rows(bv, rows), _rows(sv, rows + (model.noise_dim,))
 
 
-def _growth_lhs(x, coeffs) -> float:
+def _coefficient_pairs(model: NsddeModel, x, y, xb, yb, t: float):
+    """The coefficients at (x, y) and at (x', y'), from one kernel call on both stacks."""
+    both = _coefficients(model, np.concatenate([x, xb]), np.concatenate([y, yb]), t)
+    return tuple(c[: len(x)] for c in both), tuple(c[len(x) :] for c in both)
+
+
+def _growth_lhs(x, coeffs):
     """Coercivity left side 2<x - D(y), b> + |sigma|^2."""
     dvy, bv, sv = coeffs
-    return 2.0 * float(np.dot(x - dvy, bv)) + float(np.sum(sv * sv))
+    return 2.0 * _rowdot(x - dvy, bv) + _sqsum(sv)
 
 
-def _local_lhs(x, xb, coeffs, coeffs_b) -> float:
+def _local_lhs(x, xb, coeffs, coeffs_b):
     """Monotonicity left side 2<x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2."""
     (dvy, bv, sv), (dvyb, bvb, svb) = coeffs, coeffs_b
-    sdiff = sv - svb
-    return 2.0 * float(np.dot(x - dvy - xb + dvyb, bv - bvb)) + float(np.sum(sdiff * sdiff))
+    return 2.0 * _rowdot(x - dvy - xb + dvyb, bv - bvb) + _sqsum(sv - svb)
 
 
-def _record_rates(violations, rate, rate_delayed, delay_factor: float, t: float, tau: float):
-    """Record the rate inequalities C2 and C3 both require at time t:
+def _by_time(ts: np.ndarray) -> list:
+    """(t, sample indices) for each distinct time of ``ts``, t a Python float."""
+    distinct, which = np.unique(ts, return_inverse=True)
+    return [(t, np.flatnonzero(which == j)) for j, t in enumerate(distinct.tolist())]
+
+
+def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.ndarray:
+    """Probe times alternating between the grid endpoints, then uniform grid draws."""
+    alternating = [times[0] if i % 2 == 0 else times[-1] for i in range(n_probes)]
+    return np.concatenate([alternating, times[rng.integers(0, len(times), size=samples)]])
+
+
+def _rate_violations(rate, rate_delayed, delay_factor: float, t: float, tau: float) -> list:
+    """The rate inequalities C2 and C3 both require at time t that fail:
     K >= 0, K~ >= 0, K(t) <= factor * K(t - tau) and K~ <= K."""
-    now = float(rate(t))
-    past = float(rate(t - tau))
-    delayed_now = float(rate_delayed(t))
-    _record(violations, {"check": "rate-nonnegative", "t": t}, 0.0, now)
-    _record(violations, {"check": "rate-nonnegative-delayed", "t": t}, 0.0, delayed_now)
-    _record(violations, {"check": "delay-comparison", "t": t}, now, delay_factor * past)
-    _record(violations, {"check": "dominates-delayed", "t": t}, delayed_now, now)
+    now, past, delayed_now = float(rate(t)), float(rate(t - tau)), float(rate_delayed(t))
+    sides = [("rate-nonnegative", 0.0, now), ("rate-nonnegative-delayed", 0.0, delayed_now),
+             ("delay-comparison", now, delay_factor * past),
+             ("dominates-delayed", delayed_now, now)]
+    return [Violation({"check": c, "t": t}, float(lhs), float(rhs))
+            for c, lhs, rhs in sides if _failed(lhs, rhs)]
+
+
+def _rated_check(condition_id, samples, ts, points, sides, rates, tau) -> ConditionReport:
+    """Shared driver of C2 and C3: ``sides(idx, t)`` gives (lhs, rhs) of the bound for
+    the samples ``idx`` at time t, and ``points`` names the stacks a violation reports.
+    The rate inequalities are evaluated once per time and fail once per sample at
+    that time, after the sample's own violation, in sample order."""
+    lhs, rhs = np.empty(len(ts)), np.empty(len(ts))
+    flagged = np.zeros(len(ts), dtype=bool)
+    at_time = {}
+    for t, idx in _by_time(ts):
+        lhs[idx], rhs[idx] = sides(idx, t)
+        at_time[t] = _rate_violations(*rates, t, tau)
+        flagged[idx] = bool(at_time[t])
+    bad = _failed(lhs, rhs)
+    violations: list[Violation] = []
+    for i in np.flatnonzero(bad | flagged).tolist():
+        t = float(ts[i])
+        if bad[i]:
+            inputs = {"t": t, **{key: v[i].tolist() for key, v in points.items()}}
+            violations.append(Violation(inputs, float(lhs[i]), float(rhs[i])))
+        violations += at_time[t]
+    return _finish(condition_id, len(ts), samples, violations)
 
 
 def check_coercivity(
@@ -249,42 +304,25 @@ def check_coercivity(
     if samples < 1:
         raise InvalidRange("need at least one sample")
     rng = np.random.default_rng(seed)
-    box, dim = spec.box_radius, model.state_dim
-    n0 = grid.steps_per_delay
-    violations: list[Violation] = []
+    pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
+    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
+    x, y = pairs[:, 0], pairs[:, 1]
 
-    times = grid.times[n0:]
-    probe_pairs = _pair_probes(box, dim)
-    draw_pts = rng.uniform(-box, box, size=(samples, 2, dim))
-    draw_times = times[rng.integers(0, len(times), size=samples)]
+    def sides(idx, t):
+        xs, ys = x[idx], y[idx]
+        lhs = _growth_lhs(xs, _coefficients(model, xs, ys, t))
+        now, past = float(spec.growth_rate(t)), float(spec.growth_rate_delayed(t - model.delay))
+        return lhs, now * (1.0 + _rowdot(xs, xs)) + past * (1.0 + _rowdot(ys, ys))
 
-    pts = probe_pairs + [(d[0], d[1]) for d in draw_pts]
-    ts = _alternating_times(times, len(probe_pairs)) + [float(t) for t in draw_times]
-    tested = 0
-    for (x, y), t in zip(pts, ts):
-        lhs = _growth_lhs(x, _coefficients(model, x, y, t))
-        rhs = float(spec.growth_rate(t)) * (1.0 + float(np.dot(x, x))) + float(
-            spec.growth_rate_delayed(t - model.delay)
-        ) * (1.0 + float(np.dot(y, y)))
-        _record(violations, {"t": t, "x": x.tolist(), "y": y.tolist()}, lhs, rhs)
-        _record_rates(
-            violations, spec.growth_rate, spec.growth_rate_delayed,
-            spec.growth_delay_factor, t, model.delay,
-        )
-        tested += 1
-    return _finish("C2", tested, samples, violations)
-
-
-def _alternating_times(times: np.ndarray, count: int) -> list[float]:
-    """Deterministic probe times: alternate between the grid endpoints."""
-    return [float(times[0]) if i % 2 == 0 else float(times[-1]) for i in range(count)]
+    rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
+    return _rated_check("C2", samples, ts, {"x": x, "y": y}, sides, rates, model.delay)
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm > radius:
-        return v * (radius / norm)
-    return v
+    """Rows of v with norm above radius, scaled back onto the sphere of that radius."""
+    norm = _rownorm(v)[:, None]
+    big = norm > radius
+    return np.where(big, v * (radius / np.where(big, norm, radius)), v)
 
 
 def check_monotonicity(
@@ -303,45 +341,21 @@ def check_monotonicity(
     if samples < 1:
         raise InvalidRange("need at least one sample")
     rng = np.random.default_rng(seed)
-    box, dim, tau = spec.box_radius, model.state_dim, model.delay
-    n0 = grid.steps_per_delay
-    violations: list[Violation] = []
+    box, tau = spec.box_radius, model.delay
+    quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
+    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
+    x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
 
-    times = grid.times[n0:]
-    pts = _point_probes(box, dim)
-    probe_quads = [
-        (pts[3], pts[0], pts[4], pts[0]),
-        (pts[1], pts[2], pts[2], pts[1]),
-        (pts[0], pts[0], pts[0], pts[0]),
-        (pts[1], pts[1], pts[1], pts[1]),
-        (pts[3], pts[1], pts[0], pts[2]),
-    ]
-    draw_pts = rng.uniform(-box, box, size=(samples, 4, dim))
-    draw_times = times[rng.integers(0, len(times), size=samples)]
-    quads = probe_quads + [tuple(d) for d in draw_pts]
-    ts = _alternating_times(times, len(probe_quads)) + [float(t) for t in draw_times]
+    def sides(idx, t):
+        xs, ys, xbs, ybs = x[idx], y[idx], xb[idx], yb[idx]
+        lhs = _local_lhs(xs, xbs, *_coefficient_pairs(model, xs, ys, xbs, ybs, t))
+        dx, dy = xs - xbs, ys - ybs
+        now, past = float(spec.local_rate(t)), float(spec.local_rate_delayed(t - tau))
+        return lhs, now * _rowdot(dx, dx) + past * _rowdot(dy, dy)
 
-    tested = 0
-    for (x, y, xb, yb), t in zip(quads, ts):
-        x, y, xb, yb = (_clip_to_ball(np.asarray(v, dtype=float), box) for v in (x, y, xb, yb))
-        lhs = _local_lhs(
-            x, xb, _coefficients(model, x, y, t), _coefficients(model, xb, yb, t)
-        )
-        rhs = float(spec.local_rate(t)) * float(np.dot(x - xb, x - xb)) + float(
-            spec.local_rate_delayed(t - tau)
-        ) * float(np.dot(y - yb, y - yb))
-        _record(
-            violations,
-            {"t": t, "x": x.tolist(), "y": y.tolist(), "xp": xb.tolist(), "yp": yb.tolist()},
-            lhs,
-            rhs,
-        )
-        _record_rates(
-            violations, spec.local_rate, spec.local_rate_delayed,
-            spec.local_delay_factor, t, tau,
-        )
-        tested += 1
-    return _finish("C3", tested, samples, violations)
+    rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
+    points = {"x": x, "y": y, "xp": xb, "yp": yb}
+    return _rated_check("C3", samples, ts, points, sides, rates, tau)
 
 
 def check_integrability(
@@ -350,41 +364,28 @@ def check_integrability(
     """Check finiteness of the integral of sup |b| + |sigma|^2 on the box (id H).
 
     One batch of (x, y) pairs (random draws plus box probes) is evaluated at
-    every grid time; the per-time maxima are summed with weight delta.  The
-    check fails only when a coefficient evaluates to a non-finite value; the
-    integral estimate is attached to the report.
+    every grid time, one drift and one diffusion call per time; the
+    per-time maxima are summed with weight delta.  The check fails only
+    when a coefficient evaluates to a non-finite value; the integral
+    estimate is attached to the report.
     """
-    if box <= 0.0 or samples < 1:
-        raise InvalidRange("need a positive box and at least one sample")
-    rng = np.random.default_rng(seed)
+    _check_sampling(box, samples)
     dim = model.state_dim
+    pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
+    x, y = pairs[:, 0], pairs[:, 1]
+    times = grid.times[grid.steps_per_delay:-1].tolist()
     violations: list[Violation] = []
-
-    pairs = _pair_probes(box, dim) + [
-        (d[0], d[1]) for d in rng.uniform(-box, box, size=(samples, 2, dim))
-    ]
-    n0 = grid.steps_per_delay
-    times = grid.times[n0:-1]
     total = 0.0
-    tested = 0
     for t in times:
-        t = float(t)
-        peak = 0.0
-        for x, y in pairs:
-            bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
-            sv = np.asarray(model.diffusion(x, y, t), dtype=float)
-            val = float(np.linalg.norm(bv)) + float(np.sum(sv * sv))
-            if not math.isfinite(val):
-                _record(
-                    violations,
-                    {"t": t, "x": x.tolist(), "y": y.tolist()},
-                    math.inf,
-                    0.0,
-                )
-            peak = max(peak, val)
-            tested += 1
-        total += peak * grid.delta
-    return _finish("H", tested, samples, violations, estimate=total)
+        val = _rownorm(_rows(model.drift(x, y, t), (len(x), dim))) + _sqsum(
+            _rows(model.diffusion(x, y, t), (len(x), dim, model.noise_dim))
+        )
+        violations += [
+            Violation({"t": t, "x": x[i].tolist(), "y": y[i].tolist()}, math.inf, 0.0)
+            for i in np.flatnonzero(~np.isfinite(val)).tolist()
+        ]
+        total += _running_max(0.0, val) * grid.delta
+    return _finish("H", len(times) * len(pairs), samples, violations, estimate=total)
 
 
 def propose_constant_rates(
@@ -399,27 +400,26 @@ def propose_constant_rates(
     at best on the sampled box, with no correctness guarantee; intended as
     a starting point when no derived bundle is available.
     """
-    if box <= 0.0 or samples < 1:
-        raise InvalidRange("need a positive box and at least one sample")
+    _check_sampling(box, samples)
     rng = np.random.default_rng(seed)
-    dim = model.state_dim
-    n0 = grid.steps_per_delay
-    times = grid.times[n0:]
+    times = grid.times[grid.steps_per_delay:]
+    ts = np.empty(samples)
+    quads = np.empty((samples, 4, model.state_dim))
+    for i in range(samples):  # a time, then a (4, d) block, per sample: the stream order
+        ts[i] = times[rng.integers(0, len(times))]
+        quads[i] = rng.uniform(-box, box, size=(4, model.state_dim))
+    x, y, xb, yb = (quads[:, k] for k in range(4))
 
-    growth = 0.0
-    local = 0.0
-    for _ in range(samples):
-        t = float(times[rng.integers(0, len(times))])
-        x, y, xb, yb = rng.uniform(-box, box, size=(4, dim))
-        coeffs = _coefficients(model, x, y, t)
-        lhs = _growth_lhs(x, coeffs)
-        growth = max(growth, lhs / (2.0 + float(np.dot(x, x)) + float(np.dot(y, y))))
-
-        gap = float(np.dot(x - xb, x - xb)) + float(np.dot(y - yb, y - yb))
-        if gap >= 1e-12:
-            lhs3 = _local_lhs(x, xb, coeffs, _coefficients(model, xb, yb, t))
-            local = max(local, lhs3 / gap)
-    return {"growth_rate": growth, "local_rate": local}
+    growth, lhs3 = np.empty(samples), np.empty(samples)
+    for t, idx in _by_time(ts):
+        xs, ys, xbs, ybs = x[idx], y[idx], xb[idx], yb[idx]
+        coeffs, coeffs_b = _coefficient_pairs(model, xs, ys, xbs, ybs, t)
+        growth[idx] = _growth_lhs(xs, coeffs) / (2.0 + _rowdot(xs, xs) + _rowdot(ys, ys))
+        lhs3[idx] = _local_lhs(xs, xbs, coeffs, coeffs_b)
+    gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
+    kept = gap >= 1e-12
+    local = _running_max(0.0, lhs3[kept] / gap[kept])
+    return {"growth_rate": _running_max(0.0, growth), "local_rate": local}
 
 
 def neutral_cubic_rates(

@@ -82,6 +82,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="rates"):
             load_config(write_config(tmp_path, rates={"kappa": 0.5, "bogus": 1.0}))
 
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError for an integer of 5,000 digits
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(BASE).replace('"tau": 1.0', '"tau": 1' + "0" * 5000))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_invalid_json_and_missing_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -120,6 +127,44 @@ class TestExitCodes:
         )
         assert main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, literal",
+        [
+            ("converge", "epsilon", "NaN"),
+            ("converge", "epsilon", "1e400"),
+            ("moments", "truncation_radius", "NaN"),
+            ("check", "rates.growth_rate", "NaN"),
+            ("check", "rates.local_rate", "Infinity"),
+            pytest.param("converge", "xi.value", "1" + "0" * 400, id="converge-xi.value-10**400"),
+        ],
+    )
+    def test_non_finite_number_is_2(self, tmp_path, capsys, command, key, literal):
+        # JSON literals that Python parses, but that no config value can mean
+        doc = json.loads(json.dumps(BASE))
+        doc.update(samples=20, truncation_radius=1e6, rates={
+            "kappa": 0.5, "growth_rate": 8.0, "growth_rate_delayed": 2.0,
+            "local_rate": 20.0, "local_rate_delayed": 20.0,
+            "growth_delay_factor": 1.0, "local_delay_factor": 1.0,
+        })
+        if command == "moments":
+            doc["ladder"] = [0.5]
+        *parents, leaf = key.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[leaf] = 123456.75
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace("123456.75", literal))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    def test_box_too_wide_to_sample_is_2(self, tmp_path, capsys):
+        # 1e308 is finite, but the sampling width 2 * box_radius is not
+        cfg = write_config(tmp_path, samples=10, box_radius=1e308)
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "box_radius" in capsys.readouterr().err
 
     def test_threads_flag_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Sampling-based verification of the structural model conditions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from nsdde_sim import (
     ConditionSpec,
     DegenerateSampling,
     InvalidRange,
+    NsddeModel,
+    additive_noise,
     check_coercivity,
     check_contraction,
     check_integrability,
@@ -16,11 +20,21 @@ from nsdde_sim import (
     constant_rate,
     cubic_drift,
     estimate_contraction,
+    linear_delay_ode,
     make_grid,
+    neutral_cubic_model,
     neutral_cubic_rates,
     propose_constant_rates,
 )
-from nsdde_sim.conditions import MAX_VIOLATIONS
+from nsdde_sim.conditions import (
+    MAX_VIOLATIONS,
+    SLACK,
+    ConditionReport,
+    Violation,
+    _rowdot,
+    _rownorm,
+    _sqsum,
+)
 
 GRID = make_grid(1.0, 2.0, 0.1)
 
@@ -210,3 +224,328 @@ class TestCubicRateBundle:
         # parameter combination, so construction never raises
         spec = neutral_cubic_rates(k, c2 - 1.0, c2, 1.0)
         assert spec.growth_rate(0.0) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference checkers: one coefficient call per sample, scalar
+# np.dot / np.linalg.norm arithmetic.  The batched checkers must produce
+# reports repr-equal to these (repr also compares NaN fields).
+
+
+def _ref_record(violations, inputs, lhs, rhs):
+    if not (np.isfinite(lhs) and np.isfinite(rhs)) or lhs > rhs + SLACK:
+        violations.append(Violation(inputs, float(lhs), float(rhs)))
+
+
+def _ref_finish(condition_id, tested, requested, violations, estimate=None):
+    violations.sort(key=lambda v: (-(v.lhs - v.rhs), repr(sorted(v.inputs.items()))))
+    kept = tuple(violations[:MAX_VIOLATIONS])
+    verdict = "fail" if kept else "pass" if tested >= requested else "inconclusive"
+    return ConditionReport(condition_id, tested, kept, verdict, estimate)
+
+
+def _ref_points(box, dim):
+    e1 = np.zeros(dim)
+    e1[0] = box
+    return [np.zeros(dim), np.full(dim, box), np.full(dim, -box), e1, -e1]
+
+
+def _ref_pairs(box, dim):
+    pts = _ref_points(box, dim)
+    return [(pts[3], pts[0])] + [(p, p.copy()) for p in pts] + [(pts[1], pts[2]), (pts[0], pts[1])]
+
+
+def _ref_times(times, count):
+    return [float(times[0]) if i % 2 == 0 else float(times[-1]) for i in range(count)]
+
+
+def _ref_coefficients(model, x, y, t):
+    dim = model.state_dim
+    return (
+        np.asarray(model.neutral(y), dtype=float).reshape(dim),
+        np.asarray(model.drift(x, y, t), dtype=float).reshape(dim),
+        np.asarray(model.diffusion(x, y, t), dtype=float),
+    )
+
+
+def _ref_growth_lhs(x, coeffs):
+    dvy, bv, sv = coeffs
+    return 2.0 * float(np.dot(x - dvy, bv)) + float(np.sum(sv * sv))
+
+
+def _ref_local_lhs(x, xb, coeffs, coeffs_b):
+    (dvy, bv, sv), (dvyb, bvb, svb) = coeffs, coeffs_b
+    sdiff = sv - svb
+    return 2.0 * float(np.dot(x - dvy - xb + dvyb, bv - bvb)) + float(np.sum(sdiff * sdiff))
+
+
+def _ref_rates(violations, rate, rate_delayed, factor, t, tau):
+    now, past, delayed_now = float(rate(t)), float(rate(t - tau)), float(rate_delayed(t))
+    _ref_record(violations, {"check": "rate-nonnegative", "t": t}, 0.0, now)
+    _ref_record(violations, {"check": "rate-nonnegative-delayed", "t": t}, 0.0, delayed_now)
+    _ref_record(violations, {"check": "delay-comparison", "t": t}, now, factor * past)
+    _ref_record(violations, {"check": "dominates-delayed", "t": t}, delayed_now, now)
+
+
+def ref_check_contraction(neutral, kappa, box, samples, seed, dim=1):
+    rng = np.random.default_rng(seed)
+    violations = []
+    origin = np.asarray(neutral(np.zeros(dim)), dtype=float).reshape(dim)
+    _ref_record(violations, {"check": "zero-at-origin"}, float(np.linalg.norm(origin)), 0.0)
+    draws = rng.uniform(-box, box, size=(samples, 2, dim))
+    pairs = _ref_pairs(box, dim) + [(d[0], d[1]) for d in draws]
+    for x, y in pairs:
+        dx = np.asarray(neutral(x), dtype=float).reshape(dim)
+        dy = np.asarray(neutral(y), dtype=float).reshape(dim)
+        lhs, rhs = float(np.linalg.norm(dx - dy)), kappa * float(np.linalg.norm(x - y))
+        _ref_record(violations, {"x": x.tolist(), "y": y.tolist()}, lhs, rhs)
+    return _ref_finish("C4", len(pairs), samples, violations)
+
+
+def ref_estimate_contraction(neutral, box, samples, seed, dim=1):
+    rng = np.random.default_rng(seed)
+    h = 1e-4 * box
+    probes = []
+    for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h):
+        probes.append((np.full(dim, c) - h, np.full(dim, c) + h))
+    probes += [(np.zeros(dim), np.full(dim, box))]
+    draws = rng.uniform(-box, box, size=(samples, 2, dim))
+    best = None
+    for x, y in probes + [(d[0], d[1]) for d in draws]:
+        gap = float(np.linalg.norm(x - y))
+        if gap < 1e-9:
+            continue
+        dx = np.asarray(neutral(x), dtype=float).reshape(dim)
+        dy = np.asarray(neutral(y), dtype=float).reshape(dim)
+        ratio = float(np.linalg.norm(dx - dy)) / gap
+        if best is None or ratio > best:
+            best = ratio
+    return best
+
+
+def ref_check_coercivity(model, spec, grid, samples, seed):
+    rng = np.random.default_rng(seed)
+    box, dim = spec.box_radius, model.state_dim
+    violations = []
+    times = grid.times[grid.steps_per_delay:]
+    probes = _ref_pairs(box, dim)
+    draw_pts = rng.uniform(-box, box, size=(samples, 2, dim))
+    draw_times = times[rng.integers(0, len(times), size=samples)]
+    pts = probes + [(d[0], d[1]) for d in draw_pts]
+    ts = _ref_times(times, len(probes)) + [float(t) for t in draw_times]
+    for (x, y), t in zip(pts, ts):
+        lhs = _ref_growth_lhs(x, _ref_coefficients(model, x, y, t))
+        rhs = float(spec.growth_rate(t)) * (1.0 + float(np.dot(x, x))) + float(
+            spec.growth_rate_delayed(t - model.delay)
+        ) * (1.0 + float(np.dot(y, y)))
+        _ref_record(violations, {"t": t, "x": x.tolist(), "y": y.tolist()}, lhs, rhs)
+        _ref_rates(violations, spec.growth_rate, spec.growth_rate_delayed,
+                   spec.growth_delay_factor, t, model.delay)
+    return _ref_finish("C2", len(pts), samples, violations)
+
+
+def _ref_clip(v, radius):
+    norm = float(np.linalg.norm(v))
+    return v * (radius / norm) if norm > radius else v
+
+
+def ref_check_monotonicity(model, spec, grid, samples, seed):
+    rng = np.random.default_rng(seed)
+    box, dim, tau = spec.box_radius, model.state_dim, model.delay
+    violations = []
+    times = grid.times[grid.steps_per_delay:]
+    p = _ref_points(box, dim)
+    probes = [(p[3], p[0], p[4], p[0]), (p[1], p[2], p[2], p[1]), (p[0], p[0], p[0], p[0]),
+              (p[1], p[1], p[1], p[1]), (p[3], p[1], p[0], p[2])]
+    draw_pts = rng.uniform(-box, box, size=(samples, 4, dim))
+    draw_times = times[rng.integers(0, len(times), size=samples)]
+    quads = probes + [tuple(d) for d in draw_pts]
+    ts = _ref_times(times, len(probes)) + [float(t) for t in draw_times]
+    for (x, y, xb, yb), t in zip(quads, ts):
+        x, y, xb, yb = (_ref_clip(np.asarray(v, dtype=float), box) for v in (x, y, xb, yb))
+        lhs = _ref_local_lhs(
+            x, xb, _ref_coefficients(model, x, y, t), _ref_coefficients(model, xb, yb, t)
+        )
+        rhs = float(spec.local_rate(t)) * float(np.dot(x - xb, x - xb)) + float(
+            spec.local_rate_delayed(t - tau)
+        ) * float(np.dot(y - yb, y - yb))
+        inputs = {"t": t, "x": x.tolist(), "y": y.tolist(), "xp": xb.tolist(), "yp": yb.tolist()}
+        _ref_record(violations, inputs, lhs, rhs)
+        _ref_rates(violations, spec.local_rate, spec.local_rate_delayed,
+                   spec.local_delay_factor, t, tau)
+    return _ref_finish("C3", len(quads), samples, violations)
+
+
+def ref_check_integrability(model, grid, box, samples, seed):
+    rng = np.random.default_rng(seed)
+    dim = model.state_dim
+    violations = []
+    draws = rng.uniform(-box, box, size=(samples, 2, dim))
+    pairs = _ref_pairs(box, dim) + [(d[0], d[1]) for d in draws]
+    total, tested = 0.0, 0
+    for t in grid.times[grid.steps_per_delay:-1]:
+        t = float(t)
+        peak = 0.0
+        for x, y in pairs:
+            bv = np.asarray(model.drift(x, y, t), dtype=float).reshape(dim)
+            sv = np.asarray(model.diffusion(x, y, t), dtype=float)
+            val = float(np.linalg.norm(bv)) + float(np.sum(sv * sv))
+            if not np.isfinite(val):
+                _ref_record(violations, {"t": t, "x": x.tolist(), "y": y.tolist()}, np.inf, 0.0)
+            peak = max(peak, val)
+            tested += 1
+        total += peak * grid.delta
+    return _ref_finish("H", tested, samples, violations, estimate=total)
+
+
+def ref_propose_constant_rates(model, grid, box, samples, seed):
+    rng = np.random.default_rng(seed)
+    times = grid.times[grid.steps_per_delay:]
+    growth = local = 0.0
+    for _ in range(samples):
+        t = float(times[rng.integers(0, len(times))])
+        x, y, xb, yb = rng.uniform(-box, box, size=(4, model.state_dim))
+        coeffs = _ref_coefficients(model, x, y, t)
+        lhs = _ref_growth_lhs(x, coeffs)
+        growth = max(growth, lhs / (2.0 + float(np.dot(x, x)) + float(np.dot(y, y))))
+        gap = float(np.dot(x - xb, x - xb)) + float(np.dot(y - yb, y - yb))
+        if gap >= 1e-12:
+            lhs3 = _ref_local_lhs(x, xb, coeffs, _ref_coefficients(model, xb, yb, t))
+            local = max(local, lhs3 / gap)
+    return {"growth_rate": growth, "local_rate": local}
+
+
+def mixing_model():
+    """2 states driven by 3 noise components, each state mixing all three."""
+
+    def diffusion(x, y, t):
+        a, b = x[..., 0], y[..., 1]
+        first = np.stack([a, 0.5 * b, 1.0 + 0.0 * a], -1)
+        second = np.stack([0.1 * b, np.sin(a), a * b], -1)
+        return np.stack([first, second], -2) * np.exp(-t)
+
+    return NsddeModel(
+        2, 3, 1.0,
+        neutral=lambda y: 0.3 * y[..., ::-1],
+        drift=lambda x, y, t: -x * x * x + 0.2 * np.sin(y) * t,
+        diffusion=diffusion,
+    )
+
+
+def blowup_model():
+    """Drift NaN above 1.2 and infinite below -1.5 in each coordinate."""
+    return NsddeModel(
+        2, 2, 1.0,
+        neutral=lambda y: 0.4 * y,
+        drift=lambda x, y, t: np.where(x > 1.2, np.nan, np.where(x < -1.5, np.inf, x * y)),
+        diffusion=lambda x, y, t: np.eye(2),
+    )
+
+
+ORACLE_MODELS = {
+    "sec4": lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0),
+    "cubic_drift_2": lambda: cubic_drift(1.0, 2),
+    "cubic_drift_3": lambda: cubic_drift(1.0, 3),
+    "additive_noise_3": lambda: additive_noise(1.0, 3),
+    "linear_delay_ode": lambda: linear_delay_ode(0.7, 1.0),
+    "mixing": mixing_model,
+    "blowup": blowup_model,
+}
+
+
+def _reports(module, model, spec, grid, samples, seed):
+    """Every checker's result for one model, spec and seed, as reprs."""
+    dim = model.state_dim
+    out = [
+        module["check_contraction"](model.neutral, spec.kappa, 1.5, samples, seed, dim),
+        module["estimate_contraction"](model.neutral, 1.5, samples, seed, dim),
+        module["check_coercivity"](model, spec, grid, samples, seed),
+        module["check_monotonicity"](model, spec, grid, samples, seed),
+        module["check_integrability"](model, grid, 1.5, samples, seed),
+        module["propose_constant_rates"](model, grid, 1.5, samples, seed),
+    ]
+    return [repr(r) for r in out]
+
+
+BATCHED = {
+    "check_contraction": check_contraction,
+    "estimate_contraction": estimate_contraction,
+    "check_coercivity": check_coercivity,
+    "check_monotonicity": check_monotonicity,
+    "check_integrability": check_integrability,
+    "propose_constant_rates": propose_constant_rates,
+}
+REFERENCE = {name: globals()["ref_" + name] for name in BATCHED}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 20260815])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_batched_checkers_match_per_sample_reference(name, seed):
+    model = ORACLE_MODELS[name]()
+    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
+    got = _reports(BATCHED, model, spec, GRID, 40, seed)
+    assert got == _reports(REFERENCE, model, spec, GRID, 40, seed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 20260815])
+def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
+    # the rates 1 - t turn negative after t = 1, so every sample drawn
+    # later fails the rate inequalities, more than MAX_VIOLATIONS in all;
+    # with NaN left sides among them the sort, and so the kept list,
+    # depends on the order in which violations were recorded
+    spec = ConditionSpec(
+        kappa=0.5,
+        growth_rate=lambda t: 1.0 - t,
+        growth_rate_delayed=lambda t: 0.5 * t,
+        local_rate=lambda t: 1.0 - t,
+        local_rate_delayed=constant_rate(0.0),
+        growth_delay_factor=1.0,
+        local_delay_factor=1.0,
+    )
+    for model in (mixing_model(), blowup_model()):
+        for check in ("check_coercivity", "check_monotonicity"):
+            got = BATCHED[check](model, spec, GRID, 150, seed)
+            assert repr(got) == repr(REFERENCE[check](model, spec, GRID, 150, seed))
+            assert len(got.violations) == MAX_VIOLATIONS
+            assert any("check" in v.inputs for v in got.violations)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 17])
+def test_row_kernels_round_like_scalar_numpy(dim):
+    # the digests rest on these helpers rounding each row exactly as np.dot,
+    # np.linalg.norm and np.sum do on that row alone
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
+    b = rng.standard_normal((300, dim))
+    s = rng.standard_normal((300, dim, 3))
+    bits = lambda v: np.asarray(v, dtype=float).view(np.int64)
+    assert (bits(_rowdot(a, b)) == bits([np.dot(u, v) for u, v in zip(a, b)])).all()
+    assert (bits(_rownorm(a)) == bits([np.linalg.norm(u) for u in a])).all()
+    assert (bits(_sqsum(s)) == bits([np.sum(u * u) for u in s])).all()
+
+
+def test_checkers_raise_no_warnings_on_zero_probes(cubic_model, cubic_rates):
+    # the probes include zero vectors, which the ball projection must not
+    # divide by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _reports(BATCHED, cubic_model, cubic_rates, GRID, 30, 4)
+        _reports(BATCHED, cubic_drift(1.0, 2), flat_spec(), GRID, 30, 4)
+
+
+@pytest.mark.parametrize("box", [1e308, float("nan"), 0.0, -1.0])
+def test_box_without_a_finite_sampling_width_is_rejected(box):
+    # uniform draws from [-box, box] need 2 * box to be a positive float
+    model = cubic_drift(1.0)
+    with pytest.raises(InvalidRange):
+        check_contraction(model.neutral, 0.5, box, 10, 0)
+    with pytest.raises(InvalidRange):
+        estimate_contraction(model.neutral, box, 10, 0)
+    with pytest.raises(InvalidRange):
+        check_integrability(model, GRID, box, 10, 0)
+    with pytest.raises(InvalidRange):
+        propose_constant_rates(model, GRID, box, 10, 0)
+    with pytest.raises(InvalidRange):
+        ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
