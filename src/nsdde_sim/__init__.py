@@ -50,13 +50,8 @@ from .errors import (
 )
 from .euler import (
     PathGrid,
-    PerturbationSeries,
-    grid_floor,
-    grid_floor_index,
-    perturbation,
     refine_to,
     simulate,
-    truncation_time,
 )
 from .model import (
     DelayGrid,
@@ -96,7 +91,6 @@ __all__ = [
     "NsddeModel",
     "PathGrid",
     "PerturbationRow",
-    "PerturbationSeries",
     "PerturbationTable",
     "Violation",
     "additive_noise",
@@ -116,18 +110,14 @@ __all__ = [
     "estimate_moments",
     "exceedance_trend_ok",
     "generate",
-    "grid_floor",
-    "grid_floor_index",
     "linear_delay_ode",
     "make_grid",
     "neutral_cubic_model",
     "neutral_cubic_rates",
-    "perturbation",
     "perturbation_integrability",
     "power_split_bound",
     "propose_constant_rates",
     "pure_neutral",
     "refine_to",
     "simulate",
-    "truncation_time",
 ]

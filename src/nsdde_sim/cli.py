@@ -31,12 +31,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import analysis, conditions
 from .brownian import generate
-from .errors import ConfigError, NonFiniteState, NsddeError
+from .errors import ConfigError, NsddeError
 from .euler import simulate
 from .model import (
     InitialSegment,
@@ -498,9 +496,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, seed, args.strict, args.dump_noise)
         return _COMMANDS[args.command](cfg, out_dir, seed, args.strict)
-    except NonFiniteState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NsddeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

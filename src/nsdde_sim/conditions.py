@@ -25,6 +25,8 @@ Coefficients, and the bare ``neutral`` map of the contraction checks, are
 called on ``(S, state_dim)`` stacks of samples under the evaluator contract
 of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a Python
 float, a constant broadcasts): once per evaluator and distinct sampled time.
+They run with numpy's floating-point warnings off: a side that overflows
+fails in the report and prints nothing.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ SLACK = 1e-9
 
 # At most this many violations are kept per report (after severity sorting).
 MAX_VIOLATIONS = 100
-
-# Largest box radius whose sampling width 2 * box is still a finite float.
-_WIDEST_BOX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ class ConditionSpec:
                 f"(max {max(self.growth_delay_factor, self.local_delay_factor)} "
                 f"> {1.0 / self.kappa})"
             )
-        if not 0.0 < self.box_radius <= _WIDEST_BOX:
-            raise InvalidRange("box_radius must be positive, with 2 * box_radius finite")
+        _check_sampling(self.box_radius, samples=1, dim=1)
 
 
 def constant_rate(value: float) -> Callable[[float], float]:
@@ -116,9 +114,12 @@ def _finish(condition_id: str, tested: int, requested: int, violations: list,
     return ConditionReport(condition_id, tested, kept, verdict, estimate)
 
 
-def _check_sampling(box: float, samples: int) -> None:
-    if not 0.0 < box <= _WIDEST_BOX or samples < 1:
-        raise InvalidRange("need a positive box of finite width and at least one sample")
+def _check_sampling(box: float, samples: int, dim: int) -> None:
+    """Two points of the box lie up to 2 * box apart in each of ``dim`` coordinates,
+    so their squared distance must stay a finite float."""
+    if not 0.0 < box or 4.0 * dim * box * box > sys.float_info.max or samples < 1:
+        raise InvalidRange(f"need samples >= 1 and a positive box_radius with "
+                           f"4 * {dim} * box_radius**2 finite, got {box!r}")
 
 
 def _failed(lhs, rhs):
@@ -171,13 +172,14 @@ _PAIRS = [[3, 0], [0, 0], [1, 1], [2, 2], [3, 3], [4, 4], [1, 2], [0, 1]]
 _QUADS = [[3, 0, 4, 0], [1, 2, 2, 1], [0, 0, 0, 0], [1, 1, 1, 1], [3, 1, 0, 2]]
 
 
+@np.errstate(all="ignore")
 def check_contraction(
     neutral, kappa: float, box: float, samples: int, seed: int, dim: int = 1
 ) -> ConditionReport:
     """Check D(0) = 0 and |D(x) - D(y)| <= kappa |x - y| on the box (id C4)."""
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    _check_sampling(box, samples)
+    _check_sampling(box, samples, dim)
     pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
     n = len(pairs)
     vals = _rows(neutral(np.concatenate([pairs[:, 0], pairs[:, 1]])), (2 * n, dim))
@@ -195,6 +197,7 @@ def check_contraction(
     return _finish("C4", n, samples, violations)
 
 
+@np.errstate(all="ignore")
 def estimate_contraction(
     neutral, box: float, samples: int, seed: int, dim: int = 1
 ) -> float:
@@ -204,7 +207,7 @@ def estimate_contraction(
     if nothing remains.  Probes at tiny separations are included so smooth
     maps report a value close to their true modulus.
     """
-    _check_sampling(box, samples)
+    _check_sampling(box, samples, dim)
     rng = np.random.default_rng(seed)
     h = 1e-4 * box
     centres = [np.full(dim, c) for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)]
@@ -292,6 +295,7 @@ def _rated_check(condition_id, samples, ts, points, sides, rates, tau) -> Condit
     return _finish(condition_id, len(ts), samples, violations)
 
 
+@np.errstate(all="ignore")
 def check_coercivity(
     model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int, seed: int
 ) -> ConditionReport:
@@ -301,8 +305,7 @@ def check_coercivity(
     the grid; the rate inequalities K1 >= 0, K1~ >= 0, K1 >= K1~ and
     K1(t) <= C1 * K1(t - tau) are evaluated at every sampled time.
     """
-    if samples < 1:
-        raise InvalidRange("need at least one sample")
+    _check_sampling(spec.box_radius, samples, model.state_dim)
     rng = np.random.default_rng(seed)
     pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
@@ -325,6 +328,7 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.where(big, v * (radius / np.where(big, norm, radius)), v)
 
 
+@np.errstate(all="ignore")
 def check_monotonicity(
     model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int, seed: int
 ) -> ConditionReport:
@@ -338,8 +342,7 @@ def check_monotonicity(
 
     is evaluated, together with the KR rate inequalities.
     """
-    if samples < 1:
-        raise InvalidRange("need at least one sample")
+    _check_sampling(spec.box_radius, samples, model.state_dim)
     rng = np.random.default_rng(seed)
     box, tau = spec.box_radius, model.delay
     quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
@@ -358,6 +361,7 @@ def check_monotonicity(
     return _rated_check("C3", samples, ts, points, sides, rates, tau)
 
 
+@np.errstate(all="ignore")
 def check_integrability(
     model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
 ) -> ConditionReport:
@@ -369,8 +373,8 @@ def check_integrability(
     when a coefficient evaluates to a non-finite value; the integral
     estimate is attached to the report.
     """
-    _check_sampling(box, samples)
     dim = model.state_dim
+    _check_sampling(box, samples, dim)
     pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
     x, y = pairs[:, 0], pairs[:, 1]
     times = grid.times[grid.steps_per_delay:-1].tolist()
@@ -388,6 +392,7 @@ def check_integrability(
     return _finish("H", len(times) * len(pairs), samples, violations, estimate=total)
 
 
+@np.errstate(all="ignore")
 def propose_constant_rates(
     model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
 ) -> dict:
@@ -400,7 +405,7 @@ def propose_constant_rates(
     at best on the sampled box, with no correctness guarantee; intended as
     a starting point when no derived bundle is available.
     """
-    _check_sampling(box, samples)
+    _check_sampling(box, samples, model.state_dim)
     rng = np.random.default_rng(seed)
     times = grid.times[grid.steps_per_delay:]
     ts = np.empty(samples)

@@ -49,9 +49,6 @@ from .errors import (
 )
 from .model import DelayGrid, InitialSegment, NsddeModel
 
-# Relative slack when matching a step ratio to an integer.
-_RATIO_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PathGrid:
@@ -97,42 +94,6 @@ class PathGrid:
         if not -self.grid.steps_per_delay <= index <= self.grid.total_steps:
             raise InvalidRange(f"index {index} outside grid")
         return self.values[..., index + self.grid.steps_per_delay, :]
-
-
-@dataclass(frozen=True)
-class PerturbationSeries:
-    """Deviation of a path from its last coarse-grid value.
-
-    ``values[j + N]`` holds X(floor-to-coarse(t_j)) - X(t_j) on the fine
-    grid; identically zero on [-tau, 0] and at coarse grid points.
-    """
-
-    grid: DelayGrid
-    coarse_step: float
-    values: np.ndarray
-
-
-def grid_floor_index(delta: float, t: float) -> int:
-    """Largest l with l * delta <= t, computed through exact rationals.
-
-    Ratios within relative 1e-9 of an integer snap to it, so grid times
-    that only differ from an exact multiple by floating-point rounding are
-    treated as lying on the grid.
-    """
-    if delta <= 0.0:
-        raise InvalidRange(f"delta must be positive, got {delta}")
-    if t < 0.0:
-        raise InvalidRange(f"t must be non-negative, got {t}")
-    ratio = Fraction(t) / Fraction(delta)
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= _RATIO_RTOL * max(1, abs(nearest)):
-        return int(nearest)
-    return int(ratio // 1)
-
-
-def grid_floor(delta: float, t: float) -> float:
-    """Project t onto the last grid multiple of delta: floor(t / delta) * delta."""
-    return float(grid_floor_index(delta, t) * Fraction(delta))
 
 
 def simulate(
@@ -269,41 +230,3 @@ def _path_major(vals: np.ndarray, noise: BrownianPath) -> np.ndarray:
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:
     """sigma @ dB per path: ``(..., d, k)`` matrices times ``(paths, k)`` increments."""
     return (sigma @ db[..., None])[..., 0]
-
-
-def perturbation(coarse_on_fine: PathGrid, coarse_step: float) -> PerturbationSeries:
-    """Series X(floor-to-coarse(t)) - X(t) over the fine grid of a refined path.
-
-    ``coarse_step`` must be an integer multiple of the path's grid step and
-    divide both the delay and the horizon.
-    """
-    grid = coarse_on_fine.grid
-    ratio = coarse_step / grid.delta
-    factor = round(ratio)
-    if factor < 1 or abs(ratio - factor) > _RATIO_RTOL * factor:
-        raise IncompatibleGrids(
-            f"coarse step {coarse_step} is not a multiple of the grid step {grid.delta}"
-        )
-    if grid.steps_per_delay % factor or grid.total_steps % factor:
-        raise IncompatibleGrids(f"coarse step {coarse_step} does not divide delay and horizon")
-
-    n_delay = grid.steps_per_delay
-    vals = coarse_on_fine.values
-    idx = np.arange(grid.total_steps + 1)
-    anchor = (idx // factor) * factor
-    out = np.zeros_like(vals)
-    out[..., n_delay:, :] = vals[..., anchor + n_delay, :] - vals[..., idx + n_delay, :]
-    return PerturbationSeries(grid, coarse_step, out)
-
-
-def truncation_time(path: PathGrid, radius: float) -> float | None:
-    """First grid time t >= 0 with |X(t)| > radius / 3 on a single path,
-    or None if never."""
-    if radius <= 0.0:
-        raise InvalidRange(f"radius must be positive, got {radius}")
-    n_delay = path.grid.steps_per_delay
-    norms = np.linalg.norm(path.values[n_delay:], axis=1)
-    exceeded = norms > radius / 3.0
-    if not exceeded.any():
-        return None
-    return float(path.grid.times[n_delay + int(np.argmax(exceeded))])

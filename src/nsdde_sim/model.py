@@ -19,7 +19,7 @@ never accumulated by repeated addition, so ``t_N == tau`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -118,9 +118,7 @@ def make_grid(tau: float, horizon: float, delta: float) -> DelayGrid:
 class InitialSegment:
     """Initial history xi mapping [-tau, 0] to the state space.
 
-    ``evaluator`` must be total and finite on the interval.  ``sup_norm``
-    caches the largest euclidean norm seen over all grid points at which
-    the segment has been sampled so far (``None`` until first sampled).
+    ``evaluator`` must be total and finite on the interval.
     """
 
     def __init__(self, evaluator: Callable[[float], np.ndarray], dim: int = 1):
@@ -128,7 +126,6 @@ class InitialSegment:
             raise InvalidRange("segment dimension must be >= 1")
         self.evaluator = evaluator
         self.dim = dim
-        self.sup_norm: float | None = None
 
     def sample(self, grid: DelayGrid) -> np.ndarray:
         """Evaluate the segment at grid times -tau .. 0, shape (N + 1, dim)."""
@@ -138,8 +135,6 @@ class InitialSegment:
             vals[i] = np.asarray(self.evaluator(float(t)), dtype=float).reshape(self.dim)
         if not np.isfinite(vals).all():
             raise InvalidRange("initial segment evaluated to a non-finite value")
-        largest = float(np.linalg.norm(vals, axis=1).max())
-        self.sup_norm = largest if self.sup_norm is None else max(self.sup_norm, largest)
         return vals
 
 

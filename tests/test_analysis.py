@@ -14,6 +14,7 @@ from nsdde_sim import (
     NsddeModel,
     PathGrid,
     additive_noise,
+    affine_segment,
     check_contraction_sup_bound,
     constant_rate,
     constant_segment,
@@ -163,6 +164,32 @@ def test_sawtooth_scales_with_slope():
         n_paths=1, seed=0, radius=1000.0, weight=constant_rate(1.0),
     )
     assert fast.rows[0].mean_abs_integral == pytest.approx(3.0 * 20 * 0.01 / 2, rel=1e-10)
+
+
+def ramp_integrals(xi, radius: float) -> list:
+    """(abs, weighted) mean integrals per level of X(t) = t on [0, 2], ladder [0.5, 0.25]."""
+    table = perturbation_integrability(
+        ramp_model(), xi, 1.0, 2.0, [0.5, 0.25],
+        n_paths=1, seed=0, radius=radius, weight=constant_rate(1.0),
+    )
+    return [(row.mean_abs_integral, row.mean_weighted_integral) for row in table.rows]
+
+
+def test_integration_stops_at_first_fine_node_above_a_third_of_the_radius():
+    # radius 3: R/3 = 1 is reached at t = 1 but only exceeded at t = 1.25, so
+    # both levels integrate their sawtooth over [0, 1.25]: two coarse cells of
+    # 0.125 plus 0.03125 at level 0, five fine intervals of 0.03125 at level 1
+    assert ramp_integrals(constant_segment(0.0), radius=3.0) == [
+        (0.28125, 0.28125), (0.15625, 0.15625),
+    ]
+
+
+def test_truncation_ignores_the_history():
+    # xi(theta) = 10 theta reaches |xi| = 10 > R/3 = 3 on [-1, 0), but the
+    # stopping time looks at [0, horizon] only, where X(t) = t stays below 3
+    assert ramp_integrals(affine_segment(0.0, 10.0), radius=9.0) == [
+        (0.5, 0.5), (0.25, 0.25),
+    ]
 
 
 def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):

@@ -1,6 +1,7 @@
 """Config parsing, output formats, exit codes, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ class TestExitCodes:
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "box_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "perturbation"])
+    def test_box_whose_squared_distances_overflow_is_2(self, tmp_path, capsys, command):
+        # 2 * 1e200 is finite, but (2 * 1e200)^2 is not; perturbation builds the
+        # same rate bundle for its weight (it used to integrate NaN weights)
+        cfg = write_config(tmp_path, samples=10, box_radius=1e200)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "box_radius" in err
+
+    def test_coefficient_overflow_on_a_valid_box_fails_quietly(self, tmp_path, capsys):
+        # squared distances of a 1e120 box are finite, the cubic drift is not:
+        # the overflowing sides are failures, and numpy prints no warning
+        cfg = write_config(tmp_path, samples=10, box_radius=1e120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "o" / "check.json").read_text())
+        verdicts = {r["condition"]: r["verdict"] for r in report["reports"]}
+        assert verdicts == {"C4": "pass", "C2": "fail", "C3": "fail", "H": "fail"}
+
     def test_threads_flag_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -206,6 +228,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--output", out]) == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["diverged_paths"] == list(range(5))
+
+    @pytest.mark.parametrize("command", ["converge", "perturbation"])
+    def test_strict_ladder_divergence_is_3(self, tmp_path, command):
+        # divergence reaches the exit code through the finite mask of the
+        # path stacks; no exception is involved
+        cfg = write_config(
+            tmp_path,
+            model={"id": "cubic_drift", "params": {}},
+            xi={"kind": "constant", "value": 2.0},
+        )
+        out = str(tmp_path / "o")
+        assert main([command, "--config", cfg, "--output", out, "--strict"]) == 3
+        assert main([command, "--config", cfg, "--output", out]) == 0
 
     def test_moments_count_huge_finite_paths_as_diverged(self, tmp_path):
         # explicit Euler on the cubic drift from xi = 3 at step 0.5 blows up

@@ -1,5 +1,7 @@
 """Sampling-based verification of the structural model conditions."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -549,3 +551,29 @@ def test_box_without_a_finite_sampling_width_is_rejected(box):
         propose_constant_rates(model, GRID, box, 10, 0)
     with pytest.raises(InvalidRange):
         ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
+
+
+def test_box_whose_squared_sampling_distances_overflow_is_rejected():
+    # two points of the box differ by up to 2 * box in each coordinate: this
+    # box keeps their squared distance finite in one dimension (0.64 of the
+    # float maximum) but not in two (1.28 of it)
+    box = 0.4 * math.sqrt(sys.float_info.max)
+    spec = ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
+    for dim, accepted in [(1, True), (2, False)]:
+        model = cubic_drift(1.0, dim)
+        calls = [
+            lambda: check_contraction(model.neutral, 0.5, box, 5, 0, dim=dim),
+            lambda: estimate_contraction(model.neutral, box, 5, 0, dim=dim),
+            lambda: check_coercivity(model, spec, GRID, 5, 0),
+            lambda: check_monotonicity(model, spec, GRID, 5, 0),
+            lambda: check_integrability(model, GRID, box, 5, 0),
+            lambda: propose_constant_rates(model, GRID, box, 5, 0),
+        ]
+        for call in calls:
+            if accepted:
+                call()
+            else:
+                with pytest.raises(InvalidRange, match="box_radius"):
+                    call()
+    with pytest.raises(InvalidRange, match="box_radius"):
+        ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=1e200)

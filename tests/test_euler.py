@@ -1,4 +1,4 @@
-"""Scheme recursion, refinement, perturbation series, truncation."""
+"""Scheme recursion, refinement, and path-batched runs."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from nsdde_sim import (
     IncompatibleNoise,
     NonFiniteState,
     NsddeModel,
-    PathGrid,
     additive_noise,
     affine_segment,
     coarsen,
@@ -20,11 +19,9 @@ from nsdde_sim import (
     generate,
     linear_delay_ode,
     make_grid,
-    perturbation,
     pure_neutral,
     refine_to,
     simulate,
-    truncation_time,
 )
 
 
@@ -290,58 +287,3 @@ def test_diverged_path_in_batch_is_masked():
         assert batch.values[p].tobytes() == single.values.tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
         assert refined.values[p].tobytes() == single_refined.values.tobytes()
-
-
-# --- perturbation and truncation ------------------------------------------
-
-
-def linear_ramp_path(delta: float, horizon: float = 2.0) -> PathGrid:
-    """X(t) = max(t, 0): Euler for b=1, sigma=0, D=0, xi=0 reproduces it."""
-    grid = make_grid(1.0, horizon, delta)
-    model = NsddeModel(
-        1, 1, 1.0,
-        neutral=lambda y: np.zeros(1),
-        drift=lambda x, y, t: np.ones(1),
-        diffusion=lambda x, y, t: np.zeros((1, 1)),
-    )
-    return simulate(model, constant_segment(0.0), grid, generate(grid, 1, 0, 0))
-
-
-def test_perturbation_against_ramp():
-    fine = linear_ramp_path(0.25)
-    series = perturbation(fine, coarse_step=0.5)
-    # p(t) = X(floor(t)) - X(t) = -(t - floor(t)); at t = 0.25 that is -0.25
-    n = fine.grid.steps_per_delay
-    assert series.values[n + 1, 0] == -0.25
-    assert series.values[n + 3, 0] == -0.25
-    # zero on the history window and at coarse nodes
-    assert not series.values[: n + 1].any()
-    assert not series.values[n::2].any()
-
-
-def test_perturbation_validation():
-    fine = linear_ramp_path(0.25)
-    with pytest.raises(IncompatibleGrids):
-        perturbation(fine, coarse_step=0.3)  # not a multiple of the fine step
-    with pytest.raises(IncompatibleGrids):
-        perturbation(fine, coarse_step=0.4)  # does not divide the delay
-    # degenerate coarse step equal to the fine step gives the zero series
-    assert not perturbation(fine, coarse_step=0.25).values.any()
-
-
-def test_truncation_time_first_exit():
-    path = linear_ramp_path(0.25, horizon=2.0)
-    # radius 3: threshold R/3 = 1, first node strictly above is t = 1.25
-    assert truncation_time(path, radius=3.0) == 1.25
-    assert truncation_time(path, radius=7.0) is None
-
-
-def test_truncation_time_ignores_history():
-    grid = make_grid(1.0, 2.0, 0.5)
-    path = simulate(
-        pure_neutral(0.5, 1.0), affine_segment(-3.0, 3.0), grid, generate(grid, 1, 0, 0)
-    )
-    # history reaches -6 at theta = -1, but the scan starts at t = 0 where
-    # |X| = 3 already exceeds radius/3 = 2
-    assert path.value(-2)[0] == -6.0
-    assert truncation_time(path, radius=6.0) == 0.0

@@ -10,8 +10,6 @@ from nsdde_sim import (
     DelayGrid,
     InvalidRange,
     NonDivisibleStep,
-    grid_floor,
-    grid_floor_index,
     make_grid,
 )
 
@@ -110,35 +108,3 @@ def test_grid_node_identities(n, windows, tau):
     # node spacing never drifts: each node is the correctly rounded rational
     frac = Fraction(tau) / n
     assert times[2 * n] == float(n * frac)
-
-
-@pytest.mark.parametrize(
-    "delta, t, expected",
-    [
-        (0.1, 0.25, 0.2),
-        (0.1, 1.0, 1.0),     # grid points map to themselves
-        (0.25, 0.9999, 0.75),
-        (0.25, 1.0000000000000002, 1.0),  # one ulp above a node snaps back
-        (0.1, 0.0, 0.0),
-    ],
-)
-def test_grid_floor(delta, t, expected):
-    assert grid_floor(delta, t) == expected
-
-
-@settings(max_examples=200)
-@given(
-    n=st.integers(min_value=1, max_value=50),
-    tau=st.floats(min_value=0.1, max_value=4.0, allow_nan=False),
-    t=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
-)
-def test_grid_floor_properties(n, tau, t):
-    delta = tau / n
-    if delta <= 0.0:
-        return
-    idx = grid_floor_index(delta, t)
-    floor = grid_floor(delta, t)
-    assert floor == float(idx * Fraction(delta))
-    # floor is never above t (up to the snap tolerance) and within one step
-    assert floor <= t + 1e-9 * max(1.0, abs(t))
-    assert t - floor < delta * (1 + 1e-9)

@@ -118,7 +118,6 @@ def test_constant_segment_samples():
     vals = xi.sample(grid)
     assert vals.shape == (5, 2)
     assert (vals == 3.0).all()
-    assert xi.sup_norm == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_affine_segment_samples():
@@ -126,7 +125,6 @@ def test_affine_segment_samples():
     xi = affine_segment(1.0, 1.0)  # xi(theta) = 1 + theta: 0 at -tau, 1 at 0
     vals = xi.sample(grid)
     assert vals[:, 0] == pytest.approx([0.0, 0.5, 1.0], abs=0.0)
-    assert xi.sup_norm == 1.0
 
 
 def test_segment_rejects_non_finite_history():
@@ -136,11 +134,3 @@ def test_segment_rejects_non_finite_history():
     xi = InitialSegment(lambda t: np.array([1.0 / t if t else math.nan]))
     with pytest.raises(InvalidRange):
         xi.sample(grid)
-
-
-def test_segment_sup_norm_accumulates():
-    xi = affine_segment(0.0, 1.0)  # 0 at 0, -1 at -tau
-    xi.sample(make_grid(1.0, 2.0, 0.5))
-    assert xi.sup_norm == 1.0
-    xi.sample(make_grid(2.0, 4.0, 0.5))  # wider window: sees theta = -2
-    assert xi.sup_norm == 2.0
