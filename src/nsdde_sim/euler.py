@@ -23,19 +23,22 @@ only fine-grid quantities (the delayed term recurses forward in time
 through already-interpolated values).
 
 Both advance every path of a :class:`~nsdde_sim.brownian.BrownianPath`
-stack together: one time loop, and one coefficient call per step for all
-paths.  Evaluators therefore receive states of shape ``(..., state_dim)``
-with leading path axes and the time as a Python float, and must act
-elementwise over the path axes, so that each path's values are bitwise
-those of a one-path run.  A single path is a stack of one.  A path of a
+stack together.  Every delayed argument of a delay window lies in the
+window before, so each window takes one ``neutral`` call for all its nodes
+and paths; :func:`simulate` adds one drift and one diffusion call per step,
+and :func:`refine_to`, which freezes the values the step recorded in
+:attr:`PathGrid.steps`, none.  Evaluators therefore receive states of shape
+``(..., state_dim)`` and the time as a Python float, and must act
+elementwise over all leading axes (paths, and for ``neutral`` also nodes),
+so that each path's values are bitwise those of a one-path,
+one-node-at-a-time run.  A single path is a stack of one.  A path of a
 stack that blows up is reported through :attr:`PathGrid.finite` and leaves
 the other paths untouched; a single path raises :class:`NonFiniteState`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +63,17 @@ class PathGrid:
     that drove the solution.  A single path fails construction with
     :class:`NonFiniteState` if any entry is NaN or infinite — diverged paths
     are reported, never silently kept; a stack marks them in :attr:`finite`.
+
+    ``steps`` is ``(drift (M, paths, d), diffusion (M, paths, d, k))``, the
+    coefficients step ``l`` evaluated, time-major with the path axes
+    flattened (a single path is one).  :func:`simulate` records them for
+    :func:`refine_to`; a path built any other way has ``None``.
     """
 
     grid: DelayGrid
     values: np.ndarray
     noise: BrownianPath
+    steps: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
@@ -89,12 +98,6 @@ class PathGrid:
         """Per path: True when every value of the path is finite."""
         return np.isfinite(self.values).all(axis=(-2, -1))
 
-    def value(self, index: int) -> np.ndarray:
-        """State at signed grid index in [-steps_per_delay, total_steps]."""
-        if not -self.grid.steps_per_delay <= index <= self.grid.total_steps:
-            raise InvalidRange(f"index {index} outside grid")
-        return self.values[..., index + self.grid.steps_per_delay, :]
-
 
 def simulate(
     model: NsddeModel, xi: InitialSegment, grid: DelayGrid, noise: BrownianPath
@@ -104,7 +107,8 @@ def simulate(
     Evaluators must return arrays broadcastable to ``(..., state_dim)`` for
     drift/neutral and ``(..., state_dim, noise_dim)`` for the diffusion.  A
     single path raises :class:`NonFiniteState` with the first offending
-    step if it blows up.
+    step if it blows up.  The drift and diffusion of every step are
+    recorded in :attr:`PathGrid.steps`.
     """
     if model.delay != grid.tau:
         raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grid.tau}")
@@ -118,29 +122,34 @@ def simulate(
         raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
 
     n_delay, n_steps = grid.steps_per_delay, grid.total_steps
-    steps = _time_major(noise.increments)
-    vals = np.empty((n_delay + n_steps + 1, steps.shape[1], model.state_dim))
+    dbs = _time_major(noise.increments)
+    shape = (dbs.shape[1], model.state_dim)
+    vals = np.empty((n_delay + n_steps + 1,) + shape)
     vals[: n_delay + 1] = xi.sample(grid)[:, None]
+    b_steps = np.empty((n_steps,) + shape)
+    s_steps = np.empty((n_steps,) + shape + (model.noise_dim,))
 
     neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
     times = grid.times.tolist()
     dt = grid.delta
     with np.errstate(all="ignore"):
-        # D(X(t_l - tau)) at step l is D(X(t_{l+1} - tau)) of step l - 1
-        d_lag = neutral(vals[0])
-        for l in range(n_steps):
-            il = l + n_delay
-            x = vals[il]
-            y = vals[l]
-            t = times[il]
-            d_next = neutral(vals[l + 1])
-            vals[il + 1] = (
-                d_next + x - d_lag
-                + drift(x, y, t) * dt
-                + _noise_term(diffusion(x, y, t), steps[l])
-            )
-            d_lag = d_next
-    return PathGrid(grid, _path_major(vals, noise), noise)
+        for w in range(0, n_steps, n_delay):
+            end = min(w + n_delay, n_steps)
+            # D(X(t_l - tau)) for l = w .. end: every row is one delay back,
+            # so the whole window's lookups are known before it starts
+            lag = vals[w : end + 1]
+            d_lag = np.broadcast_to(neutral(lag), lag.shape)
+            for l in range(w, end):
+                il = l + n_delay
+                x = vals[il]
+                y = vals[l]
+                t = times[il]
+                b = b_steps[l] = drift(x, y, t)
+                s = s_steps[l] = diffusion(x, y, t)
+                vals[il + 1] = (
+                    d_lag[l + 1 - w] + x - d_lag[l - w] + b * dt + _noise_term(s, dbs[l])
+                )
+    return PathGrid(grid, _path_major(vals, noise), noise, (b_steps, s_steps))
 
 
 def refine_to(
@@ -155,11 +164,15 @@ def refine_to(
     Every path of a stack is refined together.  ``fine_noise`` must
     coarsen exactly (bitwise) onto the increments that produced ``path`` —
     the interpolation is only meaningful against the same Brownian motion.
-    Coarse grid values are copied, so the refined path agrees with ``path``
-    at coarse nodes bit-exactly.  With equal steps the input path is
-    returned unchanged.
+    The drift and diffusion of each coarse cell are the ones the step
+    recorded in :attr:`PathGrid.steps`, so only ``neutral`` is evaluated;
+    a path without them is rejected.  Coarse grid values are copied, so the
+    refined path agrees with ``path`` at coarse nodes bit-exactly.  With
+    equal steps the input path is returned unchanged.
     """
     coarse = path.grid
+    if path.steps is None:
+        raise InvalidRange("path has no recorded step coefficients; refine a path from simulate")
     if fine_grid.tau != coarse.tau or model.delay != coarse.tau:
         raise IncompatibleGrids("grids must share the delay")
     if fine_grid.steps_per_delay % coarse.steps_per_delay:
@@ -186,33 +199,29 @@ def refine_to(
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
     cells = coarse.total_steps
     cvals = _time_major(path.values)
-    out = np.empty((n_fine + fine_grid.total_steps + 1, cvals.shape[1], model.state_dim))
+    b_steps, s_steps = path.steps
+    shape = cvals.shape[1:]
+    out = np.empty((n_fine + fine_grid.total_steps + 1,) + shape)
     out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
-
-    neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
+    out[n_fine::factor] = cvals[n_coarse:]
+    # Fine row (c, r) is out[c * factor + r]: cell l fills (l + n_coarse, r)
+    # for r = 1 .. factor - 1, and its delayed rows are (l, r).
+    rows = out[:-1].reshape((-1, factor) + shape)
     bsum = _time_major(fine_noise.partial_sums())
-    times = fine_grid.times.tolist()
+    bsum = bsum[:-1].reshape((cells, factor) + bsum.shape[1:])
     # Exact in-cell offsets r * tau / n_fine for r = 1 .. factor - 1.
-    frac_tau = Fraction(coarse.tau)
-    offs = [float(r * frac_tau / n_fine) for r in range(factor)]
+    offs = fine_grid.times[n_fine + 1 : n_fine + factor, None, None]
 
     with np.errstate(all="ignore"):
-        for l in range(cells):
-            j0 = l * factor
-            x = cvals[l + n_coarse]
-            y = cvals[l]
-            t0 = times[j0 + n_fine]
-            base = x - neutral(y)
-            bval = drift(x, y, t0)
-            sval = diffusion(x, y, t0)
-            b0 = bsum[j0]
-            for r in range(1, factor):
-                j = j0 + r
-                out[j + n_fine] = (
-                    neutral(out[j]) + base + bval * offs[r]
-                    + _noise_term(sval, bsum[j] - b0)
-                )
-            out[j0 + factor + n_fine] = cvals[l + 1 + n_coarse]
+        base = cvals[n_coarse:-1] - model.neutral(cvals[:cells])
+        # One delay window of cells per pass: its delayed rows all lie in
+        # the window before, which is complete.
+        for l0 in range(0, cells, n_coarse):
+            cell = slice(l0, min(l0 + n_coarse, cells))
+            rows[l0 + n_coarse : cell.stop + n_coarse, 1:] = (
+                model.neutral(rows[cell, 1:]) + base[cell, None] + b_steps[cell, None] * offs
+                + _noise_term(s_steps[cell, None], bsum[cell, 1:] - bsum[cell, :1])
+            )
     return PathGrid(fine_grid, _path_major(out, fine_noise), fine_noise)
 
 

@@ -3,24 +3,26 @@
 A model bundles the neutral map ``D``, drift ``b(x, y, t)`` and diffusion
 ``sigma(x, y, t)`` together with the delay.  ``x`` is the current state,
 ``y`` the state one delay in the past.  Evaluators receive numpy arrays of
-shape ``(..., state_dim)`` — leading axes index paths, so the Euler engine
-evaluates every path of a batch in one call — and the time ``t`` as a
-Python float.  They must be pure functions that act elementwise over the
-leading axes: path ``p`` of a batch must get bitwise the result of a call
-on path ``p`` alone.
+shape ``(..., state_dim)`` and the time ``t`` as a Python float.  The
+leading axes index paths, so the Euler engine evaluates every path of a
+batch in one call; ``neutral`` may also get a block whose leading axes
+index grid nodes as well as paths, such as the ``(cells, r, paths,
+state_dim)`` rows of a whole delay window.  Evaluators must be pure
+functions that act elementwise over all leading axes: each entry must get
+bitwise the result of a call on that one state alone.
 
 Grids tie the delay and the horizon to a common step: ``delta = tau / N``
 with ``M`` steps to the horizon.  Grid times are always derived from the
-index as ``t_l = l * tau / N`` through exact rational arithmetic — they are
-never accumulated by repeated addition, so ``t_N == tau`` and
-``t_M == horizon`` hold exactly and a delay lookback is a pure index shift.
+index as the correctly rounded value of ``t_l = l * tau / N``, computed in
+exact integer arithmetic — they are never accumulated by repeated addition,
+so ``t_N == tau`` and ``t_M == horizon`` hold exactly and a delay lookback
+is a pure index shift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -57,7 +59,7 @@ class DelayGrid:
             raise InvalidRange("need steps_per_delay >= 1 and total_steps >= steps_per_delay")
         if not 0.0 < self.delta < 1.0:
             raise InvalidRange(f"step {self.delta!r} outside (0, 1)")
-        exact = float(Fraction(self.total_steps) * Fraction(self.tau) / self.steps_per_delay)
+        exact = _exact_time(self.total_steps, self.tau, self.steps_per_delay)
         if self.horizon != exact:
             raise InvalidRange(
                 f"horizon {self.horizon!r} is not total_steps * tau / steps_per_delay "
@@ -74,11 +76,10 @@ class DelayGrid:
 
         Each entry is the correctly rounded value of ``l * tau / N``.
         """
-        frac = Fraction(self.tau)
         n = self.steps_per_delay
-        return np.array(
-            [float(l * frac / n) for l in range(-n, self.total_steps + 1)], dtype=float
-        )
+        num, den = self.tau.as_integer_ratio()
+        den *= n
+        return np.array([l * num / den for l in range(-n, self.total_steps + 1)], dtype=float)
 
     def time(self, index: int) -> float:
         """Grid time for a signed index in [-steps_per_delay, total_steps]."""
@@ -111,8 +112,14 @@ def make_grid(tau: float, horizon: float, delta: float) -> DelayGrid:
     if abs(total_steps * delta - horizon) > _DIVISIBILITY_RTOL * horizon:
         raise NonDivisibleStep(f"step {delta} does not divide the horizon {horizon}")
 
-    exact_horizon = float(Fraction(total_steps) * Fraction(tau) / steps_per_delay)
+    exact_horizon = _exact_time(total_steps, tau, steps_per_delay)
     return DelayGrid(tau, exact_horizon, steps_per_delay, total_steps)
+
+
+def _exact_time(index: int, tau: float, n: int) -> float:
+    """Correctly rounded ``index * tau / n``: Python rounds int / int once."""
+    num, den = tau.as_integer_ratio()
+    return index * num / (den * n)
 
 
 class InitialSegment:
@@ -155,9 +162,10 @@ class NsddeModel:
 
     ``neutral`` maps (..., state_dim) -> (..., state_dim); ``drift`` maps
     (x, y, t) -> (..., state_dim); ``diffusion`` maps (x, y, t) ->
-    (..., state_dim, noise_dim).  The leading axes ``...`` index paths: each
-    evaluator acts elementwise over them, and ``t`` is a scalar float.  A
-    result without the leading axes (a constant) broadcasts to every path.
+    (..., state_dim, noise_dim).  The leading axes ``...`` index paths, and
+    for ``neutral`` also grid nodes: each evaluator acts elementwise over
+    all of them, and ``t`` is a scalar float.  A result without the leading
+    axes (a constant) broadcasts to every path and node.
     ``box_radius`` is the recommended radius for sampling-based condition
     checks.
     """

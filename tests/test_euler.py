@@ -1,5 +1,10 @@
 """Scheme recursion, refinement, and path-batched runs."""
 
+import math
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +15,9 @@ from nsdde_sim import (
     IncompatibleGrids,
     IncompatibleNoise,
     NonFiniteState,
+    NsddeError,
     NsddeModel,
+    PathGrid,
     additive_noise,
     affine_segment,
     coarsen,
@@ -19,6 +26,7 @@ from nsdde_sim import (
     generate,
     linear_delay_ode,
     make_grid,
+    neutral_cubic_model,
     pure_neutral,
     refine_to,
     simulate,
@@ -53,17 +61,20 @@ def test_pure_neutral_single_step():
     grid = make_grid(1.0, 2.0, 0.5)
     noise = generate(grid, 1, 5, 0)
     path = simulate(pure_neutral(0.5, 1.0), affine_segment(1.0, 1.0), grid, noise)
-    assert path.value(1)[0] == 1.25
+    # grid index 1 is row 1 + N of values
+    assert path.values[1 + grid.steps_per_delay, 0] == 1.25
 
 
-def test_value_uses_signed_indices():
+def test_values_rows_are_signed_indices_shifted_by_the_delay():
     grid = make_grid(1.0, 2.0, 0.5)
     path = simulate(
         drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, 0)
     )
-    assert path.value(-2)[0] == 1.0
-    assert path.value(0)[0] == 1.0
-    assert path.value(1)[0] == 1.5
+    n = grid.steps_per_delay
+    assert path.values[-2 + n, 0] == 1.0
+    assert path.values[0 + n, 0] == 1.0
+    assert path.values[1 + n, 0] == 1.5
+    assert grid.time(-2) == -1.0 and grid.time(1) == 0.5
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.25, 0.125])
@@ -287,3 +298,177 @@ def test_diverged_path_in_batch_is_masked():
         assert batch.values[p].tobytes() == single.values.tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
         assert refined.values[p].tobytes() == single_refined.values.tobytes()
+
+
+def test_refine_rejects_a_path_without_recorded_steps():
+    # a hand-built PathGrid has values but no step coefficients to freeze
+    coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
+    fine_noise = generate(fine_grid, 1, seed=0, path_index=range(2))
+    model, xi = drifted_neutral(0.5, 1.0), constant_segment(1.0)
+    simulated = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
+    bare = PathGrid(coarse_grid, simulated.values, simulated.noise)
+    assert bare == simulated and bare.steps is None
+    with pytest.raises(NsddeError) as info:
+        refine_to(bare, model, xi, fine_grid, fine_noise)
+    message = str(info.value)
+    assert "\n" not in message and "recorded step coefficients" in message
+
+
+# --- per-node reference engine ----------------------------------------------
+# The engine before delay-window batching: one neutral call per node, and
+# refine_to evaluating drift and diffusion again at each coarse cell's left
+# node.  The batched engine must reproduce it bit for bit.
+
+
+def _ref_noise(sigma, db):
+    return (sigma @ db[..., None])[..., 0]
+
+
+def ref_simulate(model, xi, grid, noise):
+    """Time-major (rows, paths, d) values of the per-node explicit scheme."""
+    n, m = grid.steps_per_delay, grid.total_steps
+    steps = np.moveaxis(noise.increments, 1, 0)
+    vals = np.empty((n + m + 1, steps.shape[1], model.state_dim))
+    vals[: n + 1] = xi.sample(grid)[:, None]
+    times = grid.times.tolist()
+    with np.errstate(all="ignore"):
+        d_lag = model.neutral(vals[0])
+        for l in range(m):
+            x, y, t = vals[l + n], vals[l], times[l + n]
+            d_next = model.neutral(vals[l + 1])
+            vals[l + n + 1] = (
+                d_next + x - d_lag
+                + model.drift(x, y, t) * grid.delta
+                + _ref_noise(model.diffusion(x, y, t), steps[l])
+            )
+            d_lag = d_next
+    return vals
+
+
+def ref_refine(cvals, coarse, model, xi, fine_grid, fine_noise):
+    """Per-node interpolation of time-major coarse values onto ``fine_grid``."""
+    n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
+    factor = n_fine // n_coarse
+    out = np.empty((n_fine + fine_grid.total_steps + 1,) + cvals.shape[1:])
+    out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
+    bsum = np.moveaxis(fine_noise.partial_sums(), 1, 0)
+    times = fine_grid.times.tolist()
+    offs = [float(r * Fraction(coarse.tau) / n_fine) for r in range(factor)]
+    with np.errstate(all="ignore"):
+        for l in range(coarse.total_steps):
+            j0 = l * factor
+            x, y, t0 = cvals[l + n_coarse], cvals[l], times[j0 + n_fine]
+            base = x - model.neutral(y)
+            bval, sval = model.drift(x, y, t0), model.diffusion(x, y, t0)
+            for r in range(1, factor):
+                j = j0 + r
+                out[j + n_fine] = (
+                    model.neutral(out[j]) + base + bval * offs[r]
+                    + _ref_noise(sval, bsum[j] - bsum[j0])
+                )
+            out[j0 + factor + n_fine] = cvals[l + 1 + n_coarse]
+    return out
+
+
+def mixing_3_noise_model() -> NsddeModel:
+    """2 states driven by 3 noise components, each state mixing all three."""
+
+    def diffusion(x, y, t):
+        a, b = x[..., 0], y[..., 1]
+        first = np.stack([a, 0.5 * b, 1.0 + 0.0 * a], -1)
+        second = np.stack([0.1 * b, np.sin(a), a * b], -1)
+        return np.stack([first, second], -2) * np.exp(-t)
+
+    return NsddeModel(
+        2, 3, 1.0,
+        neutral=lambda y: 0.3 * y[..., ::-1],
+        drift=lambda x, y, t: -x * x * x + 0.2 * np.sin(y) * t,
+        diffusion=diffusion,
+    )
+
+
+def constant_mixing_model() -> NsddeModel:
+    """3 states, one constant non-diagonal 3x3 diffusion for every path."""
+    sigma = np.array([[0.5, -0.2, 0.1], [0.3, 0.4, -0.6], [-0.1, 0.7, 0.2]])
+    return NsddeModel(
+        3, 3, 1.0,
+        neutral=lambda y: 0.2 * y[..., ::-1],
+        drift=lambda x, y, t: -x + 0.5 * y,
+        diffusion=lambda x, y, t: sigma,
+    )
+
+
+REFERENCE_MODELS = {
+    "sec4": lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0),
+    "mixing_2x2": mixing_model,
+    "mixing_2x3": mixing_3_noise_model,
+    "constant_3x3": constant_mixing_model,
+    "additive_noise_3": lambda: additive_noise(1.0, 3),
+    "cubic_drift_2": lambda: cubic_drift(1.0, 2),
+    "linear_delay_ode": lambda: linear_delay_ode(0.7, 1.0),
+    "pure_neutral": lambda: pure_neutral(0.6, 1.0),
+}
+
+# horizon 2.5 leaves a half delay window at the end; 0.25 -> 0.03125 is a
+# factor-8 jump
+REFERENCE_LADDER = (0.5, 0.25, 0.03125)
+
+
+@pytest.mark.parametrize("seed", [0, 20260815])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_engine_matches_per_node_reference(name, seed):
+    model = REFERENCE_MODELS[name]()
+    xi = affine_segment(0.5, 0.3, model.state_dim)
+    grids = [make_grid(1.0, 2.5, delta) for delta in REFERENCE_LADDER]
+    fine = grids[-1]
+    fine_noise = generate(fine, model.noise_dim, seed, range(5))
+
+    def noise_on(grid):
+        factor = fine.steps_per_delay // grid.steps_per_delay
+        return coarsen(fine_noise, factor) if factor > 1 else fine_noise
+
+    def check(got, ref_values):
+        ref = np.ascontiguousarray(np.moveaxis(ref_values, 1, 0))
+        assert got.values.tobytes() == ref.tobytes()
+        assert np.array_equal(got.finite, np.isfinite(ref).all(axis=(-2, -1)))
+
+    refs = []
+    for grid in grids:
+        path = simulate(model, xi, grid, noise_on(grid))
+        ref = ref_simulate(model, xi, grid, noise_on(grid))
+        check(path, ref)
+        refs.append((path, ref))
+    for lo, hi in [(0, 1), (0, 2), (1, 2)]:
+        (path, ref), target = refs[lo], grids[hi]
+        refined = refine_to(path, model, xi, target, noise_on(target))
+        check(refined, ref_refine(ref, grids[lo], model, xi, target, noise_on(target)))
+
+
+def test_coefficient_calls_per_delay_window():
+    # simulate: drift and diffusion once per step, neutral once per delay
+    # window; refine_to: no drift or diffusion, neutral once for the cell
+    # bases and once per window.  Horizon 2.5 makes the last window partial.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
+    model = replace(
+        plain,
+        **{name: counted(name, getattr(plain, name)) for name in ("neutral", "drift", "diffusion")},
+    )
+    xi = constant_segment(1.0)
+    coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
+    fine_noise = generate(fine, 1, seed=3, path_index=range(4))
+
+    path = simulate(model, xi, coarse, coarsen(fine_noise, 4))
+    m, n = coarse.total_steps, coarse.steps_per_delay
+    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
+
+    calls.clear()
+    refine_to(path, model, xi, fine, fine_noise)
+    assert calls == {"neutral": 1 + math.ceil(fine.total_steps / fine.steps_per_delay)}

@@ -108,3 +108,20 @@ def test_grid_node_identities(n, windows, tau):
     # node spacing never drifts: each node is the correctly rounded rational
     frac = Fraction(tau) / n
     assert times[2 * n] == float(n * frac)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3, 1 / 3, 2.5])
+@pytest.mark.parametrize("n", [3, 5, 7, 15])
+def test_times_match_the_fraction_formula(tau, n):
+    # the times are computed with integer arithmetic; they must be bitwise
+    # the correctly rounded rationals that Fraction gives, nodes N (tau)
+    # and M (the horizon) included
+    m = 3 * n + 2
+    horizon = float(Fraction(m) * Fraction(tau) / n)
+    grid = DelayGrid(tau, horizon, n, m)
+    frac = Fraction(tau) / n
+    expected = [float(l * frac) for l in range(-n, m + 1)]
+    assert grid.times.tolist() == expected
+    assert grid.times[2 * n] == tau
+    assert grid.times[-1] == horizon
+    assert make_grid(tau, horizon, tau / n) == grid
