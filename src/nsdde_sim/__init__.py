@@ -45,7 +45,6 @@ from .errors import (
     IncompatibleNoise,
     InvalidRange,
     NonDivisibleStep,
-    NonFiniteState,
     NsddeError,
 )
 from .euler import (
@@ -86,7 +85,6 @@ __all__ = [
     "LevelPairRow",
     "MomentReport",
     "NonDivisibleStep",
-    "NonFiniteState",
     "NsddeError",
     "NsddeModel",
     "PathGrid",

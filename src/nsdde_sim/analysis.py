@@ -64,9 +64,9 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
     is driven by their block sums, simulated, and refined onto the finest
     grid, while the finest level is simulated on them directly.  The
     yielded list holds one ``(values, finite)`` pair per level: ``values``
-    has shape (paths, M + 1, state_dim) on [0, horizon] and ``finite`` is
-    False for a path that diverged at that level.  A one-level ladder
-    yields the simulated paths themselves.
+    is the engine's time-major view, shape (M + 1, paths, state_dim) on
+    [0, horizon], and ``finite`` is False for a path that diverged at that
+    level.  A one-level ladder yields the simulated paths themselves.
     """
     fine = grids[-1]
     skip = fine.steps_per_delay
@@ -79,7 +79,7 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
             path = simulate(model, xi, grid, noise)
             if factor > 1:
                 path = refine_to(path, model, xi, fine, fine_noise)
-            levels.append((path.values[:, skip:], path.finite))
+            levels.append((path.values[skip:], path.finite))
         yield levels
 
 
@@ -155,8 +155,11 @@ def converge_study(
     pair_sups = [[] for _ in grids[1:]]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
         for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
-            both = lo_ok & hi_ok
-            sups.append(np.linalg.norm(lo[both] - hi[both], axis=-1).max(axis=-1))
+            # reduce every path, then drop the diverged ones (masking the
+            # path axis of (times, paths, d) values first gathers strided)
+            with np.errstate(all="ignore"):
+                sup = np.linalg.norm(lo - hi, axis=-1).max(axis=0)
+            sups.append(sup[lo_ok & hi_ok])
     rows = []
     for pair_index in range(len(grids) - 1):
         sups = np.concatenate(pair_sups[pair_index])
@@ -246,7 +249,7 @@ def perturbation_integrability(
     level_vals = [[] for _ in grids]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
         for vals, (level, finite), anchors in zip(level_vals, levels, anchor_per_level):
-            for ref in level[finite]:
+            for ref in (level[:, p] for p in np.flatnonzero(finite)):
                 norms = np.linalg.norm(ref, axis=1)
                 exceeded = norms > threshold
                 stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
@@ -318,8 +321,10 @@ def estimate_moments(
     n0 = grid.steps_per_delay
     curves = []
     for ((level, finite),) in _ladder_paths(model, xi, [grid], n_paths, seed):
-        kept = level[finite]
-        squares = np.einsum("pij,pij->pi", kept, kept)
+        # C-ordered (paths, times), so the mean below adds one path at a
+        # time; diverged paths are dropped after the reduction, as above
+        with np.errstate(all="ignore"):
+            squares = np.einsum("ipj,ipj->pi", level, level, order="C")[finite]
         curves.append(squares[np.sqrt(squares.max(axis=1)) <= radius])
     stacked = np.concatenate(curves)
     used = stacked.shape[0]
@@ -366,7 +371,7 @@ def power_split_bound(a, b, p: float, epsilon: float):
 
 def check_contraction_sup_bound(
     path: PathGrid, neutral, kappa: float, p: float = 2.0
-) -> tuple[bool, int | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Prefix inequality tying sup |X| to sup |X - D(X_delayed)|.
 
     For every prefix L >= 0 checks
@@ -377,27 +382,29 @@ def check_contraction_sup_bound(
 
     where ||xi|| is the sup over the sampled initial segment.  Holds for
     any path of a model whose neutral map is a kappa-contraction with
-    D(0) = 0.  ``path`` is a single path; ``neutral`` is called once on
-    its (M + 1, state_dim) block of delayed states.  Returns (ok, first
-    violating prefix index or None).
+    D(0) = 0.  ``path`` is a single path or a stack; ``neutral`` is called
+    once on its (M + 1, *path axes, state_dim) block of delayed states.
+    Returns ``(ok, first)`` over the path axes: ``first`` is the first
+    violating prefix index, or -1 where no prefix violates, and ``ok`` is
+    True where the path is finite and no prefix violates.  A diverged path
+    is therefore never ok.
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
     if p <= 1.0:
         raise InvalidRange(f"p must exceed 1, got {p}")
     n0 = path.grid.steps_per_delay
-    norms = np.linalg.norm(path.values, axis=1)
-    seg_norm = float(norms[: n0 + 1].max())
-
     states = path.values[n0:]
     delayed = path.values[: path.grid.total_steps + 1]
-    diff_norms = np.linalg.norm(states - np.asarray(neutral(delayed), dtype=float), axis=1)
+    with np.errstate(all="ignore"):  # a diverged path makes inf and NaN
+        norms = np.linalg.norm(path.values, axis=-1)
+        seg_norm = norms[: n0 + 1].max(axis=0)
+        diff_norms = np.linalg.norm(states - np.asarray(neutral(delayed), dtype=float), axis=-1)
 
-    sup_state = np.maximum.accumulate(norms[n0:])
-    sup_diff = np.maximum.accumulate(diff_norms)
-    lhs = sup_state**p
-    rhs = (kappa / (1.0 - kappa)) * seg_norm**p + sup_diff**p / (1.0 - kappa) ** p
-    bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
-    if bad.any():
-        return False, int(np.argmax(bad))
-    return True, None
+        sup_state = np.maximum.accumulate(norms[n0:], axis=0)
+        sup_diff = np.maximum.accumulate(diff_norms, axis=0)
+        lhs = sup_state**p
+        rhs = (kappa / (1.0 - kappa)) * seg_norm**p + sup_diff**p / (1.0 - kappa) ** p
+        bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
+    violated = bad.any(axis=0)
+    return path.finite & ~violated, np.where(violated, bad.argmax(axis=0), -1)

@@ -112,9 +112,11 @@ def _whole(key: str, value) -> int:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration (fail-closed)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
@@ -299,7 +301,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
             name = f"path_{index:04d}.csv"
             rows = [
                 [float(t)] + [float(v) for v in state]
-                for t, state in zip(grid.times, paths.values[row])
+                for t, state in zip(grid.times, paths.values[:, row])
             ]
             _write_csv(out_dir / name, header, rows)
             outputs.append(name)
@@ -492,7 +494,10 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         out_dir = Path(args.output if args.output is not None else cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, seed, args.strict, args.dump_noise)
         return _COMMANDS[args.command](cfg, out_dir, seed, args.strict)

@@ -2,9 +2,10 @@
 
 Everything derives from :class:`NsddeError` so callers can catch the whole
 family with a single except clause.  Input validation errors are raised as
-early as possible (at grid/model construction), runtime blow-ups during a
-simulation are reported through :class:`NonFiniteState` which carries the
-first offending step.
+early as possible (at grid/model construction).  A simulation that blows up
+raises nothing: each path's divergence is reported through
+:attr:`nsdde_sim.euler.PathGrid.finite`, and its first non-finite grid
+index through :attr:`~nsdde_sim.euler.PathGrid.first_nonfinite`.
 """
 
 
@@ -41,21 +42,4 @@ class DegenerateSampling(NsddeError):
 
 
 class ConfigError(NsddeError):
-    """A run configuration file is malformed or inconsistent."""
-
-
-class NonFiniteState(NsddeError):
-    """A simulated state became NaN or infinite.
-
-    Attributes
-    ----------
-    step : int
-        Grid index of the first non-finite state.
-    time : float
-        Grid time of that step.
-    """
-
-    def __init__(self, step, time):
-        self.step = int(step)
-        self.time = float(time)
-        super().__init__(f"state non-finite at step {self.step} (t={self.time:g})")
+    """A run configuration is malformed, inconsistent, or names an unusable output directory."""

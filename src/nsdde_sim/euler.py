@@ -31,9 +31,10 @@ and :func:`refine_to`, which freezes the values the step recorded in
 ``(..., state_dim)`` and the time as a Python float, and must act
 elementwise over all leading axes (paths, and for ``neutral`` also nodes),
 so that each path's values are bitwise those of a one-path,
-one-node-at-a-time run.  A single path is a stack of one.  A path of a
-stack that blows up is reported through :attr:`PathGrid.finite` and leaves
-the other paths untouched; a single path raises :class:`NonFiniteState`.
+one-node-at-a-time run.  A single path is a stack of one.  Results stay
+in the time-major layout the loops fill, ``(rows, *path axes, state_dim)``.
+A path that blows up is reported through :attr:`PathGrid.finite` and leaves
+the other paths untouched.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brownian import BrownianPath, coarsen
-from .errors import (
-    DimensionMismatch,
-    IncompatibleGrids,
-    IncompatibleNoise,
-    InvalidRange,
-    NonFiniteState,
-)
+from .errors import DimensionMismatch, IncompatibleGrids, IncompatibleNoise, InvalidRange
 from .model import DelayGrid, InitialSegment, NsddeModel
 
 
@@ -57,17 +52,17 @@ from .model import DelayGrid, InitialSegment, NsddeModel
 class PathGrid:
     """One solution path, or a stack of paths, sampled on a delay grid.
 
-    ``values[..., l + N, :]`` is the state at grid index ``l`` for
-    ``l = -N .. M`` (indices up to 0 hold the sampled initial segment);
-    leading axes index paths as in ``noise``, the Brownian path or stack
-    that drove the solution.  A single path fails construction with
-    :class:`NonFiniteState` if any entry is NaN or infinite — diverged paths
-    are reported, never silently kept; a stack marks them in :attr:`finite`.
+    ``values`` has shape ``(N + M + 1, *path axes, state_dim)``:
+    ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
+    (indices up to 0 hold the sampled initial segment), and the path axes
+    are those of ``noise``, the Brownian path or stack that drove the
+    solution (none for a single path).  A path that turned NaN or infinite
+    is kept and marked in :attr:`finite`; :attr:`first_nonfinite` says where.
 
-    ``steps`` is ``(drift (M, paths, d), diffusion (M, paths, d, k))``, the
-    coefficients step ``l`` evaluated, time-major with the path axes
-    flattened (a single path is one).  :func:`simulate` records them for
-    :func:`refine_to`; a path built any other way has ``None``.
+    ``steps`` is ``(drift (M, *path axes, d), diffusion (M, *path axes, d, k))``,
+    the coefficients step ``l`` evaluated, in the same layout.
+    :func:`simulate` records them for :func:`refine_to`; a path built any
+    other way has ``None``.
     """
 
     grid: DelayGrid
@@ -78,16 +73,11 @@ class PathGrid:
     def __post_init__(self):
         n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
         lead = self.noise.increments.shape[:-2]
-        if self.values.ndim != len(lead) + 2 or self.values.shape[:-1] != lead + (n_rows,):
+        if self.values.ndim != len(lead) + 2 or self.values.shape[:-1] != (n_rows,) + lead:
             raise DimensionMismatch(
                 f"values shape {self.values.shape} does not match grid ({n_rows} rows) "
                 f"and noise paths {lead}"
             )
-        if not lead:
-            finite = np.isfinite(self.values).all(axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite)) - self.grid.steps_per_delay
-                raise NonFiniteState(bad, self.grid.time(bad))
 
     @property
     def state_dim(self) -> int:
@@ -96,7 +86,15 @@ class PathGrid:
     @property
     def finite(self) -> np.ndarray:
         """Per path: True when every value of the path is finite."""
-        return np.isfinite(self.values).all(axis=(-2, -1))
+        return np.isfinite(self.values).all(axis=(0, -1))
+
+    @property
+    def first_nonfinite(self) -> np.ndarray:
+        """Per path: the grid index of the first state with a NaN or infinite
+        entry, or ``total_steps + 1`` for a finite path."""
+        bad = ~np.isfinite(self.values).all(axis=-1)
+        first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(bad))
+        return first - self.grid.steps_per_delay
 
 
 def simulate(
@@ -106,9 +104,8 @@ def simulate(
 
     Evaluators must return arrays broadcastable to ``(..., state_dim)`` for
     drift/neutral and ``(..., state_dim, noise_dim)`` for the diffusion.  A
-    single path raises :class:`NonFiniteState` with the first offending
-    step if it blows up.  The drift and diffusion of every step are
-    recorded in :attr:`PathGrid.steps`.
+    path that blows up is marked in :attr:`PathGrid.finite`.  The drift and
+    diffusion of every step are recorded in :attr:`PathGrid.steps`.
     """
     if model.delay != grid.tau:
         raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grid.tau}")
@@ -149,7 +146,9 @@ def simulate(
                 vals[il + 1] = (
                     d_lag[l + 1 - w] + x - d_lag[l - w] + b * dt + _noise_term(s, dbs[l])
                 )
-    return PathGrid(grid, _path_major(vals, noise), noise, (b_steps, s_steps))
+    lead = noise.increments.shape[:-2]
+    steps = (_with_path_axes(b_steps, lead), _with_path_axes(s_steps, lead))
+    return PathGrid(grid, _with_path_axes(vals, lead), noise, steps)
 
 
 def refine_to(
@@ -198,8 +197,8 @@ def refine_to(
 
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
     cells = coarse.total_steps
-    cvals = _time_major(path.values)
-    b_steps, s_steps = path.steps
+    lead = fine_noise.increments.shape[:-2]
+    cvals, b_steps, s_steps = (_flat_paths(a, lead) for a in (path.values,) + path.steps)
     shape = cvals.shape[1:]
     out = np.empty((n_fine + fine_grid.total_steps + 1,) + shape)
     out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
@@ -222,18 +221,23 @@ def refine_to(
                 model.neutral(rows[cell, 1:]) + base[cell, None] + b_steps[cell, None] * offs
                 + _noise_term(s_steps[cell, None], bsum[cell, 1:] - bsum[cell, :1])
             )
-    return PathGrid(fine_grid, _path_major(out, fine_noise), fine_noise)
+    return PathGrid(fine_grid, _with_path_axes(out, lead), fine_noise)
 
 
 def _time_major(arr: np.ndarray) -> np.ndarray:
-    """View a ``(..., rows, dim)`` stack as ``(rows, paths, dim)``."""
+    """View a path-major ``(..., rows, dim)`` noise stack as ``(rows, paths, dim)``."""
     return np.moveaxis(arr.reshape((-1,) + arr.shape[-2:]), 1, 0)
 
 
-def _path_major(vals: np.ndarray, noise: BrownianPath) -> np.ndarray:
-    """Inverse of :func:`_time_major`: restore the path axes of ``noise``."""
-    lead = noise.increments.shape[:-2]
-    return np.ascontiguousarray(np.moveaxis(vals, 1, 0)).reshape(lead + vals.shape[::2])
+def _with_path_axes(arr: np.ndarray, lead: tuple) -> np.ndarray:
+    """View a ``(rows, paths, ...)`` array with the path axes ``lead`` of its
+    noise in place of the flat path axis (a single path has none)."""
+    return arr.reshape(arr.shape[:1] + lead + arr.shape[2:])
+
+
+def _flat_paths(arr: np.ndarray, lead: tuple) -> np.ndarray:
+    """Inverse of :func:`_with_path_axes`, the layout the time loops run on."""
+    return arr.reshape(arr.shape[:1] + (-1,) + arr.shape[1 + len(lead) :])
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from nsdde_sim import (
     additive_noise,
     affine_segment,
     check_contraction_sup_bound,
+    coarsen,
     constant_rate,
     constant_segment,
     converge_study,
@@ -27,6 +28,7 @@ from nsdde_sim import (
     perturbation_integrability,
     power_split_bound,
     pure_neutral,
+    refine_to,
     simulate,
 )
 
@@ -294,25 +296,22 @@ def test_power_split_vectorized_and_validated():
 
 def test_sup_bound_holds_on_simulated_path(cubic_model, unit_segment):
     grid = make_grid(1.0, 2.0, 0.05)
-    path_ok, where = None, None
-    for index in range(10):
-        from nsdde_sim import simulate
-
-        path = simulate(
-            cubic_model, unit_segment, grid, generate(grid, 1, seed=37, path_index=index)
-        )
-        path_ok, where = check_contraction_sup_bound(path, cubic_model.neutral, 0.5)
-        assert path_ok and where is None
+    paths = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, range(10)))
+    path_ok, where = check_contraction_sup_bound(paths, cubic_model.neutral, 0.5)
+    assert path_ok.shape == where.shape == (10,)
+    assert path_ok.all() and (where == -1).all()
+    single = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, 3))
+    assert check_contraction_sup_bound(single, cubic_model.neutral, 0.5) == (True, -1)
 
 
 def test_sup_bound_trivial_on_fixed_point():
     model = pure_neutral(0.5, 1.0)
     grid = make_grid(1.0, 2.0, 0.25)
     path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, 0, 0))
-    assert check_contraction_sup_bound(path, model.neutral, kappa=0.5) == (True, None)
+    assert check_contraction_sup_bound(path, model.neutral, kappa=0.5) == (True, -1)
     # with D == 0 the rhs dominates algebraically (1/(1-kappa)^p > 1), so the
     # bound holds for any claimed kappa
-    assert check_contraction_sup_bound(path, lambda y: 0.0 * y, kappa=0.3) == (True, None)
+    assert check_contraction_sup_bound(path, lambda y: 0.0 * y, kappa=0.3) == (True, -1)
 
 
 def test_sup_bound_detects_understated_contraction():
@@ -329,3 +328,127 @@ def test_sup_bound_detects_understated_contraction():
     # with the true contraction constant the same path passes
     ok_true, _ = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.9)
     assert ok_true
+
+
+def test_sup_bound_reports_a_diverged_path_as_not_ok():
+    # the violating path above, a constant path that holds, and a path that
+    # blows up after t = 1 without violating the bound before
+    grid = make_grid(1.0, 4.0, 0.5)
+    w = [1.0, 1.9, 2.71, 3.439]
+    violating = [0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]
+    blown_up = [0.0, 0.0, 0.0, 0.5, 0.5] + [np.inf] * 6
+    values = np.array([violating, [1.0] * 11, blown_up]).T[:, :, None]
+    stack = PathGrid(grid, values, generate(grid, 1, 0, range(3)))
+    assert stack.finite.tolist() == [True, True, False]
+    ok, first_bad = check_contraction_sup_bound(stack, lambda y: 0.9 * y, kappa=0.5)
+    assert ok.tolist() == [False, True, False]
+    assert first_bad.tolist() == [5, -1, -1]
+
+
+# --- path-major reference reductions -----------------------------------------
+# The studies reduce the engine's time-major values in place.  These are the
+# reductions as they ran on path-major copies; the studies must reproduce
+# them bit for bit, including across a PATH_BLOCK boundary.
+
+
+def mixing_model() -> NsddeModel:
+    """2 states, each mixing both noise components; with a steep start some
+    coarse paths blow up or grow huge."""
+    scale = np.array([[0.3, -0.7], [1.1, 0.2]])
+    return NsddeModel(
+        2, 2, 1.0,
+        neutral=lambda y: 0.4 * y[..., ::-1],
+        drift=lambda x, y, t: -x * (x * x).sum(axis=-1, keepdims=True) + 0.3 * y,
+        diffusion=lambda x, y, t: scale * (1.0 + 0.5 * x[..., :, None] - 0.2 * y[..., None, :]),
+    )
+
+
+def path_major_levels(model, xi, ladder, n_paths, seed):
+    """Every level on the finest grid as (paths, M + 1, d) copies, all paths
+    in one engine call."""
+    grids = [make_grid(1.0, 2.0, delta) for delta in ladder]
+    fine = grids[-1]
+    fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
+    levels = []
+    for grid in grids:
+        factor = fine.steps_per_delay // grid.steps_per_delay
+        path = simulate(model, xi, grid, coarsen(fine_noise, factor) if factor > 1 else fine_noise)
+        path = refine_to(path, model, xi, fine, fine_noise)
+        values = np.ascontiguousarray(np.moveaxis(path.values[fine.steps_per_delay :], 1, 0))
+        levels.append((values, path.finite))
+    return fine, levels
+
+
+def reference_sups(levels):
+    return [
+        np.linalg.norm(lo[lo_ok & hi_ok] - hi[lo_ok & hi_ok], axis=-1).max(axis=-1)
+        for (lo, lo_ok), (hi, hi_ok) in zip(levels, levels[1:])
+    ]
+
+
+def reference_moments(level, finite, radius):
+    kept = level[finite]
+    squares = np.einsum("pij,pij->pi", kept, kept)
+    stacked = squares[np.sqrt(squares.max(axis=1)) <= radius]
+    mean_curve = stacked.mean(axis=0)
+    peak = int(np.argmax(mean_curve))
+    spread = float(stacked[:, peak].std(ddof=1))
+    return (stacked.shape[0], float(mean_curve[peak]), float(stacked.max(axis=1).mean()),
+            spread / np.sqrt(stacked.shape[0]), peak)
+
+
+def reference_perturbation(fine, levels, ladder, radius, weight):
+    m_fine, delta_f = fine.total_steps, fine.delta
+    weights = np.array([weight(float(t)) for t in fine.times[fine.steps_per_delay :]])
+    out = []
+    for delta, (level, finite) in zip(ladder, levels):
+        factor = fine.steps_per_delay // make_grid(1.0, 2.0, delta).steps_per_delay
+        anchors = (np.arange(m_fine) // factor) * factor
+        vals = []
+        for ref in level[finite]:
+            exceeded = np.linalg.norm(ref, axis=1) > radius / 3.0
+            stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
+            if stop == 0:
+                vals.append((0.0, 0.0))
+                continue
+            left = np.linalg.norm(ref[anchors[:stop]] - ref[:stop], axis=1)
+            right = np.linalg.norm(ref[anchors[:stop]] - ref[1 : stop + 1], axis=1)
+            vals.append((
+                0.5 * delta_f * float((left + right).sum()),
+                0.5 * delta_f * float((left * weights[:stop] + right * weights[1 : stop + 1]).sum()),
+            ))
+        out.append((float(np.mean([v[0] for v in vals])), float(np.mean([v[1] for v in vals])),
+                    len(level) - len(vals)))
+    return out
+
+
+# the reference's sup-difference norm of a huge but finite mixing path
+# overflows to inf; converge_study counts that path as an exceedance too
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("which", ["additive_noise_3", "mixing_2x2"])
+def test_studies_match_a_path_major_reduction(which):
+    if which == "mixing_2x2":
+        model, xi = mixing_model(), affine_segment(1.0, 0.5, 2)
+    else:
+        model, xi = additive_noise(1.0, 3), affine_segment(0.5, 0.3, 3)
+    ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
+    fine, levels = path_major_levels(model, xi, ladder, n_paths, seed)
+
+    table = converge_study(model, xi, 1.0, 2.0, ladder, 0.5, n_paths, seed)
+    for row, sups in zip(table.rows, reference_sups(levels)):
+        assert row.sup_diffs.tobytes() == sups.tobytes()
+        assert row.diverged_count == n_paths - sups.size
+        assert row.exceed_count == int((sups > 0.5).sum())
+
+    moments_radius = 50.0
+    report = estimate_moments(model, xi, 1.0, 2.0, ladder[0], n_paths, seed, moments_radius)
+    coarse, ((level, finite),) = path_major_levels(model, xi, ladder[:1], n_paths, seed)
+    used, sup_ms, mean_ss, se, peak = reference_moments(level, finite, moments_radius)
+    assert report.diverged_count == n_paths - used
+    assert (report.sup_mean_square, report.mean_sup_square, report.std_error) == (sup_ms, mean_ss, se)
+    assert report.sup_time == coarse.time(peak)
+
+    weight = lambda t: 1.0 + t  # noqa: E731
+    ptable = perturbation_integrability(model, xi, 1.0, 2.0, ladder, n_paths, seed, 6.0, weight)
+    got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in ptable.rows]
+    assert got == reference_perturbation(fine, levels, ladder, 6.0, weight)

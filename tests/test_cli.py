@@ -110,6 +110,24 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+    def test_output_blocked_by_a_file_is_2(self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "o" if under else taken
+        assert main(["converge", "--config", write_config(tmp_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+        assert taken.read_text() == "not a directory\n"
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(bytes.fromhex("fffe7b7d"))
+        assert main(["converge", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_missing_command_key_is_2(self, tmp_path):
         cfg = write_config(tmp_path, epsilon=None)
         assert main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 2

@@ -14,7 +14,6 @@ from nsdde_sim import (
     DimensionMismatch,
     IncompatibleGrids,
     IncompatibleNoise,
-    NonFiniteState,
     NsddeError,
     NsddeModel,
     PathGrid,
@@ -135,11 +134,11 @@ def test_simulate_validation():
 def test_divergence_reports_step_and_time():
     # x |-> x + x^3 delta from x=2 overflows after eight steps at delta=1/4
     grid = make_grid(1.0, 2.0, 0.25)
-    with pytest.raises(NonFiniteState) as info:
-        simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, 0))
-    assert info.value.step == 8
-    assert info.value.time == 2.0
-    assert "step 8" in str(info.value) and "t=2" in str(info.value)
+    path = simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, 0))
+    assert not path.finite
+    assert path.first_nonfinite == 8
+    assert grid.time(int(path.first_nonfinite)) == 2.0
+    assert np.isfinite(path.values[: 8 + grid.steps_per_delay]).all()
 
 
 def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
@@ -263,13 +262,17 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
     batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, 4))
     refined = refine_to(batch, model, xi, fine_grid, fine_noise)
-    assert batch.values.shape == (6, 31, model.state_dim) and batch.finite.all()
+    assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
+    assert refined.values.shape == (121, 6, model.state_dim)
     for p in range(6):
         single_noise = generate(fine_grid, model.noise_dim, 5, p)
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, 4))
-        assert batch.values[p].tobytes() == single.values.tobytes()
+        assert single.values.shape == (31, model.state_dim)
+        assert batch.values[:, p].tobytes() == single.values.tobytes()
+        for got, want in zip(batch.steps, single.steps):
+            assert got[:, p].tobytes() == want.tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
-        assert refined.values[p].tobytes() == single_refined.values.tobytes()
+        assert refined.values[:, p].tobytes() == single_refined.values.tobytes()
 
 
 def test_diverged_path_in_batch_is_masked():
@@ -288,16 +291,17 @@ def test_diverged_path_in_batch_is_masked():
     refined = refine_to(batch, model, xi, fine_grid, fine_noise)
     assert 0 < batch.finite.sum() < 8
     assert np.array_equal(refined.finite, batch.finite)
+    # a diverged path first turns non-finite on the step out of t = 1.5
+    last = coarse_grid.total_steps + 1
+    assert np.array_equal(batch.first_nonfinite, np.where(batch.finite, last, 4))
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, p)
-        if not batch.finite[p]:
-            with pytest.raises(NonFiniteState):
-                simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
-            continue
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
-        assert batch.values[p].tobytes() == single.values.tobytes()
+        assert single.finite == batch.finite[p]
+        assert single.first_nonfinite == batch.first_nonfinite[p]
+        assert batch.values[:, p].tobytes() == single.values.tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
-        assert refined.values[p].tobytes() == single_refined.values.tobytes()
+        assert refined.values[:, p].tobytes() == single_refined.values.tobytes()
 
 
 def test_refine_rejects_a_path_without_recorded_steps():
@@ -427,10 +431,9 @@ def test_engine_matches_per_node_reference(name, seed):
         factor = fine.steps_per_delay // grid.steps_per_delay
         return coarsen(fine_noise, factor) if factor > 1 else fine_noise
 
-    def check(got, ref_values):
-        ref = np.ascontiguousarray(np.moveaxis(ref_values, 1, 0))
-        assert got.values.tobytes() == ref.tobytes()
-        assert np.array_equal(got.finite, np.isfinite(ref).all(axis=(-2, -1)))
+    def check(got, ref):
+        assert got.values.shape == ref.shape and got.values.tobytes() == ref.tobytes()
+        assert np.array_equal(got.finite, np.isfinite(ref).all(axis=(0, -1)))
 
     refs = []
     for grid in grids:
