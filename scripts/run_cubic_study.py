@@ -69,7 +69,7 @@ def main() -> None:
 
     print("\n== second moments ==")
     for delta in (LADDER[-2], LADDER[-1]):
-        rep = estimate_moments(model, xi, TAU, HORIZON, delta, args.paths, args.seed)
+        rep = estimate_moments(model, xi, HORIZON, delta, args.paths, args.seed)
         print(f"  delta={delta:<7g} sup_t E|X|^2 = {rep.sup_mean_square:.5f} "
               f"(se {rep.std_error:.4f}, peak t={rep.sup_time:g}), "
               f"E sup |X|^2 = {rep.mean_sup_square:.5f}, "
@@ -77,7 +77,7 @@ def main() -> None:
 
     print("\n== coupled-path convergence ==")
     t0 = time.perf_counter()
-    table = converge_study(model, xi, TAU, HORIZON, LADDER, 0.1, args.paths, args.seed)
+    table = converge_study(model, xi, HORIZON, LADDER, 0.1, args.paths, args.seed)
     for row in table.rows:
         print(f"  levels {row.level_pair}: P(sup diff > 0.1) ~ {row.p_hat:.3f} "
               f"({row.exceed_count}/{row.n_paths}), mean sup {row.mean_sup_diff:.5f}, "
@@ -87,7 +87,7 @@ def main() -> None:
 
     print("\n== perturbation integrals ==")
     ptable = perturbation_integrability(
-        model, xi, TAU, HORIZON, LADDER, args.paths, args.seed,
+        model, xi, HORIZON, LADDER, args.paths, args.seed,
         radius=3.0 * BOX, weight=rates.local_rate,
     )
     for row in ptable.rows:

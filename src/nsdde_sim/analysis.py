@@ -121,16 +121,12 @@ class LevelPairRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    ladder: tuple
-    epsilon: float
-    n_paths: int
     rows: tuple
 
 
 def converge_study(
     model: NsddeModel,
     xi: InitialSegment,
-    tau: float,
     horizon: float,
     ladder,
     epsilon: float,
@@ -149,9 +145,7 @@ def converge_study(
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     if n_paths < 1:
         raise InvalidRange("n_paths must be >= 1")
-    if model.delay != tau:
-        raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
-    grids = _ladder_grids(tau, horizon, ladder)
+    grids = _ladder_grids(model.delay, horizon, ladder)
     pair_sups = [[] for _ in grids[1:]]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
         for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
@@ -176,7 +170,7 @@ def converge_study(
                 sup_diffs=sups,
             )
         )
-    return ConvergenceTable(tuple(ladder), epsilon, n_paths, tuple(rows))
+    return ConvergenceTable(tuple(rows))
 
 
 def exceedance_trend_ok(table: ConvergenceTable, z: float = 1.96) -> bool:
@@ -203,7 +197,6 @@ class PerturbationRow:
 
 @dataclass(frozen=True)
 class PerturbationTable:
-    radius: float
     n_paths: int
     rows: tuple
 
@@ -211,7 +204,6 @@ class PerturbationTable:
 def perturbation_integrability(
     model: NsddeModel,
     xi: InitialSegment,
-    tau: float,
     horizon: float,
     ladder,
     n_paths: int,
@@ -231,9 +223,7 @@ def perturbation_integrability(
     """
     if radius <= 0.0 or n_paths < 1:
         raise InvalidRange("need a positive radius and n_paths >= 1")
-    if model.delay != tau:
-        raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
-    grids = _ladder_grids(tau, horizon, ladder)
+    grids = _ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
     m_fine = fine.total_steps
     delta_f = fine.delta
@@ -273,7 +263,7 @@ def perturbation_integrability(
         else:
             abs_mean = w_mean = 0.0
         rows.append(PerturbationRow(level, grid.delta, abs_mean, w_mean, diverged))
-    return PerturbationTable(radius, n_paths, tuple(rows))
+    return PerturbationTable(n_paths, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -297,7 +287,6 @@ class MomentReport:
 def estimate_moments(
     model: NsddeModel,
     xi: InitialSegment,
-    tau: float,
     horizon: float,
     delta: float,
     n_paths: int,
@@ -315,9 +304,7 @@ def estimate_moments(
         raise InvalidRange("need n_paths >= 2 for a standard error")
     if radius <= 0.0:
         raise InvalidRange(f"radius must be positive, got {radius}")
-    if model.delay != tau:
-        raise IncompatibleGrids(f"model delay {model.delay} != requested delay {tau}")
-    grid = make_grid(tau, horizon, delta)
+    grid = make_grid(model.delay, horizon, delta)
     n0 = grid.steps_per_delay
     curves = []
     for ((level, finite),) in _ladder_paths(model, xi, [grid], n_paths, seed):
@@ -382,12 +369,11 @@ def check_contraction_sup_bound(
 
     where ||xi|| is the sup over the sampled initial segment.  Holds for
     any path of a model whose neutral map is a kappa-contraction with
-    D(0) = 0.  ``path`` is a single path or a stack; ``neutral`` is called
-    once on its (M + 1, *path axes, state_dim) block of delayed states.
-    Returns ``(ok, first)`` over the path axes: ``first`` is the first
-    violating prefix index, or -1 where no prefix violates, and ``ok`` is
-    True where the path is finite and no prefix violates.  A diverged path
-    is therefore never ok.
+    D(0) = 0.  ``neutral`` is called once on the (M + 1, paths, state_dim)
+    block of delayed states of the stack ``path``.  Returns ``(ok, first)``,
+    one entry per path: ``first`` is the first violating prefix index, or
+    -1 where no prefix violates, and ``ok`` is True where the path is finite
+    and no prefix violates.  A diverged path is therefore never ok.
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")

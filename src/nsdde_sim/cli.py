@@ -252,10 +252,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(path: Path, data: bytes) -> None:
+    """Write one output file; an unwritable name (a directory in the way, no
+    permission) is reported like any invalid input, not as a traceback."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed: int, outputs: list[str], extra: dict | None = None) -> None:
@@ -269,9 +282,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed: int, outp
     }
     if extra:
         doc.update(extra)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
+    _write_json(out_dir / "manifest.json", doc)
 
 
 def _require(cfg: RunConfig, command: str, *keys: str) -> None:
@@ -307,7 +318,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
             outputs.append(name)
             if dump_noise:
                 bin_name = f"noise_{index:04d}.bin"
-                (out_dir / bin_name).write_bytes(noise.path(row).to_bytes())
+                _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
                 outputs.append(bin_name)
     _write_manifest(out_dir, "simulate", cfg, seed, outputs, {"diverged_paths": diverged})
     print(f"simulate: wrote {cfg.n_paths - len(diverged)} paths to {out_dir} "
@@ -320,8 +331,7 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
     table = analysis.converge_study(
-        model, xi, cfg.tau, cfg.horizon, cfg.ladder, cfg.epsilon,
-        cfg.n_paths, seed,
+        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, seed
     )
     header = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
@@ -353,7 +363,7 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
     report = analysis.estimate_moments(
-        model, xi, cfg.tau, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
+        model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
         radius=cfg.truncation_radius,
     )
     header = [
@@ -384,7 +394,7 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> 
         weight = conditions.constant_rate(1.0)
         weight_id = "constant 1"
     table = analysis.perturbation_integrability(
-        model, xi, cfg.tau, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
+        model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
         radius=cfg.truncation_radius, weight=weight,
     )
     header = [
@@ -446,9 +456,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
         ],
         "estimates": estimates,
     }
-    (out_dir / "check.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
+    _write_json(out_dir / "check.json", doc)
     _write_manifest(out_dir, "check", cfg, seed, ["check.json"])
     failed = [r.condition_id for r in reports if r.verdict != "pass"]
     for r in reports:

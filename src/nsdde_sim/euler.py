@@ -31,10 +31,9 @@ and :func:`refine_to`, which freezes the values the step recorded in
 ``(..., state_dim)`` and the time as a Python float, and must act
 elementwise over all leading axes (paths, and for ``neutral`` also nodes),
 so that each path's values are bitwise those of a one-path,
-one-node-at-a-time run.  A single path is a stack of one.  Results stay
-in the time-major layout the loops fill, ``(rows, *path axes, state_dim)``.
-A path that blows up is reported through :attr:`PathGrid.finite` and leaves
-the other paths untouched.
+one-node-at-a-time run.  Results stay in the time-major layout the loops
+fill, ``(rows, paths, state_dim)``.  A path that blows up is reported
+through :attr:`PathGrid.finite` and leaves the other paths untouched.
 """
 
 from __future__ import annotations
@@ -50,17 +49,17 @@ from .model import DelayGrid, InitialSegment, NsddeModel
 
 @dataclass(frozen=True)
 class PathGrid:
-    """One solution path, or a stack of paths, sampled on a delay grid.
+    """A stack of solution paths sampled on a delay grid.
 
-    ``values`` has shape ``(N + M + 1, *path axes, state_dim)``:
+    ``values`` has shape ``(N + M + 1, paths, state_dim)``:
     ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
-    (indices up to 0 hold the sampled initial segment), and the path axes
-    are those of ``noise``, the Brownian path or stack that drove the
-    solution (none for a single path).  A path that turned NaN or infinite
-    is kept and marked in :attr:`finite`; :attr:`first_nonfinite` says where.
+    (indices up to 0 hold the sampled initial segment), and path ``p`` is
+    the one driven by row ``p`` of ``noise``.  A path that turned NaN or
+    infinite is kept and marked in :attr:`finite`; :attr:`first_nonfinite`
+    says where.
 
-    ``steps`` is ``(drift (M, *path axes, d), diffusion (M, *path axes, d, k))``,
-    the coefficients step ``l`` evaluated, in the same layout.
+    ``steps`` is ``(drift (M, paths, d), diffusion (M, paths, d, k))``, the
+    coefficients step ``l`` evaluated, in the same layout.
     :func:`simulate` records them for :func:`refine_to`; a path built any
     other way has ``None``.
     """
@@ -72,11 +71,11 @@ class PathGrid:
 
     def __post_init__(self):
         n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
-        lead = self.noise.increments.shape[:-2]
-        if self.values.ndim != len(lead) + 2 or self.values.shape[:-1] != (n_rows,) + lead:
+        n_paths = len(self.noise.path_index)
+        if self.values.ndim != 3 or self.values.shape[:2] != (n_rows, n_paths):
             raise DimensionMismatch(
                 f"values shape {self.values.shape} does not match grid ({n_rows} rows) "
-                f"and noise paths {lead}"
+                f"and noise ({n_paths} paths)"
             )
 
     @property
@@ -86,7 +85,7 @@ class PathGrid:
     @property
     def finite(self) -> np.ndarray:
         """Per path: True when every value of the path is finite."""
-        return np.isfinite(self.values).all(axis=(0, -1))
+        return np.isfinite(self.values).all(axis=(0, 2))
 
     @property
     def first_nonfinite(self) -> np.ndarray:
@@ -119,7 +118,7 @@ def simulate(
         raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
 
     n_delay, n_steps = grid.steps_per_delay, grid.total_steps
-    dbs = _time_major(noise.increments)
+    dbs = np.moveaxis(noise.increments, 1, 0)
     shape = (dbs.shape[1], model.state_dim)
     vals = np.empty((n_delay + n_steps + 1,) + shape)
     vals[: n_delay + 1] = xi.sample(grid)[:, None]
@@ -146,9 +145,7 @@ def simulate(
                 vals[il + 1] = (
                     d_lag[l + 1 - w] + x - d_lag[l - w] + b * dt + _noise_term(s, dbs[l])
                 )
-    lead = noise.increments.shape[:-2]
-    steps = (_with_path_axes(b_steps, lead), _with_path_axes(s_steps, lead))
-    return PathGrid(grid, _with_path_axes(vals, lead), noise, steps)
+    return PathGrid(grid, vals, noise, (b_steps, s_steps))
 
 
 def refine_to(
@@ -197,8 +194,7 @@ def refine_to(
 
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
     cells = coarse.total_steps
-    lead = fine_noise.increments.shape[:-2]
-    cvals, b_steps, s_steps = (_flat_paths(a, lead) for a in (path.values,) + path.steps)
+    cvals, (b_steps, s_steps) = path.values, path.steps
     shape = cvals.shape[1:]
     out = np.empty((n_fine + fine_grid.total_steps + 1,) + shape)
     out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
@@ -206,7 +202,7 @@ def refine_to(
     # Fine row (c, r) is out[c * factor + r]: cell l fills (l + n_coarse, r)
     # for r = 1 .. factor - 1, and its delayed rows are (l, r).
     rows = out[:-1].reshape((-1, factor) + shape)
-    bsum = _time_major(fine_noise.partial_sums())
+    bsum = np.moveaxis(fine_noise.partial_sums(), 1, 0)
     bsum = bsum[:-1].reshape((cells, factor) + bsum.shape[1:])
     # Exact in-cell offsets r * tau / n_fine for r = 1 .. factor - 1.
     offs = fine_grid.times[n_fine + 1 : n_fine + factor, None, None]
@@ -221,23 +217,7 @@ def refine_to(
                 model.neutral(rows[cell, 1:]) + base[cell, None] + b_steps[cell, None] * offs
                 + _noise_term(s_steps[cell, None], bsum[cell, 1:] - bsum[cell, :1])
             )
-    return PathGrid(fine_grid, _with_path_axes(out, lead), fine_noise)
-
-
-def _time_major(arr: np.ndarray) -> np.ndarray:
-    """View a path-major ``(..., rows, dim)`` noise stack as ``(rows, paths, dim)``."""
-    return np.moveaxis(arr.reshape((-1,) + arr.shape[-2:]), 1, 0)
-
-
-def _with_path_axes(arr: np.ndarray, lead: tuple) -> np.ndarray:
-    """View a ``(rows, paths, ...)`` array with the path axes ``lead`` of its
-    noise in place of the flat path axis (a single path has none)."""
-    return arr.reshape(arr.shape[:1] + lead + arr.shape[2:])
-
-
-def _flat_paths(arr: np.ndarray, lead: tuple) -> np.ndarray:
-    """Inverse of :func:`_with_path_axes`, the layout the time loops run on."""
-    return arr.reshape(arr.shape[:1] + (-1,) + arr.shape[1 + len(lead) :])
+    return PathGrid(fine_grid, out, fine_noise)
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -81,12 +81,6 @@ class DelayGrid:
         den *= n
         return np.array([l * num / den for l in range(-n, self.total_steps + 1)], dtype=float)
 
-    def time(self, index: int) -> float:
-        """Grid time for a signed index in [-steps_per_delay, total_steps]."""
-        if not -self.steps_per_delay <= index <= self.total_steps:
-            raise InvalidRange(f"index {index} outside grid")
-        return float(self.times[index + self.steps_per_delay])
-
 
 def make_grid(tau: float, horizon: float, delta: float) -> DelayGrid:
     """Build the grid with step closest to ``delta`` dividing tau and horizon.

@@ -62,8 +62,8 @@ def test_criterion_01_hand_recursion_oracle():
         drift=lambda x, y, t: np.ones(1),
         diffusion=lambda x, y, t: np.zeros((1, 1)),
     )
-    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, SEED, 0))
-    got = path.values[3:, 0].tolist()
+    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, SEED, [0]))
+    got = path.values[3:, 0, 0].tolist()
     _report(1, "hand recursion oracle", got == [1.5, 2.0, 2.75], f"X={got}")
 
 
@@ -74,11 +74,11 @@ def test_criterion_02_deterministic_first_order_convergence():
 
     def max_grid_error(delta: float) -> float:
         grid = make_grid(1.0, 2.0, delta)
-        path = simulate(model, xi, grid, generate(grid, 1, SEED, 0))
+        path = simulate(model, xi, grid, generate(grid, 1, SEED, [0]))
         t = np.asarray(grid.times[grid.steps_per_delay:])
         exact = np.where(t <= 1.0, 1.0 + t, 2.0 + (t * t - 1.0) / 2.0)
         assert exact[-1] == 3.5
-        return float(np.abs(path.values[grid.steps_per_delay:, 0] - exact).max())
+        return float(np.abs(path.values[grid.steps_per_delay:, 0, 0] - exact).max())
 
     errors = {d: max_grid_error(d) for d in (0.1, 0.05, 0.025, 0.0125)}
     ratios = [errors[d] / errors[d / 2] for d in (0.1, 0.05, 0.025)]
@@ -90,7 +90,7 @@ def test_criterion_02_deterministic_first_order_convergence():
 
 def test_criterion_03_additive_noise_exactness():
     table = converge_study(
-        additive_noise(1.0), constant_segment(0.0), 1.0, 2.0,
+        additive_noise(1.0), constant_segment(0.0), 2.0,
         [0.1, 0.05, 0.025], epsilon=1e-3, n_paths=100, seed=SEED,
     )
     worst = max(row.max_sup_diff for row in table.rows)
@@ -107,9 +107,9 @@ def test_criterion_04_neutral_conservation():
         n = grid.steps_per_delay
         for index in range(100):
             path = simulate(
-                pure_neutral(k, 1.0), xi, grid, generate(grid, 1, SEED, index)
+                pure_neutral(k, 1.0), xi, grid, generate(grid, 1, SEED, [index])
             )
-            vals = path.values[:, 0]
+            vals = path.values[:, 0, 0]
             conserved = vals[n:] - k * vals[:-n]
             worst = max(worst, float(np.abs(conserved - 1.0).max()))
     _report(4, "neutral conservation at every grid point",
@@ -120,7 +120,7 @@ def test_criterion_05_cubic_model_cauchy_trend():
     start = time.perf_counter()
     model = neutral_cubic_model(**SEC4)
     table = converge_study(
-        model, constant_segment(1.0), 1.0, 2.0, LADDER,
+        model, constant_segment(1.0), 2.0, LADDER,
         epsilon=0.1, n_paths=1000, seed=SEED,
     )
     elapsed = time.perf_counter() - start
@@ -135,7 +135,7 @@ def test_criterion_06_perturbation_integrability():
     model = neutral_cubic_model(**SEC4)
     rates = neutral_cubic_rates(**SEC4)
     table = perturbation_integrability(
-        model, constant_segment(1.0), 1.0, 2.0, LADDER,
+        model, constant_segment(1.0), 2.0, LADDER,
         n_paths=1000, seed=SEED, radius=6.0, weight=rates.local_rate,
     )
     integrals = [row.mean_abs_integral for row in table.rows]
@@ -148,7 +148,7 @@ def test_criterion_06_perturbation_integrability():
         diffusion=lambda x, y, t: np.zeros((1, 1)),
     )
     saw = perturbation_integrability(
-        ramp, constant_segment(0.0), 1.0, 2.0, LADDER,
+        ramp, constant_segment(0.0), 2.0, LADDER,
         n_paths=1, seed=SEED, radius=1e9, weight=constant_rate(1.0),
     )
     rel_errs = []
@@ -235,13 +235,13 @@ def test_criterion_08_inequality_sweeps():
 def test_criterion_09_moment_stability():
     model = neutral_cubic_model(**SEC4)
     xi = constant_segment(1.0)
-    fine = estimate_moments(model, xi, 1.0, 2.0, 0.025, 1000, SEED)
-    finer = estimate_moments(model, xi, 1.0, 2.0, 0.0125, 1000, SEED)
+    fine = estimate_moments(model, xi, 2.0, 0.025, 1000, SEED)
+    finer = estimate_moments(model, xi, 2.0, 0.0125, 1000, SEED)
     change = abs(fine.sup_mean_square - finer.sup_mean_square) / fine.sup_mean_square
     stable = np.isfinite(fine.sup_mean_square) and change < 0.10
 
     brownian = estimate_moments(
-        additive_noise(1.0), constant_segment(0.0), 1.0, 2.0, 0.05, 1000, SEED
+        additive_noise(1.0), constant_segment(0.0), 2.0, 0.05, 1000, SEED
     )
     within = abs(brownian.sup_mean_square - 2.0) <= 3.0 * brownian.std_error
     _report(9, "second-moment stability", stable and within,

@@ -50,7 +50,7 @@ def test_converge_study_on_exact_scheme():
     # additive noise is integrated exactly at every step size, so coupled
     # levels agree to rounding and nothing ever exceeds epsilon
     table = converge_study(
-        additive_noise(1.0), constant_segment(0.0), 1.0, 2.0,
+        additive_noise(1.0), constant_segment(0.0), 2.0,
         [0.1, 0.05, 0.025], epsilon=1e-6, n_paths=20, seed=31,
     )
     assert len(table.rows) == 2
@@ -65,7 +65,7 @@ def test_deterministic_model_halves_per_level():
     # sigma == 0: every path is identical and the first-order scheme's
     # level-to-level sup difference halves with the step
     table = converge_study(
-        linear_delay_ode(1.0, 1.0), constant_segment(1.0), 1.0, 2.0,
+        linear_delay_ode(1.0, 1.0), constant_segment(1.0), 2.0,
         [0.1, 0.05, 0.025, 0.0125], epsilon=1e-9, n_paths=3, seed=7,
     )
     means = [row.mean_sup_diff for row in table.rows]
@@ -77,12 +77,12 @@ def test_deterministic_model_halves_per_level():
 
 def test_converge_study_validates_ladder(cubic_model, unit_segment):
     with pytest.raises(InvalidRange):
-        converge_study(cubic_model, unit_segment, 1.0, 2.0, [0.05, 0.1], 0.1, 4, 0)
+        converge_study(cubic_model, unit_segment, 2.0, [0.05, 0.1], 0.1, 4, 0)
     with pytest.raises(IncompatibleGrids):
         # 0.1 / 0.04 = 2.5: grids do not nest
-        converge_study(cubic_model, unit_segment, 1.0, 2.0, [0.1, 0.04], 0.1, 4, 0)
+        converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.04], 0.1, 4, 0)
     with pytest.raises(InvalidRange):
-        converge_study(cubic_model, unit_segment, 1.0, 2.0, [0.1], 0.1, 4, 0)
+        converge_study(cubic_model, unit_segment, 2.0, [0.1], 0.1, 4, 0)
 
 
 def synthetic_table(counts, n=100):
@@ -100,7 +100,7 @@ def synthetic_table(counts, n=100):
                 sup_diffs=np.zeros(n),
             )
         )
-    return ConvergenceTable((0.1, 0.05, 0.025), 0.1, n, tuple(rows))
+    return ConvergenceTable(tuple(rows))
 
 
 def test_row_flagged_when_over_one_percent_diverge():
@@ -149,7 +149,7 @@ def test_sawtooth_integral_closed_form():
     # so a level with M cells gives exactly c * M * delta^2 / 2.
     c = 1.0
     table = perturbation_integrability(
-        ramp_model(c), constant_segment(0.0), 1.0, 2.0, [0.1, 0.05, 0.025],
+        ramp_model(c), constant_segment(0.0), 2.0, [0.1, 0.05, 0.025],
         n_paths=3, seed=0, radius=100.0, weight=constant_rate(1.0),
     )
     for row in table.rows:
@@ -162,7 +162,7 @@ def test_sawtooth_integral_closed_form():
 
 def test_sawtooth_scales_with_slope():
     fast = perturbation_integrability(
-        ramp_model(3.0), constant_segment(0.0), 1.0, 2.0, [0.1, 0.05],
+        ramp_model(3.0), constant_segment(0.0), 2.0, [0.1, 0.05],
         n_paths=1, seed=0, radius=1000.0, weight=constant_rate(1.0),
     )
     assert fast.rows[0].mean_abs_integral == pytest.approx(3.0 * 20 * 0.01 / 2, rel=1e-10)
@@ -171,7 +171,7 @@ def test_sawtooth_scales_with_slope():
 def ramp_integrals(xi, radius: float) -> list:
     """(abs, weighted) mean integrals per level of X(t) = t on [0, 2], ladder [0.5, 0.25]."""
     table = perturbation_integrability(
-        ramp_model(), xi, 1.0, 2.0, [0.5, 0.25],
+        ramp_model(), xi, 2.0, [0.5, 0.25],
         n_paths=1, seed=0, radius=radius, weight=constant_rate(1.0),
     )
     return [(row.mean_abs_integral, row.mean_weighted_integral) for row in table.rows]
@@ -197,7 +197,7 @@ def test_truncation_ignores_the_history():
 def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
     # |X(0)| = 1 > radius/3 already, so every integral window is empty
     table = perturbation_integrability(
-        cubic_model, unit_segment, 1.0, 2.0, [0.1, 0.05],
+        cubic_model, unit_segment, 2.0, [0.1, 0.05],
         n_paths=2, seed=1, radius=0.1, weight=constant_rate(1.0),
     )
     for row in table.rows:
@@ -206,7 +206,7 @@ def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
     table = perturbation_integrability(
-        cubic_model, unit_segment, 1.0, 2.0, [0.1, 0.05, 0.025],
+        cubic_model, unit_segment, 2.0, [0.1, 0.05, 0.025],
         n_paths=50, seed=42, radius=6.0, weight=constant_rate(1.0),
     )
     integrals = [row.mean_abs_integral for row in table.rows]
@@ -219,7 +219,7 @@ def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
 def test_brownian_moment_oracle():
     # X = B: E |X(t)|^2 = t peaks at the horizon with value 2
     report = estimate_moments(
-        additive_noise(1.0), constant_segment(0.0), 1.0, 2.0, 0.05,
+        additive_noise(1.0), constant_segment(0.0), 2.0, 0.05,
         n_paths=400, seed=29,
     )
     assert report.diverged_count == 0
@@ -232,7 +232,7 @@ def test_constant_path_moments_are_exact():
     # xi == 1 is a fixed point of the neutral recursion, so every statistic
     # collapses to 1 with zero spread
     report = estimate_moments(
-        pure_neutral(0.5, 1.0), constant_segment(1.0), 1.0, 2.0, 0.25,
+        pure_neutral(0.5, 1.0), constant_segment(1.0), 2.0, 0.25,
         n_paths=8, seed=3,
     )
     assert report.sup_mean_square == 1.0
@@ -248,7 +248,7 @@ def test_moments_exclude_diverged_paths():
         diffusion=lambda x, y, t: np.eye(1),
     )
     report = estimate_moments(
-        blow, constant_segment(0.0), 1.0, 2.0, 0.5, n_paths=40, seed=0
+        blow, constant_segment(0.0), 2.0, 0.5, n_paths=40, seed=0
     )
     assert 0 < report.diverged_count < 40
     assert np.isfinite(report.sup_mean_square)
@@ -259,13 +259,13 @@ def test_moments_all_diverged_raises():
 
     with pytest.raises(DegenerateSampling):
         estimate_moments(
-            cubic_drift(1.0), constant_segment(2.0), 1.0, 2.0, 0.25, n_paths=4, seed=0
+            cubic_drift(1.0), constant_segment(2.0), 2.0, 0.25, n_paths=4, seed=0
         )
 
 
 def test_moments_need_two_paths(cubic_model, unit_segment):
     with pytest.raises(InvalidRange):
-        estimate_moments(cubic_model, unit_segment, 1.0, 2.0, 0.1, n_paths=1, seed=0)
+        estimate_moments(cubic_model, unit_segment, 2.0, 0.1, n_paths=1, seed=0)
 
 
 # --- elementary inequalities ------------------------------------------------
@@ -300,18 +300,20 @@ def test_sup_bound_holds_on_simulated_path(cubic_model, unit_segment):
     path_ok, where = check_contraction_sup_bound(paths, cubic_model.neutral, 0.5)
     assert path_ok.shape == where.shape == (10,)
     assert path_ok.all() and (where == -1).all()
-    single = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, 3))
-    assert check_contraction_sup_bound(single, cubic_model.neutral, 0.5) == (True, -1)
+    single = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, [3]))
+    ok, first = check_contraction_sup_bound(single, cubic_model.neutral, 0.5)
+    assert ok.tolist() == [True] and first.tolist() == [-1]
 
 
 def test_sup_bound_trivial_on_fixed_point():
     model = pure_neutral(0.5, 1.0)
     grid = make_grid(1.0, 2.0, 0.25)
-    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, 0, 0))
-    assert check_contraction_sup_bound(path, model.neutral, kappa=0.5) == (True, -1)
-    # with D == 0 the rhs dominates algebraically (1/(1-kappa)^p > 1), so the
-    # bound holds for any claimed kappa
-    assert check_contraction_sup_bound(path, lambda y: 0.0 * y, kappa=0.3) == (True, -1)
+    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, 0, [0]))
+    for neutral, kappa in [(model.neutral, 0.5), (lambda y: 0.0 * y, 0.3)]:
+        # with D == 0 the rhs dominates algebraically (1/(1-kappa)^p > 1), so
+        # the bound holds for any claimed kappa
+        ok, first = check_contraction_sup_bound(path, neutral, kappa=kappa)
+        assert ok.tolist() == [True] and first.tolist() == [-1]
 
 
 def test_sup_bound_detects_understated_contraction():
@@ -320,14 +322,14 @@ def test_sup_bound_detects_understated_contraction():
     # factor ~1/(1 - 0.9) while the claim caps them at 1/(1 - 0.5)^2.
     grid = make_grid(1.0, 4.0, 0.5)
     w = [1.0, 1.9, 2.71, 3.439]
-    values = np.array([0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]).reshape(-1, 1)
-    path = PathGrid(grid, values, generate(grid, 1, 0, 0))
+    values = np.array([0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]).reshape(-1, 1, 1)
+    path = PathGrid(grid, values, generate(grid, 1, 0, [0]))
     ok, first_bad = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.5)
-    assert not ok
-    assert first_bad == 5  # X(2.5) = 2.71, 2.71^2 > 4
+    assert ok.tolist() == [False]
+    assert first_bad.tolist() == [5]  # X(2.5) = 2.71, 2.71^2 > 4
     # with the true contraction constant the same path passes
     ok_true, _ = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.9)
-    assert ok_true
+    assert ok_true.tolist() == [True]
 
 
 def test_sup_bound_reports_a_diverged_path_as_not_ok():
@@ -434,21 +436,21 @@ def test_studies_match_a_path_major_reduction(which):
     ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
     fine, levels = path_major_levels(model, xi, ladder, n_paths, seed)
 
-    table = converge_study(model, xi, 1.0, 2.0, ladder, 0.5, n_paths, seed)
+    table = converge_study(model, xi, 2.0, ladder, 0.5, n_paths, seed)
     for row, sups in zip(table.rows, reference_sups(levels)):
         assert row.sup_diffs.tobytes() == sups.tobytes()
         assert row.diverged_count == n_paths - sups.size
         assert row.exceed_count == int((sups > 0.5).sum())
 
     moments_radius = 50.0
-    report = estimate_moments(model, xi, 1.0, 2.0, ladder[0], n_paths, seed, moments_radius)
+    report = estimate_moments(model, xi, 2.0, ladder[0], n_paths, seed, moments_radius)
     coarse, ((level, finite),) = path_major_levels(model, xi, ladder[:1], n_paths, seed)
     used, sup_ms, mean_ss, se, peak = reference_moments(level, finite, moments_radius)
     assert report.diverged_count == n_paths - used
     assert (report.sup_mean_square, report.mean_sup_square, report.std_error) == (sup_ms, mean_ss, se)
-    assert report.sup_time == coarse.time(peak)
+    assert report.sup_time == coarse.times[peak + coarse.steps_per_delay]
 
     weight = lambda t: 1.0 + t  # noqa: E731
-    ptable = perturbation_integrability(model, xi, 1.0, 2.0, ladder, n_paths, seed, 6.0, weight)
+    ptable = perturbation_integrability(model, xi, 2.0, ladder, n_paths, seed, 6.0, weight)
     got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in ptable.rows]
     assert got == reference_perturbation(fine, levels, ladder, 6.0, weight)

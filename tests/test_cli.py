@@ -120,6 +120,24 @@ class TestExitCodes:
         assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, name, overrides", [
+        ("converge", "converge.csv", {}),
+        ("converge", "manifest.json", {}),
+        ("simulate", "noise_0001.bin", {"ladder": [0.25], "n_paths": 2}),
+        ("check", "check.json", {"samples": 20}),
+    ], ids=["converge_csv", "manifest", "noise_bin", "check_json"])
+    def test_output_file_blocked_by_a_directory_is_2(
+        self, tmp_path, capsys, command, name, overrides
+    ):
+        # the computation has run when the write fails; it still ends in one line
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        args = [command, "--config", write_config(tmp_path, **overrides), "--output", str(out)]
+        assert main(args + (["--dump-noise"] if command == "simulate" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output {out / name}: ")
+        assert err.count("\n") == 1
+
     def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.json"
         cfg.write_bytes(bytes.fromhex("fffe7b7d"))
@@ -299,18 +317,18 @@ class TestOutputs:
         rows = (out / "path_0001.csv").read_text().strip().split("\n")[1:]
         texts = [row.split(",")[1] for row in rows]
         grid = make_grid(1.0, 2.0, 0.25)
-        noise = generate(grid, 1, 99, 1)
+        noise = generate(grid, 1, 99, [1])
         from nsdde_sim import builtin_model, constant_segment, simulate
 
         model = builtin_model("sec4", 1.0, {"k": 0.5, "c1": -1.0, "c2": -1.0})
         path = simulate(model, constant_segment(1.0), grid, noise)
-        assert [float(s) for s in texts] == path.values[:, 0].tolist()
+        assert [float(s) for s in texts] == path.values[:, 0, 0].tolist()
 
     def test_noise_dump_restores_stream(self, tmp_path):
         out = self.run_simulate(tmp_path)
         raw = (out / "noise_0000.bin").read_bytes()
         grid = make_grid(1.0, 2.0, 0.25)
-        expected = generate(grid, 1, 99, 0).increments
+        expected = generate(grid, 1, 99, [0]).increments[0]
         assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(-1, 1), expected)
 
     def test_manifest_contents(self, tmp_path):

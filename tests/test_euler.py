@@ -50,30 +50,30 @@ def test_hand_recursion_oracle():
     #   X2 = 0.5*1 + 1.5 - 0.5*1 + 0.5 = 2.0
     #   X3 = 0.5*1.5 + 2.0 - 0.5*1 + 0.5 = 2.75
     grid = make_grid(tau=1.0, horizon=1.5, delta=0.5)
-    noise = generate(grid, 1, seed=0, path_index=0)
+    noise = generate(grid, 1, seed=0, path_index=[0])
     path = simulate(drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, noise)
-    assert path.values[:, 0].tolist() == [1.0, 1.0, 1.0, 1.5, 2.0, 2.75]
+    assert path.values[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 1.5, 2.0, 2.75]
 
 
 def test_pure_neutral_single_step():
     # X(0.5) = conserved + 0.5 * xi(-0.5) = 1 + 0.5 * 0.5 = 1.25
     grid = make_grid(1.0, 2.0, 0.5)
-    noise = generate(grid, 1, 5, 0)
+    noise = generate(grid, 1, 5, [0])
     path = simulate(pure_neutral(0.5, 1.0), affine_segment(1.0, 1.0), grid, noise)
     # grid index 1 is row 1 + N of values
-    assert path.values[1 + grid.steps_per_delay, 0] == 1.25
+    assert path.values[1 + grid.steps_per_delay, 0, 0] == 1.25
 
 
 def test_values_rows_are_signed_indices_shifted_by_the_delay():
     grid = make_grid(1.0, 2.0, 0.5)
     path = simulate(
-        drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, 0)
+        drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, [0])
     )
     n = grid.steps_per_delay
-    assert path.values[-2 + n, 0] == 1.0
-    assert path.values[0 + n, 0] == 1.0
-    assert path.values[1 + n, 0] == 1.5
-    assert grid.time(-2) == -1.0 and grid.time(1) == 0.5
+    assert path.values[-2 + n, 0, 0] == 1.0
+    assert path.values[0 + n, 0, 0] == 1.0
+    assert path.values[1 + n, 0, 0] == 1.5
+    assert grid.times[-2 + n] == -1.0 and grid.times[1 + n] == 0.5
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.25, 0.125])
@@ -83,9 +83,9 @@ def test_neutral_conservation(delta):
     k = 0.7
     grid = make_grid(1.0, 3.0, delta)
     xi = affine_segment(1.0, 1.0)
-    path = simulate(pure_neutral(k, 1.0), xi, grid, generate(grid, 1, 3, 0))
+    path = simulate(pure_neutral(k, 1.0), xi, grid, generate(grid, 1, 3, [0]))
     n = grid.steps_per_delay
-    vals = path.values[:, 0]
+    vals = path.values[:, 0, 0]
     conserved = vals[n:] - k * vals[: -n]
     assert np.abs(conserved - 1.0).max() <= 1e-12
 
@@ -94,26 +94,26 @@ def test_linear_delay_ode_method_of_steps():
     # exact solution: 1 + t on [0, 1], 2 + (t^2 - 1)/2 on [1, 2]
     grid = make_grid(1.0, 2.0, 0.025)
     path = simulate(
-        linear_delay_ode(1.0, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, 0)
+        linear_delay_ode(1.0, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, [0])
     )
-    assert path.values[-1, 0] == pytest.approx(3.5, abs=0.02)
+    assert path.values[-1, 0, 0] == pytest.approx(3.5, abs=0.02)
     n = grid.steps_per_delay
     t = np.asarray(grid.times[n:])
     exact = np.where(t <= 1.0, 1.0 + t, 2.0 + (t * t - 1.0) / 2.0)
-    err = np.abs(path.values[n:, 0] - exact).max()
+    err = np.abs(path.values[n:, 0, 0] - exact).max()
     assert 0.0 < err < 0.02
 
 
 def test_additive_noise_is_exact():
     grid = make_grid(1.0, 2.0, 0.1)
-    noise = generate(grid, 2, seed=21, path_index=4)
+    noise = generate(grid, 2, seed=21, path_index=[4])
     n = grid.steps_per_delay
     # starting from zero the scheme IS the running sum, bit for bit
     path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), grid, noise)
-    assert np.array_equal(path.values[n:], noise.partial_sums())
+    assert np.array_equal(path.values[n:, 0], noise.partial_sums()[0])
     # a nonzero start only changes rounding of the additions
     shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), grid, noise)
-    assert np.abs(shifted.values[n:] - (3.0 + noise.partial_sums())).max() <= 1e-12
+    assert np.abs(shifted.values[n:, 0] - (3.0 + noise.partial_sums()[0])).max() <= 1e-12
 
 
 def test_simulate_validation():
@@ -122,22 +122,22 @@ def test_simulate_validation():
     model = drifted_neutral(0.5, 1.0)
     xi = constant_segment(1.0)
     with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, other, generate(other, 1, 0, 0))  # delay mismatch
+        simulate(model, xi, other, generate(other, 1, 0, [0]))  # delay mismatch
     with pytest.raises(IncompatibleNoise):
-        simulate(model, xi, grid, generate(make_grid(1.0, 2.0, 0.05), 1, 0, 0))
+        simulate(model, xi, grid, generate(make_grid(1.0, 2.0, 0.05), 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
-        simulate(model, constant_segment(1.0, dim=2), grid, generate(grid, 1, 0, 0))
+        simulate(model, constant_segment(1.0, dim=2), grid, generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
-        simulate(model, xi, grid, generate(grid, 3, 0, 0))
+        simulate(model, xi, grid, generate(grid, 3, 0, [0]))
 
 
 def test_divergence_reports_step_and_time():
     # x |-> x + x^3 delta from x=2 overflows after eight steps at delta=1/4
     grid = make_grid(1.0, 2.0, 0.25)
-    path = simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, 0))
-    assert not path.finite
-    assert path.first_nonfinite == 8
-    assert grid.time(int(path.first_nonfinite)) == 2.0
+    path = simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, [0]))
+    assert path.finite.tolist() == [False]
+    assert path.first_nonfinite.tolist() == [8]
+    assert grid.times[8 + grid.steps_per_delay] == 2.0
     assert np.isfinite(path.values[: 8 + grid.steps_per_delay]).all()
 
 
@@ -145,7 +145,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
     # with D = 0 the scheme must coincide, bit for bit, with the textbook
     # explicit recursion written out independently here
     grid = make_grid(1.0, 2.0, 0.1)
-    noise = generate(grid, 1, seed=77, path_index=0)
+    noise = generate(grid, 1, seed=77, path_index=[0])
     model = NsddeModel(
         1, 1, 1.0,
         neutral=lambda y: np.zeros(1),
@@ -157,7 +157,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
     n, m = grid.steps_per_delay, grid.total_steps
     vals = np.empty((n + m + 1, 1))
     vals[: n + 1] = xi.sample(grid)
-    steps = noise.increments
+    steps = noise.increments[0]
     dt = grid.delta
     for l in range(m):
         x, y = vals[l + n], vals[l]
@@ -165,7 +165,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
         vals[l + n + 1] = x + (-y + 0.5 * x) * dt + (0.3 * x).reshape(1, 1) @ steps[l]
 
     path = simulate(model, xi, grid, noise)
-    assert np.array_equal(path.values, vals)
+    assert np.array_equal(path.values[:, 0], vals)
 
 
 # --- refinement -----------------------------------------------------------
@@ -181,16 +181,16 @@ def test_refine_interior_oracle():
     xi = constant_segment(1.0)
     coarse_grid = make_grid(1.0, 1.5, 0.5)
     fine_grid = make_grid(1.0, 1.5, 0.25)
-    fine_noise = generate(fine_grid, 1, seed=2, path_index=0)
+    fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
     coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
     fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
-    assert fine.values[4:, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
+    assert fine.values[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
 
 def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     fine_grid = make_grid(1.0, 2.0, 0.025)
-    fine_noise = generate(fine_grid, 1, seed=13, path_index=7)
+    fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
     coarse = simulate(cubic_model, unit_segment, coarse_grid, coarsen(fine_noise, 4))
     fine = refine_to(coarse, cubic_model, unit_segment, fine_grid, fine_noise)
     assert np.array_equal(fine.values[::4], coarse.values)
@@ -198,7 +198,7 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
 
 def test_refine_identity_at_factor_one(cubic_model, unit_segment):
     grid = make_grid(1.0, 2.0, 0.1)
-    noise = generate(grid, 1, 1, 0)
+    noise = generate(grid, 1, 1, [0])
     path = simulate(cubic_model, unit_segment, grid, noise)
     assert refine_to(path, cubic_model, unit_segment, grid, noise) is path
 
@@ -207,21 +207,21 @@ def test_refine_rejects_uncoupled_noise(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     fine_grid = make_grid(1.0, 2.0, 0.05)
     coarse = simulate(
-        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, 0)
+        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, [0])
     )
     # an independently drawn fine path does not aggregate to the coarse one
     with pytest.raises(IncompatibleNoise):
-        refine_to(coarse, cubic_model, unit_segment, fine_grid, generate(fine_grid, 1, 1, 0))
+        refine_to(coarse, cubic_model, unit_segment, fine_grid, generate(fine_grid, 1, 1, [0]))
 
 
 def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     coarse = simulate(
-        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, 0)
+        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, [0])
     )
     shifted = make_grid(1.0, 3.0, 0.05)
     with pytest.raises(IncompatibleGrids):
-        refine_to(coarse, cubic_model, unit_segment, shifted, generate(shifted, 1, 1, 0))
+        refine_to(coarse, cubic_model, unit_segment, shifted, generate(shifted, 1, 1, [0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,7 +232,7 @@ def test_refine_node_agreement_property(seed, factor):
     model = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
     xi = constant_segment(1.0)
     fine_grid = make_grid(1.0, 2.0, 0.1 / factor)
-    fine_noise = generate(fine_grid, 1, seed, 0)
+    fine_noise = generate(fine_grid, 1, seed, [0])
     coarse = simulate(model, xi, make_grid(1.0, 2.0, 0.1), coarsen(fine_noise, factor))
     fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
     assert np.array_equal(fine.values[::factor], coarse.values)
@@ -265,14 +265,14 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
     assert refined.values.shape == (121, 6, model.state_dim)
     for p in range(6):
-        single_noise = generate(fine_grid, model.noise_dim, 5, p)
+        single_noise = generate(fine_grid, model.noise_dim, 5, [p])
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, 4))
-        assert single.values.shape == (31, model.state_dim)
-        assert batch.values[:, p].tobytes() == single.values.tobytes()
+        assert single.values.shape == (31, 1, model.state_dim)
+        assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
         for got, want in zip(batch.steps, single.steps):
-            assert got[:, p].tobytes() == want.tobytes()
+            assert got[:, p].tobytes() == want[:, 0].tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
-        assert refined.values[:, p].tobytes() == single_refined.values.tobytes()
+        assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
 
 
 def test_diverged_path_in_batch_is_masked():
@@ -295,13 +295,13 @@ def test_diverged_path_in_batch_is_masked():
     last = coarse_grid.total_steps + 1
     assert np.array_equal(batch.first_nonfinite, np.where(batch.finite, last, 4))
     for p in range(8):
-        single_noise = generate(fine_grid, 1, 0, p)
+        single_noise = generate(fine_grid, 1, 0, [p])
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
-        assert single.finite == batch.finite[p]
-        assert single.first_nonfinite == batch.first_nonfinite[p]
-        assert batch.values[:, p].tobytes() == single.values.tobytes()
+        assert single.finite[0] == batch.finite[p]
+        assert single.first_nonfinite[0] == batch.first_nonfinite[p]
+        assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
-        assert refined.values[:, p].tobytes() == single_refined.values.tobytes()
+        assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
 
 
 def test_refine_rejects_a_path_without_recorded_steps():

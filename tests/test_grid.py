@@ -77,15 +77,14 @@ def test_direct_dataclass_validation():
 
 
 def test_time_indexing():
-    # indices are signed: -N is the left end of the history window
+    # grid indices are signed: index l is times[l + N], so -N is the left
+    # end of the history window
     grid = make_grid(1.0, 2.0, 0.5)
-    assert grid.time(-2) == -1.0
-    assert grid.time(0) == 0.0
-    assert grid.time(4) == 2.0
-    with pytest.raises(InvalidRange):
-        grid.time(5)
-    with pytest.raises(InvalidRange):
-        grid.time(-3)
+    n = grid.steps_per_delay
+    assert grid.times[-2 + n] == -1.0
+    assert grid.times[0 + n] == 0.0
+    assert grid.times[4 + n] == 2.0
+    assert len(grid.times) == 4 + n + 1
 
 
 @settings(max_examples=200)
