@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands::
+Commands::
 
     nsdde-sim simulate     --config cfg.json [--output DIR] [--dump-noise]
     nsdde-sim converge     --config cfg.json [--output DIR]
@@ -480,22 +480,22 @@ def _parser() -> argparse.ArgumentParser:
         description="Simulation and condition checking for neutral stochastic "
                     "delay differential equations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to JSON run configuration")
-        p.add_argument("--output", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--strict", action="store_true",
-                       help="exit with code 3 when any path diverges")
-        if name == "simulate":
-            p.add_argument("--dump-noise", action="store_true",
-                           help="also write raw increments as little-endian float64")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="path to JSON run configuration")
+    parser.add_argument("--output", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit with code 3 when any path diverges")
+    parser.add_argument("--dump-noise", action="store_true",
+                        help="(simulate) also write raw increments as little-endian float64")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.dump_noise and args.command != "simulate":
+        parser.error("--dump-noise applies to simulate only")
     try:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed

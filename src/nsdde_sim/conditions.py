@@ -24,7 +24,10 @@ before the list is capped.
 Coefficients, and the bare ``neutral`` map of the contraction checks, are
 called on ``(S, state_dim)`` stacks of samples under the evaluator contract
 of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a Python
-float, a constant broadcasts): once per evaluator and distinct sampled time.
+float, a constant broadcasts): ``neutral`` once per checker call on every
+sample, ``drift`` and ``diffusion`` once per distinct sampled time on the
+samples at that time.  Everything else (both sides of each bound, the rate
+inequalities, the violation lists) is computed once over all samples.
 They run with numpy's floating-point warnings off: a side that overflows
 fails in the report and prints nothing.
 """
@@ -223,18 +226,35 @@ def estimate_contraction(
     return float(_running_max(ratio[0], ratio[1:]))
 
 
-def _coefficients(model: NsddeModel, x, y, t: float):
+def _coefficients(model: NsddeModel, x, y, ts):
     """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))
-    for (S, d) stacks x and y, one call per evaluator."""
-    rows = (len(x), model.state_dim)
-    dvy, bv, sv = model.neutral(y), model.drift(x, y, t), model.diffusion(x, y, t)
-    return _rows(dvy, rows), _rows(bv, rows), _rows(sv, rows + (model.noise_dim,))
+    for (S, d) stacks x and y at the sample times ts, in sample order; then the distinct
+    times (ascending Python floats) and the index of each sample's time among them.
+
+    ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time on its run of
+    the samples sorted by time.  Evaluators act row by row and the rows go back to sample
+    order, so the sort need not be stable (numpy's stable float sort is far slower)."""
+    order = np.argsort(ts)
+    ordered, xs, ys = ts[order], x.take(order, 0), y.take(order, 0)
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    times, bounds = ordered[starts].tolist(), starts.tolist() + [len(ts)]
+    bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
+    for t, lo, hi in zip(times, bounds, bounds[1:]):
+        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
+        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(ts))
+    which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
+    return (_rows(model.neutral(y), x.shape), bv.take(rank, 0), sv.take(rank, 0)), times, which
 
 
-def _coefficient_pairs(model: NsddeModel, x, y, xb, yb, t: float):
-    """The coefficients at (x, y) and at (x', y'), from one kernel call on both stacks."""
-    both = _coefficients(model, np.concatenate([x, xb]), np.concatenate([y, yb]), t)
-    return tuple(c[: len(x)] for c in both), tuple(c[len(x) :] for c in both)
+def _coefficient_pairs(model: NsddeModel, x, y, xb, yb, ts):
+    """The coefficients at (x, y) and at (x', y'), from one kernel call on both stacks,
+    then the distinct times and each sample's index among them."""
+    n = len(x)
+    both, times, which = _coefficients(
+        model, np.concatenate([x, xb]), np.concatenate([y, yb]), np.concatenate([ts, ts]))
+    return tuple(c[:n] for c in both), tuple(c[n:] for c in both), times, which[:n]
 
 
 def _growth_lhs(x, coeffs):
@@ -249,50 +269,40 @@ def _local_lhs(x, xb, coeffs, coeffs_b):
     return 2.0 * _rowdot(x - dvy - xb + dvyb, bv - bvb) + _sqsum(sv - svb)
 
 
-def _by_time(ts: np.ndarray) -> list:
-    """(t, sample indices) for each distinct time of ``ts``, t a Python float."""
-    distinct, which = np.unique(ts, return_inverse=True)
-    return [(t, np.flatnonzero(which == j)) for j, t in enumerate(distinct.tolist())]
-
-
 def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.ndarray:
     """Probe times alternating between the grid endpoints, then uniform grid draws."""
     alternating = [times[0] if i % 2 == 0 else times[-1] for i in range(n_probes)]
     return np.concatenate([alternating, times[rng.integers(0, len(times), size=samples)]])
 
 
-def _rate_violations(rate, rate_delayed, delay_factor: float, t: float, tau: float) -> list:
-    """The rate inequalities C2 and C3 both require at time t that fail:
-    K >= 0, K~ >= 0, K(t) <= factor * K(t - tau) and K~ <= K."""
-    now, past, delayed_now = float(rate(t)), float(rate(t - tau)), float(rate_delayed(t))
-    sides = [("rate-nonnegative", 0.0, now), ("rate-nonnegative-delayed", 0.0, delayed_now),
-             ("delay-comparison", now, delay_factor * past),
-             ("dominates-delayed", delayed_now, now)]
-    return [Violation({"check": c, "t": t}, float(lhs), float(rhs))
-            for c, lhs, rhs in sides if _failed(lhs, rhs)]
-
-
-def _rated_check(condition_id, samples, ts, points, sides, rates, tau) -> ConditionReport:
-    """Shared driver of C2 and C3: ``sides(idx, t)`` gives (lhs, rhs) of the bound for
-    the samples ``idx`` at time t, and ``points`` names the stacks a violation reports.
-    The rate inequalities are evaluated once per time and fail once per sample at
-    that time, after the sample's own violation, in sample order."""
-    lhs, rhs = np.empty(len(ts)), np.empty(len(ts))
-    flagged = np.zeros(len(ts), dtype=bool)
-    at_time = {}
-    for t, idx in _by_time(ts):
-        lhs[idx], rhs[idx] = sides(idx, t)
-        at_time[t] = _rate_violations(*rates, t, tau)
-        flagged[idx] = bool(at_time[t])
+def _rated_check(condition_id, samples, points, lhs, weights, rates, times, which, tau):
+    """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
+    K~(t - tau) * weights[1] at t = times[which[i]], and ``points`` names the stacks a
+    violation reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor *
+    K(t - tau) and K~ <= K are tested once per distinct time and fail once per sample
+    at that time, after the sample's own violation, in sample order."""
+    rate, rate_delayed, factor = rates
+    lagged = [t - tau for t in times]
+    now, past, delayed_now, delayed_past = (np.array([float(f(t)) for t in when]) for f, when in (
+        (rate, times), (rate, lagged), (rate_delayed, times), (rate_delayed, lagged)))
+    rhs = now[which] * weights[0] + delayed_past[which] * weights[1]
+    zero = np.zeros(len(times))
+    sides = np.stack([[zero, now], [zero, delayed_now], [now, factor * past], [delayed_now, now]])
+    rate_bad = _failed(sides[:, 0], sides[:, 1])
+    names = ("rate-nonnegative", "rate-nonnegative-delayed", "delay-comparison",
+             "dominates-delayed")
+    at_time = [[Violation({"check": c, "t": t}, *two) for c, two, b in zip(names, ends, bads) if b]
+               for t, ends, bads in zip(times, sides.transpose(2, 0, 1).tolist(),
+                                        rate_bad.T.tolist())]
     bad = _failed(lhs, rhs)
     violations: list[Violation] = []
-    for i in np.flatnonzero(bad | flagged).tolist():
-        t = float(ts[i])
+    for i in np.flatnonzero(bad | rate_bad.any(axis=0)[which]).tolist():
+        j = int(which[i])
         if bad[i]:
-            inputs = {"t": t, **{key: v[i].tolist() for key, v in points.items()}}
+            inputs = {"t": times[j], **{key: v[i].tolist() for key, v in points.items()}}
             violations.append(Violation(inputs, float(lhs[i]), float(rhs[i])))
-        violations += at_time[t]
-    return _finish(condition_id, len(ts), samples, violations)
+        violations += at_time[j]
+    return _finish(condition_id, len(lhs), samples, violations)
 
 
 @np.errstate(all="ignore")
@@ -310,15 +320,11 @@ def check_coercivity(
     pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
     x, y = pairs[:, 0], pairs[:, 1]
-
-    def sides(idx, t):
-        xs, ys = x[idx], y[idx]
-        lhs = _growth_lhs(xs, _coefficients(model, xs, ys, t))
-        now, past = float(spec.growth_rate(t)), float(spec.growth_rate_delayed(t - model.delay))
-        return lhs, now * (1.0 + _rowdot(xs, xs)) + past * (1.0 + _rowdot(ys, ys))
-
+    coeffs, times, which = _coefficients(model, x, y, ts)
+    weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
     rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
-    return _rated_check("C2", samples, ts, {"x": x, "y": y}, sides, rates, model.delay)
+    return _rated_check("C2", samples, {"x": x, "y": y}, _growth_lhs(x, coeffs), weights,
+                        rates, times, which, model.delay)
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -348,17 +354,12 @@ def check_monotonicity(
     quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
     x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
-
-    def sides(idx, t):
-        xs, ys, xbs, ybs = x[idx], y[idx], xb[idx], yb[idx]
-        lhs = _local_lhs(xs, xbs, *_coefficient_pairs(model, xs, ys, xbs, ybs, t))
-        dx, dy = xs - xbs, ys - ybs
-        now, past = float(spec.local_rate(t)), float(spec.local_rate_delayed(t - tau))
-        return lhs, now * _rowdot(dx, dx) + past * _rowdot(dy, dy)
-
+    coeffs, coeffs_b, times, which = _coefficient_pairs(model, x, y, xb, yb, ts)
+    dx, dy = x - xb, y - yb
     rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
     points = {"x": x, "y": y, "xp": xb, "yp": yb}
-    return _rated_check("C3", samples, ts, points, sides, rates, tau)
+    return _rated_check("C3", samples, points, _local_lhs(x, xb, coeffs, coeffs_b),
+                        (_rowdot(dx, dx), _rowdot(dy, dy)), rates, times, which, tau)
 
 
 @np.errstate(all="ignore")
@@ -380,15 +381,17 @@ def check_integrability(
     times = grid.times[grid.steps_per_delay:-1].tolist()
     violations: list[Violation] = []
     total = 0.0
+    bv, sv = np.empty((len(x), dim)), np.empty((len(x), dim, model.noise_dim))
     for t in times:
-        val = _rownorm(_rows(model.drift(x, y, t), (len(x), dim))) + _sqsum(
-            _rows(model.diffusion(x, y, t), (len(x), dim, model.noise_dim))
-        )
-        violations += [
-            Violation({"t": t, "x": x[i].tolist(), "y": y[i].tolist()}, math.inf, 0.0)
-            for i in np.flatnonzero(~np.isfinite(val)).tolist()
-        ]
-        total += _running_max(0.0, val) * grid.delta
+        bv[:], sv[:] = model.drift(x, y, t), model.diffusion(x, y, t)
+        val = _rownorm(bv) + _sqsum(sv)
+        peak = float(val.max())  # NaN or inf when some row is not finite
+        if not math.isfinite(peak):
+            violations += [
+                Violation({"t": t, "x": x[i].tolist(), "y": y[i].tolist()}, math.inf, 0.0)
+                for i in np.flatnonzero(~np.isfinite(val)).tolist()]
+            peak = _running_max(0.0, val)
+        total += max(0.0, peak) * grid.delta
     return _finish("H", len(times) * len(pairs), samples, violations, estimate=total)
 
 
@@ -415,12 +418,9 @@ def propose_constant_rates(
         quads[i] = rng.uniform(-box, box, size=(4, model.state_dim))
     x, y, xb, yb = (quads[:, k] for k in range(4))
 
-    growth, lhs3 = np.empty(samples), np.empty(samples)
-    for t, idx in _by_time(ts):
-        xs, ys, xbs, ybs = x[idx], y[idx], xb[idx], yb[idx]
-        coeffs, coeffs_b = _coefficient_pairs(model, xs, ys, xbs, ybs, t)
-        growth[idx] = _growth_lhs(xs, coeffs) / (2.0 + _rowdot(xs, xs) + _rowdot(ys, ys))
-        lhs3[idx] = _local_lhs(xs, xbs, coeffs, coeffs_b)
+    coeffs, coeffs_b, _, _ = _coefficient_pairs(model, x, y, xb, yb, ts)
+    growth = _growth_lhs(x, coeffs) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
+    lhs3 = _local_lhs(x, xb, coeffs, coeffs_b)
     gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
     kept = gap >= 1e-12
     local = _running_max(0.0, lhs3[kept] / gap[kept])

@@ -1,14 +1,18 @@
 """Config parsing, output formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nsdde_sim
 from nsdde_sim import ConfigError, generate, make_grid
-from nsdde_sim.cli import load_config, main
+from nsdde_sim.cli import _parser, load_config, main
 
 BASE = {
     "model": {"id": "sec4", "params": {"k": 0.5, "c1": -1.0, "c2": -1.0}},
@@ -231,6 +235,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_dump_noise_outside_simulate_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", cfg, "--output", str(tmp_path / "o"), "--dump-noise"])
+        assert exc.value.code == 2
+        assert "--dump-noise" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(tmp_path, ladder=[0.25])
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
@@ -421,3 +433,34 @@ class TestCheckReport:
         assert by_id["C2"]["verdict"] == "fail"
         worst = by_id["C2"]["violations"][0]
         assert worst["lhs"] > worst["rhs"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["simulate", "converge", "moments", "perturbation",
+                                         "check"])
+    def test_every_command_parses_its_options(self, command):
+        extra = ["--dump-noise"] if command == "simulate" else []
+        args = _parser().parse_args(
+            [command, "--config", "c.json", "--output", "o", "--seed", "7", "--strict"] + extra
+        )
+        assert (args.command, args.config, args.output, args.seed, args.strict) == (
+            command, "c.json", "o", 7, True)
+        assert args.dump_noise == (command == "simulate")
+        bare = _parser().parse_args([command, "--config", "c.json"])
+        assert (bare.output, bare.seed, bare.strict, bare.dump_noise) == (None, None, False, False)
+
+    def test_runs_do_not_import_numpy_ma(self, tmp_path):
+        # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms
+        # of a cold check run; the commands must not pull it in
+        cfg, out = write_config(tmp_path, samples=10, n_paths=4), str(tmp_path / "o")
+        script = (
+            "import sys\n"
+            "from nsdde_sim.cli import main\n"
+            "for command in ('check', 'converge'):\n"
+            f"    assert main([command, '--config', {cfg!r}, '--output', {out!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(nsdde_sim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.splitlines()[-1] == "False"

@@ -3,6 +3,8 @@
 import math
 import sys
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from nsdde_sim import (
     ConditionSpec,
     DegenerateSampling,
+    DelayGrid,
     InvalidRange,
     NsddeModel,
     additive_noise,
@@ -39,6 +42,7 @@ from nsdde_sim.conditions import (
 )
 
 GRID = make_grid(1.0, 2.0, 0.1)
+SHORTEST_GRID = DelayGrid(0.5, 0.5, 1, 1)
 
 
 def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0):
@@ -486,8 +490,44 @@ REFERENCE = {name: globals()["ref_" + name] for name in BATCHED}
 def test_batched_checkers_match_per_sample_reference(name, seed):
     model = ORACLE_MODELS[name]()
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
-    got = _reports(BATCHED, model, spec, GRID, 40, seed)
-    assert got == _reports(REFERENCE, model, spec, GRID, 40, seed)
+    # the shortest grid (one step per delay, horizon one delay) gives H a
+    # single sampled time and C2/C3 only the two endpoints; one sample gives
+    # propose_constant_rates a single sampled time
+    for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40), (GRID, 1)]:
+        got = _reports(BATCHED, model, spec, grid, samples, seed)
+        assert got == _reports(REFERENCE, model, spec, grid, samples, seed)
+
+
+@pytest.mark.parametrize("check", ["check_coercivity", "check_monotonicity",
+                                   "propose_constant_rates"])
+def test_coefficient_calls_per_distinct_sampled_time(check):
+    # neutral once per checker call on every sample; drift and diffusion once
+    # per distinct sampled time, together on every sample (both points of a
+    # pair) at that time.  500 draws hit all 21 grid times of [0, 2].
+    calls, times = Counter(), {"drift": [], "diffusion": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            calls[name + "_rows"] += len(args[0])
+            if name in times:
+                times[name].append(args[2])
+            return fn(*args)
+        return wrapper
+
+    plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
+    model = replace(plain, **{name: counted(name, getattr(plain, name))
+                              for name in ("neutral", "drift", "diffusion")})
+    if check == "propose_constant_rates":
+        propose_constant_rates(model, GRID, 2.0, 500, seed=5)
+        rows = 2 * 500
+    else:
+        report = BATCHED[check](model, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0), GRID, 500, 5)
+        rows = (1 if check == "check_coercivity" else 2) * report.samples_tested
+    sampled = GRID.times[GRID.steps_per_delay:].tolist()
+    assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
+                     "diffusion": 21, "diffusion_rows": rows}
+    assert sorted(times["drift"]) == sorted(times["diffusion"]) == sampled
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
