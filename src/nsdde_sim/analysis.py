@@ -225,44 +225,39 @@ def perturbation_integrability(
         raise InvalidRange("need a positive radius and n_paths >= 1")
     grids = _ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
-    m_fine = fine.total_steps
     delta_f = fine.delta
-    times = fine.times[fine.steps_per_delay :]
-    weights = np.array([float(weight(float(t))) for t in times])
+    weights = np.array([float(weight(float(t))) for t in fine.times[fine.steps_per_delay :]])
     threshold = radius / 3.0
 
     # interval anchors: coarse cell start for each fine interval j -> j+1
-    interval_idx = np.arange(m_fine)
+    interval_idx = np.arange(fine.total_steps)
     factors = [fine.steps_per_delay // g.steps_per_delay for g in grids]
     anchor_per_level = [(interval_idx // f) * f for f in factors]
 
-    level_vals = [[] for _ in grids]
-    for levels in _ladder_paths(model, xi, grids, n_paths, seed):
-        for vals, (level, finite), anchors in zip(level_vals, levels, anchor_per_level):
-            for ref in (level[:, p] for p in np.flatnonzero(finite)):
-                norms = np.linalg.norm(ref, axis=1)
-                exceeded = norms > threshold
-                stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
-                if stop == 0:
-                    vals.append((0.0, 0.0))
-                    continue
-                cells = anchors[:stop]
-                left = np.linalg.norm(ref[cells] - ref[:stop], axis=1)
-                right = np.linalg.norm(ref[cells] - ref[1 : stop + 1], axis=1)
-                abs_int = 0.5 * delta_f * float((left + right).sum())
-                w_int = 0.5 * delta_f * float(
-                    (left * weights[:stop] + right * weights[1 : stop + 1]).sum()
-                )
-                vals.append((abs_int, w_int))
+    level_sums = [[] for _ in grids]
+    # a huge but finite path overflows the norms past its stop
+    with np.errstate(all="ignore"):
+        for levels in _ladder_paths(model, xi, grids, n_paths, seed):
+            for sums, (level, finite), anchors in zip(level_sums, levels, anchor_per_level):
+                exceeded = np.linalg.norm(level, axis=-1) > threshold
+                exceeded[-1] = True  # a path that stays inside runs to the horizon
+                stops = exceeded.argmax(axis=0)[finite]
+                # (paths, M) rows: each path's integrands are contiguous
+                left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T[finite]
+                right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T[finite]
+                terms = np.stack([left + right, left * weights[:-1] + right * weights[1:]])
+                block = np.empty((2, stops.size))
+                for stop in set(stops.tolist()):
+                    # summed along the contiguous last axis, in the pairwise
+                    # order of a one-path sum
+                    same = stops == stop
+                    block[:, same] = terms[:, same, :stop].sum(axis=-1)
+                sums.append(0.5 * delta_f * block)
     rows = []
-    for level, (grid, vals) in enumerate(zip(grids, level_vals)):
-        diverged = n_paths - len(vals)
-        if vals:
-            abs_mean = float(np.mean([v[0] for v in vals]))
-            w_mean = float(np.mean([v[1] for v in vals]))
-        else:
-            abs_mean = w_mean = 0.0
-        rows.append(PerturbationRow(level, grid.delta, abs_mean, w_mean, diverged))
+    for level, (grid, sums) in enumerate(zip(grids, level_sums)):
+        sums = np.concatenate(sums, axis=1)
+        abs_mean, w_mean = sums.mean(axis=1).tolist() if sums.size else (0.0, 0.0)
+        rows.append(PerturbationRow(level, grid.delta, abs_mean, w_mean, n_paths - sums.shape[1]))
     return PerturbationTable(n_paths, tuple(rows))
 
 

@@ -77,7 +77,7 @@ class RunConfig:
     xi_args: dict = field(default_factory=dict)
     epsilon: float | None = None
     n_paths: int | None = None
-    box_radius: float | None = None
+    box_radius: float = 2.0
     samples: int | None = None
     output_dir: str = "out"
     rates: dict | None = None
@@ -224,7 +224,7 @@ def _build_segment(cfg: RunConfig, dim: int) -> InitialSegment:
     return affine_segment(cfg.xi_args["a"], cfg.xi_args["b"], dim)
 
 
-def _build_rate_bundle(cfg: RunConfig, box: float) -> conditions.ConditionSpec:
+def _build_rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec:
     if cfg.rates is not None:
         r = cfg.rates
         return conditions.ConditionSpec(
@@ -235,11 +235,11 @@ def _build_rate_bundle(cfg: RunConfig, box: float) -> conditions.ConditionSpec:
             local_rate_delayed=conditions.constant_rate(r["local_rate_delayed"]),
             growth_delay_factor=r["growth_delay_factor"],
             local_delay_factor=r["local_delay_factor"],
-            box_radius=box,
+            box_radius=cfg.box_radius,
         )
     if cfg.model_id == "sec4":
         return conditions.neutral_cubic_rates(
-            cfg.params["k"], cfg.params["c1"], cfg.params["c2"], cfg.tau, box
+            cfg.params["k"], cfg.params["c1"], cfg.params["c2"], cfg.tau, cfg.box_radius
         )
     raise ConfigError(
         f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
@@ -386,9 +386,8 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> 
     _require(cfg, "perturbation", "n_paths")
     model = _build_model(cfg)
     xi = _build_segment(cfg, model.state_dim)
-    box = cfg.box_radius if cfg.box_radius is not None else model.box_radius
     try:
-        weight = _build_rate_bundle(cfg, box).local_rate
+        weight = _build_rate_bundle(cfg).local_rate
         weight_id = "local_rate"
     except ConfigError:
         weight = conditions.constant_rate(1.0)
@@ -419,26 +418,25 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> 
 def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "check", "samples")
     model = _build_model(cfg)
-    box = cfg.box_radius if cfg.box_radius is not None else model.box_radius
-    spec = _build_rate_bundle(cfg, box)
+    spec = _build_rate_bundle(cfg)
     grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
 
     reports = [
         conditions.check_contraction(
-            model.neutral, spec.kappa, box, cfg.samples, seed, dim=model.state_dim
+            model.neutral, spec.kappa, cfg.box_radius, cfg.samples, seed, dim=model.state_dim
         ),
         conditions.check_coercivity(model, spec, grid, cfg.samples, seed),
         conditions.check_monotonicity(model, spec, grid, cfg.samples, seed),
-        conditions.check_integrability(model, grid, box, cfg.samples, seed),
+        conditions.check_integrability(model, grid, cfg.box_radius, cfg.samples, seed),
     ]
     estimates = {
         "kappa": conditions.estimate_contraction(
-            model.neutral, box, cfg.samples, seed, dim=model.state_dim
+            model.neutral, cfg.box_radius, cfg.samples, seed, dim=model.state_dim
         )
     }
     estimates.update(
         {f"heuristic_{k}": v for k, v in conditions.propose_constant_rates(
-            model, grid, box, cfg.samples, seed
+            model, grid, cfg.box_radius, cfg.samples, seed
         ).items()}
     )
     doc = {

@@ -55,8 +55,8 @@ class DelayGrid:
             raise InvalidRange("step counts must be integers")
         if self.tau <= 0.0 or not math.isfinite(self.tau):
             raise InvalidRange(f"delay must be positive and finite, got {self.tau}")
-        if self.steps_per_delay < 1 or self.total_steps < self.steps_per_delay:
-            raise InvalidRange("need steps_per_delay >= 1 and total_steps >= steps_per_delay")
+        if self.steps_per_delay < 1 or self.total_steps <= self.steps_per_delay:
+            raise InvalidRange("need steps_per_delay >= 1 and total_steps > steps_per_delay")
         if not 0.0 < self.delta < 1.0:
             raise InvalidRange(f"step {self.delta!r} outside (0, 1)")
         exact = _exact_time(self.total_steps, self.tau, self.steps_per_delay)
@@ -160,8 +160,6 @@ class NsddeModel:
     for ``neutral`` also grid nodes: each evaluator acts elementwise over
     all of them, and ``t`` is a scalar float.  A result without the leading
     axes (a constant) broadcasts to every path and node.
-    ``box_radius`` is the recommended radius for sampling-based condition
-    checks.
     """
 
     state_dim: int
@@ -170,15 +168,12 @@ class NsddeModel:
     neutral: Callable[[np.ndarray], np.ndarray]
     drift: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     diffusion: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    box_radius: float = 2.0
 
     def __post_init__(self):
         if self.state_dim < 1 or self.noise_dim < 1:
             raise InvalidRange("state_dim and noise_dim must be >= 1")
         if self.delay <= 0.0 or not math.isfinite(self.delay):
             raise InvalidRange(f"delay must be positive and finite, got {self.delay}")
-        if self.box_radius <= 0.0:
-            raise InvalidRange("box_radius must be positive")
 
 
 def neutral_cubic_model(k: float, c1: float, c2: float, tau: float) -> NsddeModel:

@@ -454,3 +454,22 @@ def test_studies_match_a_path_major_reduction(which):
     ptable = perturbation_integrability(model, xi, 2.0, ladder, n_paths, seed, 6.0, weight)
     got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in ptable.rows]
     assert got == reference_perturbation(fine, levels, ladder, 6.0, weight)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("radius", [4.5, 6.0])
+def test_perturbation_sums_each_path_in_one_path_order(cubic_model, cubic_rates, unit_segment,
+                                                       radius, n_paths):
+    # M = 160 fine intervals, past numpy's 128-term pairwise block, and radii
+    # at which the paths stop at different nodes: every truncated integral
+    # must be summed as a sum over that one path's intervals alone (summing
+    # zero-padded rows moves the last bits of some of these means)
+    ladder = (0.1, 0.05, 0.025, 0.0125)
+    for seed in range(15):
+        fine, levels = path_major_levels(cubic_model, unit_segment, ladder, n_paths, seed)
+        table = perturbation_integrability(cubic_model, unit_segment, 2.0, ladder, n_paths, seed,
+                                           radius, cubic_rates.local_rate)
+        got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count)
+               for r in table.rows]
+        assert got == reference_perturbation(fine, levels, ladder, radius,
+                                             cubic_rates.local_rate), seed

@@ -290,6 +290,14 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--output", out, "--strict"]) == 3
         assert main([command, "--config", cfg, "--output", out]) == 0
 
+    def test_perturbation_on_huge_finite_paths_is_quiet(self, tmp_path, capsys):
+        # the same blow-up as below: the norms of the huge but finite paths
+        # overflow past their stop, which must not print a numpy warning
+        cfg = write_config(tmp_path, ladder=[0.5, 0.25], n_paths=50, seed=1,
+                           xi={"kind": "constant", "value": 3.0})
+        assert main(["perturbation", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_moments_count_huge_finite_paths_as_diverged(self, tmp_path):
         # explicit Euler on the cubic drift from xi = 3 at step 0.5 blows up
         # to huge but finite values on 34 of these 50 paths (sup-of-mean-
@@ -451,13 +459,16 @@ class TestParser:
 
     def test_runs_do_not_import_numpy_ma(self, tmp_path):
         # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms
-        # of a cold check run; the commands must not pull it in
+        # of a cold check run; no command may pull it in
         cfg, out = write_config(tmp_path, samples=10, n_paths=4), str(tmp_path / "o")
+        single = write_config(tmp_path, "single.json", ladder=[0.5], n_paths=4)
+        runs = [("simulate", single), ("converge", cfg), ("moments", single),
+                ("perturbation", cfg), ("check", cfg)]
         script = (
             "import sys\n"
             "from nsdde_sim.cli import main\n"
-            "for command in ('check', 'converge'):\n"
-            f"    assert main([command, '--config', {cfg!r}, '--output', {out!r}]) == 0\n"
+            f"for command, cfg in {runs!r}:\n"
+            f"    assert main([command, '--config', cfg, '--output', {out!r}]) == 0\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(nsdde_sim.__file__).resolve().parents[1])

@@ -42,7 +42,7 @@ from nsdde_sim.conditions import (
 )
 
 GRID = make_grid(1.0, 2.0, 0.1)
-SHORTEST_GRID = DelayGrid(0.5, 0.5, 1, 1)
+SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
 
 
 def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0):
@@ -490,9 +490,9 @@ REFERENCE = {name: globals()["ref_" + name] for name in BATCHED}
 def test_batched_checkers_match_per_sample_reference(name, seed):
     model = ORACLE_MODELS[name]()
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
-    # the shortest grid (one step per delay, horizon one delay) gives H a
-    # single sampled time and C2/C3 only the two endpoints; one sample gives
-    # propose_constant_rates a single sampled time
+    # the shortest grid (one step per delay, horizon two delays) gives H two
+    # sampled times and C2/C3 three; one sample gives propose_constant_rates
+    # a single sampled time
     for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40), (GRID, 1)]:
         got = _reports(BATCHED, model, spec, grid, samples, seed)
         assert got == _reports(REFERENCE, model, spec, grid, samples, seed)

@@ -74,6 +74,9 @@ def test_direct_dataclass_validation():
         DelayGrid(tau=1.0, horizon=2.0000001, steps_per_delay=10, total_steps=20)
     with pytest.raises(InvalidRange):
         DelayGrid(tau=1.0, horizon=2.0, steps_per_delay=10, total_steps=5)
+    # the horizon must exceed the delay, as make_grid requires
+    with pytest.raises(InvalidRange, match="total_steps > steps_per_delay"):
+        DelayGrid(tau=1.0, horizon=1.0, steps_per_delay=10, total_steps=10)
 
 
 def test_time_indexing():

@@ -81,9 +81,6 @@ def test_model_validation():
         NsddeModel(0, 1, 1.0, lambda y: y, lambda x, y, t: x, lambda x, y, t: x)
     with pytest.raises(InvalidRange):
         NsddeModel(1, 1, -1.0, lambda y: y, lambda x, y, t: x, lambda x, y, t: x)
-    with pytest.raises(InvalidRange):
-        NsddeModel(1, 1, 1.0, lambda y: y, lambda x, y, t: x, lambda x, y, t: x,
-                   box_radius=0.0)
 
 
 class TestBuiltinRegistry:
