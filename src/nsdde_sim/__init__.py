@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     DegenerateSampling,
     DimensionMismatch,
-    IncompatibleFactor,
     IncompatibleGrids,
     IncompatibleNoise,
     InvalidRange,
@@ -77,7 +76,6 @@ __all__ = [
     "DegenerateSampling",
     "DelayGrid",
     "DimensionMismatch",
-    "IncompatibleFactor",
     "IncompatibleGrids",
     "IncompatibleNoise",
     "InitialSegment",

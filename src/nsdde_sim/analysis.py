@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import coarsen, generate
-from .errors import DegenerateSampling, IncompatibleGrids, InvalidRange
+from .errors import DegenerateSampling, InvalidRange
 from .euler import PathGrid, refine_to, simulate
 from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
 
@@ -50,10 +50,7 @@ def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
         raise InvalidRange(f"ladder must be strictly decreasing, got {list(ladder)}")
     grids = [make_grid(tau, horizon, d) for d in ladder]
     for g1, g2 in zip(grids, grids[1:]):
-        if g2.steps_per_delay % g1.steps_per_delay:
-            raise IncompatibleGrids(
-                f"ladder steps {g1.delta} and {g2.delta} are not nested"
-            )
+        g1.refinement(g2)
     return grids
 
 
@@ -74,7 +71,7 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
         fine_noise = generate(fine, model.noise_dim, seed, indices)
         levels = []
         for grid in grids:
-            factor = fine.steps_per_delay // grid.steps_per_delay
+            factor = grid.refinement(fine)
             noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
             path = simulate(model, xi, grid, noise)
             if factor > 1:
@@ -190,6 +187,7 @@ def exceedance_trend_ok(table: ConvergenceTable, z: float = 1.96) -> bool:
 class PerturbationRow:
     level: int
     delta: float
+    n_paths: int
     mean_abs_integral: float
     mean_weighted_integral: float
     diverged_count: int
@@ -197,7 +195,6 @@ class PerturbationRow:
 
 @dataclass(frozen=True)
 class PerturbationTable:
-    n_paths: int
     rows: tuple
 
 
@@ -231,7 +228,7 @@ def perturbation_integrability(
 
     # interval anchors: coarse cell start for each fine interval j -> j+1
     interval_idx = np.arange(fine.total_steps)
-    factors = [fine.steps_per_delay // g.steps_per_delay for g in grids]
+    factors = [g.refinement(fine) for g in grids]
     anchor_per_level = [(interval_idx // f) * f for f in factors]
 
     level_sums = [[] for _ in grids]
@@ -257,8 +254,9 @@ def perturbation_integrability(
     for level, (grid, sums) in enumerate(zip(grids, level_sums)):
         sums = np.concatenate(sums, axis=1)
         abs_mean, w_mean = sums.mean(axis=1).tolist() if sums.size else (0.0, 0.0)
-        rows.append(PerturbationRow(level, grid.delta, abs_mean, w_mean, n_paths - sums.shape[1]))
-    return PerturbationTable(n_paths, tuple(rows))
+        rows.append(PerturbationRow(level, grid.delta, n_paths, abs_mean, w_mean,
+                                    n_paths - sums.shape[1]))
+    return PerturbationTable(tuple(rows))
 
 
 @dataclass(frozen=True)

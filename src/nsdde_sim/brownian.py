@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IncompatibleFactor, InvalidRange
+from .errors import DimensionMismatch, InvalidRange
 from .model import DelayGrid
 
 
@@ -98,11 +98,11 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
     >= 2 dividing both the delay and the horizon step counts.
     """
     if factor != int(factor) or factor < 2:
-        raise IncompatibleFactor(f"factor must be an integer >= 2, got {factor}")
+        raise InvalidRange(f"factor must be an integer >= 2, got {factor}")
     factor = int(factor)
     grid = path.grid
     if grid.total_steps % factor or grid.steps_per_delay % factor:
-        raise IncompatibleFactor(
+        raise InvalidRange(
             f"factor {factor} does not divide step counts "
             f"({grid.steps_per_delay} per delay, {grid.total_steps} total)"
         )

@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -267,6 +267,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write(path, ("\n".join(lines) + "\n").encode())
 
 
+def _write_records(path: Path, columns: list[str], records) -> None:
+    """A CSV with one row per record: each column is the record's attribute of that name."""
+    _write_csv(path, columns, [[getattr(r, c) for c in columns] for r in records])
+
+
 def _write_json(path: Path, doc: dict) -> None:
     _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
@@ -333,18 +338,11 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     table = analysis.converge_study(
         model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, seed
     )
-    header = [
+    columns = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
         "exceed_count", "p_hat", "mean_sup_diff", "max_sup_diff", "diverged_count",
     ]
-    rows = [
-        [
-            r.level_pair, r.delta_coarse, r.delta_fine, r.epsilon, r.n_paths,
-            r.exceed_count, r.p_hat, r.mean_sup_diff, r.max_sup_diff, r.diverged_count,
-        ]
-        for r in table.rows
-    ]
-    _write_csv(out_dir / "converge.csv", header, rows)
+    _write_records(out_dir / "converge.csv", columns, table.rows)
     _write_manifest(out_dir, "converge", cfg, seed, ["converge.csv"])
     trend = analysis.exceedance_trend_ok(table)
     total_diverged = sum(r.diverged_count for r in table.rows)
@@ -366,15 +364,8 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
         model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
         radius=cfg.truncation_radius,
     )
-    header = [
-        "delta", "n_paths", "diverged_count", "sup_mean_square",
-        "mean_sup_square", "std_error", "sup_time",
-    ]
-    row = [
-        report.delta, report.n_paths, report.diverged_count, report.sup_mean_square,
-        report.mean_sup_square, report.std_error, report.sup_time,
-    ]
-    _write_csv(out_dir / "moments.csv", header, [row])
+    columns = [f.name for f in fields(analysis.MomentReport)]
+    _write_records(out_dir / "moments.csv", columns, [report])
     _write_manifest(out_dir, "moments", cfg, seed, ["moments.csv"])
     print(f"moments: sup-of-mean-square {report.sup_mean_square:.6g} "
           f"(se {report.std_error:.3g}) at t={report.sup_time:g}, "
@@ -396,16 +387,8 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> 
         model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
         radius=cfg.truncation_radius, weight=weight,
     )
-    header = [
-        "level", "delta", "n_paths", "mean_abs_integral",
-        "mean_weighted_integral", "diverged_count",
-    ]
-    rows = [
-        [r.level, r.delta, table.n_paths, r.mean_abs_integral,
-         r.mean_weighted_integral, r.diverged_count]
-        for r in table.rows
-    ]
-    _write_csv(out_dir / "perturbation.csv", header, rows)
+    columns = [f.name for f in fields(analysis.PerturbationRow)]
+    _write_records(out_dir / "perturbation.csv", columns, table.rows)
     _write_manifest(out_dir, "perturbation", cfg, seed, ["perturbation.csv"],
                     {"weight": weight_id})
     total_diverged = sum(r.diverged_count for r in table.rows)

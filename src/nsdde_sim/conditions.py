@@ -22,11 +22,12 @@ are deterministic given their seed, and violations are sorted by severity
 before the list is capped.
 
 Coefficients, and the bare ``neutral`` map of the contraction checks, are
-called on ``(S, state_dim)`` stacks of samples under the evaluator contract
-of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a Python
-float, a constant broadcasts): ``neutral`` once per checker call on every
-sample, ``drift`` and ``diffusion`` once per distinct sampled time on the
-samples at that time.  Everything else (both sides of each bound, the rate
+called on ``(S, state_dim)`` stacks of samples, or for the pairs of points
+that C3 compares on ``(2, S, state_dim)`` stacks, under the evaluator
+contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a
+Python float, a constant broadcasts): ``neutral`` once per checker call on
+every sample, ``drift`` and ``diffusion`` once per distinct sampled time on
+the samples at that time.  Everything else (both sides of each bound, the rate
 inequalities, the violation lists) is computed once over all samples.
 They run with numpy's floating-point warnings off: a side that overflows
 fails in the report and prints nothing.
@@ -88,7 +89,7 @@ class ConditionSpec:
     local_rate_delayed: Callable[[float], float]
     growth_delay_factor: float
     local_delay_factor: float
-    box_radius: float = 2.0
+    box_radius: float
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
@@ -228,33 +229,26 @@ def estimate_contraction(
 
 def _coefficients(model: NsddeModel, x, y, ts):
     """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))
-    for (S, d) stacks x and y at the sample times ts, in sample order; then the distinct
-    times (ascending Python floats) and the index of each sample's time among them.
+    for ``(..., S, d)`` stacks x and y whose sample i (axis -2) lies at time ts[i], in
+    sample order; then the distinct times (ascending Python floats) and the index of each
+    sample's time among them.
 
     ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time on its run of
-    the samples sorted by time.  Evaluators act row by row and the rows go back to sample
-    order, so the sort need not be stable (numpy's stable float sort is far slower)."""
+    the samples sorted by time, every leading index at once.  Evaluators act row by row
+    and the rows go back to sample order, so the sort need not be stable (numpy's stable
+    float sort is far slower)."""
     order = np.argsort(ts)
-    ordered, xs, ys = ts[order], x.take(order, 0), y.take(order, 0)
+    ordered, xs, ys = ts[order], x.take(order, -2), y.take(order, -2)
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
     times, bounds = ordered[starts].tolist(), starts.tolist() + [len(ts)]
     bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
     for t, lo, hi in zip(times, bounds, bounds[1:]):
-        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
-        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
+        bv[..., lo:hi, :] = model.drift(xs[..., lo:hi, :], ys[..., lo:hi, :], t)
+        sv[..., lo:hi, :, :] = model.diffusion(xs[..., lo:hi, :], ys[..., lo:hi, :], t)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(ts))
     which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
-    return (_rows(model.neutral(y), x.shape), bv.take(rank, 0), sv.take(rank, 0)), times, which
-
-
-def _coefficient_pairs(model: NsddeModel, x, y, xb, yb, ts):
-    """The coefficients at (x, y) and at (x', y'), from one kernel call on both stacks,
-    then the distinct times and each sample's index among them."""
-    n = len(x)
-    both, times, which = _coefficients(
-        model, np.concatenate([x, xb]), np.concatenate([y, yb]), np.concatenate([ts, ts]))
-    return tuple(c[:n] for c in both), tuple(c[n:] for c in both), times, which[:n]
+    return (_rows(model.neutral(y), x.shape), bv.take(rank, -2), sv.take(rank, -3)), times, which
 
 
 def _growth_lhs(x, coeffs):
@@ -263,10 +257,11 @@ def _growth_lhs(x, coeffs):
     return 2.0 * _rowdot(x - dvy, bv) + _sqsum(sv)
 
 
-def _local_lhs(x, xb, coeffs, coeffs_b):
-    """Monotonicity left side 2<x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2."""
-    (dvy, bv, sv), (dvyb, bvb, svb) = coeffs, coeffs_b
-    return 2.0 * _rowdot(x - dvy - xb + dvyb, bv - bvb) + _sqsum(sv - svb)
+def _local_lhs(x, coeffs):
+    """Monotonicity left side 2<x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2, from
+    the ``(2, S, ...)`` pair stacks of the points (x, x') and of their coefficients."""
+    dvy, bv, sv = coeffs
+    return 2.0 * _rowdot(x[0] - dvy[0] - x[1] + dvy[1], bv[0] - bv[1]) + _sqsum(sv[0] - sv[1])
 
 
 def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.ndarray:
@@ -354,11 +349,12 @@ def check_monotonicity(
     quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
     x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
-    coeffs, coeffs_b, times, which = _coefficient_pairs(model, x, y, xb, yb, ts)
+    pair = np.stack([x, xb])
+    coeffs, times, which = _coefficients(model, pair, np.stack([y, yb]), ts)
     dx, dy = x - xb, y - yb
     rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
     points = {"x": x, "y": y, "xp": xb, "yp": yb}
-    return _rated_check("C3", samples, points, _local_lhs(x, xb, coeffs, coeffs_b),
+    return _rated_check("C3", samples, points, _local_lhs(pair, coeffs),
                         (_rowdot(dx, dx), _rowdot(dy, dy)), rates, times, which, tau)
 
 
@@ -418,9 +414,10 @@ def propose_constant_rates(
         quads[i] = rng.uniform(-box, box, size=(4, model.state_dim))
     x, y, xb, yb = (quads[:, k] for k in range(4))
 
-    coeffs, coeffs_b, _, _ = _coefficient_pairs(model, x, y, xb, yb, ts)
-    growth = _growth_lhs(x, coeffs) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
-    lhs3 = _local_lhs(x, xb, coeffs, coeffs_b)
+    pair = np.stack([x, xb])
+    coeffs, _, _ = _coefficients(model, pair, np.stack([y, yb]), ts)
+    growth = _growth_lhs(x, [c[0] for c in coeffs]) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
+    lhs3 = _local_lhs(pair, coeffs)
     gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
     kept = gap >= 1e-12
     local = _running_max(0.0, lhs3[kept] / gap[kept])
@@ -428,7 +425,7 @@ def propose_constant_rates(
 
 
 def neutral_cubic_rates(
-    k: float, c1: float, c2: float, tau: float, box_radius: float = 2.0
+    k: float, c1: float, c2: float, tau: float, box_radius: float
 ) -> ConditionSpec:
     """Verified rate bundle for the built-in ``sec4`` model.
 

@@ -21,10 +21,6 @@ class NonDivisibleStep(NsddeError):
     """Step size does not divide the delay or the horizon."""
 
 
-class IncompatibleFactor(NsddeError):
-    """Coarsening factor does not divide the grid step counts."""
-
-
 class IncompatibleGrids(NsddeError):
     """Two grids that must be nested/equal are not."""
 

@@ -169,16 +169,9 @@ def refine_to(
     coarse = path.grid
     if path.steps is None:
         raise InvalidRange("path has no recorded step coefficients; refine a path from simulate")
-    if fine_grid.tau != coarse.tau or model.delay != coarse.tau:
-        raise IncompatibleGrids("grids must share the delay")
-    if fine_grid.steps_per_delay % coarse.steps_per_delay:
-        raise IncompatibleGrids(
-            f"fine steps per delay {fine_grid.steps_per_delay} not a multiple "
-            f"of coarse {coarse.steps_per_delay}"
-        )
-    factor = fine_grid.steps_per_delay // coarse.steps_per_delay
-    if fine_grid.total_steps != factor * coarse.total_steps:
-        raise IncompatibleGrids("grids do not share the horizon")
+    if model.delay != coarse.tau:
+        raise IncompatibleGrids(f"model delay {model.delay} != grid delay {coarse.tau}")
+    factor = coarse.refinement(fine_grid)
     if fine_noise.grid != fine_grid:
         raise IncompatibleNoise("fine noise was generated on a different grid")
     if fine_noise.noise_dim != model.noise_dim or xi.dim != model.state_dim:

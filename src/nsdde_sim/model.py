@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRange, NonDivisibleStep
+from .errors import IncompatibleGrids, InvalidRange, NonDivisibleStep
 
 # Relative tolerance used when deciding whether a requested step divides
 # the delay / horizon.
@@ -69,6 +69,17 @@ class DelayGrid:
     @property
     def delta(self) -> float:
         return self.tau / self.steps_per_delay
+
+    def refinement(self, fine: DelayGrid) -> int:
+        """The number of ``fine`` steps in one step of this grid.
+
+        Raises :class:`IncompatibleGrids` unless ``fine`` shares the delay
+        and the horizon and its step divides this grid's step.
+        """
+        factor, rest = divmod(fine.steps_per_delay, self.steps_per_delay)
+        if fine.tau != self.tau or rest or fine.total_steps != factor * self.total_steps:
+            raise IncompatibleGrids(f"{fine} is not nested in {self}")
+        return factor
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -262,22 +273,23 @@ def cubic_drift(tau: float, dim: int = 1) -> NsddeModel:
     )
 
 
-# Parameter names accepted by each built-in id: (required, optional).
-_BUILTIN_PARAMS = {
-    "sec4": ({"k", "c1", "c2"}, set()),
-    "linear_delay_ode": ({"a"}, set()),
-    "pure_neutral": ({"k"}, set()),
-    "additive_noise": (set(), {"dim"}),
-    "cubic_drift": (set(), {"dim"}),
+# Built-in ids: (factory, required parameters, optional parameters).  The
+# optional parameters are counts, so they must be whole numbers.
+_BUILTINS = {
+    "sec4": (neutral_cubic_model, {"k", "c1", "c2"}, set()),
+    "linear_delay_ode": (linear_delay_ode, {"a"}, set()),
+    "pure_neutral": (pure_neutral, {"k"}, set()),
+    "additive_noise": (additive_noise, set(), {"dim"}),
+    "cubic_drift": (cubic_drift, set(), {"dim"}),
 }
 
 
 def builtin_model(model_id: str, tau: float, params: dict) -> NsddeModel:
     """Construct a built-in model from its string id and flat parameter map."""
-    if model_id not in _BUILTIN_PARAMS:
-        known = ", ".join(sorted(_BUILTIN_PARAMS))
+    if model_id not in _BUILTINS:
+        known = ", ".join(sorted(_BUILTINS))
         raise InvalidRange(f"unknown model id {model_id!r} (known: {known})")
-    required, optional = _BUILTIN_PARAMS[model_id]
+    factory, required, optional = _BUILTINS[model_id]
     keys = set(params)
     if not required <= keys:
         raise InvalidRange(f"model {model_id!r} missing parameters {sorted(required - keys)}")
@@ -285,17 +297,10 @@ def builtin_model(model_id: str, tau: float, params: dict) -> NsddeModel:
         raise InvalidRange(
             f"model {model_id!r} got unknown parameters {sorted(keys - required - optional)}"
         )
-
-    if model_id == "sec4":
-        return neutral_cubic_model(params["k"], params["c1"], params["c2"], tau)
-    if model_id == "linear_delay_ode":
-        return linear_delay_ode(params["a"], tau)
-    if model_id == "pure_neutral":
-        return pure_neutral(params["k"], tau)
-
-    dim = params.get("dim", 1)
-    if isinstance(dim, bool) or dim != int(dim):
-        raise InvalidRange(f"model {model_id!r} parameter 'dim' must be an integer, got {dim!r}")
-    if model_id == "additive_noise":
-        return additive_noise(tau, int(dim))
-    return cubic_drift(tau, int(dim))
+    for key in sorted(optional & keys):
+        value = params[key]
+        if isinstance(value, bool) or value != int(value):
+            raise InvalidRange(
+                f"model {model_id!r} parameter {key!r} must be an integer, got {value!r}"
+            )
+    return factory(tau=tau, **{key: int(v) if key in optional else v for key, v in params.items()})

@@ -133,7 +133,7 @@ def test_criterion_05_cubic_model_cauchy_trend():
 
 def test_criterion_06_perturbation_integrability():
     model = neutral_cubic_model(**SEC4)
-    rates = neutral_cubic_rates(**SEC4)
+    rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
     table = perturbation_integrability(
         model, constant_segment(1.0), 2.0, LADDER,
         n_paths=1000, seed=SEED, radius=6.0, weight=rates.local_rate,
@@ -193,6 +193,7 @@ def test_criterion_07_condition_suite():
         local_rate_delayed=constant_rate(0.0),
         growth_delay_factor=1.0,
         local_delay_factor=1.0,
+        box_radius=2.0,
     )
     cubic_flat = check_coercivity(cubic_drift(1.0), flat, grid, samples, SEED)
 
@@ -221,7 +222,7 @@ def test_criterion_08_inequality_sweeps():
         total += a.size
 
     model = neutral_cubic_model(**SEC4)
-    rates = neutral_cubic_rates(**SEC4)
+    rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
     xi = constant_segment(1.0)
     grid = make_grid(1.0, 2.0, 0.025)
     paths = simulate(model, xi, grid, generate(grid, 1, SEED, range(1000)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nsdde_sim import (
     BrownianPath,
     DimensionMismatch,
-    IncompatibleFactor,
     InvalidRange,
     coarsen,
     generate,
@@ -118,7 +117,7 @@ def test_coarsen_rejects_bad_factors(factor):
     # 3 and 7 do not divide steps_per_delay=20; 1, 0, negatives and
     # non-integral floats are rejected outright
     path = generate(GRID, 1, seed=0, path_index=[0])
-    with pytest.raises(IncompatibleFactor):
+    with pytest.raises(InvalidRange):
         coarsen(path, factor)
 
 

@@ -54,6 +54,7 @@ def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delaye
         local_rate_delayed=constant_rate(local_delayed),
         growth_delay_factor=1.0,
         local_delay_factor=1.0,
+        box_radius=2.0,
     )
 
 
@@ -64,7 +65,7 @@ class TestSpecValidation:
                 flat_spec(kappa=kappa)
 
     def test_delay_factors_capped_by_contraction(self):
-        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0)
+        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
         assert max(spec.growth_delay_factor, spec.local_delay_factor) <= 1.0 / spec.kappa
         with pytest.raises(InvalidRange):
             ConditionSpec(
@@ -75,6 +76,7 @@ class TestSpecValidation:
                 local_rate_delayed=constant_rate(0.0),
                 growth_delay_factor=2.5,  # > 1/kappa = 2
                 local_delay_factor=1.0,
+                box_radius=2.0,
             )
 
     def test_rate_constants_non_negative(self):
@@ -208,7 +210,7 @@ def test_propose_constant_rates_heuristic(cubic_model):
 
 class TestCubicRateBundle:
     def test_frozen_values(self):
-        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0)
+        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
         assert spec.kappa == 0.5
         # K1(0) = 4 * (e^0 + e^0) = 8, and the delayed rate is k^2 K1
         assert spec.growth_rate(0.0) == 8.0
@@ -217,7 +219,7 @@ class TestCubicRateBundle:
         assert spec.local_delay_factor == 1.0
 
     def test_zero_k_still_valid(self):
-        spec = neutral_cubic_rates(0.0, -1.0, -1.0, 1.0)
+        spec = neutral_cubic_rates(0.0, -1.0, -1.0, 1.0, 2.0)
         assert 0.0 < spec.kappa < 1.0
 
     @settings(max_examples=30, deadline=None)
@@ -228,7 +230,7 @@ class TestCubicRateBundle:
     def test_bundle_always_constructible(self, k, c2):
         # the side condition C1(tau) <= 1/kappa must hold for every admissible
         # parameter combination, so construction never raises
-        spec = neutral_cubic_rates(k, c2 - 1.0, c2, 1.0)
+        spec = neutral_cubic_rates(k, c2 - 1.0, c2, 1.0, 2.0)
         assert spec.growth_rate(0.0) > 0.0
 
 
@@ -505,24 +507,26 @@ def test_coefficient_calls_per_distinct_sampled_time(check):
     # per distinct sampled time, together on every sample (both points of a
     # pair) at that time.  500 draws hit all 21 grid times of [0, 2].
     calls, times = Counter(), {"drift": [], "diffusion": []}
+    plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            calls[name + "_rows"] += len(args[0])
+            # a pair stack (2, n, state_dim) holds 2 n points
+            calls[name + "_rows"] += args[0].size // plain.state_dim
             if name in times:
                 times[name].append(args[2])
             return fn(*args)
         return wrapper
 
-    plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
     if check == "propose_constant_rates":
         propose_constant_rates(model, GRID, 2.0, 500, seed=5)
         rows = 2 * 500
     else:
-        report = BATCHED[check](model, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0), GRID, 500, 5)
+        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
+        report = BATCHED[check](model, spec, GRID, 500, 5)
         rows = (1 if check == "check_coercivity" else 2) * report.samples_tested
     sampled = GRID.times[GRID.steps_per_delay:].tolist()
     assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
@@ -545,6 +549,7 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
         local_rate_delayed=constant_rate(0.0),
         growth_delay_factor=1.0,
         local_delay_factor=1.0,
+        box_radius=2.0,
     )
     for model in (mixing_model(), blowup_model()):
         for check in ("check_coercivity", "check_monotonicity"):

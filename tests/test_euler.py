@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsdde_sim import (
+    BrownianPath,
     DimensionMismatch,
     IncompatibleGrids,
     IncompatibleNoise,
@@ -222,6 +223,18 @@ def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
     shifted = make_grid(1.0, 3.0, 0.05)
     with pytest.raises(IncompatibleGrids):
         refine_to(coarse, cubic_model, unit_segment, shifted, generate(shifted, 1, 1, [0]))
+
+
+def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
+    # the step counts nest (20 per delay, 40 in all, against 10 and 20) and the
+    # fine noise coarsens exactly onto the driver, but the fine delay is 0.5
+    coarse_grid = make_grid(1.0, 2.0, 0.1)
+    other = make_grid(0.5, 1.0, 0.025)
+    fine_noise = generate(other, 1, 1, [0])
+    driver = BrownianPath(coarse_grid, 1, coarsen(fine_noise, 2).increments, 1, (0,))
+    coarse = simulate(cubic_model, unit_segment, coarse_grid, driver)
+    with pytest.raises(IncompatibleGrids):
+        refine_to(coarse, cubic_model, unit_segment, other, fine_noise)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nsdde_sim import (
     DelayGrid,
+    IncompatibleGrids,
     InvalidRange,
     NonDivisibleStep,
     make_grid,
@@ -127,3 +128,24 @@ def test_times_match_the_fraction_formula(tau, n):
     assert grid.times[2 * n] == tau
     assert grid.times[-1] == horizon
     assert make_grid(tau, horizon, tau / n) == grid
+
+
+@pytest.mark.parametrize("coarse, fine, factor", [
+    ((1.0, 2.0, 0.1), (1.0, 2.0, 0.1), 1),
+    ((1.0, 2.0, 0.1), (1.0, 2.0, 0.05), 2),
+    ((1.0, 2.0, 0.1), (1.0, 2.0, 0.0125), 8),
+    ((0.3, 0.9, 0.1), (0.3, 0.9, 0.02), 5),
+])
+def test_refinement_of_nested_grids(coarse, fine, factor):
+    assert make_grid(*coarse).refinement(make_grid(*fine)) == factor
+
+
+@pytest.mark.parametrize("fine", [
+    (0.5, 1.0, 0.05),  # another delay, with the same step counts (10 and 20)
+    (1.0, 2.0, 0.04),  # 0.1 / 0.04 = 2.5 fine steps per coarse step
+    (1.0, 3.0, 0.05),  # another horizon
+    (1.0, 2.0, 0.2),  # coarser, not finer
+])
+def test_refinement_rejects_grids_that_do_not_nest(fine):
+    with pytest.raises(IncompatibleGrids):
+        make_grid(1.0, 2.0, 0.1).refinement(make_grid(*fine))
