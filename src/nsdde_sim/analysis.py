@@ -138,7 +138,7 @@ def converge_study(
     """
     if len(ladder) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     if n_paths < 1:
         raise InvalidRange("n_paths must be >= 1")
@@ -218,7 +218,7 @@ def perturbation_integrability(
     coarse nodes is integrated exactly (the estimator reproduces the
     closed form c*M*delta^2/2 for constant drift to rounding error).
     """
-    if radius <= 0.0 or n_paths < 1:
+    if not radius > 0.0 or n_paths < 1:
         raise InvalidRange("need a positive radius and n_paths >= 1")
     grids = _ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
@@ -295,7 +295,7 @@ def estimate_moments(
     """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise InvalidRange(f"radius must be positive, got {radius}")
     grid = make_grid(model.delay, horizon, delta)
     n0 = grid.steps_per_delay
@@ -331,9 +331,9 @@ def power_split_bound(a, b, p: float, epsilon: float):
     Accepts scalars or arrays; returns (lhs, rhs) elementwise.  Valid for
     p > 1 and epsilon > 0.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise InvalidRange(f"p must exceed 1, got {p}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -370,7 +370,7 @@ def check_contraction_sup_bound(
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    if p <= 1.0:
+    if not p > 1.0:
         raise InvalidRange(f"p must exceed 1, got {p}")
     n0 = path.grid.steps_per_delay
     states = path.values[n0:]

@@ -4,8 +4,8 @@ Stream derivation is pinned so results are reproducible and order
 independent: path ``i`` draws from a Philox(4x64-10) bit generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(path_index,))``, transformed by
 numpy's ziggurat ``standard_normal`` and scaled by ``sqrt(delta)``.  Paths
-can therefore be stacked in any order and any number without changing any
-stream: the row of path ``i`` is bitwise the same in every stack.
+can therefore be stacked in any order and number: the row of path ``i`` is
+bitwise the same in every stack, and a stack stores no seed or index.
 
 Refinement works by aggregation: increments are generated at the finest
 grid in play and coarser drivers are obtained by summing blocks of fine
@@ -32,31 +32,26 @@ class BrownianPath:
 
     ``increments[p, l, j]`` is component ``j`` of B(t_{l+1}) - B(t_l) on
     row ``p``, for l = 0 .. total_steps - 1, so the shape is
-    ``(paths, total_steps, noise_dim)``.  ``seed`` and ``path_index`` record
-    the streams the rows were drawn from, one index per row (coarsened
-    paths keep the originals).
+    ``(paths, total_steps, noise_dim)``.  No provenance is stored: the seed
+    and path indices a stack was drawn for stay with the caller.
     """
 
     grid: DelayGrid
-    noise_dim: int
     increments: np.ndarray
-    seed: int
-    path_index: tuple[int, ...]
 
     def __post_init__(self):
-        if self.noise_dim < 1:
-            raise InvalidRange("noise_dim must be >= 1")
-        if not isinstance(self.path_index, tuple):
-            raise InvalidRange(f"path_index must be a tuple, got {self.path_index!r}")
-        shape = (len(self.path_index), self.grid.total_steps, self.noise_dim)
-        if self.increments.shape != shape:
-            raise DimensionMismatch(
-                f"increments shape {self.increments.shape} does not match {shape}"
-            )
+        shape = self.increments.shape
+        if len(shape) != 3 or shape[1] != self.grid.total_steps or 0 in shape:
+            raise DimensionMismatch(f"increments shape {shape} is not (paths, "
+                                    f"{self.grid.total_steps}, noise_dim), all >= 1")
+
+    @property
+    def noise_dim(self) -> int:
+        return self.increments.shape[-1]
 
     def partial_sums(self) -> np.ndarray:
         """B(t_l) - B(0) for l = 0 .. total_steps, shape (paths, M + 1, noise_dim)."""
-        out = np.zeros((len(self.path_index), self.grid.total_steps + 1, self.noise_dim))
+        out = np.zeros((len(self.increments), self.grid.total_steps + 1, self.noise_dim))
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         return out
 
@@ -86,7 +81,7 @@ def generate(
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
         np.random.Generator(np.random.Philox(ss)).standard_normal(out=row)
     increments *= math.sqrt(grid.delta)
-    return BrownianPath(grid, noise_dim, increments, seed, indices)
+    return BrownianPath(grid, increments)
 
 
 def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
@@ -109,12 +104,8 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
     coarse_grid = DelayGrid(
         grid.tau, grid.horizon, grid.steps_per_delay // factor, grid.total_steps // factor
     )
-    blocks = path.increments.reshape(
-        (len(path.path_index), grid.total_steps // factor, factor, path.noise_dim)
-    )
-    return BrownianPath(
-        coarse_grid, path.noise_dim, _pairwise_block_sum(blocks), path.seed, path.path_index
-    )
+    blocks = path.increments.reshape((len(path.increments), -1, factor, path.noise_dim))
+    return BrownianPath(coarse_grid, _pairwise_block_sum(blocks))
 
 
 def _pairwise_block_sum(blocks: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from .errors import ConfigError, NsddeError
 from .euler import simulate
 from .model import (
     InitialSegment,
-    NsddeModel,
     affine_segment,
     builtin_model,
     constant_segment,
@@ -53,13 +52,13 @@ _ALGORITHMS = {
     "quadrature": "per-interval trapezoid with cell-local coarse anchor",
 }
 
-_TOP_KEYS = {
-    "model", "tau", "horizon", "ladder", "epsilon", "n_paths", "seed", "xi",
-    "box_radius", "samples", "output_dir", "rates", "truncation_radius",
-}
-_RATE_KEYS = {
-    "kappa", "growth_rate", "growth_rate_delayed", "local_rate",
-    "local_rate_delayed", "growth_delay_factor", "local_delay_factor",
+# The "rates" object holds every ConditionSpec field but the box, which is
+# the config's own box_radius.
+_RATE_KEYS = {f.name for f in fields(conditions.ConditionSpec)} - {"box_radius"}
+# xi kind -> (segment factory, the factory's parameters before ``dim``)
+_XI_KINDS = {
+    "constant": (constant_segment, ("value",)),
+    "affine": (affine_segment, ("a", "b")),
 }
 
 
@@ -74,7 +73,7 @@ class RunConfig:
     ladder: list
     seed: int
     xi_kind: str = "constant"
-    xi_args: dict = field(default_factory=dict)
+    xi_args: tuple = (0.0,)
     epsilon: float | None = None
     n_paths: int | None = None
     box_radius: float = 2.0
@@ -109,6 +108,13 @@ def _whole(key: str, value) -> int:
     return value
 
 
+# Optional positive numbers, key -> parser; RunConfig holds their defaults.
+_POSITIVE_KEYS = {"epsilon": _real, "n_paths": _whole, "box_radius": _real,
+                  "samples": _whole, "truncation_radius": _real}
+_TOP_KEYS = {"model", "tau", "horizon", "ladder", "seed", "xi", "output_dir", "rates",
+             *_POSITIVE_KEYS}
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration (fail-closed)."""
     try:
@@ -141,19 +147,14 @@ def load_config(path: str | Path) -> RunConfig:
         _real(f"model.params.{key}", value)
 
     xi = doc.get("xi", {"kind": "constant", "value": 0.0})
-    if not isinstance(xi, dict) or xi.get("kind") not in ("constant", "affine"):
-        raise ConfigError('config "xi.kind" must be "constant" or "affine"')
-    if xi["kind"] == "constant":
-        allowed = {"kind", "value"}
-        xi_args = {"value": _real("xi.value", _need(xi, "value"))}
-    else:
-        allowed = {"kind", "a", "b"}
-        xi_args = {
-            "a": _real("xi.a", _need(xi, "a")),
-            "b": _real("xi.b", _need(xi, "b")),
-        }
-    if set(xi) - allowed:
-        raise ConfigError(f"unknown xi keys: {sorted(set(xi) - allowed)}")
+    xi_kind = xi.get("kind") if isinstance(xi, dict) else None
+    if not isinstance(xi_kind, str) or xi_kind not in _XI_KINDS:
+        raise ConfigError(f'config "xi.kind" must be one of {sorted(_XI_KINDS)}')
+    xi_names = _XI_KINDS[xi_kind][1]
+    xi_args = tuple(_real(f"xi.{name}", _need(xi, name)) for name in xi_names)
+    unknown = set(xi) - {"kind", *xi_names}
+    if unknown:
+        raise ConfigError(f"unknown xi keys: {sorted(unknown)}")
 
     ladder = _need(doc, "ladder")
     if not isinstance(ladder, list) or not ladder:
@@ -182,60 +183,36 @@ def load_config(path: str | Path) -> RunConfig:
         horizon=_real("horizon", _need(doc, "horizon")),
         ladder=ladder,
         seed=seed,
-        xi_kind=xi["kind"],
+        xi_kind=xi_kind,
         xi_args=xi_args,
+        rates=rates,
         raw=doc,
     )
-    if "epsilon" in doc:
-        cfg.epsilon = _real("epsilon", doc["epsilon"])
-        if cfg.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-    if "n_paths" in doc:
-        cfg.n_paths = _whole("n_paths", doc["n_paths"])
-        if cfg.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
-    if "box_radius" in doc:
-        cfg.box_radius = _real("box_radius", doc["box_radius"])
-        if cfg.box_radius <= 0:
-            raise ConfigError("box_radius must be positive")
-    if "samples" in doc:
-        cfg.samples = _whole("samples", doc["samples"])
-        if cfg.samples < 1:
-            raise ConfigError("samples must be >= 1")
-    if "truncation_radius" in doc:
-        cfg.truncation_radius = _real("truncation_radius", doc["truncation_radius"])
-        if cfg.truncation_radius <= 0:
-            raise ConfigError("truncation_radius must be positive")
+    for key, parse in _POSITIVE_KEYS.items():
+        if key in doc:
+            value = parse(key, doc[key])
+            if value <= 0:
+                raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+            setattr(cfg, key, value)
     if "output_dir" in doc:
         if not isinstance(doc["output_dir"], str):
             raise ConfigError('config "output_dir" must be a string')
         cfg.output_dir = doc["output_dir"]
-    cfg.rates = rates
     return cfg
 
 
-def _build_model(cfg: RunConfig) -> NsddeModel:
-    return builtin_model(cfg.model_id, cfg.tau, cfg.params)
-
-
 def _build_segment(cfg: RunConfig, dim: int) -> InitialSegment:
-    if cfg.xi_kind == "constant":
-        return constant_segment(cfg.xi_args["value"], dim)
-    return affine_segment(cfg.xi_args["a"], cfg.xi_args["b"], dim)
+    return _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, dim)
 
 
 def _build_rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec:
     if cfg.rates is not None:
-        r = cfg.rates
+        # float fields are taken as given; each rate function is a constant
+        kinds = {f.name: f.type for f in fields(conditions.ConditionSpec)}
         return conditions.ConditionSpec(
-            kappa=r["kappa"],
-            growth_rate=conditions.constant_rate(r["growth_rate"]),
-            growth_rate_delayed=conditions.constant_rate(r["growth_rate_delayed"]),
-            local_rate=conditions.constant_rate(r["local_rate"]),
-            local_rate_delayed=conditions.constant_rate(r["local_rate_delayed"]),
-            growth_delay_factor=r["growth_delay_factor"],
-            local_delay_factor=r["local_delay_factor"],
             box_radius=cfg.box_radius,
+            **{k: v if kinds[k] == "float" else conditions.constant_rate(v)
+               for k, v in cfg.rates.items()},
         )
     if cfg.model_id == "sec4":
         return conditions.neutral_cubic_rates(
@@ -300,7 +277,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
     _require(cfg, "simulate", "n_paths")
     if len(cfg.ladder) != 1:
         raise ConfigError("simulate expects a single-entry ladder")
-    model = _build_model(cfg)
+    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
     xi = _build_segment(cfg, model.state_dim)
     grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
 
@@ -333,7 +310,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
 
 def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "converge", "n_paths", "epsilon")
-    model = _build_model(cfg)
+    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
     xi = _build_segment(cfg, model.state_dim)
     table = analysis.converge_study(
         model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, seed
@@ -358,7 +335,7 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "moments", "n_paths")
     if len(cfg.ladder) != 1:
         raise ConfigError("moments expects a single-entry ladder")
-    model = _build_model(cfg)
+    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
     xi = _build_segment(cfg, model.state_dim)
     report = analysis.estimate_moments(
         model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
@@ -375,7 +352,7 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
 
 def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "perturbation", "n_paths")
-    model = _build_model(cfg)
+    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
     xi = _build_segment(cfg, model.state_dim)
     try:
         weight = _build_rate_bundle(cfg).local_rate
@@ -400,7 +377,7 @@ def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> 
 
 def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     _require(cfg, "check", "samples")
-    model = _build_model(cfg)
+    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
     spec = _build_rate_bundle(cfg)
     grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
 

@@ -105,7 +105,7 @@ class ConditionSpec:
 
 def constant_rate(value: float) -> Callable[[float], float]:
     """Rate function that is constant in time."""
-    if value < 0.0:
+    if not value >= 0.0:
         raise InvalidRange(f"rate constants must be non-negative, got {value}")
     return lambda t: value
 
@@ -447,7 +447,7 @@ def neutral_cubic_rates(
     """
     if not -1.0 < k < 1.0:
         raise InvalidRange(f"k must lie in (-1, 1), got {k}")
-    if c1 > c2 or c2 > 0.0:
+    if not c1 <= c2 <= 0.0:
         raise InvalidRange(f"need c1 <= c2 <= 0, got c1={c1}, c2={c2}")
     kabs = abs(k)
     kappa = kabs if kabs > 0.0 else 0.5

@@ -71,7 +71,7 @@ class PathGrid:
 
     def __post_init__(self):
         n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
-        n_paths = len(self.noise.path_index)
+        n_paths = len(self.noise.increments)
         if self.values.ndim != 3 or self.values.shape[:2] != (n_rows, n_paths):
             raise DimensionMismatch(
                 f"values shape {self.values.shape} does not match grid ({n_rows} rows) "

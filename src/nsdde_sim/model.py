@@ -202,7 +202,7 @@ def neutral_cubic_model(k: float, c1: float, c2: float, tau: float) -> NsddeMode
     """
     if not -1.0 < k < 1.0:
         raise InvalidRange(f"neutral coefficient k must lie in (-1, 1), got {k}")
-    if c1 > c2 or c2 > 0.0 or c1 > 0.0:
+    if not c1 <= c2 <= 0.0:
         raise InvalidRange(f"need c1 <= c2 <= 0, got c1={c1}, c2={c2}")
     ksq = k * k
 

@@ -25,6 +25,8 @@ from nsdde_sim import (
     generate,
     linear_delay_ode,
     make_grid,
+    neutral_cubic_model,
+    neutral_cubic_rates,
     perturbation_integrability,
     power_split_bound,
     pure_neutral,
@@ -266,6 +268,27 @@ def test_moments_all_diverged_raises():
 def test_moments_need_two_paths(cubic_model, unit_segment):
     with pytest.raises(InvalidRange):
         estimate_moments(cubic_model, unit_segment, 2.0, 0.1, n_paths=1, seed=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, xi: neutral_cubic_model(0.5, NAN, -1.0, 1.0),
+    lambda m, xi: neutral_cubic_rates(0.5, -1.0, NAN, 1.0, 2.0),
+    lambda m, xi: constant_rate(NAN),
+    lambda m, xi: converge_study(m, xi, 2.0, [0.1, 0.05], NAN, 4, 0),
+    lambda m, xi: perturbation_integrability(m, xi, 2.0, [0.1, 0.05], 4, 0, NAN,
+                                             constant_rate(1.0)),
+    lambda m, xi: estimate_moments(m, xi, 2.0, 0.1, 4, 0, radius=NAN),
+    lambda m, xi: power_split_bound(1.0, 1.0, NAN, 1.0),
+    lambda m, xi: power_split_bound(1.0, 1.0, 2.0, NAN),
+], ids=["cubic_model_c1", "cubic_rates_c2", "constant_rate", "converge_epsilon",
+        "perturbation_radius", "moments_radius", "power_split_p", "power_split_epsilon"])
+def test_nan_fails_range_checks(cubic_model, unit_segment, call):
+    # each check is written so that NaN fails it, before any work is done
+    with pytest.raises(InvalidRange):
+        call(cubic_model, unit_segment)
 
 
 # --- elementary inequalities ------------------------------------------------

@@ -52,11 +52,9 @@ def test_stacked_paths_match_single_paths():
     # the one-path stack of its index
     stack = generate(GRID, 2, seed=11, path_index=[5, 0, 3])
     assert stack.increments.shape == (3, GRID.total_steps, 2)
-    assert stack.path_index == (5, 0, 3)
     coarse, sums = coarsen(stack, 4), stack.partial_sums()
     for row, index in enumerate((5, 0, 3)):
         single = generate(GRID, 2, seed=11, path_index=[index])
-        assert single.path_index == (index,)
         assert stack.increments[row].tobytes() == single.increments[0].tobytes()
         assert coarse.increments[row].tobytes() == coarsen(single, 4).increments[0].tobytes()
         assert sums[row].tobytes() == single.partial_sums()[0].tobytes()
@@ -67,9 +65,6 @@ def test_scalar_path_index_is_rejected(index):
     # one path is a one-path stack, path_index=[i]; a bare index is an error
     with pytest.raises(InvalidRange, match="sequence"):
         generate(GRID, 1, seed=0, path_index=index)
-    increments = np.zeros((1, GRID.total_steps, 1))
-    with pytest.raises(InvalidRange, match="tuple"):
-        BrownianPath(GRID, 1, increments, seed=0, path_index=index)
 
 
 def test_coarsen_sums_blocks():
@@ -123,9 +118,8 @@ def test_coarsen_rejects_bad_factors(factor):
 
 def test_increment_shape_validated():
     with pytest.raises(DimensionMismatch):
-        BrownianPath(GRID, 1, np.zeros((1, 5, 1)), seed=0, path_index=(0,))
+        BrownianPath(GRID, np.zeros((1, 5, 1)))
     with pytest.raises(DimensionMismatch):
-        BrownianPath(GRID, 2, np.zeros((1, GRID.total_steps)), seed=0, path_index=(0,))
+        BrownianPath(GRID, np.zeros((1, GRID.total_steps)))
     with pytest.raises(DimensionMismatch):
-        # one row of increments recorded against two path indices
-        BrownianPath(GRID, 1, np.zeros((1, GRID.total_steps, 1)), seed=0, path_index=(0, 1))
+        BrownianPath(GRID, np.zeros((1, GRID.total_steps, 0)))

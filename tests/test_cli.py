@@ -54,7 +54,7 @@ class TestLoadConfig:
 
     def test_xi_kinds(self, tmp_path):
         cfg = load_config(write_config(tmp_path, xi={"kind": "affine", "a": 1.0, "b": 2.0}))
-        assert cfg.xi_kind == "affine" and cfg.xi_args == {"a": 1.0, "b": 2.0}
+        assert cfg.xi_kind == "affine" and cfg.xi_args == (1.0, 2.0)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, xi={"kind": "spline", "value": 1.0}))
 
@@ -74,6 +74,15 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, seed=-1))
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, epsilon=0.0))
+
+    @pytest.mark.parametrize(
+        "key", ["epsilon", "n_paths", "box_radius", "samples", "truncation_radius"]
+    )
+    def test_optional_numbers_must_be_positive(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, **{key: 0})
+        assert main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be positive" in err and err.count("\n") == 1
 
     def test_ladder_must_decrease(self, tmp_path):
         with pytest.raises(ConfigError, match="decreasing"):

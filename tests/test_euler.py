@@ -15,6 +15,7 @@ from nsdde_sim import (
     DimensionMismatch,
     IncompatibleGrids,
     IncompatibleNoise,
+    InitialSegment,
     NsddeError,
     NsddeModel,
     PathGrid,
@@ -231,7 +232,7 @@ def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     other = make_grid(0.5, 1.0, 0.025)
     fine_noise = generate(other, 1, 1, [0])
-    driver = BrownianPath(coarse_grid, 1, coarsen(fine_noise, 2).increments, 1, (0,))
+    driver = BrownianPath(coarse_grid, coarsen(fine_noise, 2).increments)
     coarse = simulate(cubic_model, unit_segment, coarse_grid, driver)
     with pytest.raises(IncompatibleGrids):
         refine_to(coarse, cubic_model, unit_segment, other, fine_noise)
@@ -488,3 +489,25 @@ def test_coefficient_calls_per_delay_window():
     calls.clear()
     refine_to(path, model, xi, fine, fine_noise)
     assert calls == {"neutral": 1 + math.ceil(fine.total_steps / fine.steps_per_delay)}
+
+
+def test_exact_zero_noise_term_keeps_a_positive_zero():
+    # With sigma = -1 and dB = 0 the noise term is +0.0, as numpy's matmul
+    # sums from +0.0; a shortcut sigma[..., 0] * dB for one noise component
+    # gives -0.0.  Every other term of the first step is -0.0 here (xi is
+    # +0.0 only at -tau, D and b keep the sign of zero), so that sign
+    # reaches the state, and a path CSV would print "-0" instead of "0".
+    xi = InitialSegment(lambda t: np.full(1, 0.0 if t == -1.0 else -0.0))
+    model = NsddeModel(
+        1, 1, 1.0,
+        neutral=lambda y: 0.5 * y,
+        drift=lambda x, y, t: 0.5 * x,
+        diffusion=lambda x, y, t: np.full((1, 1), -1.0),
+    )
+    coarse, fine = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
+    fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
+    path = simulate(model, xi, coarse, coarsen(fine_noise, 2))
+    refined = refine_to(path, model, xi, fine, fine_noise)
+    for grid, values in ((coarse, path.values), (fine, refined.values)):
+        after_zero = values[grid.steps_per_delay + 1 :].ravel()
+        assert [format(v, ".17g") for v in after_zero] == ["0"] * grid.total_steps
