@@ -79,7 +79,7 @@ class ConditionSpec:
     The four rate functions must be finite and non-negative on
     [-tau, horizon].  ``growth_delay_factor`` and ``local_delay_factor``
     are the admissible ratios C1(tau) and CR(tau) in the delay-comparison
-    inequalities; their maximum may not exceed 1/kappa.
+    inequalities; each must lie in [0, 1/kappa].
     """
 
     kappa: float
@@ -94,12 +94,12 @@ class ConditionSpec:
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
             raise InvalidRange(f"kappa must lie in (0, 1), got {self.kappa}")
-        if max(self.growth_delay_factor, self.local_delay_factor) > 1.0 / self.kappa:
-            raise InvalidRange(
-                "delay factors exceed 1/kappa "
-                f"(max {max(self.growth_delay_factor, self.local_delay_factor)} "
-                f"> {1.0 / self.kappa})"
-            )
+        for name in ("growth_delay_factor", "local_delay_factor"):
+            factor = getattr(self, name)
+            if not 0.0 <= factor <= 1.0 / self.kappa:  # NaN fails too
+                raise InvalidRange(
+                    f"{name} must lie in [0, 1/kappa] = [0, {1.0 / self.kappa}], got {factor}"
+                )
         _check_sampling(self.box_radius, samples=1, dim=1)
 
 
@@ -391,6 +391,39 @@ def check_integrability(
     return _finish("H", len(times) * len(pairs), samples, violations, estimate=total)
 
 
+def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
+    """The time indices ``(samples,)`` and blocks ``(samples, 4, dim)`` that calling
+    ``rng.integers(0, n)`` then ``rng.uniform(-box, box, (4, dim))`` once per sample
+    on ``rng = np.random.default_rng(seed)`` draws, bitwise.
+
+    With PCG64 they are a fixed function of one raw 64-bit output block.  Samples
+    2q and 2q + 1 share one output for their integers: numpy's Lemire bounded draw
+    takes its low 32-bit half u, buffers the high half for the next draw, and
+    returns (u * n) >> 32.  Each double is (output >> 11) * 2**-53, scaled as
+    low + (high - low) * u.  Where a Lemire step would reject a half (the low 32
+    bits of u * n below (2**32 - n) % n) and draw again, for n < 2, n > 2**32 or
+    another bit generator, the per-sample calls are made instead."""
+    rng = np.random.default_rng(seed)
+    bit_gen = rng.bit_generator
+    if 2 <= n <= 2**32 and bit_gen.state["bit_generator"] == "PCG64":
+        width, pairs = 4 * dim, (samples + 1) // 2
+        # per pair: one integer output, then sample 2q's and sample 2q + 1's block
+        # (an odd count draws one unused block, and this generator is discarded)
+        rows = bit_gen.random_raw(pairs * (1 + 2 * width)).reshape(pairs, -1)
+        halves = np.stack([rows[:, 0] & 0xFFFFFFFF, rows[:, 0] >> 32], axis=1)
+        scaled = halves.reshape(-1)[:samples] * np.uint64(n)
+        if not ((scaled & 0xFFFFFFFF) < (2**32 - n) % n).any():
+            units = (rows[:, 1:].reshape(2 * pairs, 4, dim)[:samples] >> 11) * 2.0**-53
+            return (scaled >> 32).astype(np.int64), -box + (box - -box) * units
+        rng = np.random.default_rng(seed)
+    idx = np.empty(samples, dtype=np.int64)
+    blocks = np.empty((samples, 4, dim))
+    for i in range(samples):
+        idx[i] = rng.integers(0, n)
+        blocks[i] = rng.uniform(-box, box, size=(4, dim))
+    return idx, blocks
+
+
 @np.errstate(all="ignore")
 def propose_constant_rates(
     model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
@@ -403,15 +436,14 @@ def propose_constant_rates(
     left side divided by |x - x'|^2 + |y - y'|^2.  Purely empirical — valid
     at best on the sampled box, with no correctness guarantee; intended as
     a starting point when no derived bundle is available.
+
+    Each sample in turn draws a grid time, then its (x, y, x', y') block, from
+    ``default_rng(seed)``; :func:`_interleaved_draws` replays them in one pass.
     """
     _check_sampling(box, samples, model.state_dim)
-    rng = np.random.default_rng(seed)
     times = grid.times[grid.steps_per_delay:]
-    ts = np.empty(samples)
-    quads = np.empty((samples, 4, model.state_dim))
-    for i in range(samples):  # a time, then a (4, d) block, per sample: the stream order
-        ts[i] = times[rng.integers(0, len(times))]
-        quads[i] = rng.uniform(-box, box, size=(4, model.state_dim))
+    idx, quads = _interleaved_draws(seed, len(times), float(box), model.state_dim, samples)
+    ts = times[idx]
     x, y, xb, yb = (quads[:, k] for k in range(4))
 
     pair = np.stack([x, xb])

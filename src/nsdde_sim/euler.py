@@ -49,7 +49,7 @@ from .model import DelayGrid, InitialSegment, NsddeModel
 
 @dataclass(frozen=True)
 class PathGrid:
-    """A stack of solution paths sampled on a delay grid.
+    """A stack of solution paths sampled on the delay grid of their noise.
 
     ``values`` has shape ``(N + M + 1, paths, state_dim)``:
     ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
@@ -64,7 +64,6 @@ class PathGrid:
     other way has ``None``.
     """
 
-    grid: DelayGrid
     values: np.ndarray
     noise: BrownianPath
     steps: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
@@ -77,6 +76,11 @@ class PathGrid:
                 f"values shape {self.values.shape} does not match grid ({n_rows} rows) "
                 f"and noise ({n_paths} paths)"
             )
+
+    @property
+    def grid(self) -> DelayGrid:
+        """The grid of the driving noise, which the values are sampled on."""
+        return self.noise.grid
 
     @property
     def state_dim(self) -> int:
@@ -145,7 +149,7 @@ def simulate(
                 vals[il + 1] = (
                     d_lag[l + 1 - w] + x - d_lag[l - w] + b * dt + _noise_term(s, dbs[l])
                 )
-    return PathGrid(grid, vals, noise, (b_steps, s_steps))
+    return PathGrid(vals, noise, (b_steps, s_steps))
 
 
 def refine_to(
@@ -210,7 +214,7 @@ def refine_to(
                 model.neutral(rows[cell, 1:]) + base[cell, None] + b_steps[cell, None] * offs
                 + _noise_term(s_steps[cell, None], bsum[cell, 1:] - bsum[cell, :1])
             )
-    return PathGrid(fine_grid, out, fine_noise)
+    return PathGrid(out, fine_noise)
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:

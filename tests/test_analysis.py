@@ -346,7 +346,7 @@ def test_sup_bound_detects_understated_contraction():
     grid = make_grid(1.0, 4.0, 0.5)
     w = [1.0, 1.9, 2.71, 3.439]
     values = np.array([0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]).reshape(-1, 1, 1)
-    path = PathGrid(grid, values, generate(grid, 1, 0, [0]))
+    path = PathGrid(values, generate(grid, 1, 0, [0]))
     ok, first_bad = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.5)
     assert ok.tolist() == [False]
     assert first_bad.tolist() == [5]  # X(2.5) = 2.71, 2.71^2 > 4
@@ -363,7 +363,7 @@ def test_sup_bound_reports_a_diverged_path_as_not_ok():
     violating = [0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]
     blown_up = [0.0, 0.0, 0.0, 0.5, 0.5] + [np.inf] * 6
     values = np.array([violating, [1.0] * 11, blown_up]).T[:, :, None]
-    stack = PathGrid(grid, values, generate(grid, 1, 0, range(3)))
+    stack = PathGrid(values, generate(grid, 1, 0, range(3)))
     assert stack.finite.tolist() == [True, True, False]
     ok, first_bad = check_contraction_sup_bound(stack, lambda y: 0.9 * y, kappa=0.5)
     assert ok.tolist() == [False, True, False]

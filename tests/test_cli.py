@@ -269,6 +269,19 @@ class TestExitCodes:
         )
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("key", ["growth_delay_factor", "local_delay_factor"])
+    def test_negative_delay_factor_is_2(self, tmp_path, capsys, key):
+        rates = {
+            "kappa": 0.5, "growth_rate": 1.0, "growth_rate_delayed": 0.0,
+            "local_rate": 1.0, "local_rate_delayed": 0.0,
+            "growth_delay_factor": 1.0, "local_delay_factor": 1.0, key: -0.5,
+        }
+        cfg = write_config(tmp_path, model={"id": "cubic_drift", "params": {}}, samples=10,
+                           rates=rates)
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
     def test_check_without_rates_is_2(self, tmp_path):
         cfg = write_config(tmp_path, model={"id": "cubic_drift", "params": {}}, samples=10)
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2

@@ -36,6 +36,7 @@ from nsdde_sim.conditions import (
     SLACK,
     ConditionReport,
     Violation,
+    _interleaved_draws,
     _rowdot,
     _rownorm,
     _sqsum,
@@ -78,6 +79,15 @@ class TestSpecValidation:
                 local_delay_factor=1.0,
                 box_radius=2.0,
             )
+
+    @pytest.mark.parametrize("field", ["growth_delay_factor", "local_delay_factor"])
+    @pytest.mark.parametrize("factor", [math.nan, -0.5, math.inf, 2.5])
+    def test_each_delay_factor_lies_in_zero_to_one_over_kappa(self, field, factor):
+        # NaN must fail in either position, as max(nan, 1.0) would not
+        with pytest.raises(InvalidRange, match=field):
+            replace(flat_spec(), **{field: factor})
+        for end in (0.0, 2.0):  # the ends of [0, 1/kappa] pass
+            assert getattr(replace(flat_spec(), **{field: end}), field) == end
 
     def test_rate_constants_non_negative(self):
         with pytest.raises(InvalidRange):
@@ -421,6 +431,77 @@ def ref_propose_constant_rates(model, grid, box, samples, seed):
             lhs3 = _ref_local_lhs(x, xb, coeffs, _ref_coefficients(model, xb, yb, t))
             local = max(local, lhs3 / gap)
     return {"growth_rate": growth, "local_rate": local}
+
+
+def _sequential_draws(seed, n, box, dim, samples):
+    """The per-sample calls that ``_interleaved_draws`` replays."""
+    rng = np.random.default_rng(seed)
+    idx, blocks = np.empty(samples, dtype=np.int64), np.empty((samples, 4, dim))
+    for i in range(samples):
+        idx[i] = rng.integers(0, n)
+        blocks[i] = rng.uniform(-box, box, size=(4, dim))
+    return idx, blocks
+
+
+def _lemire_rejects(u, n):
+    """Whether numpy's bounded draw of [0, n) rejects the 32-bit value u and redraws."""
+    return (u * n) % 2**32 < (2**32 - n) % n
+
+
+# n = 3 * 2**30 rejects every u = 0 mod 4, so a quarter of the draws fall back
+@pytest.mark.parametrize("n", [2, 3, 21, 1000, 2**31 + 1, 3 * 2**30])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interleaved_draws_replay_the_generator_calls(n, dim):
+    for seed in (0, 1, 7, 20260815):
+        for samples in (1, 2, 3, 500):
+            box = 2.0 if seed % 2 else 0.7
+            got = _interleaved_draws(seed, n, box, dim, samples)
+            want = _sequential_draws(seed, n, box, dim, samples)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_rejected_buffered_half_falls_back_to_the_generator_calls(dim):
+    # sample 0 takes the low half of the first output and sample 1 the buffered
+    # high half; pick a seed whose low half is accepted and high half rejected
+    n = 3 * 2**30
+    first = {s: int(np.random.default_rng(s).bit_generator.random_raw()) for s in range(200)}
+    seed = next(s for s, raw in first.items()
+                if not _lemire_rejects(raw & 0xFFFFFFFF, n) and _lemire_rejects(raw >> 32, n))
+    for samples in (2, 3, 40):
+        got = _interleaved_draws(seed, n, 1.5, dim, samples)
+        want = _sequential_draws(seed, n, 1.5, dim, samples)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class _Counted:
+    """A generator or bit generator that counts each attribute read (so each
+    method call); the bit generator it hands out is counted too."""
+
+    def __init__(self, target, reads):
+        self._target, self._reads = target, reads
+
+    def __getattr__(self, name):
+        self._reads[name] += 1
+        value = getattr(self._target, name)
+        return _Counted(value, self._reads) if name == "bit_generator" else value
+
+
+def test_rate_proposal_makes_as_many_generator_calls_at_any_sample_count(monkeypatch):
+    # a per-sample draw loop would make its calls once per sample
+    real = np.random.default_rng
+    model = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
+
+    def reads(samples):
+        counter = Counter()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Counted(real(seed), counter))
+        propose_constant_rates(model, GRID, 2.0, samples, seed=20260815)
+        return counter
+
+    few = reads(10)
+    assert few and few == reads(10_000)
 
 
 def mixing_model():

@@ -324,7 +324,7 @@ def test_refine_rejects_a_path_without_recorded_steps():
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(2))
     model, xi = drifted_neutral(0.5, 1.0), constant_segment(1.0)
     simulated = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
-    bare = PathGrid(coarse_grid, simulated.values, simulated.noise)
+    bare = PathGrid(simulated.values, simulated.noise)
     assert bare == simulated and bare.steps is None
     with pytest.raises(NsddeError) as info:
         refine_to(bare, model, xi, fine_grid, fine_noise)
