@@ -15,9 +15,13 @@ Exit codes: 0 success, 1 condition-check failure, 2 invalid input,
 3 divergence under --strict.
 
 Configs are a single JSON document; unknown keys anywhere are errors, so a
-typo cannot silently change a run.  Every command writes a ``manifest.json``
-(config echo, effective seed, library version, algorithm identifiers,
-output list) next to its outputs; reruns with the same config and seed are
+typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
+its runner, its required config keys, and whether its ladder has one entry.
+``main`` checks those, builds the model and initial segment, and calls the
+runner, which computes and writes its own output files.  Then ``main``
+writes a ``manifest.json`` (config echo, effective seed, library version,
+algorithm identifiers, output list), prints the runner's summary lines and
+picks the exit code.  Reruns with the same config and seed are
 byte-identical.  CSV output uses comma separators, '.' decimal point, LF
 line endings, a header row, and floats with 17 significant digits.
 """
@@ -30,6 +34,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from . import analysis, conditions
@@ -205,7 +210,8 @@ def _build_segment(cfg: RunConfig, dim: int) -> InitialSegment:
     return _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, dim)
 
 
-def _build_rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec:
+def _rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec | None:
+    """The config's rate bundle, else the model's built-in one, else None."""
     if cfg.rates is not None:
         # float fields are taken as given; each rate function is a constant
         kinds = {f.name: f.type for f in fields(conditions.ConditionSpec)}
@@ -218,9 +224,7 @@ def _build_rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec:
         return conditions.neutral_cubic_rates(
             cfg.params["k"], cfg.params["c1"], cfg.params["c2"], cfg.tau, cfg.box_radius
         )
-    raise ConfigError(
-        f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
-    )
+    return None
 
 
 def _fmt(value) -> str:
@@ -253,34 +257,30 @@ def _write_json(path: Path, doc: dict) -> None:
     _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed: int, outputs: list[str], extra: dict | None = None) -> None:
-    doc = {
+def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed: int, outputs: list[str], extra: dict | None) -> None:
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": cfg.raw,
         "seed": seed,
         "version": __version__,
         "algorithms": _ALGORITHMS,
         "outputs": sorted(outputs),
-    }
-    if extra:
-        doc.update(extra)
-    _write_json(out_dir / "manifest.json", doc)
+        **(extra or {}),
+    })
 
 
-def _require(cfg: RunConfig, command: str, *keys: str) -> None:
-    for key in keys:
-        if getattr(cfg, key) is None:
-            raise ConfigError(f"command {command!r} requires config key {key!r}")
+class _Result(NamedTuple):
+    """What a command hands back once its own output files are written."""
+
+    outputs: list[str]
+    summary: list[str]
+    diverged: int = 0  # paths; exit 3 under --strict
+    failed: int = 0  # conditions that did not pass; exit 1
+    extra: dict | None = None  # manifest entries of this command
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_noise: bool) -> int:
-    _require(cfg, "simulate", "n_paths")
-    if len(cfg.ladder) != 1:
-        raise ConfigError("simulate expects a single-entry ladder")
-    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-    xi = _build_segment(cfg, model.state_dim)
+def _simulate(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
     grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
-
     outputs: list[str] = []
     diverged: list[int] = []
     header = ["t"] + [f"x_{i + 1}" for i in range(model.state_dim)]
@@ -302,16 +302,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, strict: bool, dump_no
                 bin_name = f"noise_{index:04d}.bin"
                 _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
                 outputs.append(bin_name)
-    _write_manifest(out_dir, "simulate", cfg, seed, outputs, {"diverged_paths": diverged})
-    print(f"simulate: wrote {cfg.n_paths - len(diverged)} paths to {out_dir} "
-          f"({len(diverged)} diverged)")
-    return 3 if (strict and diverged) else 0
+    summary = (f"simulate: wrote {cfg.n_paths - len(diverged)} paths to {out_dir} "
+               f"({len(diverged)} diverged)")
+    return _Result(outputs, [summary], len(diverged), extra={"diverged_paths": diverged})
 
 
-def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
-    _require(cfg, "converge", "n_paths", "epsilon")
-    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-    xi = _build_segment(cfg, model.state_dim)
+def _converge(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
     table = analysis.converge_study(
         model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, seed
     )
@@ -320,65 +316,54 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
         "exceed_count", "p_hat", "mean_sup_diff", "max_sup_diff", "diverged_count",
     ]
     _write_records(out_dir / "converge.csv", columns, table.rows)
-    _write_manifest(out_dir, "converge", cfg, seed, ["converge.csv"])
+    summary = [
+        f"converge {r.level_pair}: p_hat={r.p_hat:.4f} mean_sup={r.mean_sup_diff:.6g} "
+        f"diverged={r.diverged_count}{' SUSPECT(>1% diverged)' if r.suspect else ''}"
+        for r in table.rows
+    ]
     trend = analysis.exceedance_trend_ok(table)
-    total_diverged = sum(r.diverged_count for r in table.rows)
-    for r in table.rows:
-        flag = " SUSPECT(>1% diverged)" if r.suspect else ""
-        print(f"converge {r.level_pair}: p_hat={r.p_hat:.4f} "
-              f"mean_sup={r.mean_sup_diff:.6g} diverged={r.diverged_count}{flag}")
-    print(f"converge: exceedance trend {'non-increasing' if trend else 'INCREASING'}")
-    return 3 if (strict and total_diverged) else 0
+    summary.append(f"converge: exceedance trend {'non-increasing' if trend else 'INCREASING'}")
+    return _Result(["converge.csv"], summary, sum(r.diverged_count for r in table.rows))
 
 
-def cmd_moments(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
-    _require(cfg, "moments", "n_paths")
-    if len(cfg.ladder) != 1:
-        raise ConfigError("moments expects a single-entry ladder")
-    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-    xi = _build_segment(cfg, model.state_dim)
+def _moments(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
     report = analysis.estimate_moments(
         model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
         radius=cfg.truncation_radius,
     )
     columns = [f.name for f in fields(analysis.MomentReport)]
     _write_records(out_dir / "moments.csv", columns, [report])
-    _write_manifest(out_dir, "moments", cfg, seed, ["moments.csv"])
-    print(f"moments: sup-of-mean-square {report.sup_mean_square:.6g} "
-          f"(se {report.std_error:.3g}) at t={report.sup_time:g}, "
-          f"{report.diverged_count} diverged")
-    return 3 if (strict and report.diverged_count) else 0
+    summary = (f"moments: sup-of-mean-square {report.sup_mean_square:.6g} "
+               f"(se {report.std_error:.3g}) at t={report.sup_time:g}, "
+               f"{report.diverged_count} diverged")
+    return _Result(["moments.csv"], [summary], report.diverged_count)
 
 
-def cmd_perturbation(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
-    _require(cfg, "perturbation", "n_paths")
-    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-    xi = _build_segment(cfg, model.state_dim)
-    try:
-        weight = _build_rate_bundle(cfg).local_rate
-        weight_id = "local_rate"
-    except ConfigError:
-        weight = conditions.constant_rate(1.0)
-        weight_id = "constant 1"
+def _perturbation(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
+    spec = _rate_bundle(cfg)
+    weight, weight_id = ((spec.local_rate, "local_rate") if spec is not None
+                         else (conditions.constant_rate(1.0), "constant 1"))
     table = analysis.perturbation_integrability(
         model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
         radius=cfg.truncation_radius, weight=weight,
     )
     columns = [f.name for f in fields(analysis.PerturbationRow)]
     _write_records(out_dir / "perturbation.csv", columns, table.rows)
-    _write_manifest(out_dir, "perturbation", cfg, seed, ["perturbation.csv"],
-                    {"weight": weight_id})
-    total_diverged = sum(r.diverged_count for r in table.rows)
-    for r in table.rows:
-        print(f"perturbation level {r.level} (delta={r.delta:g}): "
-              f"E int |p| = {r.mean_abs_integral:.6g}, diverged={r.diverged_count}")
-    return 3 if (strict and total_diverged) else 0
+    summary = [
+        f"perturbation level {r.level} (delta={r.delta:g}): "
+        f"E int |p| = {r.mean_abs_integral:.6g}, diverged={r.diverged_count}"
+        for r in table.rows
+    ]
+    return _Result(["perturbation.csv"], summary, sum(r.diverged_count for r in table.rows),
+                   extra={"weight": weight_id})
 
 
-def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
-    _require(cfg, "check", "samples")
-    model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-    spec = _build_rate_bundle(cfg)
+def _check(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
+    spec = _rate_bundle(cfg)
+    if spec is None:
+        raise ConfigError(
+            f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
+        )
     grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
 
     reports = [
@@ -392,14 +377,12 @@ def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
     estimates = {
         "kappa": conditions.estimate_contraction(
             model.neutral, cfg.box_radius, cfg.samples, seed, dim=model.state_dim
-        )
-    }
-    estimates.update(
-        {f"heuristic_{k}": v for k, v in conditions.propose_constant_rates(
+        ),
+        **{f"heuristic_{k}": v for k, v in conditions.propose_constant_rates(
             model, grid, cfg.box_radius, cfg.samples, seed
-        ).items()}
-    )
-    doc = {
+        ).items()},
+    }
+    _write_json(out_dir / "check.json", {
         "reports": [
             {
                 "condition": r.condition_id,
@@ -413,22 +396,22 @@ def cmd_check(cfg: RunConfig, out_dir: Path, seed: int, strict: bool) -> int:
             for r in reports
         ],
         "estimates": estimates,
-    }
-    _write_json(out_dir / "check.json", doc)
-    _write_manifest(out_dir, "check", cfg, seed, ["check.json"])
-    failed = [r.condition_id for r in reports if r.verdict != "pass"]
-    for r in reports:
-        print(f"check {r.condition_id}: {r.verdict} ({r.samples_tested} samples, "
-              f"{len(r.violations)} violations)")
-    return 1 if failed else 0
+    })
+    summary = [
+        f"check {r.condition_id}: {r.verdict} ({r.samples_tested} samples, "
+        f"{len(r.violations)} violations)"
+        for r in reports
+    ]
+    return _Result(["check.json"], summary, failed=sum(r.verdict != "pass" for r in reports))
 
 
+# command -> (runner, required config keys, whether the ladder must have one entry)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "moments": cmd_moments,
-    "perturbation": cmd_perturbation,
-    "check": cmd_check,
+    "simulate": (_simulate, ("n_paths",), True),
+    "converge": (_converge, ("n_paths", "epsilon"), False),
+    "moments": (_moments, ("n_paths",), True),
+    "perturbation": (_perturbation, ("n_paths",), False),
+    "check": (_check, ("samples",), False),
 }
 
 
@@ -454,6 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dump_noise and args.command != "simulate":
         parser.error("--dump-noise applies to simulate only")
+    runner, required, single_level = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
@@ -462,14 +446,23 @@ def main(argv=None) -> int:
         out_dir = Path(args.output if args.output is not None else cfg.output_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a file in the way, or no permission
+        except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed, args.strict, args.dump_noise)
-        return _COMMANDS[args.command](cfg, out_dir, seed, args.strict)
+        for key in required:
+            if getattr(cfg, key) is None:
+                raise ConfigError(f"command {args.command!r} requires config key {key!r}")
+        if single_level and len(cfg.ladder) != 1:
+            raise ConfigError(f"{args.command} expects a single-entry ladder")
+        model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
+        xi = _build_segment(cfg, model.state_dim)
+        result = runner(cfg, model, xi, seed, out_dir, args.dump_noise)
+        _write_manifest(out_dir, args.command, cfg, seed, result.outputs, result.extra)
     except NsddeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in result.summary:
+        print(line)
+    return 1 if result.failed else 3 if args.strict and result.diverged else 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ from .errors import IncompatibleGrids, InvalidRange, NonDivisibleStep
 # Relative tolerance used when deciding whether a requested step divides
 # the delay / horizon.
 _DIVISIBILITY_RTOL = 1e-12
+# The largest step count or dimension numpy can index: a platform limit.
+_INDEX_LIMIT = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class DelayGrid:
             raise InvalidRange(f"delay must be positive and finite, got {self.tau}")
         if self.steps_per_delay < 1 or self.total_steps <= self.steps_per_delay:
             raise InvalidRange("need steps_per_delay >= 1 and total_steps > steps_per_delay")
+        if self.total_steps > _INDEX_LIMIT:
+            raise InvalidRange(f"total_steps exceeds the index limit {_INDEX_LIMIT}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidRange(f"step {self.delta!r} outside (0, 1)")
         exact = _exact_time(self.total_steps, self.tau, self.steps_per_delay)
@@ -110,6 +114,9 @@ def make_grid(tau: float, horizon: float, delta: float) -> DelayGrid:
     if not 0.0 < delta < 1.0:
         raise InvalidRange(f"step must lie in (0, 1), got {delta}")
 
+    if not horizon / delta <= _INDEX_LIMIT:  # also an overflow to inf
+        raise InvalidRange(f"horizon {horizon} at step {delta} takes more steps than "
+                           f"the index limit {_INDEX_LIMIT}")
     steps_per_delay = round(tau / delta)
     total_steps = round(horizon / delta)
     if steps_per_delay < 1 or abs(steps_per_delay * delta - tau) > _DIVISIBILITY_RTOL * tau:
@@ -274,7 +281,7 @@ def cubic_drift(tau: float, dim: int = 1) -> NsddeModel:
 
 
 # Built-in ids: (factory, required parameters, optional parameters).  The
-# optional parameters are counts, so they must be whole numbers.
+# optional parameters are counts, so they must be whole numbers numpy can index.
 _BUILTINS = {
     "sec4": (neutral_cubic_model, {"k", "c1", "c2"}, set()),
     "linear_delay_ode": (linear_delay_ode, {"a"}, set()),
@@ -299,8 +306,7 @@ def builtin_model(model_id: str, tau: float, params: dict) -> NsddeModel:
         )
     for key in sorted(optional & keys):
         value = params[key]
-        if isinstance(value, bool) or value != int(value):
-            raise InvalidRange(
-                f"model {model_id!r} parameter {key!r} must be an integer, got {value!r}"
-            )
+        if isinstance(value, bool) or not 1 <= value <= _INDEX_LIMIT or value != int(value):
+            raise InvalidRange(f"model {model_id!r} parameter {key!r} must be a whole "
+                               f"number from 1 to {_INDEX_LIMIT}, got {value!r}")
     return factory(tau=tau, **{key: int(v) if key in optional else v for key, v in params.items()})

@@ -133,6 +133,13 @@ class TestExitCodes:
         assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
         assert taken.read_text() == "not a directory\n"
 
+    def test_output_dir_with_a_nul_byte_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o\u0000x"))
+        assert main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+        assert "null byte" in err
+
     @pytest.mark.parametrize("command, name, overrides", [
         ("converge", "converge.csv", {}),
         ("converge", "manifest.json", {}),
@@ -166,6 +173,22 @@ class TestExitCodes:
     def test_unknown_model_is_2(self, tmp_path):
         cfg = write_config(tmp_path, model={"id": "nope", "params": {}})
         assert main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("horizon", [1e308, 1e300], ids=["inf_steps", "unindexable_steps"])
+    def test_grid_past_the_index_limit_is_2(self, tmp_path, capsys, horizon):
+        cfg = write_config(tmp_path, horizon=horizon, ladder=[0.5])
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "step" in err
+
+    @pytest.mark.parametrize("model_id", ["additive_noise", "cubic_drift"])
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5, 1e300, 2**63])
+    def test_bad_count_parameter_is_2(self, tmp_path, capsys, model_id, dim):
+        cfg = write_config(tmp_path, model={"id": model_id, "params": {"dim": dim}},
+                           ladder=[0.5])
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "'dim'" in err
 
     def test_simulate_needs_single_level(self, tmp_path):
         cfg = write_config(tmp_path)  # two ladder entries

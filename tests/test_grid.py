@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,25 @@ def test_direct_dataclass_validation():
     # the horizon must exceed the delay, as make_grid requires
     with pytest.raises(InvalidRange, match="total_steps > steps_per_delay"):
         DelayGrid(tau=1.0, horizon=1.0, steps_per_delay=10, total_steps=10)
+
+
+@pytest.mark.parametrize("horizon, delta", [
+    (1e308, 0.5),  # horizon / delta overflows to inf
+    (1e10, 1e-320),
+    (1e300, 0.5),  # 2e300 steps: finite, but numpy cannot index them
+])
+def test_step_counts_past_the_index_limit_rejected(horizon, delta):
+    with pytest.raises(InvalidRange, match="index limit"):
+        make_grid(1.0, horizon, delta)
+
+
+def test_total_steps_up_to_the_index_limit():
+    limit = int(np.iinfo(np.intp).max)  # 2**63 - 1 on 64-bit platforms
+    last = limit - limit % 2  # the largest count that fits at two steps per delay
+    grid = DelayGrid(tau=1.0, horizon=last / 2, steps_per_delay=2, total_steps=last)
+    assert grid.total_steps == last
+    with pytest.raises(InvalidRange, match="index limit"):
+        DelayGrid(tau=1.0, horizon=(last + 2) / 2, steps_per_delay=2, total_steps=last + 2)
 
 
 def test_time_indexing():
