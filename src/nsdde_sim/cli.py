@@ -1,53 +1,49 @@
 """Command line front end.
 
-Commands::
+Usage::
 
-    nsdde-sim simulate     --config cfg.json [--output DIR] [--dump-noise]
-    nsdde-sim converge     --config cfg.json [--output DIR]
-    nsdde-sim moments      --config cfg.json [--output DIR]
-    nsdde-sim perturbation --config cfg.json [--output DIR]
-    nsdde-sim check        --config cfg.json [--output DIR]
+    nsdde-sim {simulate,converge,moments,perturbation,check} --config cfg.json
+              [--output DIR] [--seed N] [--strict] [--dump-noise]
 
-Common flags: ``--seed`` overrides the config seed, ``--strict`` turns path
-divergence into exit code 3.
+The command and the options come in any order; a unique prefix names a long
+option, and the last of a repeated option wins.  ``--output`` overrides the
+config's output directory and ``--seed`` its seed, ``--strict`` turns path
+divergence into exit code 3, and ``--dump-noise`` (simulate only) also
+writes the raw noise increments.  ``-h``/``--help`` prints the usage line.
 
-Exit codes: 0 success, 1 condition-check failure, 2 invalid input,
-3 divergence under --strict.
+Exit codes: 0 success, 1 condition-check failure, 2 invalid input, 3
+divergence under --strict.  Invalid input prints one stderr line, which
+starts ``nsdde-sim: error:`` for a usage error and ``error:`` otherwise.
 
 Configs are a single JSON document; unknown keys anywhere are errors, so a
 typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
 its runner, its required config keys, and whether its ladder has one entry.
-``main`` checks those, builds the model and initial segment, and calls the
-runner, which computes and writes its own output files.  Then ``main``
-writes a ``manifest.json`` (config echo, effective seed, library version,
-algorithm identifiers, output list), prints the runner's summary lines and
-picks the exit code.  Reruns with the same config and seed are
-byte-identical.  CSV output uses comma separators, '.' decimal point, LF
-line endings, a header row, and floats with 17 significant digits.
+``main`` checks those, builds the model and initial segment, only then
+creates the output directory, and calls the runner, which computes and
+writes its own output files.  Then ``main`` writes a ``manifest.json``
+(config echo, effective seed, library version, algorithm identifiers,
+output list), prints the runner's summary lines and picks the exit code.
+Reruns with the same config and seed are byte-identical.  CSV output uses
+comma separators, '.' decimal point, LF line endings, a header row, and
+floats with 17 significant digits.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from . import analysis, conditions
 from .brownian import generate
 from .errors import ConfigError, NsddeError
 from .euler import simulate
-from .model import (
-    InitialSegment,
-    affine_segment,
-    builtin_model,
-    constant_segment,
-    make_grid,
-)
+from .model import InitialSegment, affine_segment, builtin_model, constant_segment, make_grid
 
 _ALGORITHMS = {
     "rng": "philox4x64-10, seedsequence(entropy=seed, spawn_key=(path_index,))",
@@ -415,54 +411,66 @@ _COMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nsdde-sim",
-        description="Simulation and condition checking for neutral stochastic "
-                    "delay differential equations",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to JSON run configuration")
-    parser.add_argument("--output", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit with code 3 when any path diverges")
-    parser.add_argument("--dump-noise", action="store_true",
-                        help="(simulate) also write raw increments as little-endian float64")
-    return parser
+def _usage_error(message: str) -> NoReturn:
+    print(f"nsdde-sim: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv=None) -> tuple:
+    """``(command, config, output, seed, strict, dump_noise)``; see the module docstring."""
+    try:
+        opts, positional = getopt.gnu_getopt(sys.argv[1:] if argv is None else argv, "h", [
+            "config=", "output=", "seed=", "strict", "dump-noise", "help"])
+    except getopt.GetoptError as exc:
+        _usage_error(str(exc))
+    given = {flag.lstrip("-"): value for flag, value in opts}
+    if "h" in given or "help" in given:
+        print(f"usage: nsdde-sim {{{','.join(_COMMANDS)}}} --config PATH [--output DIR] "
+              "[--seed N] [--strict] [--dump-noise]")
+        raise SystemExit(0)
+    if len(positional) != 1 or positional[0] not in _COMMANDS:
+        _usage_error(f"expected one command of {', '.join(_COMMANDS)}, got {positional}")
+    command = positional[0]
+    if "config" not in given:
+        _usage_error("--config is required")
+    try:
+        seed = int(given["seed"]) if "seed" in given else None
+    except ValueError:
+        _usage_error(f"--seed must be an integer, got {given['seed']!r}")
+    if "dump-noise" in given and command != "simulate":
+        _usage_error("--dump-noise applies to simulate only")
+    return (command, given["config"], given.get("output"), seed,
+            "strict" in given, "dump-noise" in given)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.dump_noise and args.command != "simulate":
-        parser.error("--dump-noise applies to simulate only")
-    runner, required, single_level = _COMMANDS[args.command]
+    command, config, output, seed_flag, strict, dump_noise = _parse_args(argv)
+    runner, required, single_level = _COMMANDS[command]
     try:
-        cfg = load_config(args.config)
-        seed = cfg.seed if args.seed is None else args.seed
+        cfg = load_config(config)
+        seed = cfg.seed if seed_flag is None else seed_flag
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        out_dir = Path(args.output if args.output is not None else cfg.output_dir)
+        for key in required:
+            if getattr(cfg, key) is None:
+                raise ConfigError(f"command {command!r} requires config key {key!r}")
+        if single_level and len(cfg.ladder) != 1:
+            raise ConfigError(f"{command} expects a single-entry ladder")
+        model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
+        xi = _build_segment(cfg, model.state_dim)
+        out_dir = Path(output if output is not None else cfg.output_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        for key in required:
-            if getattr(cfg, key) is None:
-                raise ConfigError(f"command {args.command!r} requires config key {key!r}")
-        if single_level and len(cfg.ladder) != 1:
-            raise ConfigError(f"{args.command} expects a single-entry ladder")
-        model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-        xi = _build_segment(cfg, model.state_dim)
-        result = runner(cfg, model, xi, seed, out_dir, args.dump_noise)
-        _write_manifest(out_dir, args.command, cfg, seed, result.outputs, result.extra)
+        result = runner(cfg, model, xi, seed, out_dir, dump_noise)
+        _write_manifest(out_dir, command, cfg, seed, result.outputs, result.extra)
     except NsddeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in result.summary:
         print(line)
-    return 1 if result.failed else 3 if args.strict and result.diverged else 0
+    return 1 if result.failed else 3 if strict and result.diverged else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ import pytest
 
 import nsdde_sim
 from nsdde_sim import ConfigError, generate, make_grid
-from nsdde_sim.cli import _parser, load_config, main
+from nsdde_sim.cli import _parse_args, load_config, main
+from test_stdout import CASES as STDOUT_CASES, CONFIGS
 
 BASE = {
     "model": {"id": "sec4", "params": {"k": 0.5, "c1": -1.0, "c2": -1.0}},
@@ -275,6 +276,25 @@ class TestExitCodes:
         assert "--dump-noise" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("converge", {"epsilon": None}),
+        ("converge", {"model": {"id": "nope", "params": {}}}),
+        ("simulate", {}),
+        ("moments", {}),
+        ("converge", {"model": {"id": "sec4", "params": {"k": 1.5, "c1": -1.0, "c2": -1.0}}}),
+        ("simulate", {"model": {"id": "additive_noise", "params": {"dim": 0}}, "ladder": [0.5]}),
+    ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
+            "non_contractive_k", "zero_dim"])
+    def test_config_rejected_after_loading_leaves_no_output_dir(
+        self, tmp_path, capsys, command, overrides
+    ):
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, **overrides),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(tmp_path, ladder=[0.25])
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
@@ -488,23 +508,121 @@ class TestCheckReport:
         assert worst["lhs"] > worst["rhs"]
 
 
+# argv -> (command, config, output, seed, strict, dump_noise)
+ACCEPTED = {
+    "command_first": (["converge", "--config", "c.json"],
+                      ("converge", "c.json", None, None, False, False)),
+    "command_last": (["--config", "c.json", "--seed", "7", "--strict", "check"],
+                     ("check", "c.json", None, 7, True, False)),
+    "command_between": (["--output", "o", "moments", "--config", "c.json"],
+                        ("moments", "c.json", "o", None, False, False)),
+    "equals": (["simulate", "--config=c.json", "--output=o", "--seed=7", "--dump-noise"],
+               ("simulate", "c.json", "o", 7, False, True)),
+    "prefixes": (["simulate", "--conf", "c.json", "--out=o", "--see", "7", "--str", "--dump"],
+                 ("simulate", "c.json", "o", 7, True, True)),
+    "last_wins": (["perturbation", "--config", "a.json", "--seed", "1", "--output", "a",
+                   "--config", "c.json", "--seed", "7", "--output", "o", "--strict", "--strict"],
+                  ("perturbation", "c.json", "o", 7, True, False)),
+    "seed_through_int": (["converge", "--config", "c.json", "--seed", " +007 "],
+                         ("converge", "c.json", None, 7, False, False)),
+    "negative_seed": (["converge", "--config", "c.json", "--seed", "-3"],
+                      ("converge", "c.json", None, -3, False, False)),
+    "double_dash": (["--config", "c.json", "--", "converge"],
+                    ("converge", "c.json", None, None, False, False)),
+}
+# argv -> a fragment of the error line
+USAGE_ERRORS = {
+    "unknown_flag": (["converge", "--config", "c.json", "--threads", "2"], "--threads"),
+    "unknown_short_flag": (["converge", "--config", "c.json", "-x"], "-x"),
+    "ambiguous_prefix": (["converge", "--config", "c.json", "--s"], "--s"),
+    "missing_value": (["converge", "--config"], "--config"),
+    "missing_seed_value": (["converge", "--config", "c.json", "--seed"], "--seed"),
+    "value_for_a_switch": (["converge", "--config", "c.json", "--strict=yes"], "--strict"),
+    "no_command": (["--config", "c.json"], "command"),
+    "unknown_command": (["simulat", "--config", "c.json"], "simulat"),
+    "extra_positional": (["converge", "check", "--config", "c.json"], "check"),
+    "no_config": (["converge"], "--config"),
+    "non_integer_seed": (["converge", "--config", "c.json", "--seed", "7.5"], "7.5"),
+    "dump_noise_outside_simulate": (["converge", "--config", "c.json", "--dump-noise"],
+                                    "--dump-noise"),
+}
+
+
+def run_python(*args):
+    """A fresh interpreter that imports nsdde_sim from this checkout."""
+    src = str(Path(nsdde_sim.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 class TestParser:
     @pytest.mark.parametrize("command", ["simulate", "converge", "moments", "perturbation",
                                          "check"])
     def test_every_command_parses_its_options(self, command):
         extra = ["--dump-noise"] if command == "simulate" else []
-        args = _parser().parse_args(
+        args = _parse_args(
             [command, "--config", "c.json", "--output", "o", "--seed", "7", "--strict"] + extra
         )
-        assert (args.command, args.config, args.output, args.seed, args.strict) == (
-            command, "c.json", "o", 7, True)
-        assert args.dump_noise == (command == "simulate")
-        bare = _parser().parse_args([command, "--config", "c.json"])
-        assert (bare.output, bare.seed, bare.strict, bare.dump_noise) == (None, None, False, False)
+        assert args == (command, "c.json", "o", 7, True, command == "simulate")
+        bare = _parse_args([command, "--config", "c.json"])
+        assert bare == (command, "c.json", None, None, False, False)
 
-    def test_runs_do_not_import_numpy_ma(self, tmp_path):
-        # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms
-        # of a cold check run; no command may pull it in
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepted_forms(self, case):
+        argv, expected = ACCEPTED[case]
+        assert _parse_args(argv) == expected
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nsdde-sim", "check", "--config", "c.json"])
+        assert _parse_args() == ("check", "c.json", None, None, False, False)
+
+    @pytest.mark.parametrize("case", USAGE_ERRORS)
+    def test_usage_error_is_2_with_one_line(self, tmp_path, capsys, case):
+        argv, fragment = USAGE_ERRORS[case]
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(out)] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("nsdde-sim: error:") and fragment in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["converge", "--he"],
+                                      ["--config", "c.json", "check", "-h"]],
+                             ids=["h", "help", "help_prefix", "h_after_options"])
+    def test_help_prints_the_usage_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        assert captured.out.startswith("usage: nsdde-sim ")
+        assert all(command in captured.out
+                   for command in ["simulate", "converge", "moments", "perturbation", "check"])
+
+    def test_module_entry_point(self, tmp_path):
+        # no argv: the module reads sys.argv and exits with main's code
+        command, stem, overrides, flags, code, lines = STDOUT_CASES["converge"]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({**json.loads((CONFIGS / f"{stem}.json").read_text()),
+                                   **overrides}))
+        done = run_python("-m", "nsdde_sim.cli", command, "--config", str(cfg),
+                          "--output", str(out), *flags)
+        assert (done.returncode, done.stderr) == (code, "")
+        assert done.stdout.splitlines() == [line.format(out=out) for line in lines]
+        bad = tmp_path / "bad"
+        done = run_python("-m", "nsdde_sim.cli", "converge", "--config", str(cfg),
+                          "--output", str(bad), "--seed", "x")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("nsdde-sim: error:") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and not bad.exists()
+
+    def test_runs_do_not_import_slow_modules(self, tmp_path):
+        # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms of
+        # a cold check run, and argparse's gettext calls import locale, about
+        # 3 ms; no command may pull them in
+        forbidden = ["numpy.ma", "argparse", "locale"]
         cfg, out = write_config(tmp_path, samples=10, n_paths=4), str(tmp_path / "o")
         single = write_config(tmp_path, "single.json", ladder=[0.5], n_paths=4)
         runs = [("simulate", single), ("converge", cfg), ("moments", single),
@@ -514,9 +632,8 @@ class TestParser:
             "from nsdde_sim.cli import main\n"
             f"for command, cfg in {runs!r}:\n"
             f"    assert main([command, '--config', cfg, '--output', {out!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
+            f"print([name for name in {forbidden!r} if name in sys.modules])\n"
         )
-        src = str(Path(nsdde_sim.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.splitlines()[-1] == "False"
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
