@@ -43,7 +43,8 @@ def path_blocks(n_paths: int) -> list[range]:
             for start in range(0, n_paths, PATH_BLOCK)]
 
 
-def _ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
+def ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
+    """One grid per ladder step, each nested in the next."""
     if len(ladder) < 1:
         raise InvalidRange("ladder must contain at least one step")
     if any(d2 >= d1 for d1, d2 in zip(ladder, ladder[1:])):
@@ -142,7 +143,7 @@ def converge_study(
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     if n_paths < 1:
         raise InvalidRange("n_paths must be >= 1")
-    grids = _ladder_grids(model.delay, horizon, ladder)
+    grids = ladder_grids(model.delay, horizon, ladder)
     pair_sups = [[] for _ in grids[1:]]
     for levels in _ladder_paths(model, xi, grids, n_paths, seed):
         for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
@@ -220,7 +221,7 @@ def perturbation_integrability(
     """
     if not radius > 0.0 or n_paths < 1:
         raise InvalidRange("need a positive radius and n_paths >= 1")
-    grids = _ladder_grids(model.delay, horizon, ladder)
+    grids = ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
     delta_f = fine.delta
     weights = np.array([float(weight(float(t))) for t in fine.times[fine.steps_per_delay :]])

@@ -17,15 +17,16 @@ starts ``nsdde-sim: error:`` for a usage error and ``error:`` otherwise.
 
 Configs are a single JSON document; unknown keys anywhere are errors, so a
 typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
-its runner, its required config keys, and whether its ladder has one entry.
-``main`` checks those, builds the model and initial segment, only then
-creates the output directory, and calls the runner, which computes and
-writes its own output files.  Then ``main`` writes a ``manifest.json``
-(config echo, effective seed, library version, algorithm identifiers,
-output list), prints the runner's summary lines and picks the exit code.
-Reruns with the same config and seed are byte-identical.  CSV output uses
-comma separators, '.' decimal point, LF line endings, a header row, and
-floats with 17 significant digits.
+its runner, its required config keys, whether its ladder has one entry, and
+whether it reads the rate bundle.  ``main`` checks those, builds the model,
+the initial segment, the ladder grids and the bundle, only then creates the
+output directory, and calls the runner, which computes and writes its own
+output files.  Then ``main`` writes a ``manifest.json`` (config echo,
+effective seed, library version, algorithm identifiers, output list),
+prints the runner's summary lines and picks the exit code.  Reruns with the
+same config and seed are byte-identical.  CSV output uses comma
+separators, '.' decimal point, LF line endings, a header row, and floats
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import analysis, conditions
 from .brownian import generate
 from .errors import ConfigError, NsddeError
 from .euler import simulate
-from .model import InitialSegment, affine_segment, builtin_model, constant_segment, make_grid
+from .model import InitialSegment, affine_segment, builtin_model, constant_segment
 
 _ALGORITHMS = {
     "rng": "philox4x64-10, seedsequence(entropy=seed, spawn_key=(path_index,))",
@@ -253,11 +254,11 @@ def _write_json(path: Path, doc: dict) -> None:
     _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed: int, outputs: list[str], extra: dict | None) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str], extra: dict | None) -> None:
     _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": cfg.raw,
-        "seed": seed,
+        "seed": cfg.seed,
         "version": __version__,
         "algorithms": _ALGORITHMS,
         "outputs": sorted(outputs),
@@ -275,14 +276,18 @@ class _Result(NamedTuple):
     extra: dict | None = None  # manifest entries of this command
 
 
-def _simulate(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
-    grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
+def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
+    grid = grids[0]
     outputs: list[str] = []
     diverged: list[int] = []
+    violated = 0  # finite paths past the contraction bound of the rate bundle
     header = ["t"] + [f"x_{i + 1}" for i in range(model.state_dim)]
     for indices in analysis.path_blocks(cfg.n_paths):
-        noise = generate(grid, model.noise_dim, seed, indices)
+        noise = generate(grid, model.noise_dim, cfg.seed, indices)
         paths = simulate(model, xi, grid, noise)
+        if spec is not None:
+            ok, _ = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
+            violated += int((paths.finite & ~ok).sum())
         for row, (index, finite) in enumerate(zip(indices, paths.finite)):
             if not finite:
                 diverged.append(index)
@@ -298,14 +303,17 @@ def _simulate(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: b
                 bin_name = f"noise_{index:04d}.bin"
                 _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
                 outputs.append(bin_name)
-    summary = (f"simulate: wrote {cfg.n_paths - len(diverged)} paths to {out_dir} "
-               f"({len(diverged)} diverged)")
-    return _Result(outputs, [summary], len(diverged), extra={"diverged_paths": diverged})
+    finite = cfg.n_paths - len(diverged)
+    summary = [f"simulate: wrote {finite} paths to {out_dir} ({len(diverged)} diverged)"]
+    if spec is not None:
+        summary.append(f"simulate: contraction bound (p=2, kappa={spec.kappa:g}) "
+                       f"violated on {violated} of {finite} finite paths")
+    return _Result(outputs, summary, len(diverged), extra={"diverged_paths": diverged})
 
 
-def _converge(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
+def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     table = analysis.converge_study(
-        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, seed
+        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed
     )
     columns = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
@@ -322,9 +330,9 @@ def _converge(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: b
     return _Result(["converge.csv"], summary, sum(r.diverged_count for r in table.rows))
 
 
-def _moments(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
+def _moments(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     report = analysis.estimate_moments(
-        model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, seed,
+        model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, cfg.seed,
         radius=cfg.truncation_radius,
     )
     columns = [f.name for f in fields(analysis.MomentReport)]
@@ -335,12 +343,11 @@ def _moments(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bo
     return _Result(["moments.csv"], [summary], report.diverged_count)
 
 
-def _perturbation(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
-    spec = _rate_bundle(cfg)
+def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     weight, weight_id = ((spec.local_rate, "local_rate") if spec is not None
                          else (conditions.constant_rate(1.0), "constant 1"))
     table = analysis.perturbation_integrability(
-        model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, seed,
+        model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, cfg.seed,
         radius=cfg.truncation_radius, weight=weight,
     )
     columns = [f.name for f in fields(analysis.PerturbationRow)]
@@ -354,28 +361,23 @@ def _perturbation(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_nois
                    extra={"weight": weight_id})
 
 
-def _check(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool) -> _Result:
-    spec = _rate_bundle(cfg)
-    if spec is None:
-        raise ConfigError(
-            f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
-        )
-    grid = make_grid(cfg.tau, cfg.horizon, cfg.ladder[0])
+def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
+    grid = grids[0]
 
     reports = [
         conditions.check_contraction(
-            model.neutral, spec.kappa, cfg.box_radius, cfg.samples, seed, dim=model.state_dim
+            model.neutral, spec.kappa, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
         ),
-        conditions.check_coercivity(model, spec, grid, cfg.samples, seed),
-        conditions.check_monotonicity(model, spec, grid, cfg.samples, seed),
-        conditions.check_integrability(model, grid, cfg.box_radius, cfg.samples, seed),
+        conditions.check_coercivity(model, spec, grid, cfg.samples, cfg.seed),
+        conditions.check_monotonicity(model, spec, grid, cfg.samples, cfg.seed),
+        conditions.check_integrability(model, grid, cfg.box_radius, cfg.samples, cfg.seed),
     ]
     estimates = {
         "kappa": conditions.estimate_contraction(
-            model.neutral, cfg.box_radius, cfg.samples, seed, dim=model.state_dim
+            model.neutral, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
         ),
         **{f"heuristic_{k}": v for k, v in conditions.propose_constant_rates(
-            model, grid, cfg.box_radius, cfg.samples, seed
+            model, grid, cfg.box_radius, cfg.samples, cfg.seed
         ).items()},
     }
     _write_json(out_dir / "check.json", {
@@ -401,13 +403,14 @@ def _check(cfg: RunConfig, model, xi, seed: int, out_dir: Path, dump_noise: bool
     return _Result(["check.json"], summary, failed=sum(r.verdict != "pass" for r in reports))
 
 
-# command -> (runner, required config keys, whether the ladder must have one entry)
+# command -> (runner, required config keys, whether the ladder must have one entry,
+#             whether it reads the rate bundle: not at all, "if any" or "required")
 _COMMANDS = {
-    "simulate": (_simulate, ("n_paths",), True),
-    "converge": (_converge, ("n_paths", "epsilon"), False),
-    "moments": (_moments, ("n_paths",), True),
-    "perturbation": (_perturbation, ("n_paths",), False),
-    "check": (_check, ("samples",), False),
+    "simulate": (_simulate, ("n_paths",), True, "if any"),
+    "converge": (_converge, ("n_paths", "epsilon"), False, None),
+    "moments": (_moments, ("n_paths",), True, None),
+    "perturbation": (_perturbation, ("n_paths",), False, "if any"),
+    "check": (_check, ("samples",), False, "required"),
 }
 
 
@@ -444,12 +447,12 @@ def _parse_args(argv=None) -> tuple:
 
 
 def main(argv=None) -> int:
-    command, config, output, seed_flag, strict, dump_noise = _parse_args(argv)
-    runner, required, single_level = _COMMANDS[command]
+    command, config, output, seed, strict, dump_noise = _parse_args(argv)
+    runner, required, single_level, bundle = _COMMANDS[command]
     try:
         cfg = load_config(config)
-        seed = cfg.seed if seed_flag is None else seed_flag
-        if seed < 0:
+        cfg.seed = cfg.seed if seed is None else seed
+        if cfg.seed < 0:
             raise ConfigError("seed must be non-negative")
         for key in required:
             if getattr(cfg, key) is None:
@@ -458,13 +461,19 @@ def main(argv=None) -> int:
             raise ConfigError(f"{command} expects a single-entry ladder")
         model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
         xi = _build_segment(cfg, model.state_dim)
+        grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
+        spec = _rate_bundle(cfg) if bundle else None
+        if bundle == "required" and spec is None:
+            raise ConfigError(
+                f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
+            )
         out_dir = Path(output if output is not None else cfg.output_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        result = runner(cfg, model, xi, seed, out_dir, dump_noise)
-        _write_manifest(out_dir, command, cfg, seed, result.outputs, result.extra)
+        result = runner(cfg, model, xi, grids, spec, out_dir, dump_noise)
+        _write_manifest(out_dir, command, cfg, result.outputs, result.extra)
     except NsddeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

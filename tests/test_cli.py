@@ -283,8 +283,14 @@ class TestExitCodes:
         ("moments", {}),
         ("converge", {"model": {"id": "sec4", "params": {"k": 1.5, "c1": -1.0, "c2": -1.0}}}),
         ("simulate", {"model": {"id": "additive_noise", "params": {"dim": 0}}, "ladder": [0.5]}),
+        ("check", {"model": {"id": "cubic_drift", "params": {}}, "samples": 10}),
+        ("simulate", {"horizon": 1e300, "ladder": [0.5]}),
+        ("converge", {"horizon": 1e300}),
+        ("perturbation", {"horizon": 1e300}),
+        ("converge", {"ladder": [0.5, 0.2]}),
     ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
-            "non_contractive_k", "zero_dim"])
+            "non_contractive_k", "zero_dim", "check_without_rates", "simulate_past_index_limit",
+            "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder"])
     def test_config_rejected_after_loading_leaves_no_output_dir(
         self, tmp_path, capsys, command, overrides
     ):

@@ -39,9 +39,22 @@ GOLDEN = {
         "manifest.json": "b686dd5540a0b9eb583cc07719b22d0437e4901e83fbdbfe7c0b6b1b3a7ae9bc",
         "moments.csv": "e393688e18a71bfd7cdc0c4971de1d80e9c8dd391ceef6dc87626f04c83691b1",
     }),
+    "sec4_moments_fine": ("moments", {
+        "manifest.json": "f670ca3ca9eca0488e025c0b00cf6bd1a0aee178d6991c7f7ddde1ed9640a73b",
+        "moments.csv": "f8ff7d2138a6f1ff51e6281dfab2095696bcfdb16eae7727771e5278d60a1ae0",
+    }),
     "sec4_perturbation": ("perturbation", {
         "manifest.json": "1050fe747776282d0f9a8d5407e61b8e1141e07ee222a8f7333e949ca9d7e801",
         "perturbation.csv": "93d58bf64b79ceb9c028e76d5297798fae3bb82e435f85cf5e1911f1ed1664c7",
+    }),
+    "sec4_simulate": ("simulate", {
+        "manifest.json": "cfc050cb246bfcb8e849fb83d69e5f107a9d22cab12d326bafa115b194c410f1",
+        "noise_0000.bin": "8520d66b1ad7f7c4ca82a51eadb15a5cf514976c3af6f06b5fe23ae60e94d0a0",
+        "noise_0001.bin": "97f48d86b2f4ab032b0506ac44117def109ac789b066e13f297c516d9fa9a1b7",
+        "noise_0002.bin": "cf183f45e1e3707c9dc672eb9e4b111d03ec43eb6d95c50bd9d239d8cc66429e",
+        "path_0000.csv": "9a15628145cbd787b8f27aad92e17ff1d2fc25c76a3f57bd16ed64721ce32cf9",
+        "path_0001.csv": "20c5056e3f181f0c6c3e25a165f1f8feb0f95b24d8e875ccb56a406379ee75fa",
+        "path_0002.csv": "7dd67bfbc5fe97121e038aa616bb8244bb7362343489acd13ce886aad333066c",
     }),
 }
 

@@ -28,6 +28,18 @@ CASES = {
     "simulate": ("simulate", "linear_simulate", {}, [], 0, [
         "simulate: wrote 3 paths to {out} (0 diverged)",
     ]),
+    # sec4 has a rate bundle, so simulate also checks the pathwise contraction
+    # bound; a bundle that claims kappa = 0.1 for D(y) = 0.5 y is broken on every path
+    "simulate_contraction": ("simulate", "sec4_simulate", {}, [], 0, [
+        "simulate: wrote 3 paths to {out} (0 diverged)",
+        "simulate: contraction bound (p=2, kappa=0.5) violated on 0 of 3 finite paths",
+    ]),
+    "simulate_contraction_violated": ("simulate", "sec4_simulate", {
+        "rates": {**CONSTANT_RATES, "kappa": 0.1},
+    }, [], 0, [
+        "simulate: wrote 3 paths to {out} (0 diverged)",
+        "simulate: contraction bound (p=2, kappa=0.1) violated on 3 of 3 finite paths",
+    ]),
     "simulate_strict_diverged": ("simulate", "linear_simulate", {
         "model": {"id": "cubic_drift", "params": {}}, "ladder": [0.25],
         "xi": {"kind": "constant", "value": 2.0},
