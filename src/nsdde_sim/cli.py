@@ -17,8 +17,9 @@ starts ``nsdde-sim: error:`` for a usage error and ``error:`` otherwise.
 
 Configs are a single JSON document; unknown keys anywhere are errors, so a
 typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
-its runner, its required config keys, whether its ladder has one entry, and
-whether it reads the rate bundle.  ``main`` checks those, builds the model,
+its runner, its required config keys with their least values, whether its
+ladder has one entry, and whether it reads the rate bundle.  A given "rates"
+object is checked under every command.  ``main`` checks those, builds the model,
 the initial segment, the ladder grids and the bundle, only then creates the
 output directory, and calls the runner, which computes and writes its own
 output files.  Then ``main`` writes a ``manifest.json`` (config echo,
@@ -403,14 +404,15 @@ def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bo
     return _Result(["check.json"], summary, failed=sum(r.verdict != "pass" for r in reports))
 
 
-# command -> (runner, required config keys, whether the ladder must have one entry,
-#             whether it reads the rate bundle: not at all, "if any" or "required")
+# command -> (runner, required config keys with the least value of each, whether the
+#             ladder must have one entry, whether it reads the rate bundle: not at all,
+#             "if any" or "required"); moments' standard error needs two paths
 _COMMANDS = {
-    "simulate": (_simulate, ("n_paths",), True, "if any"),
-    "converge": (_converge, ("n_paths", "epsilon"), False, None),
-    "moments": (_moments, ("n_paths",), True, None),
-    "perturbation": (_perturbation, ("n_paths",), False, "if any"),
-    "check": (_check, ("samples",), False, "required"),
+    "simulate": (_simulate, {"n_paths": 1}, True, "if any"),
+    "converge": (_converge, {"n_paths": 1, "epsilon": 0.0}, False, None),
+    "moments": (_moments, {"n_paths": 2}, True, None),
+    "perturbation": (_perturbation, {"n_paths": 1}, False, "if any"),
+    "check": (_check, {"samples": 1}, False, "required"),
 }
 
 
@@ -454,15 +456,18 @@ def main(argv=None) -> int:
         cfg.seed = cfg.seed if seed is None else seed
         if cfg.seed < 0:
             raise ConfigError("seed must be non-negative")
-        for key in required:
-            if getattr(cfg, key) is None:
+        for key, least in required.items():
+            value = getattr(cfg, key)
+            if value is None:
                 raise ConfigError(f"command {command!r} requires config key {key!r}")
+            if value < least:
+                raise ConfigError(f"command {command!r} needs {key} >= {least}, got {value}")
         if single_level and len(cfg.ladder) != 1:
             raise ConfigError(f"{command} expects a single-entry ladder")
         model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
         xi = _build_segment(cfg, model.state_dim)
         grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
-        spec = _rate_bundle(cfg) if bundle else None
+        spec = _rate_bundle(cfg) if bundle or cfg.rates is not None else None
         if bundle == "required" and spec is None:
             raise ConfigError(
                 f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"

@@ -18,7 +18,9 @@ finite sample, so no checker for it exists).  A report passes when no
 sampled violation was found.  Deterministic probes (box corners, axis
 points, the origin, coincident pairs) are injected alongside the random
 samples so that known failure modes are hit with certainty.  All checkers
-are deterministic given their seed, and violations are sorted by severity
+are deterministic given their seed: they draw what numpy's
+``default_rng(seed)`` would draw, bitwise, from :class:`~nsdde_sim.pcg64.Stream`,
+without importing ``numpy.random``.  Violations are sorted by severity
 before the list is capped.
 
 Coefficients, and the bare ``neutral`` map of the contraction checks, are
@@ -42,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import pcg64
 from .errors import DegenerateSampling, InvalidRange
 from .model import DelayGrid, NsddeModel
 
@@ -184,7 +187,7 @@ def check_contraction(
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
     _check_sampling(box, samples, dim)
-    pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
+    pairs = _probes_and_draws(pcg64.Stream(seed), box, dim, _PAIRS, samples)
     n = len(pairs)
     vals = _rows(neutral(np.concatenate([pairs[:, 0], pairs[:, 1]])), (2 * n, dim))
     # D(0) is vals[n]: the first probe pair is (box e1, 0)
@@ -212,7 +215,7 @@ def estimate_contraction(
     maps report a value close to their true modulus.
     """
     _check_sampling(box, samples, dim)
-    rng = np.random.default_rng(seed)
+    rng = pcg64.Stream(seed)
     h = 1e-4 * box
     centres = [np.full(dim, c) for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)]
     probes = [(c - h, c + h) for c in centres] + [(np.zeros(dim), np.full(dim, box))]
@@ -311,7 +314,7 @@ def check_coercivity(
     K1(t) <= C1 * K1(t - tau) are evaluated at every sampled time.
     """
     _check_sampling(spec.box_radius, samples, model.state_dim)
-    rng = np.random.default_rng(seed)
+    rng = pcg64.Stream(seed)
     pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
     x, y = pairs[:, 0], pairs[:, 1]
@@ -344,7 +347,7 @@ def check_monotonicity(
     is evaluated, together with the KR rate inequalities.
     """
     _check_sampling(spec.box_radius, samples, model.state_dim)
-    rng = np.random.default_rng(seed)
+    rng = pcg64.Stream(seed)
     box, tau = spec.box_radius, model.delay
     quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
@@ -372,7 +375,7 @@ def check_integrability(
     """
     dim = model.state_dim
     _check_sampling(box, samples, dim)
-    pairs = _probes_and_draws(np.random.default_rng(seed), box, dim, _PAIRS, samples)
+    pairs = _probes_and_draws(pcg64.Stream(seed), box, dim, _PAIRS, samples)
     x, y = pairs[:, 0], pairs[:, 1]
     times = grid.times[grid.steps_per_delay:-1].tolist()
     violations: list[Violation] = []
@@ -394,34 +397,14 @@ def check_integrability(
 def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
     """The time indices ``(samples,)`` and blocks ``(samples, 4, dim)`` that calling
     ``rng.integers(0, n)`` then ``rng.uniform(-box, box, (4, dim))`` once per sample
-    on ``rng = np.random.default_rng(seed)`` draws, bitwise.
+    on numpy's ``rng = default_rng(seed)`` draws, bitwise.
 
-    With PCG64 they are a fixed function of one raw 64-bit output block.  Samples
-    2q and 2q + 1 share one output for their integers: numpy's Lemire bounded draw
-    takes its low 32-bit half u, buffers the high half for the next draw, and
-    returns (u * n) >> 32.  Each double is (output >> 11) * 2**-53, scaled as
-    low + (high - low) * u.  Where a Lemire step would reject a half (the low 32
-    bits of u * n below (2**32 - n) % n) and draw again, for n < 2, n > 2**32 or
-    another bit generator, the per-sample calls are made instead."""
-    rng = np.random.default_rng(seed)
-    bit_gen = rng.bit_generator
-    if 2 <= n <= 2**32 and bit_gen.state["bit_generator"] == "PCG64":
-        width, pairs = 4 * dim, (samples + 1) // 2
-        # per pair: one integer output, then sample 2q's and sample 2q + 1's block
-        # (an odd count draws one unused block, and this generator is discarded)
-        rows = bit_gen.random_raw(pairs * (1 + 2 * width)).reshape(pairs, -1)
-        halves = np.stack([rows[:, 0] & 0xFFFFFFFF, rows[:, 0] >> 32], axis=1)
-        scaled = halves.reshape(-1)[:samples] * np.uint64(n)
-        if not ((scaled & 0xFFFFFFFF) < (2**32 - n) % n).any():
-            units = (rows[:, 1:].reshape(2 * pairs, 4, dim)[:samples] >> 11) * 2.0**-53
-            return (scaled >> 32).astype(np.int64), -box + (box - -box) * units
-        rng = np.random.default_rng(seed)
-    idx = np.empty(samples, dtype=np.int64)
-    blocks = np.empty((samples, 4, dim))
-    for i in range(samples):
-        idx[i] = rng.integers(0, n)
-        blocks[i] = rng.uniform(-box, box, size=(4, dim))
-    return idx, blocks
+    :meth:`~nsdde_sim.pcg64.Stream.interleaved` reads them in runs: two samples share
+    one raw output for their integers, and each block takes the next 4 * dim
+    outputs.  A sample whose 32-bit half Lemire's draw rejects is read half by half
+    from the same outputs; nothing falls back to numpy's generator."""
+    idx, rows = pcg64.Stream(seed).interleaved(n, samples, 4 * dim)
+    return idx, pcg64.uniform(rows, -box, box).reshape(samples, 4, dim)
 
 
 @np.errstate(all="ignore")
@@ -438,7 +421,7 @@ def propose_constant_rates(
     a starting point when no derived bundle is available.
 
     Each sample in turn draws a grid time, then its (x, y, x', y') block, from
-    ``default_rng(seed)``; :func:`_interleaved_draws` replays them in one pass.
+    ``default_rng(seed)``'s stream; :func:`_interleaved_draws` reads them in runs.
     """
     _check_sampling(box, samples, model.state_dim)
     times = grid.times[grid.steps_per_delay:]

@@ -288,9 +288,11 @@ class TestExitCodes:
         ("converge", {"horizon": 1e300}),
         ("perturbation", {"horizon": 1e300}),
         ("converge", {"ladder": [0.5, 0.2]}),
+        ("moments", {"ladder": [0.5], "n_paths": 1}),
     ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
             "non_contractive_k", "zero_dim", "check_without_rates", "simulate_past_index_limit",
-            "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder"])
+            "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder",
+            "moments_one_path"])
     def test_config_rejected_after_loading_leaves_no_output_dir(
         self, tmp_path, capsys, command, overrides
     ):
@@ -299,6 +301,20 @@ class TestExitCodes:
                      "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "moments", "perturbation",
+                                         "check"])
+    def test_invalid_rates_are_2_under_every_command(self, tmp_path, capsys, command):
+        rates = {
+            "kappa": 1.5, "growth_rate": 1.0, "growth_rate_delayed": 0.0,
+            "local_rate": 1.0, "local_rate_delayed": 0.0,
+            "growth_delay_factor": 1.0, "local_delay_factor": 1.0,
+        }
+        ladder = [0.5] if command in ("simulate", "moments") else [0.5, 0.25]
+        cfg, out = write_config(tmp_path, ladder=ladder, samples=10, rates=rates), tmp_path / "o"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: kappa must lie in (0, 1), got 1.5\n"
         assert not out.exists()
 
     def test_success_is_0(self, tmp_path):
@@ -623,6 +639,21 @@ class TestParser:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("nsdde-sim: error:") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr and not bad.exists()
+
+    def test_check_does_not_import_numpy_random(self, tmp_path):
+        # the checkers compute default_rng's stream themselves; numpy.random's
+        # import (with secrets and hashlib) was most of a cold check run
+        forbidden = ["numpy.random", "secrets", "hashlib"]
+        cfg, out = write_config(tmp_path, samples=10), str(tmp_path / "o")
+        script = (
+            "import sys\n"
+            "from nsdde_sim.cli import main\n"
+            f"assert main(['check', '--config', {cfg!r}, '--output', {out!r}]) == 0\n"
+            f"print([name for name in {forbidden!r} if name in sys.modules])\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_runs_do_not_import_slow_modules(self, tmp_path):
         # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms of

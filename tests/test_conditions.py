@@ -31,6 +31,7 @@ from nsdde_sim import (
     neutral_cubic_rates,
     propose_constant_rates,
 )
+from nsdde_sim import pcg64
 from nsdde_sim.conditions import (
     MAX_VIOLATIONS,
     SLACK,
@@ -476,32 +477,20 @@ def test_a_rejected_buffered_half_falls_back_to_the_generator_calls(dim):
         assert got[1].tobytes() == want[1].tobytes()
 
 
-class _Counted:
-    """A generator or bit generator that counts each attribute read (so each
-    method call); the bit generator it hands out is counted too."""
-
-    def __init__(self, target, reads):
-        self._target, self._reads = target, reads
-
-    def __getattr__(self, name):
-        self._reads[name] += 1
-        value = getattr(self._target, name)
-        return _Counted(value, self._reads) if name == "bit_generator" else value
-
-
 def test_rate_proposal_makes_as_many_generator_calls_at_any_sample_count(monkeypatch):
-    # a per-sample draw loop would make its calls once per sample
-    real = np.random.default_rng
+    # a per-sample draw loop would generate the stream once per sample, or once
+    # per pcg64.ROW outputs
     model = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
+    real = pcg64._outputs
 
-    def reads(samples):
-        counter = Counter()
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Counted(real(seed), counter))
+    def generations(samples):
+        calls = []
+        monkeypatch.setattr(pcg64, "_kept", {})
+        monkeypatch.setattr(pcg64, "_outputs", lambda *args: calls.append(args) or real(*args))
         propose_constant_rates(model, GRID, 2.0, samples, seed=20260815)
-        return counter
+        return len(calls)
 
-    few = reads(10)
-    assert few and few == reads(10_000)
+    assert generations(10) == generations(10_000) == 1
 
 
 def mixing_model():
