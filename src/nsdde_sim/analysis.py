@@ -8,11 +8,11 @@ pathwise in the sup norm over grid points.  Convergence in probability is
 then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
 
-Paths that blow up are excluded from aggregates and reported separately
-via ``diverged_count`` — they are never silently dropped.  Every study
-reduces from one ladder driver that runs the paths in blocks of
-:data:`PATH_BLOCK`, every path of a block through one engine call per
-level, and hands them on in path index order.
+Every study reduces from one ladder driver that runs the paths in blocks of
+:data:`PATH_BLOCK` and hands them on in path index order.  It also decides
+divergence for every study: a path whose sup |X| over [0, horizon] exceeds
+the truncation radius, or is not finite, is left out of every aggregate and
+reported separately via ``diverged_count``, never silently dropped.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
 # points; every shipped config fits in one block.
 PATH_BLOCK = 1024
 
-# Default sup |X| over [0, horizon] beyond which a moments path counts as
-# diverged (the config's truncation_radius).
+# Default sup |X| over [0, horizon] beyond which a path counts as diverged
+# (the config's truncation_radius).
 TRUNCATION_RADIUS = 3.0e6
 
 
@@ -55,17 +55,28 @@ def ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
     return grids
 
 
-def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int):
+def check_radius(radius: float) -> None:
+    """Reject a radius past sqrt(float max), where |X|**2 overflows to inf."""
+    if not 0.0 < radius <= np.sqrt(np.finfo(float).max):
+        raise InvalidRange(f"truncation radius must lie in (0, 1.34e154], got {radius!r}")
+
+
+def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int,
+                  radius: float):
     """Yield, per block of paths, every level's solution on the finest grid.
 
     Per block the finest increments are generated once; each coarser level
     is driven by their block sums, simulated, and refined onto the finest
     grid, while the finest level is simulated on them directly.  The
-    yielded list holds one ``(values, finite)`` pair per level: ``values``
-    is the engine's time-major view, shape (M + 1, paths, state_dim) on
-    [0, horizon], and ``finite`` is False for a path that diverged at that
-    level.  A one-level ladder yields the simulated paths themselves.
+    yielded list holds one ``(values, kept)`` pair per level: ``values`` is
+    the engine's time-major view, shape (M + 1, paths, state_dim) on
+    [0, horizon], and ``kept`` is False for a path that diverged at that
+    level: its sup |X| there exceeds ``radius`` or is not a number.  A
+    one-level ladder yields the simulated paths themselves.
     """
+    if n_paths < 1:
+        raise InvalidRange("n_paths must be >= 1")
+    check_radius(radius)
     fine = grids[-1]
     skip = fine.steps_per_delay
     for indices in path_blocks(n_paths):
@@ -77,7 +88,10 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
             path = simulate(model, xi, grid, noise)
             if factor > 1:
                 path = refine_to(path, model, xi, fine, fine_noise)
-            levels.append((path.values[skip:], path.finite))
+            values = path.values[skip:]
+            with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
+                sup = np.sqrt(np.einsum("ipj,ipj->ip", values, values).max(axis=0))
+            levels.append((values, sup <= radius))
         yield levels
 
 
@@ -130,22 +144,22 @@ def converge_study(
     epsilon: float,
     n_paths: int,
     seed: int,
+    radius: float = TRUNCATION_RADIUS,
 ) -> ConvergenceTable:
     """Coupled refinement study across a ladder of nested steps.
 
     For every path the same finest-grid increments drive all levels; each
     level is refined onto the finest grid and consecutive levels are
-    compared by their sup difference over grid points in [0, horizon].
+    compared by their sup difference over grid points in [0, horizon]; a
+    path that diverged at either level is left out of that pair.
     """
     if len(ladder) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
     if not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
-    if n_paths < 1:
-        raise InvalidRange("n_paths must be >= 1")
     grids = ladder_grids(model.delay, horizon, ladder)
     pair_sups = [[] for _ in grids[1:]]
-    for levels in _ladder_paths(model, xi, grids, n_paths, seed):
+    for levels in _ladder_paths(model, xi, grids, n_paths, seed, radius):
         for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
             # reduce every path, then drop the diverged ones (masking the
             # path axis of (times, paths, d) values first gathers strided)
@@ -155,7 +169,6 @@ def converge_study(
     rows = []
     for pair_index in range(len(grids) - 1):
         sups = np.concatenate(pair_sups[pair_index])
-        diverged = n_paths - sups.size
         rows.append(
             LevelPairRow(
                 level_pair=f"{pair_index}-{pair_index + 1}",
@@ -164,7 +177,7 @@ def converge_study(
                 epsilon=epsilon,
                 n_paths=n_paths,
                 exceed_count=int((sups > epsilon).sum()),
-                diverged_count=diverged,
+                diverged_count=n_paths - sups.size,
                 sup_diffs=sups,
             )
         )
@@ -214,13 +227,11 @@ def perturbation_integrability(
     For each ladder level the solution is refined onto the finest grid and
     the deviation p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
     [0, min(horizon, first time |X| > radius/3)], both plainly and with the
-    time weight applied.  Quadrature is per fine interval with the
-    interval's own coarse anchor, so the piecewise behaviour of p at
-    coarse nodes is integrated exactly (the estimator reproduces the
-    closed form c*M*delta^2/2 for constant drift to rounding error).
+    time weight applied, over the paths with sup |X| <= radius.  Quadrature
+    is per fine interval with the interval's own coarse anchor, so the
+    piecewise behaviour of p at coarse nodes is integrated exactly (it
+    gives the closed form c*M*delta^2/2 for constant drift to rounding).
     """
-    if not radius > 0.0 or n_paths < 1:
-        raise InvalidRange("need a positive radius and n_paths >= 1")
     grids = ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
     delta_f = fine.delta
@@ -235,14 +246,14 @@ def perturbation_integrability(
     level_sums = [[] for _ in grids]
     # a huge but finite path overflows the norms past its stop
     with np.errstate(all="ignore"):
-        for levels in _ladder_paths(model, xi, grids, n_paths, seed):
-            for sums, (level, finite), anchors in zip(level_sums, levels, anchor_per_level):
+        for levels in _ladder_paths(model, xi, grids, n_paths, seed, radius):
+            for sums, (level, kept), anchors in zip(level_sums, levels, anchor_per_level):
                 exceeded = np.linalg.norm(level, axis=-1) > threshold
                 exceeded[-1] = True  # a path that stays inside runs to the horizon
-                stops = exceeded.argmax(axis=0)[finite]
+                stops = exceeded.argmax(axis=0)[kept]
                 # (paths, M) rows: each path's integrands are contiguous
-                left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T[finite]
-                right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T[finite]
+                left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T[kept]
+                right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T[kept]
                 terms = np.stack([left + right, left * weights[:-1] + right * weights[1:]])
                 block = np.empty((2, stops.size))
                 for stop in set(stops.tolist()):
@@ -289,27 +300,21 @@ def estimate_moments(
 ) -> MomentReport:
     """Estimate sup-of-mean-square and mean-of-sup-square over grid times.
 
-    A path counts as diverged, and is left out of every estimate, when it
-    turns non-finite or when its sup |X| over [0, horizon] exceeds
-    ``radius``: explicit Euler under superlinear drift can blow up to
-    values that are huge but finite.
+    A path whose sup |X| over [0, horizon] exceeds ``radius`` counts as
+    diverged and is left out of every estimate.
     """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
-    if not radius > 0.0:
-        raise InvalidRange(f"radius must be positive, got {radius}")
     grid = make_grid(model.delay, horizon, delta)
     n0 = grid.steps_per_delay
     curves = []
-    for ((level, finite),) in _ladder_paths(model, xi, [grid], n_paths, seed):
+    for ((level, kept),) in _ladder_paths(model, xi, [grid], n_paths, seed, radius):
         # C-ordered (paths, times), so the mean below adds one path at a
         # time; diverged paths are dropped after the reduction, as above
         with np.errstate(all="ignore"):
-            squares = np.einsum("ipj,ipj->pi", level, level, order="C")[finite]
-        curves.append(squares[np.sqrt(squares.max(axis=1)) <= radius])
+            curves.append(np.einsum("ipj,ipj->pi", level, level, order="C")[kept])
     stacked = np.concatenate(curves)
     used = stacked.shape[0]
-    diverged = n_paths - used
     if not used:
         raise DegenerateSampling("every simulated path diverged")
     mean_curve = stacked.mean(axis=0)
@@ -318,7 +323,7 @@ def estimate_moments(
     return MomentReport(
         delta=grid.delta,
         n_paths=n_paths,
-        diverged_count=diverged,
+        diverged_count=n_paths - used,
         sup_mean_square=float(mean_curve[peak]),
         mean_sup_square=float(stacked.max(axis=1).mean()),
         std_error=spread / np.sqrt(used),

@@ -19,15 +19,15 @@ Configs are a single JSON document; unknown keys anywhere are errors, so a
 typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
 its runner, its required config keys with their least values, whether its
 ladder has one entry, and whether it reads the rate bundle.  A given "rates"
-object is checked under every command.  ``main`` checks those, builds the model,
-the initial segment, the ladder grids and the bundle, only then creates the
-output directory, and calls the runner, which computes and writes its own
-output files.  Then ``main`` writes a ``manifest.json`` (config echo,
-effective seed, library version, algorithm identifiers, output list),
-prints the runner's summary lines and picks the exit code.  Reruns with the
-same config and seed are byte-identical.  CSV output uses comma
-separators, '.' decimal point, LF line endings, a header row, and floats
-with 17 significant digits.
+object and ``truncation_radius`` are checked under every command.  ``main``
+checks those, builds the model, the initial segment, the ladder grids and the
+bundle, only then creates the output directory, and calls the runner, which
+computes and writes its own output files.  Then ``main`` writes a
+``manifest.json`` (config echo, effective seed, library version, algorithm
+identifiers, output list), prints the runner's summary lines and picks the
+exit code.  Reruns with the same config and seed are byte-identical.  CSV
+output uses comma separators, '.' decimal point, LF line endings, a header
+row, and floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(ladder, list) or not ladder:
         raise ConfigError('config "ladder" must be a non-empty array of steps')
     ladder = [_real("ladder", d) for d in ladder]
-    if any(d2 >= d1 for d1, d2 in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder steps must be strictly decreasing")
 
     rates = doc.get("rates")
     if rates is not None:
@@ -314,7 +312,8 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
 
 def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     table = analysis.converge_study(
-        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed
+        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed,
+        radius=cfg.truncation_radius,
     )
     columns = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
@@ -467,6 +466,7 @@ def main(argv=None) -> int:
         model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
         xi = _build_segment(cfg, model.state_dim)
         grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
+        analysis.check_radius(cfg.truncation_radius)
         spec = _rate_bundle(cfg) if bundle or cfg.rates is not None else None
         if bundle == "required" and spec is None:
             raise ConfigError(

@@ -3,9 +3,9 @@
 Everything derives from :class:`NsddeError` so callers can catch the whole
 family with a single except clause.  Input validation errors are raised as
 early as possible (at grid/model construction).  A simulation that blows up
-raises nothing: each path's divergence is reported through
-:attr:`nsdde_sim.euler.PathGrid.finite`, and its first non-finite grid
-index through :attr:`~nsdde_sim.euler.PathGrid.first_nonfinite`.
+raises nothing: a non-finite path is marked in
+:attr:`nsdde_sim.euler.PathGrid.finite`, and the studies count a path past
+their truncation radius, too, in their ``diverged_count``.
 """
 
 

@@ -55,8 +55,8 @@ class PathGrid:
     ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
     (indices up to 0 hold the sampled initial segment), and path ``p`` is
     the one driven by row ``p`` of ``noise``.  A path that turned NaN or
-    infinite is kept and marked in :attr:`finite`; :attr:`first_nonfinite`
-    says where.
+    infinite is kept and marked in :attr:`finite` (the studies of
+    :mod:`nsdde_sim.analysis` also drop a huge but finite one).
 
     ``steps`` is ``(drift (M, paths, d), diffusion (M, paths, d, k))``, the
     coefficients step ``l`` evaluated, in the same layout.
@@ -90,14 +90,6 @@ class PathGrid:
     def finite(self) -> np.ndarray:
         """Per path: True when every value of the path is finite."""
         return np.isfinite(self.values).all(axis=(0, 2))
-
-    @property
-    def first_nonfinite(self) -> np.ndarray:
-        """Per path: the grid index of the first state with a NaN or infinite
-        entry, or ``total_steps + 1`` for a finite path."""
-        bad = ~np.isfinite(self.values).all(axis=-1)
-        first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(bad))
-        return first - self.grid.steps_per_delay
 
 
 def simulate(

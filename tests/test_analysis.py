@@ -1,5 +1,8 @@
 """Convergence tables, perturbation integrals, moments, and inequalities."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +273,33 @@ def test_moments_need_two_paths(cubic_model, unit_segment):
         estimate_moments(cubic_model, unit_segment, 2.0, 0.1, n_paths=1, seed=0)
 
 
+@pytest.mark.parametrize("radius, diverged", [(6.0, 42), (3.0e6, 34)])
+def test_studies_share_one_divergence_verdict(cubic_model, radius, diverged):
+    # explicit Euler on sec4 from xi = 3 at step 0.5 blows up to huge but
+    # finite values on 34 of these paths, and 8 more pass |X| = 6 on the way
+    xi = constant_segment(3.0)
+    moments = estimate_moments(cubic_model, xi, 2.0, 0.5, 50, 1, radius)
+    (row,) = perturbation_integrability(cubic_model, xi, 2.0, [0.5], 50, 1, radius,
+                                        constant_rate(1.0)).rows
+    assert moments.diverged_count == row.diverged_count == diverged
+
+
+@pytest.mark.parametrize("study", ["converge", "moments", "perturbation"])
+def test_radius_past_the_squared_norms_is_rejected(cubic_model, unit_segment, study):
+    # sup |X| is compared through |X|^2, which overflows past sqrt(float max)
+    # (1.34e154): a path inside a 1e200 ball could not be told from a blow-up
+    run = {
+        "converge": lambda r: converge_study(cubic_model, unit_segment, 2.0, [0.5, 0.25], 0.1,
+                                             2, 0, r),
+        "moments": lambda r: estimate_moments(cubic_model, unit_segment, 2.0, 0.5, 2, 0, r),
+        "perturbation": lambda r: perturbation_integrability(
+            cubic_model, unit_segment, 2.0, [0.5, 0.25], 2, 0, r, constant_rate(1.0)),
+    }[study]
+    with pytest.raises(InvalidRange, match="truncation radius"):
+        run(1e200)
+    run(math.sqrt(sys.float_info.max))
+
+
 NAN = float("nan")
 
 
@@ -278,13 +308,15 @@ NAN = float("nan")
     lambda m, xi: neutral_cubic_rates(0.5, -1.0, NAN, 1.0, 2.0),
     lambda m, xi: constant_rate(NAN),
     lambda m, xi: converge_study(m, xi, 2.0, [0.1, 0.05], NAN, 4, 0),
+    lambda m, xi: converge_study(m, xi, 2.0, [0.1, 0.05], 0.1, 4, 0, radius=NAN),
     lambda m, xi: perturbation_integrability(m, xi, 2.0, [0.1, 0.05], 4, 0, NAN,
                                              constant_rate(1.0)),
     lambda m, xi: estimate_moments(m, xi, 2.0, 0.1, 4, 0, radius=NAN),
     lambda m, xi: power_split_bound(1.0, 1.0, NAN, 1.0),
     lambda m, xi: power_split_bound(1.0, 1.0, 2.0, NAN),
 ], ids=["cubic_model_c1", "cubic_rates_c2", "constant_rate", "converge_epsilon",
-        "perturbation_radius", "moments_radius", "power_split_p", "power_split_epsilon"])
+        "converge_radius", "perturbation_radius", "moments_radius", "power_split_p",
+        "power_split_epsilon"])
 def test_nan_fails_range_checks(cubic_model, unit_segment, call):
     # each check is written so that NaN fails it, before any work is done
     with pytest.raises(InvalidRange):
@@ -404,10 +436,17 @@ def path_major_levels(model, xi, ladder, n_paths, seed):
     return fine, levels
 
 
-def reference_sups(levels):
+def reference_kept(level, radius):
+    """Per path: sup |X| <= radius, False for a NaN or inf."""
+    with np.errstate(all="ignore"):
+        return np.sqrt(np.einsum("pij,pij->pi", level, level).max(axis=1)) <= radius
+
+
+def reference_sups(levels, radius):
+    kept = [reference_kept(level, radius) for level, _ in levels]
     return [
         np.linalg.norm(lo[lo_ok & hi_ok] - hi[lo_ok & hi_ok], axis=-1).max(axis=-1)
-        for (lo, lo_ok), (hi, hi_ok) in zip(levels, levels[1:])
+        for (lo, _), (hi, _), lo_ok, hi_ok in zip(levels, levels[1:], kept, kept[1:])
     ]
 
 
@@ -426,11 +465,11 @@ def reference_perturbation(fine, levels, ladder, radius, weight):
     m_fine, delta_f = fine.total_steps, fine.delta
     weights = np.array([weight(float(t)) for t in fine.times[fine.steps_per_delay :]])
     out = []
-    for delta, (level, finite) in zip(ladder, levels):
+    for delta, (level, _) in zip(ladder, levels):
         factor = fine.steps_per_delay // make_grid(1.0, 2.0, delta).steps_per_delay
         anchors = (np.arange(m_fine) // factor) * factor
         vals = []
-        for ref in level[finite]:
+        for ref in level[reference_kept(level, radius)]:
             exceeded = np.linalg.norm(ref, axis=1) > radius / 3.0
             stop = int(np.argmax(exceeded)) if exceeded.any() else m_fine
             if stop == 0:
@@ -447,9 +486,6 @@ def reference_perturbation(fine, levels, ladder, radius, weight):
     return out
 
 
-# the reference's sup-difference norm of a huge but finite mixing path
-# overflows to inf; converge_study counts that path as an exceedance too
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("which", ["additive_noise_3", "mixing_2x2"])
 def test_studies_match_a_path_major_reduction(which):
     if which == "mixing_2x2":
@@ -460,7 +496,7 @@ def test_studies_match_a_path_major_reduction(which):
     fine, levels = path_major_levels(model, xi, ladder, n_paths, seed)
 
     table = converge_study(model, xi, 2.0, ladder, 0.5, n_paths, seed)
-    for row, sups in zip(table.rows, reference_sups(levels)):
+    for row, sups in zip(table.rows, reference_sups(levels, 3.0e6)):
         assert row.sup_diffs.tobytes() == sups.tobytes()
         assert row.diverged_count == n_paths - sups.size
         assert row.exceed_count == int((sups > 0.5).sum())

@@ -85,11 +85,10 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert f"'{key}' must be positive" in err and err.count("\n") == 1
 
-    def test_ladder_must_decrease(self, tmp_path):
-        with pytest.raises(ConfigError, match="decreasing"):
-            load_config(write_config(tmp_path, ladder=[0.25, 0.5]))
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, ladder=[]))
+    def test_ladder_must_be_a_non_empty_array(self, tmp_path):
+        for ladder in ([], 0.5):
+            with pytest.raises(ConfigError, match="non-empty array"):
+                load_config(write_config(tmp_path, ladder=ladder))
 
     def test_rates_all_or_nothing(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):
@@ -288,11 +287,13 @@ class TestExitCodes:
         ("converge", {"horizon": 1e300}),
         ("perturbation", {"horizon": 1e300}),
         ("converge", {"ladder": [0.5, 0.2]}),
+        ("converge", {"ladder": [0.25, 0.5]}),
         ("moments", {"ladder": [0.5], "n_paths": 1}),
+        ("converge", {"truncation_radius": 1e200}),
     ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
             "non_contractive_k", "zero_dim", "check_without_rates", "simulate_past_index_limit",
             "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder",
-            "moments_one_path"])
+            "rising_ladder", "moments_one_path", "radius_past_the_squared_norms"])
     def test_config_rejected_after_loading_leaves_no_output_dir(
         self, tmp_path, capsys, command, overrides
     ):
@@ -366,8 +367,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["converge", "perturbation"])
     def test_strict_ladder_divergence_is_3(self, tmp_path, command):
-        # divergence reaches the exit code through the finite mask of the
-        # path stacks; no exception is involved
+        # divergence reaches the exit code through the ladder driver's
+        # per-path verdict; no exception is involved
         cfg = write_config(
             tmp_path,
             model={"id": "cubic_drift", "params": {}},

@@ -138,7 +138,7 @@ def test_divergence_reports_step_and_time():
     grid = make_grid(1.0, 2.0, 0.25)
     path = simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, [0]))
     assert path.finite.tolist() == [False]
-    assert path.first_nonfinite.tolist() == [8]
+    assert not np.isfinite(path.values[8 + grid.steps_per_delay]).all()
     assert grid.times[8 + grid.steps_per_delay] == 2.0
     assert np.isfinite(path.values[: 8 + grid.steps_per_delay]).all()
 
@@ -305,14 +305,10 @@ def test_diverged_path_in_batch_is_masked():
     refined = refine_to(batch, model, xi, fine_grid, fine_noise)
     assert 0 < batch.finite.sum() < 8
     assert np.array_equal(refined.finite, batch.finite)
-    # a diverged path first turns non-finite on the step out of t = 1.5
-    last = coarse_grid.total_steps + 1
-    assert np.array_equal(batch.first_nonfinite, np.where(batch.finite, last, 4))
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, [p])
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
         assert single.finite[0] == batch.finite[p]
-        assert single.first_nonfinite[0] == batch.first_nonfinite[p]
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
         assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()

@@ -46,6 +46,12 @@ CASES = {
     }, ["--strict"], 3, [
         "simulate: wrote 0 paths to {out} (3 diverged)",
     ]),
+    # the blow-up in a two-level ladder: huge but finite paths count as diverged
+    "converge_strict_diverged": ("converge", "sec4_converge", {**BLOW_UP, "ladder": [0.5, 0.25]},
+                                 ["--strict"], 3, [
+        "converge 0-1: p_hat=1.0000 mean_sup=282488 diverged=36 SUSPECT(>1% diverged)",
+        "converge: exceedance trend non-increasing",
+    ]),
     "converge": ("converge", "sec4_converge", {"n_paths": 20, "ladder": [0.1, 0.05, 0.025]},
                  [], 0, [
         "converge 0-1: p_hat=0.8500 mean_sup=0.16739 diverged=0",
@@ -63,6 +69,11 @@ CASES = {
         "perturbation level 0 (delta=0.1): E int |p| = 0.160832, diverged=0",
         "perturbation level 1 (delta=0.05): E int |p| = 0.102663, diverged=0",
         "perturbation level 2 (delta=0.025): E int |p| = 0.0663505, diverged=0",
+    ]),
+    "perturbation_diverged": ("perturbation", "sec4_perturbation",
+                              {**BLOW_UP, "ladder": [0.5, 0.25]}, [], 0, [
+        "perturbation level 0 (delta=0.5): E int |p| = 0, diverged=42",
+        "perturbation level 1 (delta=0.25): E int |p| = 0, diverged=3",
     ]),
     "check": ("check", "sec4_check", {"samples": 300}, [], 0, [
         "check C4: pass (308 samples, 0 violations)",
