@@ -1,8 +1,9 @@
 """Monte Carlo studies built on the coupled Euler scheme.
 
 The central construction: per path, increments are generated once at the
-finest step of a ladder, every coarser level is driven by block sums of
-those increments (:func:`nsdde_sim.brownian.coarsen`), each level's
+finest step of a ladder, every level is driven by their block sums onto its
+grid (:func:`nsdde_sim.brownian.coarsen`, with the factor of
+:meth:`~nsdde_sim.model.DelayGrid.refinement`), each coarser level's
 solution is interpolated back onto the finest grid, and levels are compared
 pathwise in the sup norm over grid points.  Convergence in probability is
 then read off the exceedance fractions P(sup-difference > epsilon) along
@@ -65,9 +66,9 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
                   radius: float):
     """Yield, per block of paths, every level's solution on the finest grid.
 
-    Per block the finest increments are generated once; each coarser level
-    is driven by their block sums, simulated, and refined onto the finest
-    grid, while the finest level is simulated on them directly.  The
+    Per block the finest increments are generated once; every level is
+    driven by ``coarsen(fine_noise, grid)`` and simulated, and each level
+    but the finest is refined onto the finest grid.  The
     yielded list holds one ``(values, kept)`` pair per level: ``values`` is
     the engine's time-major view, shape (M + 1, paths, state_dim) on
     [0, horizon], and ``kept`` is False for a path that diverged at that
@@ -83,10 +84,8 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
         fine_noise = generate(fine, model.noise_dim, seed, indices)
         levels = []
         for grid in grids:
-            factor = grid.refinement(fine)
-            noise = coarsen(fine_noise, factor) if factor > 1 else fine_noise
-            path = simulate(model, xi, grid, noise)
-            if factor > 1:
+            path = simulate(model, xi, grid, coarsen(fine_noise, grid))
+            if grid is not fine:
                 path = refine_to(path, model, xi, fine, fine_noise)
             values = path.values[skip:]
             with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
@@ -151,7 +150,8 @@ def converge_study(
     For every path the same finest-grid increments drive all levels; each
     level is refined onto the finest grid and consecutive levels are
     compared by their sup difference over grid points in [0, horizon]; a
-    path that diverged at either level is left out of that pair.
+    path that diverged at either level is left out of that pair, and a
+    pair with no path left raises :class:`DegenerateSampling`.
     """
     if len(ladder) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
@@ -169,6 +169,10 @@ def converge_study(
     rows = []
     for pair_index in range(len(grids) - 1):
         sups = np.concatenate(pair_sups[pair_index])
+        if not sups.size:
+            raise DegenerateSampling(
+                f"every simulated path diverged at level pair {pair_index}-{pair_index + 1} "
+                f"(steps {grids[pair_index].delta:g} and {grids[pair_index + 1].delta:g})")
         rows.append(
             LevelPairRow(
                 level_pair=f"{pair_index}-{pair_index + 1}",
@@ -227,7 +231,8 @@ def perturbation_integrability(
     For each ladder level the solution is refined onto the finest grid and
     the deviation p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
     [0, min(horizon, first time |X| > radius/3)], both plainly and with the
-    time weight applied, over the paths with sup |X| <= radius.  Quadrature
+    time weight applied, over the paths with sup |X| <= radius; a level
+    with no such path raises :class:`DegenerateSampling`.  Quadrature
     is per fine interval with the interval's own coarse anchor, so the
     piecewise behaviour of p at coarse nodes is integrated exactly (it
     gives the closed form c*M*delta^2/2 for constant drift to rounding).
@@ -265,7 +270,10 @@ def perturbation_integrability(
     rows = []
     for level, (grid, sums) in enumerate(zip(grids, level_sums)):
         sums = np.concatenate(sums, axis=1)
-        abs_mean, w_mean = sums.mean(axis=1).tolist() if sums.size else (0.0, 0.0)
+        if not sums.size:
+            raise DegenerateSampling(
+                f"every simulated path diverged at level {level} (step {grid.delta:g})")
+        abs_mean, w_mean = sums.mean(axis=1).tolist()
         rows.append(PerturbationRow(level, grid.delta, n_paths, abs_mean, w_mean,
                                     n_paths - sums.shape[1]))
     return PerturbationTable(tuple(rows))

@@ -84,28 +84,18 @@ def generate(
     return BrownianPath(grid, increments)
 
 
-def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
-    """Aggregate blocks of ``factor`` fine increments into one coarse driver.
+def coarsen(path: BrownianPath, grid: DelayGrid) -> BrownianPath:
+    """Aggregate the increments of ``path`` onto the coarser ``grid``.
 
-    Coarse increment ``l`` is the sum of fine increments
-    ``factor*l .. factor*l + factor - 1`` of the same path, so both sample
-    the same underlying Brownian motion.  ``factor`` must be an integer
-    >= 2 dividing both the delay and the horizon step counts.
+    With ``factor = grid.refinement(path.grid)``, coarse increment ``l`` is
+    the sum of fine increments ``factor*l .. factor*l + factor - 1`` of the
+    same path, so both sample the same underlying Brownian motion.  A grid
+    that ``path.grid`` does not nest in raises :class:`IncompatibleGrids`;
+    the equal grid gives factor 1 and the path's own increments.
     """
-    if factor != int(factor) or factor < 2:
-        raise InvalidRange(f"factor must be an integer >= 2, got {factor}")
-    factor = int(factor)
-    grid = path.grid
-    if grid.total_steps % factor or grid.steps_per_delay % factor:
-        raise InvalidRange(
-            f"factor {factor} does not divide step counts "
-            f"({grid.steps_per_delay} per delay, {grid.total_steps} total)"
-        )
-    coarse_grid = DelayGrid(
-        grid.tau, grid.horizon, grid.steps_per_delay // factor, grid.total_steps // factor
-    )
+    factor = grid.refinement(path.grid)
     blocks = path.increments.reshape((len(path.increments), -1, factor, path.noise_dim))
-    return BrownianPath(coarse_grid, _pairwise_block_sum(blocks))
+    return BrownianPath(grid, _pairwise_block_sum(blocks))
 
 
 def _pairwise_block_sum(blocks: np.ndarray) -> np.ndarray:

@@ -160,7 +160,7 @@ def refine_to(
     recorded in :attr:`PathGrid.steps`, so only ``neutral`` is evaluated;
     a path without them is rejected.  Coarse grid values are copied, so the
     refined path agrees with ``path`` at coarse nodes bit-exactly.  With
-    equal steps the input path is returned unchanged.
+    equal steps it is a bitwise copy of ``path`` without recorded steps.
     """
     coarse = path.grid
     if path.steps is None:
@@ -174,11 +174,7 @@ def refine_to(
         raise DimensionMismatch("state or noise dimensions disagree")
     if model.state_dim != path.state_dim:
         raise DimensionMismatch("model state_dim does not match the path")
-    if factor == 1:
-        if not np.array_equal(fine_noise.increments, path.noise.increments):
-            raise IncompatibleNoise("noise does not match the increments that drove the path")
-        return path
-    if not np.array_equal(coarsen(fine_noise, factor).increments, path.noise.increments):
+    if not np.array_equal(coarsen(fine_noise, coarse).increments, path.noise.increments):
         raise IncompatibleNoise("noise does not coarsen onto the increments that drove the path")
 
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay

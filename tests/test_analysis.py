@@ -200,13 +200,33 @@ def test_truncation_ignores_the_history():
 
 
 def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
-    # |X(0)| = 1 > radius/3 already, so every integral window is empty
+    # |X(0)| = 1 > radius/3 already, so every integral window is empty,
+    # while both paths stay inside the radius and are kept
     table = perturbation_integrability(
         cubic_model, unit_segment, 2.0, [0.1, 0.05],
-        n_paths=2, seed=1, radius=0.1, weight=constant_rate(1.0),
+        n_paths=2, seed=1, radius=2.9, weight=constant_rate(1.0),
     )
     for row in table.rows:
-        assert row.mean_abs_integral == 0.0
+        assert row.mean_abs_integral == row.mean_weighted_integral == 0.0
+        assert row.diverged_count == 0
+
+
+@pytest.mark.parametrize("study, where", [
+    ("converge", "level pair 0-1 (steps 0.1 and 0.05)"),
+    ("perturbation", "level 0 (step 0.1)"),
+])
+def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
+    # |X(0)| = 1 > radius on every path: an empty sample is an error, not a
+    # pair or a level that reads as perfect convergence
+    run = {
+        "converge": lambda: converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.05], 0.1,
+                                           2, 1, 0.1),
+        "perturbation": lambda: perturbation_integrability(
+            cubic_model, unit_segment, 2.0, [0.1, 0.05], 2, 1, 0.1, constant_rate(1.0)),
+    }[study]
+    with pytest.raises(DegenerateSampling) as info:
+        run()
+    assert str(info.value) == f"every simulated path diverged at {where}"
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
@@ -428,8 +448,7 @@ def path_major_levels(model, xi, ladder, n_paths, seed):
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
     levels = []
     for grid in grids:
-        factor = fine.steps_per_delay // grid.steps_per_delay
-        path = simulate(model, xi, grid, coarsen(fine_noise, factor) if factor > 1 else fine_noise)
+        path = simulate(model, xi, grid, coarsen(fine_noise, grid))
         path = refine_to(path, model, xi, fine, fine_noise)
         values = np.ascontiguousarray(np.moveaxis(path.values[fine.steps_per_delay :], 1, 0))
         levels.append((values, path.finite))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nsdde_sim import (
     BrownianPath,
     DimensionMismatch,
+    IncompatibleGrids,
     InvalidRange,
     coarsen,
     generate,
@@ -15,6 +16,11 @@ from nsdde_sim import (
 )
 
 GRID = make_grid(tau=1.0, horizon=2.0, delta=0.05)
+
+
+def coarser(grid, factor):
+    """The grid of ``grid``'s delay and horizon with ``factor`` times its step."""
+    return make_grid(grid.tau, grid.horizon, grid.delta * factor)
 
 
 def test_shapes_and_scaling():
@@ -52,11 +58,12 @@ def test_stacked_paths_match_single_paths():
     # the one-path stack of its index
     stack = generate(GRID, 2, seed=11, path_index=[5, 0, 3])
     assert stack.increments.shape == (3, GRID.total_steps, 2)
-    coarse, sums = coarsen(stack, 4), stack.partial_sums()
+    coarse, sums = coarsen(stack, coarser(GRID, 4)), stack.partial_sums()
     for row, index in enumerate((5, 0, 3)):
         single = generate(GRID, 2, seed=11, path_index=[index])
         assert stack.increments[row].tobytes() == single.increments[0].tobytes()
-        assert coarse.increments[row].tobytes() == coarsen(single, 4).increments[0].tobytes()
+        single_coarse = coarsen(single, coarse.grid)
+        assert coarse.increments[row].tobytes() == single_coarse.increments[0].tobytes()
         assert sums[row].tobytes() == single.partial_sums()[0].tobytes()
 
 
@@ -69,7 +76,7 @@ def test_scalar_path_index_is_rejected(index):
 
 def test_coarsen_sums_blocks():
     path = generate(GRID, 1, seed=5, path_index=[0])
-    coarse = coarsen(path, 4)
+    coarse = coarsen(path, coarser(GRID, 4))
     assert coarse.grid.steps_per_delay == GRID.steps_per_delay // 4
     assert coarse.grid.total_steps == GRID.total_steps // 4
     assert coarse.grid.tau == GRID.tau
@@ -83,8 +90,8 @@ def test_coarsen_sums_blocks():
 
 def test_coarsen_composes_exactly():
     path = generate(GRID, 2, seed=9, path_index=[1])
-    two_step = coarsen(coarsen(path, 2), 2)
-    one_step = coarsen(path, 4)
+    two_step = coarsen(coarsen(path, coarser(GRID, 2)), coarser(GRID, 4))
+    one_step = coarsen(path, coarser(GRID, 4))
     assert np.array_equal(two_step.increments, one_step.increments)
     assert two_step.grid == one_step.grid
 
@@ -102,18 +109,29 @@ def test_coarsen_composition_property(n, windows, seed, dim):
     for f1, f2 in ((2, 2), (2, 4), (4, 2)):
         if n % (f1 * f2):
             continue
-        composed = coarsen(coarsen(path, f1), f2)
-        direct = coarsen(path, f1 * f2)
+        coarse = coarser(grid, f1 * f2)
+        composed = coarsen(coarsen(path, coarser(grid, f1)), coarse)
+        direct = coarsen(path, coarse)
         assert np.array_equal(composed.increments, direct.increments)
 
 
-@pytest.mark.parametrize("factor", [0, 1, -2, 3, 7, 2.5])
-def test_coarsen_rejects_bad_factors(factor):
-    # 3 and 7 do not divide steps_per_delay=20; 1, 0, negatives and
-    # non-integral floats are rejected outright
-    path = generate(GRID, 1, seed=0, path_index=[0])
-    with pytest.raises(InvalidRange):
-        coarsen(path, factor)
+@pytest.mark.parametrize("coarse", [
+    make_grid(1.0, 2.0, 0.05),
+    make_grid(2.0, 4.0, 0.2),  # the step counts of the 0.1 grid
+    make_grid(1.0, 2.0, 0.25),
+], ids=["finer", "other_delay", "not_nested"])
+def test_coarsen_rejects_grids_it_does_not_nest_in(coarse):
+    # coarsen follows DelayGrid.refinement, onto a path on the 0.1 grid
+    path = generate(make_grid(1.0, 2.0, 0.1), 1, seed=0, path_index=[0])
+    with pytest.raises(IncompatibleGrids):
+        coarsen(path, coarse)
+
+
+def test_coarsen_onto_its_own_grid_returns_the_increments():
+    path = generate(GRID, 2, seed=3, path_index=[0, 1])
+    same = coarsen(path, make_grid(1.0, 2.0, 0.05))
+    assert same.grid == GRID
+    assert same.increments.tobytes() == path.increments.tobytes()
 
 
 def test_increment_shape_validated():

@@ -368,12 +368,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["converge", "perturbation"])
     def test_strict_ladder_divergence_is_3(self, tmp_path, command):
         # divergence reaches the exit code through the ladder driver's
-        # per-path verdict; no exception is involved
-        cfg = write_config(
-            tmp_path,
-            model={"id": "cubic_drift", "params": {}},
-            xi={"kind": "constant", "value": 2.0},
-        )
+        # per-path verdict; no exception is involved.  Sec4 from xi = 3
+        # diverges on 2 of these 5 paths at step 0.5 and on none at 0.25.
+        cfg = write_config(tmp_path, xi={"kind": "constant", "value": 3.0})
         out = str(tmp_path / "o")
         assert main([command, "--config", cfg, "--output", out, "--strict"]) == 3
         assert main([command, "--config", cfg, "--output", out]) == 0
@@ -400,6 +397,20 @@ class TestExitCodes:
         loose = write_config(tmp_path, "loose.json", truncation_radius=1e40, **doc)
         assert main(["moments", "--config", loose, "--output", str(out), "--strict"]) == 0
         assert (out / "moments.csv").read_text().splitlines()[1].split(",")[2] == "0"
+
+    @pytest.mark.parametrize("command, ladder", [
+        ("converge", [0.5, 0.25]), ("perturbation", [0.5, 0.25]), ("moments", [0.5]),
+    ], ids=["converge", "perturbation", "moments"])
+    def test_every_path_diverged_is_2(self, tmp_path, capsys, command, ladder):
+        # every path starts at |X(0)| = 3, past the radius: no study may
+        # report an empty sample as a row
+        cfg = write_config(tmp_path, ladder=ladder, n_paths=50, seed=1, truncation_radius=2.0,
+                           xi={"kind": "constant", "value": 3.0})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every simulated path diverged") and err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
 
 
 class TestOutputs:

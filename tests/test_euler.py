@@ -184,7 +184,7 @@ def test_refine_interior_oracle():
     coarse_grid = make_grid(1.0, 1.5, 0.5)
     fine_grid = make_grid(1.0, 1.5, 0.25)
     fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
-    coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
+    coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
     fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
     assert fine.values[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
@@ -193,7 +193,7 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     fine_grid = make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
-    coarse = simulate(cubic_model, unit_segment, coarse_grid, coarsen(fine_noise, 4))
+    coarse = simulate(cubic_model, unit_segment, coarse_grid, coarsen(fine_noise, coarse_grid))
     fine = refine_to(coarse, cubic_model, unit_segment, fine_grid, fine_noise)
     assert np.array_equal(fine.values[::4], coarse.values)
 
@@ -202,7 +202,8 @@ def test_refine_identity_at_factor_one(cubic_model, unit_segment):
     grid = make_grid(1.0, 2.0, 0.1)
     noise = generate(grid, 1, 1, [0])
     path = simulate(cubic_model, unit_segment, grid, noise)
-    assert refine_to(path, cubic_model, unit_segment, grid, noise) is path
+    same = refine_to(path, cubic_model, unit_segment, grid, noise)
+    assert same.values.tobytes() == path.values.tobytes() and same.noise == path.noise
 
 
 def test_refine_rejects_uncoupled_noise(cubic_model, unit_segment):
@@ -232,7 +233,7 @@ def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     other = make_grid(0.5, 1.0, 0.025)
     fine_noise = generate(other, 1, 1, [0])
-    driver = BrownianPath(coarse_grid, coarsen(fine_noise, 2).increments)
+    driver = BrownianPath(coarse_grid, coarsen(fine_noise, make_grid(0.5, 1.0, 0.05)).increments)
     coarse = simulate(cubic_model, unit_segment, coarse_grid, driver)
     with pytest.raises(IncompatibleGrids):
         refine_to(coarse, cubic_model, unit_segment, other, fine_noise)
@@ -247,7 +248,8 @@ def test_refine_node_agreement_property(seed, factor):
     xi = constant_segment(1.0)
     fine_grid = make_grid(1.0, 2.0, 0.1 / factor)
     fine_noise = generate(fine_grid, 1, seed, [0])
-    coarse = simulate(model, xi, make_grid(1.0, 2.0, 0.1), coarsen(fine_noise, factor))
+    coarse_grid = make_grid(1.0, 2.0, 0.1)
+    coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
     fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
     assert np.array_equal(fine.values[::factor], coarse.values)
 
@@ -274,13 +276,13 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     xi = affine_segment(0.5, 0.3, model.state_dim)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
-    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, 4))
+    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
     refined = refine_to(batch, model, xi, fine_grid, fine_noise)
     assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
     assert refined.values.shape == (121, 6, model.state_dim)
     for p in range(6):
         single_noise = generate(fine_grid, model.noise_dim, 5, [p])
-        single = simulate(model, xi, coarse_grid, coarsen(single_noise, 4))
+        single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
         assert single.values.shape == (31, 1, model.state_dim)
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
         for got, want in zip(batch.steps, single.steps):
@@ -301,13 +303,13 @@ def test_diverged_path_in_batch_is_masked():
     xi = constant_segment(0.0)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
-    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
+    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
     refined = refine_to(batch, model, xi, fine_grid, fine_noise)
     assert 0 < batch.finite.sum() < 8
     assert np.array_equal(refined.finite, batch.finite)
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, [p])
-        single = simulate(model, xi, coarse_grid, coarsen(single_noise, 2))
+        single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
         assert single.finite[0] == batch.finite[p]
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
         single_refined = refine_to(single, model, xi, fine_grid, single_noise)
@@ -319,7 +321,7 @@ def test_refine_rejects_a_path_without_recorded_steps():
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(2))
     model, xi = drifted_neutral(0.5, 1.0), constant_segment(1.0)
-    simulated = simulate(model, xi, coarse_grid, coarsen(fine_noise, 2))
+    simulated = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
     bare = PathGrid(simulated.values, simulated.noise)
     assert bare == simulated and bare.steps is None
     with pytest.raises(NsddeError) as info:
@@ -437,24 +439,22 @@ def test_engine_matches_per_node_reference(name, seed):
     fine = grids[-1]
     fine_noise = generate(fine, model.noise_dim, seed, range(5))
 
-    def noise_on(grid):
-        factor = fine.steps_per_delay // grid.steps_per_delay
-        return coarsen(fine_noise, factor) if factor > 1 else fine_noise
-
     def check(got, ref):
         assert got.values.shape == ref.shape and got.values.tobytes() == ref.tobytes()
         assert np.array_equal(got.finite, np.isfinite(ref).all(axis=(0, -1)))
 
     refs = []
     for grid in grids:
-        path = simulate(model, xi, grid, noise_on(grid))
-        ref = ref_simulate(model, xi, grid, noise_on(grid))
+        noise = coarsen(fine_noise, grid)
+        path = simulate(model, xi, grid, noise)
+        ref = ref_simulate(model, xi, grid, noise)
         check(path, ref)
         refs.append((path, ref))
     for lo, hi in [(0, 1), (0, 2), (1, 2)]:
         (path, ref), target = refs[lo], grids[hi]
-        refined = refine_to(path, model, xi, target, noise_on(target))
-        check(refined, ref_refine(ref, grids[lo], model, xi, target, noise_on(target)))
+        noise = coarsen(fine_noise, target)
+        refined = refine_to(path, model, xi, target, noise)
+        check(refined, ref_refine(ref, grids[lo], model, xi, target, noise))
 
 
 def test_coefficient_calls_per_delay_window():
@@ -478,7 +478,7 @@ def test_coefficient_calls_per_delay_window():
     coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
     fine_noise = generate(fine, 1, seed=3, path_index=range(4))
 
-    path = simulate(model, xi, coarse, coarsen(fine_noise, 4))
+    path = simulate(model, xi, coarse, coarsen(fine_noise, coarse))
     m, n = coarse.total_steps, coarse.steps_per_delay
     assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
 
@@ -502,7 +502,7 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     )
     coarse, fine = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
-    path = simulate(model, xi, coarse, coarsen(fine_noise, 2))
+    path = simulate(model, xi, coarse, coarsen(fine_noise, coarse))
     refined = refine_to(path, model, xi, fine, fine_noise)
     for grid, values in ((coarse, path.values), (fine, refined.values)):
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
