@@ -10,6 +10,7 @@ from nsdde_sim import (
     DimensionMismatch,
     IncompatibleGrids,
     InvalidRange,
+    NonDivisibleStep,
     coarsen,
     generate,
     make_grid,
@@ -125,6 +126,21 @@ def test_coarsen_rejects_grids_it_does_not_nest_in(coarse):
     path = generate(make_grid(1.0, 2.0, 0.1), 1, seed=0, path_index=[0])
     with pytest.raises(IncompatibleGrids):
         coarsen(path, coarse)
+
+
+@pytest.mark.parametrize("factor, error", [
+    (0, InvalidRange),
+    (-2, InvalidRange),
+    (3, NonDivisibleStep),
+    (2.5, IncompatibleGrids),
+], ids=["0", "-2", "3", "2.5"])
+def test_coarsen_rejects_bad_factors(factor, error):
+    # the grid with ``factor`` times the 0.05 step: zero and negative steps
+    # and 0.15, which does not divide the delay, give no grid at all; 0.125
+    # gives 8 steps per delay, which the path's 20 do not nest in
+    path = generate(GRID, 1, seed=0, path_index=[0])
+    with pytest.raises(error):
+        coarsen(path, coarser(GRID, factor))
 
 
 def test_coarsen_onto_its_own_grid_returns_the_increments():
