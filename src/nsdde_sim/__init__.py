@@ -41,14 +41,12 @@ from .errors import (
     DegenerateSampling,
     DimensionMismatch,
     IncompatibleGrids,
-    IncompatibleNoise,
     InvalidRange,
     NonDivisibleStep,
     NsddeError,
 )
 from .euler import (
     PathGrid,
-    refine_to,
     simulate,
 )
 from .model import (
@@ -77,7 +75,6 @@ __all__ = [
     "DelayGrid",
     "DimensionMismatch",
     "IncompatibleGrids",
-    "IncompatibleNoise",
     "InitialSegment",
     "InvalidRange",
     "LevelPairRow",
@@ -114,6 +111,5 @@ __all__ = [
     "power_split_bound",
     "propose_constant_rates",
     "pure_neutral",
-    "refine_to",
     "simulate",
 ]

@@ -1,10 +1,10 @@
 """Monte Carlo studies built on the coupled Euler scheme.
 
 The central construction: per path, increments are generated once at the
-finest step of a ladder, every level is driven by their block sums onto its
-grid (:func:`nsdde_sim.brownian.coarsen`, with the factor of
-:meth:`~nsdde_sim.model.DelayGrid.refinement`), each coarser level's
-solution is interpolated back onto the finest grid, and levels are compared
+finest step of a ladder, every level is simulated on its grid from them
+(:func:`nsdde_sim.euler.simulate` drives it by their block sums and
+interpolates its solution onto the finest grid in the same pass), and
+levels are compared
 pathwise in the sup norm over grid points.  Convergence in probability is
 then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import coarsen, generate
+from .brownian import generate
 from .errors import DegenerateSampling, InvalidRange
-from .euler import PathGrid, refine_to, simulate
+from .euler import PathGrid, simulate
 from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
 
 # Paths per engine call.  Memory grows with levels x PATH_BLOCK x grid
@@ -66,14 +66,13 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
                   radius: float):
     """Yield, per block of paths, every level's solution on the finest grid.
 
-    Per block the finest increments are generated once; every level is
-    driven by ``coarsen(fine_noise, grid)`` and simulated, and each level
-    but the finest is refined onto the finest grid.  The
-    yielded list holds one ``(values, kept)`` pair per level: ``values`` is
-    the engine's time-major view, shape (M + 1, paths, state_dim) on
-    [0, horizon], and ``kept`` is False for a path that diverged at that
-    level: its sup |X| there exceeds ``radius`` or is not a number.  A
-    one-level ladder yields the simulated paths themselves.
+    Per block the finest increments are generated once, and one
+    :func:`~nsdde_sim.euler.simulate` call per level steps on its grid and
+    samples on the finest.  The yielded list holds one ``(values, kept)``
+    pair per level: ``values`` is the engine's time-major view, shape
+    (M + 1, paths, state_dim) on [0, horizon], and ``kept`` is False for a
+    path that diverged at that level: its sup |X| there exceeds ``radius``
+    or is not a number.
     """
     if n_paths < 1:
         raise InvalidRange("n_paths must be >= 1")
@@ -84,10 +83,7 @@ def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
         fine_noise = generate(fine, model.noise_dim, seed, indices)
         levels = []
         for grid in grids:
-            path = simulate(model, xi, grid, coarsen(fine_noise, grid))
-            if grid is not fine:
-                path = refine_to(path, model, xi, fine, fine_noise)
-            values = path.values[skip:]
+            values = simulate(model, xi, grid, fine_noise).values[skip:]
             with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
                 sup = np.sqrt(np.einsum("ipj,ipj->ip", values, values).max(axis=0))
             levels.append((values, sup <= radius))
@@ -309,7 +305,8 @@ def estimate_moments(
     """Estimate sup-of-mean-square and mean-of-sup-square over grid times.
 
     A path whose sup |X| over [0, horizon] exceeds ``radius`` counts as
-    diverged and is left out of every estimate.
+    diverged and is left out of every estimate; fewer than two kept paths
+    raise :class:`DegenerateSampling`.
     """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
@@ -323,11 +320,13 @@ def estimate_moments(
             curves.append(np.einsum("ipj,ipj->pi", level, level, order="C")[kept])
     stacked = np.concatenate(curves)
     used = stacked.shape[0]
-    if not used:
-        raise DegenerateSampling("every simulated path diverged")
+    if used < 2:
+        raise DegenerateSampling("every simulated path diverged" if not used else
+                                 "only one simulated path did not diverge; "
+                                 "a standard error needs two")
     mean_curve = stacked.mean(axis=0)
     peak = int(np.argmax(mean_curve))
-    spread = float(stacked[:, peak].std(ddof=1)) if used > 1 else 0.0
+    spread = float(stacked[:, peak].std(ddof=1))
     return MomentReport(
         delta=grid.delta,
         n_paths=n_paths,

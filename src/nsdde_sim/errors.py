@@ -25,10 +25,6 @@ class IncompatibleGrids(NsddeError):
     """Two grids that must be nested/equal are not."""
 
 
-class IncompatibleNoise(NsddeError):
-    """A Brownian path does not match the grid or path it is used with."""
-
-
 class DimensionMismatch(NsddeError):
     """State or noise dimensions of model, segment and noise disagree."""
 

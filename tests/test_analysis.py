@@ -19,7 +19,6 @@ from nsdde_sim import (
     additive_noise,
     affine_segment,
     check_contraction_sup_bound,
-    coarsen,
     constant_rate,
     constant_segment,
     converge_study,
@@ -33,7 +32,6 @@ from nsdde_sim import (
     perturbation_integrability,
     power_split_bound,
     pure_neutral,
-    refine_to,
     simulate,
 )
 
@@ -265,18 +263,31 @@ def test_constant_path_moments_are_exact():
     assert report.std_error == 0.0
 
 
-def test_moments_exclude_diverged_paths():
-    blow = NsddeModel(
+def positive_blow_up() -> NsddeModel:
+    """dX = dB, with an infinite drift for positive states after t = 1.5."""
+    return NsddeModel(
         1, 1, 1.0,
         neutral=lambda y: np.zeros(1),
         drift=lambda x, y, t: np.where((t < 1.5) | (x <= 0), 0.0, np.inf),
         diffusion=lambda x, y, t: np.eye(1),
     )
+
+
+def test_moments_exclude_diverged_paths():
     report = estimate_moments(
-        blow, constant_segment(0.0), 2.0, 0.5, n_paths=40, seed=0
+        positive_blow_up(), constant_segment(0.0), 2.0, 0.5, n_paths=40, seed=0
     )
     assert 0 < report.diverged_count < 40
     assert np.isfinite(report.sup_mean_square)
+
+
+def test_moments_with_one_kept_path_raise():
+    # path 0 of seed 1 blows up and path 1 does not: one path has no
+    # standard error, and 0.0 would read as an exact estimate
+    with pytest.raises(DegenerateSampling) as info:
+        estimate_moments(positive_blow_up(), constant_segment(0.0), 2.0, 0.5, n_paths=2, seed=1)
+    assert str(info.value) == ("only one simulated path did not diverge; "
+                               "a standard error needs two")
 
 
 def test_moments_all_diverged_raises():
@@ -448,8 +459,7 @@ def path_major_levels(model, xi, ladder, n_paths, seed):
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
     levels = []
     for grid in grids:
-        path = simulate(model, xi, grid, coarsen(fine_noise, grid))
-        path = refine_to(path, model, xi, fine, fine_noise)
+        path = simulate(model, xi, grid, fine_noise)
         values = np.ascontiguousarray(np.moveaxis(path.values[fine.steps_per_delay :], 1, 0))
         levels.append((values, path.finite))
     return fine, levels

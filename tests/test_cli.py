@@ -412,6 +412,17 @@ class TestExitCodes:
         assert err.startswith("error: every simulated path diverged") and err.count("\n") == 1
         assert not list(out.glob("*.csv"))
 
+    def test_moments_with_one_kept_path_is_2(self, tmp_path, capsys):
+        # one of these two paths blows up; the other alone has no standard
+        # error, and 0.0 would read as an exact estimate
+        cfg = write_config(tmp_path, ladder=[0.5], n_paths=2, seed=1,
+                           xi={"kind": "constant", "value": 3.0})
+        out = tmp_path / "o"
+        assert main(["moments", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: only one simulated path did not diverge")
+        assert err.count("\n") == 1 and not list(out.glob("*.csv"))
+
 
 class TestOutputs:
     def run_simulate(self, tmp_path, **overrides):

@@ -1,4 +1,4 @@
-"""Scheme recursion, refinement, and path-batched runs."""
+"""Scheme recursion, refinement onto finer noise grids, and path-batched runs."""
 
 import math
 from collections import Counter
@@ -14,11 +14,8 @@ from nsdde_sim import (
     BrownianPath,
     DimensionMismatch,
     IncompatibleGrids,
-    IncompatibleNoise,
     InitialSegment,
-    NsddeError,
     NsddeModel,
-    PathGrid,
     additive_noise,
     affine_segment,
     coarsen,
@@ -29,7 +26,6 @@ from nsdde_sim import (
     make_grid,
     neutral_cubic_model,
     pure_neutral,
-    refine_to,
     simulate,
 )
 
@@ -125,8 +121,14 @@ def test_simulate_validation():
     xi = constant_segment(1.0)
     with pytest.raises(IncompatibleGrids):
         simulate(model, xi, other, generate(other, 1, 0, [0]))  # delay mismatch
-    with pytest.raises(IncompatibleNoise):
-        simulate(model, xi, grid, generate(make_grid(1.0, 2.0, 0.05), 1, 0, [0]))
+    # noise on a finer grid is sampled on; noise on a coarser grid or with
+    # another delay does not nest
+    finer = make_grid(1.0, 2.0, 0.05)
+    assert simulate(model, xi, grid, generate(finer, 1, 0, [0])).grid == finer
+    with pytest.raises(IncompatibleGrids):
+        simulate(model, xi, grid, generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]))
+    with pytest.raises(IncompatibleGrids):
+        simulate(model, xi, grid, generate(make_grid(0.5, 1.0, 0.05), 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
         simulate(model, constant_segment(1.0, dim=2), grid, generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
@@ -184,8 +186,7 @@ def test_refine_interior_oracle():
     coarse_grid = make_grid(1.0, 1.5, 0.5)
     fine_grid = make_grid(1.0, 1.5, 0.25)
     fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
-    coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
+    fine = simulate(model, xi, coarse_grid, fine_noise)
     assert fine.values[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
 
@@ -194,49 +195,33 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     fine_grid = make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
     coarse = simulate(cubic_model, unit_segment, coarse_grid, coarsen(fine_noise, coarse_grid))
-    fine = refine_to(coarse, cubic_model, unit_segment, fine_grid, fine_noise)
+    fine = simulate(cubic_model, unit_segment, coarse_grid, fine_noise)
     assert np.array_equal(fine.values[::4], coarse.values)
 
 
 def test_refine_identity_at_factor_one(cubic_model, unit_segment):
+    # noise on the grid itself drives the scheme with its own increments
     grid = make_grid(1.0, 2.0, 0.1)
     noise = generate(grid, 1, 1, [0])
     path = simulate(cubic_model, unit_segment, grid, noise)
-    same = refine_to(path, cubic_model, unit_segment, grid, noise)
-    assert same.values.tobytes() == path.values.tobytes() and same.noise == path.noise
-
-
-def test_refine_rejects_uncoupled_noise(cubic_model, unit_segment):
-    coarse_grid = make_grid(1.0, 2.0, 0.1)
-    fine_grid = make_grid(1.0, 2.0, 0.05)
-    coarse = simulate(
-        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, [0])
-    )
-    # an independently drawn fine path does not aggregate to the coarse one
-    with pytest.raises(IncompatibleNoise):
-        refine_to(coarse, cubic_model, unit_segment, fine_grid, generate(fine_grid, 1, 1, [0]))
+    same = simulate(cubic_model, unit_segment, grid, coarsen(noise, grid))
+    assert same.values.tobytes() == path.values.tobytes() and same.grid == grid
 
 
 def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
-    coarse = simulate(
-        cubic_model, unit_segment, coarse_grid, generate(coarse_grid, 1, 1, [0])
-    )
     shifted = make_grid(1.0, 3.0, 0.05)
     with pytest.raises(IncompatibleGrids):
-        refine_to(coarse, cubic_model, unit_segment, shifted, generate(shifted, 1, 1, [0]))
+        simulate(cubic_model, unit_segment, coarse_grid, generate(shifted, 1, 1, [0]))
 
 
 def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
-    # the step counts nest (20 per delay, 40 in all, against 10 and 20) and the
-    # fine noise coarsens exactly onto the driver, but the fine delay is 0.5
+    # the step counts nest (20 per delay, 40 in all, against 10 and 20), but
+    # the fine delay is 0.5
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     other = make_grid(0.5, 1.0, 0.025)
-    fine_noise = generate(other, 1, 1, [0])
-    driver = BrownianPath(coarse_grid, coarsen(fine_noise, make_grid(0.5, 1.0, 0.05)).increments)
-    coarse = simulate(cubic_model, unit_segment, coarse_grid, driver)
     with pytest.raises(IncompatibleGrids):
-        refine_to(coarse, cubic_model, unit_segment, other, fine_noise)
+        simulate(cubic_model, unit_segment, coarse_grid, generate(other, 1, 1, [0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -250,7 +235,7 @@ def test_refine_node_agreement_property(seed, factor):
     fine_noise = generate(fine_grid, 1, seed, [0])
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    fine = refine_to(coarse, model, xi, fine_grid, fine_noise)
+    fine = simulate(model, xi, coarse_grid, fine_noise)
     assert np.array_equal(fine.values[::factor], coarse.values)
 
 
@@ -277,7 +262,7 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
     batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    refined = refine_to(batch, model, xi, fine_grid, fine_noise)
+    refined = simulate(model, xi, coarse_grid, fine_noise)
     assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
     assert refined.values.shape == (121, 6, model.state_dim)
     for p in range(6):
@@ -285,9 +270,7 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
         assert single.values.shape == (31, 1, model.state_dim)
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
-        for got, want in zip(batch.steps, single.steps):
-            assert got[:, p].tobytes() == want[:, 0].tobytes()
-        single_refined = refine_to(single, model, xi, fine_grid, single_noise)
+        single_refined = simulate(model, xi, coarse_grid, single_noise)
         assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
 
 
@@ -304,7 +287,7 @@ def test_diverged_path_in_batch_is_masked():
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
     batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    refined = refine_to(batch, model, xi, fine_grid, fine_noise)
+    refined = simulate(model, xi, coarse_grid, fine_noise)
     assert 0 < batch.finite.sum() < 8
     assert np.array_equal(refined.finite, batch.finite)
     for p in range(8):
@@ -312,28 +295,15 @@ def test_diverged_path_in_batch_is_masked():
         single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
         assert single.finite[0] == batch.finite[p]
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
-        single_refined = refine_to(single, model, xi, fine_grid, single_noise)
+        single_refined = simulate(model, xi, coarse_grid, single_noise)
         assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
-
-
-def test_refine_rejects_a_path_without_recorded_steps():
-    # a hand-built PathGrid has values but no step coefficients to freeze
-    coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
-    fine_noise = generate(fine_grid, 1, seed=0, path_index=range(2))
-    model, xi = drifted_neutral(0.5, 1.0), constant_segment(1.0)
-    simulated = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    bare = PathGrid(simulated.values, simulated.noise)
-    assert bare == simulated and bare.steps is None
-    with pytest.raises(NsddeError) as info:
-        refine_to(bare, model, xi, fine_grid, fine_noise)
-    message = str(info.value)
-    assert "\n" not in message and "recorded step coefficients" in message
 
 
 # --- per-node reference engine ----------------------------------------------
 # The engine before delay-window batching: one neutral call per node, and
-# refine_to evaluating drift and diffusion again at each coarse cell's left
-# node.  The batched engine must reproduce it bit for bit.
+# the interpolation onto a finer grid evaluating drift and diffusion again
+# at each coarse cell's left node.  The batched engine must reproduce it
+# bit for bit.
 
 
 def _ref_noise(sigma, db):
@@ -453,14 +423,14 @@ def test_engine_matches_per_node_reference(name, seed):
     for lo, hi in [(0, 1), (0, 2), (1, 2)]:
         (path, ref), target = refs[lo], grids[hi]
         noise = coarsen(fine_noise, target)
-        refined = refine_to(path, model, xi, target, noise)
+        refined = simulate(model, xi, grids[lo], noise)
         check(refined, ref_refine(ref, grids[lo], model, xi, target, noise))
 
 
 def test_coefficient_calls_per_delay_window():
     # simulate: drift and diffusion once per step, neutral once per delay
-    # window; refine_to: no drift or diffusion, neutral once for the cell
-    # bases and once per window.  Horizon 2.5 makes the last window partial.
+    # window, and once more per window for its in-cell nodes on a finer
+    # noise grid.  Horizon 2.5 makes the last window partial.
     calls = Counter()
 
     def counted(name, fn):
@@ -478,13 +448,13 @@ def test_coefficient_calls_per_delay_window():
     coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
     fine_noise = generate(fine, 1, seed=3, path_index=range(4))
 
-    path = simulate(model, xi, coarse, coarsen(fine_noise, coarse))
+    simulate(model, xi, coarse, coarsen(fine_noise, coarse))
     m, n = coarse.total_steps, coarse.steps_per_delay
     assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
 
     calls.clear()
-    refine_to(path, model, xi, fine, fine_noise)
-    assert calls == {"neutral": 1 + math.ceil(fine.total_steps / fine.steps_per_delay)}
+    simulate(model, xi, coarse, fine_noise)
+    assert calls == {"drift": m, "diffusion": m, "neutral": 2 * math.ceil(m / n)}
 
 
 def test_exact_zero_noise_term_keeps_a_positive_zero():
@@ -503,7 +473,7 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     coarse, fine = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
     path = simulate(model, xi, coarse, coarsen(fine_noise, coarse))
-    refined = refine_to(path, model, xi, fine, fine_noise)
+    refined = simulate(model, xi, coarse, fine_noise)
     for grid, values in ((coarse, path.values), (fine, refined.values)):
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
         assert [format(v, ".17g") for v in after_zero] == ["0"] * grid.total_steps
