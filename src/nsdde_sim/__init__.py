@@ -1,10 +1,10 @@
 """Simulation and condition checking for neutral stochastic delay equations.
 
 The package simulates d[X(t) - D(X(t - tau))] = b dt + sigma dB on an exact
-rational time grid with an explicit Euler scheme, refines coarse paths onto
-nested finer grids, and verifies the structural conditions (contraction,
-coercivity, local monotonicity, integrability) that the moment and
-convergence analyses rely on.  See the README for the CLI and file formats.
+rational time grid with an explicit Euler scheme, sampled on the grid of its
+noise (which may nest finer grids), and verifies the structural conditions
+(contraction, coercivity, local monotonicity, integrability) that the moment
+and convergence analyses rely on.  See the README for the CLI and file formats.
 """
 
 __version__ = "0.1.0"

@@ -2,18 +2,16 @@
 
 The central construction: per path, increments are generated once at the
 finest step of a ladder, every level is simulated on its grid from them
-(:func:`nsdde_sim.euler.simulate` drives it by their block sums and
-interpolates its solution onto the finest grid in the same pass), and
-levels are compared
+(:func:`nsdde_sim.euler.simulate` drives it by their block sums and samples
+its solution on the finest grid in the same pass), and levels are compared
 pathwise in the sup norm over grid points.  Convergence in probability is
 then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
 
-Every study reduces from one ladder driver that runs the paths in blocks of
-:data:`PATH_BLOCK` and hands them on in path index order.  It also decides
-divergence for every study: a path whose sup |X| over [0, horizon] exceeds
-the truncation radius, or is not finite, is left out of every aggregate and
-reported separately via ``diverged_count``, never silently dropped.
+Every study is one per-block reduction handed to one ladder driver, which
+runs the paths in blocks of :data:`PATH_BLOCK`, decides divergence for
+every study, and reports the diverged paths via ``diverged_count`` instead
+of averaging them in.
 """
 
 from __future__ import annotations
@@ -62,32 +60,41 @@ def check_radius(radius: float) -> None:
         raise InvalidRange(f"truncation radius must lie in (0, 1.34e154], got {radius!r}")
 
 
-def _ladder_paths(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int,
-                  radius: float):
-    """Yield, per block of paths, every level's solution on the finest grid.
+def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int,
+                  radius: float, reduce, names) -> list[np.ndarray]:
+    """Run the coupled ladder in blocks of paths and keep each slot's reduction.
 
     Per block the finest increments are generated once, and one
     :func:`~nsdde_sim.euler.simulate` call per level steps on its grid and
-    samples on the finest.  The yielded list holds one ``(values, kept)``
-    pair per level: ``values`` is the engine's time-major view, shape
-    (M + 1, paths, state_dim) on [0, horizon], and ``kept`` is False for a
-    path that diverged at that level: its sup |X| there exceeds ``radius``
-    or is not a number.
+    samples on the finest.  A path diverged at a level when its sup |X|
+    over [0, horizon] on the finest grid exceeds ``radius`` or is not a
+    number.  ``reduce(levels)`` gets one ``(values, kept)`` pair per level:
+    ``values`` is the engine's time-major view, shape (M + 1, paths,
+    state_dim) on [0, horizon], and ``kept`` is False on the paths that
+    diverged there.  It returns one ``(stats, kept)`` pair per slot (a
+    level or a level pair), ``stats`` holding every path's statistics along
+    its first axis; it runs with floating-point warnings off, as it reduces
+    the diverged paths too.  Returned are each slot's kept rows of every
+    block, in path order; a slot with none raises
+    :class:`DegenerateSampling`, named by ``names[slot]``.
     """
     if n_paths < 1:
         raise InvalidRange("n_paths must be >= 1")
     check_radius(radius)
     fine = grids[-1]
     skip = fine.steps_per_delay
+    blocks = []
     for indices in path_blocks(n_paths):
         fine_noise = generate(fine, model.noise_dim, seed, indices)
-        levels = []
-        for grid in grids:
-            values = simulate(model, xi, grid, fine_noise).values[skip:]
-            with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
-                sup = np.sqrt(np.einsum("ipj,ipj->ip", values, values).max(axis=0))
-            levels.append((values, sup <= radius))
-        yield levels
+        levels = [simulate(model, xi, grid, fine_noise).values[skip:] for grid in grids]
+        with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
+            kept = [np.sqrt(np.einsum("ipj,ipj->ip", v, v).max(axis=0)) <= radius for v in levels]
+            blocks.append([stats[ok] for stats, ok in reduce(list(zip(levels, kept)))])
+    slots = [np.concatenate(slot) for slot in zip(*blocks)]
+    for name, stats in zip(names, slots):
+        if not len(stats):
+            raise DegenerateSampling(f"every simulated path diverged at {name}")
+    return slots
 
 
 @dataclass(frozen=True)
@@ -105,16 +112,15 @@ class LevelPairRow:
 
     @property
     def p_hat(self) -> float:
-        valid = self.n_paths - self.diverged_count
-        return self.exceed_count / valid if valid else 0.0
+        return self.exceed_count / (self.n_paths - self.diverged_count)
 
     @property
     def mean_sup_diff(self) -> float:
-        return float(self.sup_diffs.mean()) if self.sup_diffs.size else 0.0
+        return float(self.sup_diffs.mean())
 
     @property
     def max_sup_diff(self) -> float:
-        return float(self.sup_diffs.max()) if self.sup_diffs.size else 0.0
+        return float(self.sup_diffs.max())
 
     @property
     def suspect(self) -> bool:
@@ -143,53 +149,48 @@ def converge_study(
 ) -> ConvergenceTable:
     """Coupled refinement study across a ladder of nested steps.
 
-    For every path the same finest-grid increments drive all levels; each
-    level is refined onto the finest grid and consecutive levels are
-    compared by their sup difference over grid points in [0, horizon]; a
-    path that diverged at either level is left out of that pair, and a
-    pair with no path left raises :class:`DegenerateSampling`.
+    For every path the same finest-grid increments drive all levels, each
+    sampled on the finest grid, and consecutive levels are compared by
+    their sup difference over grid points in [0, horizon], over the paths
+    that diverged at neither level.
     """
     if len(ladder) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
     if not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     grids = ladder_grids(model.delay, horizon, ladder)
-    pair_sups = [[] for _ in grids[1:]]
-    for levels in _ladder_paths(model, xi, grids, n_paths, seed, radius):
-        for sups, (lo, lo_ok), (hi, hi_ok) in zip(pair_sups, levels, levels[1:]):
-            # reduce every path, then drop the diverged ones (masking the
-            # path axis of (times, paths, d) values first gathers strided)
-            with np.errstate(all="ignore"):
-                sup = np.linalg.norm(lo - hi, axis=-1).max(axis=0)
-            sups.append(sup[lo_ok & hi_ok])
-    rows = []
-    for pair_index in range(len(grids) - 1):
-        sups = np.concatenate(pair_sups[pair_index])
-        if not sups.size:
-            raise DegenerateSampling(
-                f"every simulated path diverged at level pair {pair_index}-{pair_index + 1} "
-                f"(steps {grids[pair_index].delta:g} and {grids[pair_index + 1].delta:g})")
-        rows.append(
-            LevelPairRow(
-                level_pair=f"{pair_index}-{pair_index + 1}",
-                delta_coarse=grids[pair_index].delta,
-                delta_fine=grids[pair_index + 1].delta,
-                epsilon=epsilon,
-                n_paths=n_paths,
-                exceed_count=int((sups > epsilon).sum()),
-                diverged_count=n_paths - sups.size,
-                sup_diffs=sups,
-            )
+
+    def pair_sups(levels):
+        # reduce every path; the driver then drops the diverged ones
+        # (masking the path axis of (times, paths, d) values first gathers strided)
+        return [(np.linalg.norm(lo - hi, axis=-1).max(axis=0), lo_ok & hi_ok)
+                for (lo, lo_ok), (hi, hi_ok) in zip(levels, levels[1:])]
+
+    pairs = [f"{i}-{i + 1}" for i in range(len(grids) - 1)]
+    names = [f"level pair {pair} (steps {lo.delta:g} and {hi.delta:g})"
+             for pair, lo, hi in zip(pairs, grids, grids[1:])]
+    slots = _ladder_study(model, xi, grids, n_paths, seed, radius, pair_sups, names)
+    return ConvergenceTable(tuple(
+        LevelPairRow(
+            level_pair=pair,
+            delta_coarse=lo.delta,
+            delta_fine=hi.delta,
+            epsilon=epsilon,
+            n_paths=n_paths,
+            exceed_count=int((sups > epsilon).sum()),
+            diverged_count=n_paths - sups.size,
+            sup_diffs=sups,
         )
-    return ConvergenceTable(tuple(rows))
+        for pair, lo, hi, sups in zip(pairs, grids, grids[1:], slots)
+    ))
 
 
 def exceedance_trend_ok(table: ConvergenceTable, z: float = 1.96) -> bool:
     """True when exceedance fractions are non-increasing along the ladder,
     allowing upticks within a z-score band of the pooled binomial error."""
     for lo, hi in zip(table.rows, table.rows[1:]):
-        n1 = max(lo.n_paths - lo.diverged_count, 1)
-        n2 = max(hi.n_paths - hi.diverged_count, 1)
+        n1 = lo.n_paths - lo.diverged_count
+        n2 = hi.n_paths - hi.diverged_count
         p1, p2 = lo.p_hat, hi.p_hat
         band = z * np.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
         if p2 - p1 > band + 1e-12:
@@ -224,14 +225,13 @@ def perturbation_integrability(
 ) -> PerturbationTable:
     """Mean integrals of the deviation from the last coarse node, per level.
 
-    For each ladder level the solution is refined onto the finest grid and
-    the deviation p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
+    For each ladder level, sampled on the finest grid, the deviation
+    p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
     [0, min(horizon, first time |X| > radius/3)], both plainly and with the
-    time weight applied, over the paths with sup |X| <= radius; a level
-    with no such path raises :class:`DegenerateSampling`.  Quadrature
-    is per fine interval with the interval's own coarse anchor, so the
-    piecewise behaviour of p at coarse nodes is integrated exactly (it
-    gives the closed form c*M*delta^2/2 for constant drift to rounding).
+    time weight applied, over the paths that did not diverge there.
+    Quadrature is per fine interval with the interval's own coarse anchor,
+    so the piecewise behaviour of p at coarse nodes is integrated exactly
+    (it gives the closed form c*M*delta^2/2 for constant drift to rounding).
     """
     grids = ladder_grids(model.delay, horizon, ladder)
     fine = grids[-1]
@@ -244,34 +244,33 @@ def perturbation_integrability(
     factors = [g.refinement(fine) for g in grids]
     anchor_per_level = [(interval_idx // f) * f for f in factors]
 
-    level_sums = [[] for _ in grids]
-    # a huge but finite path overflows the norms past its stop
-    with np.errstate(all="ignore"):
-        for levels in _ladder_paths(model, xi, grids, n_paths, seed, radius):
-            for sums, (level, kept), anchors in zip(level_sums, levels, anchor_per_level):
-                exceeded = np.linalg.norm(level, axis=-1) > threshold
-                exceeded[-1] = True  # a path that stays inside runs to the horizon
-                stops = exceeded.argmax(axis=0)[kept]
-                # (paths, M) rows: each path's integrands are contiguous
-                left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T[kept]
-                right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T[kept]
-                terms = np.stack([left + right, left * weights[:-1] + right * weights[1:]])
-                block = np.empty((2, stops.size))
-                for stop in set(stops.tolist()):
-                    # summed along the contiguous last axis, in the pairwise
-                    # order of a one-path sum
-                    same = stops == stop
-                    block[:, same] = terms[:, same, :stop].sum(axis=-1)
-                sums.append(0.5 * delta_f * block)
+    def integrals(levels):
+        out = []
+        for (level, kept), anchors in zip(levels, anchor_per_level):
+            exceeded = np.linalg.norm(level, axis=-1) > threshold
+            exceeded[-1] = True  # a path that stays inside runs to the horizon
+            stops = exceeded.argmax(axis=0)
+            left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T
+            right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T
+            # (2, paths, M): each path's integrands are contiguous
+            terms = np.stack([left + right, left * weights[:-1] + right * weights[1:]])
+            block = np.empty((stops.size, 2))
+            for stop in set(stops.tolist()):
+                # summed along the contiguous last axis, in the pairwise
+                # order of a one-path sum
+                same = stops == stop
+                block[same] = terms[:, same, :stop].sum(axis=-1).T
+            out.append((0.5 * delta_f * block, kept))
+        return out
+
+    names = [f"level {level} (step {grid.delta:g})" for level, grid in enumerate(grids)]
+    slots = _ladder_study(model, xi, grids, n_paths, seed, radius, integrals, names)
     rows = []
-    for level, (grid, sums) in enumerate(zip(grids, level_sums)):
-        sums = np.concatenate(sums, axis=1)
-        if not sums.size:
-            raise DegenerateSampling(
-                f"every simulated path diverged at level {level} (step {grid.delta:g})")
-        abs_mean, w_mean = sums.mean(axis=1).tolist()
+    for level, (grid, sums) in enumerate(zip(grids, slots)):
+        # (2, paths), so the means are pairwise sums along a contiguous path axis
+        abs_mean, w_mean = sums.T.copy().mean(axis=1).tolist()
         rows.append(PerturbationRow(level, grid.delta, n_paths, abs_mean, w_mean,
-                                    n_paths - sums.shape[1]))
+                                    n_paths - len(sums)))
     return PerturbationTable(tuple(rows))
 
 
@@ -304,25 +303,24 @@ def estimate_moments(
 ) -> MomentReport:
     """Estimate sup-of-mean-square and mean-of-sup-square over grid times.
 
-    A path whose sup |X| over [0, horizon] exceeds ``radius`` counts as
-    diverged and is left out of every estimate; fewer than two kept paths
-    raise :class:`DegenerateSampling`.
+    Diverged paths are left out of every estimate; fewer than two kept
+    paths raise :class:`DegenerateSampling`.
     """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
     grid = make_grid(model.delay, horizon, delta)
     n0 = grid.steps_per_delay
-    curves = []
-    for ((level, kept),) in _ladder_paths(model, xi, [grid], n_paths, seed, radius):
-        # C-ordered (paths, times), so the mean below adds one path at a
-        # time; diverged paths are dropped after the reduction, as above
-        with np.errstate(all="ignore"):
-            curves.append(np.einsum("ipj,ipj->pi", level, level, order="C")[kept])
-    stacked = np.concatenate(curves)
+
+    def square_curves(levels):
+        # C-ordered (paths, times), so the mean below adds one path at a time
+        ((level, kept),) = levels
+        return [(np.einsum("ipj,ipj->pi", level, level, order="C"), kept)]
+
+    (stacked,) = _ladder_study(model, xi, [grid], n_paths, seed, radius, square_curves,
+                               [f"level 0 (step {grid.delta:g})"])
     used = stacked.shape[0]
     if used < 2:
-        raise DegenerateSampling("every simulated path diverged" if not used else
-                                 "only one simulated path did not diverge; "
+        raise DegenerateSampling("only one simulated path did not diverge; "
                                  "a standard error needs two")
     mean_curve = stacked.mean(axis=0)
     peak = int(np.argmax(mean_curve))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsdde_sim import analysis
 from nsdde_sim import (
     ConvergenceTable,
     DegenerateSampling,
@@ -212,6 +213,7 @@ def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
 @pytest.mark.parametrize("study, where", [
     ("converge", "level pair 0-1 (steps 0.1 and 0.05)"),
     ("perturbation", "level 0 (step 0.1)"),
+    ("moments", "level 0 (step 0.1)"),
 ])
 def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
     # |X(0)| = 1 > radius on every path: an empty sample is an error, not a
@@ -221,10 +223,35 @@ def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
                                            2, 1, 0.1),
         "perturbation": lambda: perturbation_integrability(
             cubic_model, unit_segment, 2.0, [0.1, 0.05], 2, 1, 0.1, constant_rate(1.0)),
+        "moments": lambda: estimate_moments(cubic_model, unit_segment, 2.0, 0.1, 2, 1, 0.1),
     }[study]
     with pytest.raises(DegenerateSampling) as info:
         run()
     assert str(info.value) == f"every simulated path diverged at {where}"
+
+
+@pytest.mark.parametrize("study, simulate_calls", [
+    ("converge", 9), ("perturbation", 9), ("moments", 3),
+])
+def test_one_generate_per_block_and_one_simulate_per_level(monkeypatch, cubic_model, unit_segment,
+                                                           study, simulate_calls):
+    # 5 paths in blocks of 2 are 3 blocks: each draws its noise once and
+    # simulates each level of the 3-level ladder (moments: 1 level) once
+    calls = []
+    for name in ("generate", "simulate"):
+        def counted(*args, _real=getattr(analysis, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    monkeypatch.setattr(analysis, "PATH_BLOCK", 2)
+    ladder = [0.1, 0.05, 0.025]
+    {
+        "converge": lambda: converge_study(cubic_model, unit_segment, 2.0, ladder, 0.1, 5, 1),
+        "perturbation": lambda: perturbation_integrability(
+            cubic_model, unit_segment, 2.0, ladder, 5, 1, 6.0, constant_rate(1.0)),
+        "moments": lambda: estimate_moments(cubic_model, unit_segment, 2.0, ladder[0], 5, 1),
+    }[study]()
+    assert (calls.count("generate"), calls.count("simulate")) == (3, simulate_calls)
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
