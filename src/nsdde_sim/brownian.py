@@ -5,7 +5,9 @@ independent: path ``i`` draws from a Philox(4x64-10) bit generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(path_index,))``, transformed by
 numpy's ziggurat ``standard_normal`` and scaled by ``sqrt(delta)``.  Paths
 can therefore be stacked in any order and number: the row of path ``i`` is
-bitwise the same in every stack, and a stack stores no seed or index.
+bitwise the same in every stack, and a stack stores no seed or index.  The
+streams are computed in :mod:`nsdde_sim.philox`, bitwise equal to numpy's, so
+no command imports ``numpy.random``.
 
 Refinement works by aggregation: increments are generated at the finest
 grid in play and coarser drivers are obtained by summing blocks of fine
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidRange
 from .model import DelayGrid
+from .philox import non_negative, standard_normal
 
 
 @dataclass(frozen=True)
@@ -64,24 +67,20 @@ def generate(
     Every path is drawn from its own stream and the paths are stacked along
     the leading axis in sequence order.  Each component of each increment
     is an independent draw from N(0, delta).  Regenerating with identical
-    arguments is bit-exact.
+    arguments is bit-exact.  ``noise_dim``, ``seed`` and every index must be
+    non-negative Python or numpy integers (:class:`InvalidRange` otherwise).
     """
-    if noise_dim < 1:
+    if non_negative(noise_dim, "noise_dim") < 1:
         raise InvalidRange("noise_dim must be >= 1")
     try:
-        indices = tuple(path_index)
+        indices = [non_negative(i, "path_index") for i in path_index]
     except TypeError:
         raise InvalidRange(f"path_index must be a sequence, got {path_index!r}") from None
     if not indices:
         raise InvalidRange("need at least one path index")
-    if seed < 0 or min(indices) < 0:
-        raise InvalidRange("seed and path_index must be non-negative integers")
-    increments = np.empty((len(indices), grid.total_steps, noise_dim))
-    for row, index in zip(increments, indices):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        np.random.Generator(np.random.Philox(ss)).standard_normal(out=row)
-    increments *= math.sqrt(grid.delta)
-    return BrownianPath(grid, increments)
+    draws = standard_normal(non_negative(seed, "seed"), indices, grid.total_steps * noise_dim)
+    draws *= math.sqrt(grid.delta)
+    return BrownianPath(grid, draws.reshape((len(indices), grid.total_steps, noise_dim)))
 
 
 def coarsen(path: BrownianPath, grid: DelayGrid) -> BrownianPath:

@@ -11,16 +11,14 @@ of one stream, so the outputs of the last seed are kept, and grown on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import InvalidRange
+from .philox import M32, mulhilo, non_negative, seed_state
 
-M32, M64, M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+M64, M128 = 2**64 - 1, 2**128 - 1
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 ROW = 128  # outputs per row of the jump-ahead
 
@@ -29,27 +27,8 @@ _kept: dict = {}  # seed -> (state after the outputs, its _jumps, read-only outp
 
 def _seed(seed: int) -> tuple[int, int]:
     """PCG64's state before its first output, and its increment, for ``SeedSequence(seed)``."""
-    words = [seed >> k & M32 for k in range(0, seed.bit_length() or 1, 32)]
-    hash_a = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = (value ^ hash_a) * (hash_a := hash_a * MULT_A & M32) & M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (MIX_MULT_L * x - MIX_MULT_R * y) & M32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
-    for src, dst in itertools.permutations(range(4), 2):  # each word into every other one
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    hash_b, state = INIT_B, 0  # generate_state(4, uint64) as a little-endian 256-bit int
-    for i in range(8):
-        value = (pool[i % 4] ^ hash_b) * (hash_b := hash_b * MULT_B & M32) & M32
-        state |= (value ^ value >> 16) << 32 * i
+    words = seed_state(seed, None, 8)[0].tolist()  # generate_state(4, uint64), 32 bits a word
+    state = sum(word << 32 * i for i, word in enumerate(words))
     start = (state & M64) << 64 | state >> 64 & M64
     stream = (state >> 128 & M64) << 64 | state >> 192
     inc = (stream << 1 | 1) & M128
@@ -58,12 +37,10 @@ def _seed(seed: int) -> tuple[int, int]:
 
 def _step(hi, lo, mh, ml, ch, cl):
     """(hi, lo) of the 128-bit ``m * s + c`` for states s = (hi, lo), all ``uint64``
-    arrays that broadcast; the high half of lo * ml is built from 32-bit limbs."""
-    a0, a1, b0, b1 = lo & M32, lo >> 32, ml & M32, ml >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    new = lo * ml + cl
-    return (a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & M32) >> 32) + lo * mh + hi * ml + ch
-            + (new < cl)), new
+    arrays that broadcast."""
+    top, low = mulhilo(lo, ml)
+    new = low + cl
+    return top + lo * mh + hi * ml + ch + (new < cl), new
 
 
 def _jumps(inc: int) -> tuple:
@@ -113,9 +90,7 @@ class Stream:
     """``default_rng(seed)``'s ``uniform`` and ``integers`` calls, in call order."""
 
     def __init__(self, seed):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InvalidRange(f"seed must be a non-negative integer, got {seed!r}")
-        self.seed, self.pos = int(seed), 0
+        self.seed, self.pos = non_negative(seed, "seed"), 0
         self.held = None  # the high half that waits for the next integer draw
 
     def peek(self, count: int) -> np.ndarray:

@@ -75,6 +75,27 @@ def test_scalar_path_index_is_rejected(index):
         generate(GRID, 1, seed=0, path_index=index)
 
 
+@pytest.mark.parametrize("seed, index, name", [
+    (1.5, 0, "seed"), (1, 1.5, "path_index"), (-1, 0, "seed"), (0, -2, "path_index"),
+    ("7", 0, "seed"), (0, np.float64(3.0), "path_index"), (np.int64(-1), 0, "seed")])
+def test_non_integer_or_negative_seed_or_index_is_invalid(seed, index, name):
+    # the same rule as the checkers' stream: non-negative Python or numpy integers
+    with pytest.raises(InvalidRange, match=f"^{name} must be a non-negative integer") as exc:
+        generate(GRID, 1, seed, [index])
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("noise_dim", [0, 1.5, "2"])
+def test_noise_dim_must_be_a_positive_integer(noise_dim):
+    with pytest.raises(InvalidRange, match="noise_dim"):
+        generate(GRID, noise_dim, 0, [0])
+
+
+def test_numpy_integers_draw_as_python_ints():
+    numpy_ints = generate(GRID, 1, np.uint64(3), [np.int32(2), np.int64(5)])
+    assert numpy_ints.increments.tobytes() == generate(GRID, 1, 3, [2, 5]).increments.tobytes()
+
+
 def test_coarsen_sums_blocks():
     path = generate(GRID, 1, seed=5, path_index=[0])
     coarse = coarsen(path, coarser(GRID, 4))

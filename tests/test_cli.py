@@ -680,18 +680,20 @@ class TestParser:
 
     def test_runs_do_not_import_slow_modules(self, tmp_path):
         # a plain np.unique (no return_* flag) imports numpy.ma, about 7 ms of
-        # a cold check run, and argparse's gettext calls import locale, about
-        # 3 ms; no command may pull them in
-        forbidden = ["numpy.ma", "argparse", "locale"]
+        # a cold check run, argparse's gettext calls import locale, about 3 ms,
+        # and numpy.random (with secrets and hashlib) is 13-17 ms; no command
+        # may pull them in, the Brownian draws of the path commands included
+        forbidden = ["numpy.ma", "argparse", "locale", "numpy.random", "secrets", "hashlib"]
         cfg, out = write_config(tmp_path, samples=10, n_paths=4), str(tmp_path / "o")
         single = write_config(tmp_path, "single.json", ladder=[0.5], n_paths=4)
-        runs = [("simulate", single), ("converge", cfg), ("moments", single),
-                ("perturbation", cfg), ("check", cfg)]
+        runs = [("simulate", single, []), ("simulate", single, ["--dump-noise"]),
+                ("converge", cfg, []), ("moments", single, []), ("perturbation", cfg, []),
+                ("check", cfg, [])]
         script = (
             "import sys\n"
             "from nsdde_sim.cli import main\n"
-            f"for command, cfg in {runs!r}:\n"
-            f"    assert main([command, '--config', cfg, '--output', {out!r}]) == 0\n"
+            f"for command, cfg, extra in {runs!r}:\n"
+            f"    assert main([command, '--config', cfg, '--output', {out!r}, *extra]) == 0\n"
             f"print([name for name in {forbidden!r} if name in sys.modules])\n"
         )
         done = run_python("-c", script)
