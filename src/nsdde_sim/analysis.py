@@ -189,14 +189,14 @@ def converge_study(
     ))
 
 
-def exceedance_trend_ok(table: ConvergenceTable, z: float = 1.96) -> bool:
+def exceedance_trend_ok(table: ConvergenceTable) -> bool:
     """True when exceedance fractions are non-increasing along the ladder,
-    allowing upticks within a z-score band of the pooled binomial error."""
+    allowing upticks within 1.96 pooled binomial standard errors."""
     for lo, hi in zip(table.rows, table.rows[1:]):
         n1 = lo.n_paths - lo.diverged_count
         n2 = hi.n_paths - hi.diverged_count
         p1, p2 = lo.p_hat, hi.p_hat
-        band = z * np.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
+        band = 1.96 * np.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
         if p2 - p1 > band + 1e-12:
             return False
     return True
@@ -364,29 +364,24 @@ def power_split_bound(a, b, p: float, epsilon: float):
     return lhs, rhs
 
 
-def check_contraction_sup_bound(
-    path: PathGrid, neutral, kappa: float, p: float = 2.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix inequality tying sup |X| to sup |X - D(X_delayed)|.
+def check_contraction_sup_bound(path: PathGrid, neutral, kappa: float) -> np.ndarray:
+    """Prefix inequality tying sup |X| to sup |X - D(X_delayed)|, with p = 2.
 
     For every prefix L >= 0 checks
 
-        sup_{l<=L} |X(t_l)|^p <= kappa/(1-kappa) * ||xi||^p
-                                 + sup_{l<=L} |X(t_l) - D(X(t_l - tau))|^p
-                                   / (1-kappa)^p
+        sup_{l<=L} |X(t_l)|^2 <= kappa/(1-kappa) * ||xi||^2
+                                 + sup_{l<=L} |X(t_l) - D(X(t_l - tau))|^2
+                                   / (1-kappa)^2
 
     where ||xi|| is the sup over the sampled initial segment.  Holds for
     any path of a model whose neutral map is a kappa-contraction with
     D(0) = 0.  ``neutral`` is called once on the (M + 1, paths, state_dim)
-    block of delayed states of the stack ``path``.  Returns ``(ok, first)``,
-    one entry per path: ``first`` is the first violating prefix index, or
-    -1 where no prefix violates, and ``ok`` is True where the path is finite
-    and no prefix violates.  A diverged path is therefore never ok.
+    block of delayed states of the stack ``path``.  Returns ``ok``, one
+    entry per path: True where the path is finite and no prefix violates.
+    A diverged path is therefore never ok.
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    if not p > 1.0:
-        raise InvalidRange(f"p must exceed 1, got {p}")
     n0 = path.grid.steps_per_delay
     states = path.values[n0:]
     delayed = path.values[: path.grid.total_steps + 1]
@@ -397,8 +392,7 @@ def check_contraction_sup_bound(
 
         sup_state = np.maximum.accumulate(norms[n0:], axis=0)
         sup_diff = np.maximum.accumulate(diff_norms, axis=0)
-        lhs = sup_state**p
-        rhs = (kappa / (1.0 - kappa)) * seg_norm**p + sup_diff**p / (1.0 - kappa) ** p
+        lhs = sup_state**2.0
+        rhs = (kappa / (1.0 - kappa)) * seg_norm**2.0 + sup_diff**2.0 / (1.0 - kappa) ** 2.0
         bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
-    violated = bad.any(axis=0)
-    return path.finite & ~violated, np.where(violated, bad.argmax(axis=0), -1)
+    return path.finite & ~bad.any(axis=0)

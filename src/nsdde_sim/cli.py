@@ -17,10 +17,11 @@ starts ``nsdde-sim: error:`` for a usage error and ``error:`` otherwise.
 
 Configs are a single JSON document; unknown keys anywhere are errors, so a
 typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
-its runner, its required config keys with their least values, whether its
-ladder has one entry, and whether it reads the rate bundle.  A given "rates"
-object and ``truncation_radius`` are checked under every command.  ``main``
-checks those, builds the model, the initial segment, the ladder grids and the
+its runner, its required config keys with their least values, the least and
+the most ladder levels it takes, and whether it requires a rate bundle.  The
+bundle (the config's "rates", else the model's built-in one) and
+``truncation_radius`` are checked under every command.  ``main`` checks
+those, builds the model, the initial segment, the ladder grids and the
 bundle, only then creates the output directory, and calls the runner, which
 computes and writes its own output files.  Then ``main`` writes a
 ``manifest.json`` (config echo, effective seed, library version, algorithm
@@ -36,7 +37,7 @@ import getopt
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -45,7 +46,7 @@ from . import analysis, conditions
 from .brownian import generate
 from .errors import ConfigError, NsddeError
 from .euler import simulate
-from .model import InitialSegment, affine_segment, builtin_model, constant_segment
+from .model import affine_segment, builtin_model, constant_segment
 
 _ALGORITHMS = {
     "rng": "philox4x64-10, seedsequence(entropy=seed, spawn_key=(path_index,))",
@@ -75,8 +76,9 @@ class RunConfig:
     horizon: float
     ladder: list
     seed: int
-    xi_kind: str = "constant"
-    xi_args: tuple = (0.0,)
+    xi_kind: str
+    xi_args: tuple
+    raw: dict
     epsilon: float | None = None
     n_paths: int | None = None
     box_radius: float = 2.0
@@ -84,7 +86,6 @@ class RunConfig:
     output_dir: str = "out"
     rates: dict | None = None
     truncation_radius: float = analysis.TRUNCATION_RADIUS
-    raw: dict = field(default_factory=dict)
 
 
 def _need(doc: dict, key: str):
@@ -202,10 +203,6 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _build_segment(cfg: RunConfig, dim: int) -> InitialSegment:
-    return _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, dim)
-
-
 def _rate_bundle(cfg: RunConfig) -> conditions.ConditionSpec | None:
     """The config's rate bundle, else the model's built-in one, else None."""
     if cfg.rates is not None:
@@ -285,7 +282,7 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
         noise = generate(grid, model.noise_dim, cfg.seed, indices)
         paths = simulate(model, xi, grid, noise)
         if spec is not None:
-            ok, _ = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
+            ok = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
             violated += int((paths.finite & ~ok).sum())
         for row, (index, finite) in enumerate(zip(indices, paths.finite)):
             if not finite:
@@ -403,15 +400,15 @@ def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bo
     return _Result(["check.json"], summary, failed=sum(r.verdict != "pass" for r in reports))
 
 
-# command -> (runner, required config keys with the least value of each, whether the
-#             ladder must have one entry, whether it reads the rate bundle: not at all,
-#             "if any" or "required"); moments' standard error needs two paths
+# command -> (runner, required config keys with the least value of each, the least
+#             and the most ladder levels, whether a rate bundle is required);
+#             moments' standard error needs two paths, converge a pair of levels
 _COMMANDS = {
-    "simulate": (_simulate, {"n_paths": 1}, True, "if any"),
-    "converge": (_converge, {"n_paths": 1, "epsilon": 0.0}, False, None),
-    "moments": (_moments, {"n_paths": 2}, True, None),
-    "perturbation": (_perturbation, {"n_paths": 1}, False, "if any"),
-    "check": (_check, {"samples": 1}, False, "required"),
+    "simulate": (_simulate, {"n_paths": 1}, (1, 1), False),
+    "converge": (_converge, {"n_paths": 1, "epsilon": 0.0}, (2, math.inf), False),
+    "moments": (_moments, {"n_paths": 2}, (1, 1), False),
+    "perturbation": (_perturbation, {"n_paths": 1}, (1, math.inf), False),
+    "check": (_check, {"samples": 1}, (1, math.inf), True),
 }
 
 
@@ -449,7 +446,7 @@ def _parse_args(argv=None) -> tuple:
 
 def main(argv=None) -> int:
     command, config, output, seed, strict, dump_noise = _parse_args(argv)
-    runner, required, single_level, bundle = _COMMANDS[command]
+    runner, required, (fewest, most), needs_bundle = _COMMANDS[command]
     try:
         cfg = load_config(config)
         cfg.seed = cfg.seed if seed is None else seed
@@ -461,14 +458,15 @@ def main(argv=None) -> int:
                 raise ConfigError(f"command {command!r} requires config key {key!r}")
             if value < least:
                 raise ConfigError(f"command {command!r} needs {key} >= {least}, got {value}")
-        if single_level and len(cfg.ladder) != 1:
-            raise ConfigError(f"{command} expects a single-entry ladder")
+        if not fewest <= len(cfg.ladder) <= most:
+            levels = "a single-entry ladder" if most == 1 else f"at least {fewest} ladder levels"
+            raise ConfigError(f"{command} expects {levels}")
         model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
-        xi = _build_segment(cfg, model.state_dim)
+        xi = _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, model.state_dim)
         grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
         analysis.check_radius(cfg.truncation_radius)
-        spec = _rate_bundle(cfg) if bundle or cfg.rates is not None else None
-        if bundle == "required" and spec is None:
+        spec = _rate_bundle(cfg)
+        if needs_bundle and spec is None:
             raise ConfigError(
                 f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
             )

@@ -76,10 +76,6 @@ class PathGrid:
         return self.noise.grid
 
     @property
-    def state_dim(self) -> int:
-        return self.values.shape[-1]
-
-    @property
     def finite(self) -> np.ndarray:
         """Per path: True when every value of the path is finite."""
         return np.isfinite(self.values).all(axis=(0, 2))

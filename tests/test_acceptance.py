@@ -226,7 +226,7 @@ def test_criterion_08_inequality_sweeps():
     xi = constant_segment(1.0)
     grid = make_grid(1.0, 2.0, 0.025)
     paths = simulate(model, xi, grid, generate(grid, 1, SEED, range(1000)))
-    ok, _ = check_contraction_sup_bound(paths, model.neutral, rates.kappa, p=2.0)
+    ok = check_contraction_sup_bound(paths, model.neutral, rates.kappa)
     witnesses = int((~ok).sum())
     _report(8, "power-split sweep and pathwise sup bound",
             violations == 0 and total == 100_000 and witnesses == 0,

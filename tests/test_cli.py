@@ -239,11 +239,13 @@ class TestExitCodes:
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "box_radius" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["check", "perturbation"])
+    @pytest.mark.parametrize("command", ["check", "perturbation", "converge", "moments",
+                                         "simulate"])
     def test_box_whose_squared_distances_overflow_is_2(self, tmp_path, capsys, command):
-        # 2 * 1e200 is finite, but (2 * 1e200)^2 is not; perturbation builds the
-        # same rate bundle for its weight (it used to integrate NaN weights)
-        cfg = write_config(tmp_path, samples=10, box_radius=1e200)
+        # 2 * 1e200 is finite, but (2 * 1e200)^2 is not; every command builds
+        # sec4's rate bundle on that box, even where it does not read it
+        ladder = [0.5] if command in ("simulate", "moments") else [0.5, 0.25]
+        cfg = write_config(tmp_path, samples=10, box_radius=1e200, ladder=ladder)
         assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "box_radius" in err
@@ -290,15 +292,23 @@ class TestExitCodes:
         ("converge", {"ladder": [0.25, 0.5]}),
         ("moments", {"ladder": [0.5], "n_paths": 1}),
         ("converge", {"truncation_radius": 1e200}),
+        ("converge", {"ladder": [0.5]}),
+        ("converge", {"model": 3}),
+        ("converge", {"model": {"id": 7}}),
+        ("converge", {"model": {"id": "sec4", "params": []}}),
+        ("converge", {"output_dir": 5}),
+        ("converge --seed -3", {}),  # the parser takes -3 as the seed; main rejects it
     ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
             "non_contractive_k", "zero_dim", "check_without_rates", "simulate_past_index_limit",
             "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder",
-            "rising_ladder", "moments_one_path", "radius_past_the_squared_norms"])
+            "rising_ladder", "moments_one_path", "radius_past_the_squared_norms",
+            "converge_one_level", "model_not_an_object", "model_id_not_a_string",
+            "params_not_an_object", "output_dir_not_a_string", "negative_seed_flag"])
     def test_config_rejected_after_loading_leaves_no_output_dir(
         self, tmp_path, capsys, command, overrides
     ):
         out = tmp_path / "o"
-        assert main([command, "--config", write_config(tmp_path, **overrides),
+        assert main([*command.split(), "--config", write_config(tmp_path, **overrides),
                      "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -473,6 +483,13 @@ class TestOutputs:
         assert "noise_0001.bin" in manifest["outputs"]
         # nothing time-dependent may leak into the manifest
         assert not any("time" in key or "date" in key for key in manifest)
+
+    def test_perturbation_without_a_bundle_weighs_by_one(self, tmp_path):
+        # additive_noise has no built-in rate bundle and the config gives none
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"id": "additive_noise", "params": {}})
+        assert main(["perturbation", "--config", cfg, "--output", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["weight"] == "constant 1"
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = self.run_simulate(tmp_path)
