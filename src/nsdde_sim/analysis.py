@@ -2,9 +2,9 @@
 
 The central construction: per path, increments are generated once at the
 finest step of a ladder, every level is simulated on its grid from them
-(:func:`nsdde_sim.euler.simulate` drives it by their block sums and samples
-its solution on the finest grid in the same pass), and levels are compared
-pathwise in the sup norm over grid points.  Convergence in probability is
+(one :func:`nsdde_sim.euler.simulate` call steps all levels together,
+driving each by their block sums and sampling it on the finest grid), and
+levels are compared pathwise in the sup norm over grid points.  Convergence in probability is
 then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
 
@@ -65,8 +65,8 @@ def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
     """Run the coupled ladder in blocks of paths and keep each slot's reduction.
 
     Per block the finest increments are generated once, and one
-    :func:`~nsdde_sim.euler.simulate` call per level steps on its grid and
-    samples on the finest.  A path diverged at a level when its sup |X|
+    :func:`~nsdde_sim.euler.simulate` call steps every level on its grid and
+    samples it on the finest.  A path diverged at a level when its sup |X|
     over [0, horizon] on the finest grid exceeds ``radius`` or is not a
     number.  ``reduce(levels)`` gets one ``(values, kept)`` pair per level:
     ``values`` is the engine's time-major view, shape (M + 1, paths,
@@ -86,7 +86,7 @@ def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
     blocks = []
     for indices in path_blocks(n_paths):
         fine_noise = generate(fine, model.noise_dim, seed, indices)
-        levels = [simulate(model, xi, grid, fine_noise).values[skip:] for grid in grids]
+        levels = [path.values[skip:] for path in simulate(model, xi, grids, fine_noise)]
         with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
             kept = [np.sqrt(np.einsum("ipj,ipj->ip", v, v).max(axis=0)) <= radius for v in levels]
             blocks.append([stats[ok] for stats, ok in reduce(list(zip(levels, kept)))])

@@ -280,7 +280,7 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
     header = ["t"] + [f"x_{i + 1}" for i in range(model.state_dim)]
     for indices in analysis.path_blocks(cfg.n_paths):
         noise = generate(grid, model.noise_dim, cfg.seed, indices)
-        paths = simulate(model, xi, grid, noise)
+        (paths,) = simulate(model, xi, [grid], noise)
         if spec is not None:
             ok = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
             violated += int((paths.finite & ~ok).sum())

@@ -124,9 +124,10 @@ def _finish(condition_id: str, tested: int, requested: int, violations: list,
 def _check_sampling(box: float, samples: int, dim: int) -> None:
     """Two points of the box lie up to 2 * box apart in each of ``dim`` coordinates,
     so their squared distance must stay a finite float."""
-    if not 0.0 < box or 4.0 * dim * box * box > sys.float_info.max or samples < 1:
-        raise InvalidRange(f"need samples >= 1 and a positive box_radius with "
-                           f"4 * {dim} * box_radius**2 finite, got {box!r}")
+    if samples < 1:
+        raise InvalidRange(f"need samples >= 1, got {samples!r}")
+    if not 0.0 < box or 4.0 * dim * box * box > sys.float_info.max:
+        raise InvalidRange(f"need box_radius > 0 and 4 * {dim} * box_radius**2 finite, got {box!r}")
 
 
 def _failed(lhs, rhs):

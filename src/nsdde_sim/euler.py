@@ -10,10 +10,11 @@ with X = xi on [-tau, 0].  Because the step divides the delay, the delayed
 state is a pure index shift (l - N) and is always already computed, so the
 scheme stays fully explicit.
 
-:func:`simulate` steps on its grid with the block sums of noise drawn on a
-nested finer grid, and returns the scheme's continuous-time interpolation
-on that finer grid: within a cell [l*D, (l+1)*D] the drift and diffusion
-arguments (including the time) stay frozen at the left endpoint,
+:func:`simulate` runs a ladder of nested grids on one noise.  Each level
+steps on its grid with the block sums of noise drawn on a nested finer
+grid, and returns the scheme's continuous-time interpolation on that finer
+grid: within a cell [l*D, (l+1)*D] the drift and diffusion arguments
+(including the time) stay frozen at the left endpoint,
 
     X(t) = D(X(t - tau)) + X(l*D) - D(X(l*D - tau))
            + b(...) * (t - l*D) + sigma(...) @ (B(t) - B(l*D)),
@@ -22,27 +23,31 @@ which reproduces the discrete values at the cell nodes exactly and needs
 only fine-grid quantities (the delayed term recurses forward in time
 through already-interpolated values).
 
-Every path of a :class:`~nsdde_sim.brownian.BrownianPath` stack advances
-together.  Every delayed argument of a delay window lies in the window
-before, so each window takes one ``neutral`` call for all its nodes and
-paths, one more for its in-cell nodes on a finer noise grid, and one drift
-and one diffusion call per step.  Evaluators therefore receive states of
-shape ``(..., state_dim)`` and the time as a Python float, and must act
-elementwise over all leading axes (paths, and for ``neutral`` also nodes),
-so that each path's values are bitwise those of a one-path,
-one-node-at-a-time run.  Results stay in the time-major layout the loops
-fill, ``(rows, paths, state_dim)``.  A path that blows up is reported
-through :attr:`PathGrid.finite` and leaves the other paths untouched.
+Every path of a :class:`~nsdde_sim.brownian.BrownianPath` stack, and every
+level of a ladder, advances together.  The levels share their time nodes:
+level j steps at fine index l exactly when its refinement divides l, so
+one loop over the steps of the finest level makes one drift and one
+diffusion call per step for all levels due there.  Every delayed argument
+of a delay window lies in the window before, so each window takes one
+``neutral`` call for every level's nodes and in-cell nodes alike.
+Evaluators therefore receive states of shape ``(..., state_dim)`` and the
+time as a Python float, and must act elementwise over all leading axes
+(levels and paths, and for ``neutral`` also nodes), so that each path's
+values are bitwise those of a one-path, one-node-at-a-time run.  Results
+stay in the time-major layout the loop fills, ``(rows, paths, state_dim)``
+per level.  A path that blows up is reported through
+:attr:`PathGrid.finite` and leaves the other paths untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .brownian import BrownianPath, coarsen
-from .errors import DimensionMismatch, IncompatibleGrids
+from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange
 from .model import DelayGrid, InitialSegment, NsddeModel
 
 
@@ -82,22 +87,31 @@ class PathGrid:
 
 
 def simulate(
-    model: NsddeModel, xi: InitialSegment, grid: DelayGrid, noise: BrownianPath
-) -> PathGrid:
-    """Run the explicit scheme on ``grid`` for every path of ``noise``.
+    model: NsddeModel, xi: InitialSegment, grids: Sequence[DelayGrid], noise: BrownianPath
+) -> list[PathGrid]:
+    """Run the explicit scheme on every grid of ``grids`` for every path of ``noise``.
 
-    ``noise.grid`` must nest in ``grid`` (:meth:`DelayGrid.refinement`, else
-    :class:`IncompatibleGrids`).  The scheme is driven by
-    ``coarsen(noise, grid)`` and its values are returned on ``noise.grid``:
-    bitwise the scheme's at the nodes of ``grid``, and its continuous
-    interpolation in between.  Evaluators must return arrays broadcastable
-    to ``(..., state_dim)`` for drift/neutral and
+    ``grids`` is a non-empty ladder in :func:`~nsdde_sim.analysis.ladder_grids`
+    order: each grid nests in the next and all nest in ``noise.grid``
+    (:meth:`DelayGrid.refinement`, else :class:`IncompatibleGrids`).  The
+    ``j``-th returned :class:`PathGrid` is level ``j``, driven by
+    ``coarsen(noise, grids[j])`` and sampled on ``noise.grid``: bitwise the
+    scheme's values at the nodes of ``grids[j]``, its continuous
+    interpolation in between, and bitwise the one-grid run
+    ``simulate(model, xi, [grids[j]], noise)``.  Evaluators must return
+    arrays broadcastable to ``(..., state_dim)`` for drift/neutral and
     ``(..., state_dim, noise_dim)`` for the diffusion.  A path that blows
     up is marked in :attr:`PathGrid.finite`.
     """
-    if model.delay != grid.tau:
-        raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grid.tau}")
-    factor = grid.refinement(noise.grid)
+    grids = [] if isinstance(grids, DelayGrid) else list(grids)
+    if not grids:
+        raise InvalidRange("simulate needs a non-empty sequence of grids")
+    if model.delay != grids[0].tau:
+        raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grids[0].tau}")
+    for coarse, finer in zip(grids, grids[1:]):
+        coarse.refinement(finer)
+    levels = grids[::-1]  # finest first
+    factors = [grid.refinement(noise.grid) for grid in levels]
     if noise.noise_dim != model.noise_dim:
         raise DimensionMismatch(
             f"noise dimension {noise.noise_dim} != model noise_dim {model.noise_dim}"
@@ -106,56 +120,81 @@ def simulate(
         raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
 
     fine = noise.grid
-    n_delay, n_steps = grid.steps_per_delay, grid.total_steps
-    dbs = np.moveaxis(coarsen(noise, grid).increments, 1, 0)
-    shape = (dbs.shape[1], model.state_dim)
-    out = np.empty((fine.steps_per_delay + fine.total_steps + 1,) + shape)
-    out[: fine.steps_per_delay + 1] = xi.sample(fine)[:, None]
-    # The nodes of grid are every factor-th row: correctly rounded times
-    # make them sample xi exactly as xi.sample(grid) does.
-    vals = out[::factor]
-    b_win = np.empty((n_delay,) + shape)
-    s_win = np.empty((n_delay,) + shape + (model.noise_dim,))
-    if factor > 1:
-        # Fine row (c, r) is out[c * factor + r]: cell l fills (l + n_delay, r)
-        # for r = 1 .. factor - 1, and its delayed rows are (l, r).
-        rows = out[:-1].reshape((-1, factor) + shape)
-        bsum = np.moveaxis(noise.partial_sums(), 1, 0)
-        bsum = bsum[:-1].reshape((n_steps, factor) + bsum.shape[1:])
-        # Exact in-cell offsets r * tau / N_fine for r = 1 .. factor - 1.
-        offs = fine.times[fine.steps_per_delay + 1 : fine.steps_per_delay + factor, None, None]
+    n_delay, n_steps = fine.steps_per_delay, fine.total_steps
+    n_levels, n_paths, k = len(levels), len(noise.increments), model.noise_dim
+    shape = (n_paths, model.state_dim)
+    deltas = np.array([grid.delta for grid in levels])[:, None, None]
+    # Each delay window steps in one pattern: at offset s the levels j < m,
+    # whose factors divide s, step on rows o .. o + m - 1 of the packed
+    # arrays (a lone level as a scalar, the cheaper index), keeping b and
+    # sigma when one of them refines.  Correctly rounded fine times are
+    # every level's own, so each reads t and samples xi as on its own grid.
+    starts = np.arange(0, n_delay, factors[0])
+    counts = (starts[:, None] % factors == 0).sum(axis=1)
+    firsts = np.cumsum(counts) - counts
+    sched = [(s, m, 0, o, levels[0].delta, factors[0] > 1) if m == 1
+             else (s, m, slice(0, m), slice(o, o + m), deltas[:m], factors[m - 1] > 1)
+             for s, m, o in zip(starts.tolist(), counts.tolist(), firsts.tolist())]
+    ends = (firsts + counts).tolist()
+    packed = ends[-1]
+    lev = np.arange(packed) - np.repeat(firsts, counts)
+    lag_rows = np.repeat(starts, counts) + np.array(factors)[lev]
+    mine = [np.flatnonzero(lev == j) for j in range(n_levels)]
+    incs = [np.moveaxis(coarsen(noise, grid).increments, 1, 0) for grid in levels]
+    dbs = incs[0]  # one level packs as it is, with no transposing copy
+    if n_levels > 1:
+        dbs = np.empty((sum(g.total_steps for g in levels), n_paths, k))
+        for j, grid in enumerate(levels):
+            c, per = np.arange(grid.total_steps), grid.steps_per_delay
+            dbs[c // per * packed + mine[j][c % per]] = incs[j]
 
+    out = np.empty((n_levels, n_delay + n_steps + 1) + shape)
+    out[:, : n_delay + 1] = xi.sample(fine)[:, None]
+    if factors[-1] > 1:
+        b_win = np.empty((packed,) + shape)
+        s_win = np.empty((packed,) + shape + (k,))
+        bsum = np.moveaxis(noise.partial_sums(), 1, 0)
     neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
-    times = grid.times.tolist()
-    dt = grid.delta
+    times = fine.times.tolist()
+    step = factors[0]
     with np.errstate(all="ignore"):
         for w in range(0, n_steps, n_delay):
-            end = min(w + n_delay, n_steps)
-            # D(X(t_l - tau)) for l = w .. end: every row is one delay back,
-            # so the whole window's lookups are known before it starts
-            lag = vals[w : end + 1]
+            span = min(n_delay, n_steps - w)
+            # D of every level's fine rows one delay back: the node lags of
+            # the window's steps and the in-cell lags, all already computed
+            lag = out[:, w : w + span + 1]
             d_lag = np.broadcast_to(neutral(lag), lag.shape)
-            for l in range(w, end):
-                il = l + n_delay
-                x = vals[il]
-                y = vals[l]
-                t = times[il]
-                b = b_win[l - w] = drift(x, y, t)
-                s = s_win[l - w] = diffusion(x, y, t)
-                vals[il + 1] = (
-                    d_lag[l + 1 - w] + x - d_lag[l - w] + b * dt + _noise_term(s, dbs[l])
+            steps = sched[: -(-span // step)]
+            used = ends[len(steps) - 1]
+            d_next = d_lag[lev[:used], lag_rows[:used]]
+            db = dbs[w // n_delay * packed :]
+            for s, m, lv, rows, dt, keep in steps:
+                il = w + s + n_delay
+                x, y, t = out[lv, il], out[lv, il - n_delay], times[il]
+                b = drift(x, y, t)
+                sg = diffusion(x, y, t)
+                if keep:
+                    b_win[rows] = b
+                    s_win[rows] = sg
+                out[lv, il + step] = (
+                    d_next[rows] + x - d_lag[lv, s] + b * dt + _noise_term(sg, db[rows])
                 )
-            if factor > 1:
-                # the in-cell nodes of this window, from its own d_lag,
-                # drift and diffusion; their delayed rows lie in the
-                # window before, which is complete
-                cells, k = slice(w, end), end - w
-                base = vals[w + n_delay : end + n_delay] - d_lag[:k]
-                rows[w + n_delay : end + n_delay, 1:] = (
-                    neutral(rows[cells, 1:]) + base[:, None] + b_win[:k, None] * offs
-                    + _noise_term(s_win[:k, None], bsum[cells, 1:] - bsum[cells, :1])
+                if m < n_levels:  # the others carry their node to the next row
+                    out[m:, il + step] = out[m:, il]
+            for j, f in enumerate(factors):
+                if f == 1:
+                    continue
+                # the in-cell rows of level j's cells in this window
+                cells, picks = span // f, mine[j][: span // f]
+                cell = out[j, w + n_delay : w + span + n_delay].reshape((cells, f) + shape)
+                lags = d_lag[j, :span].reshape((cells, f) + shape)
+                sums = bsum[w : w + span].reshape((cells, f, n_paths, k))
+                cell[:, 1:] = (
+                    lags[:, 1:] + (cell[:, :1] - lags[:, :1])
+                    + b_win[picks, None] * fine.times[n_delay + 1 : n_delay + f, None, None]
+                    + _noise_term(s_win[picks, None], sums[:, 1:] - sums[:, :1])
                 )
-    return PathGrid(out, noise)
+    return [PathGrid(values, noise) for values in out[::-1]]
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_criterion_01_hand_recursion_oracle():
         drift=lambda x, y, t: np.ones(1),
         diffusion=lambda x, y, t: np.zeros((1, 1)),
     )
-    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, SEED, [0]))
+    path = simulate(model, constant_segment(1.0), [grid], generate(grid, 1, SEED, [0]))[0]
     got = path.values[3:, 0, 0].tolist()
     _report(1, "hand recursion oracle", got == [1.5, 2.0, 2.75], f"X={got}")
 
@@ -74,7 +74,7 @@ def test_criterion_02_deterministic_first_order_convergence():
 
     def max_grid_error(delta: float) -> float:
         grid = make_grid(1.0, 2.0, delta)
-        path = simulate(model, xi, grid, generate(grid, 1, SEED, [0]))
+        path = simulate(model, xi, [grid], generate(grid, 1, SEED, [0]))[0]
         t = np.asarray(grid.times[grid.steps_per_delay:])
         exact = np.where(t <= 1.0, 1.0 + t, 2.0 + (t * t - 1.0) / 2.0)
         assert exact[-1] == 3.5
@@ -107,8 +107,8 @@ def test_criterion_04_neutral_conservation():
         n = grid.steps_per_delay
         for index in range(100):
             path = simulate(
-                pure_neutral(k, 1.0), xi, grid, generate(grid, 1, SEED, [index])
-            )
+                pure_neutral(k, 1.0), xi, [grid], generate(grid, 1, SEED, [index])
+            )[0]
             vals = path.values[:, 0, 0]
             conserved = vals[n:] - k * vals[:-n]
             worst = max(worst, float(np.abs(conserved - 1.0).max()))
@@ -225,7 +225,7 @@ def test_criterion_08_inequality_sweeps():
     rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
     xi = constant_segment(1.0)
     grid = make_grid(1.0, 2.0, 0.025)
-    paths = simulate(model, xi, grid, generate(grid, 1, SEED, range(1000)))
+    paths = simulate(model, xi, [grid], generate(grid, 1, SEED, range(1000)))[0]
     ok = check_contraction_sup_bound(paths, model.neutral, rates.kappa)
     witnesses = int((~ok).sum())
     _report(8, "power-split sweep and pathwise sup bound",

@@ -228,13 +228,10 @@ def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
     assert str(info.value) == f"every simulated path diverged at {where}"
 
 
-@pytest.mark.parametrize("study, simulate_calls", [
-    ("converge", 9), ("perturbation", 9), ("moments", 3),
-])
-def test_one_generate_per_block_and_one_simulate_per_level(monkeypatch, cubic_model, unit_segment,
-                                                           study, simulate_calls):
+@pytest.mark.parametrize("study", ["converge", "perturbation", "moments"])
+def test_one_generate_and_one_simulate_per_block(monkeypatch, cubic_model, unit_segment, study):
     # 5 paths in blocks of 2 are 3 blocks: each draws its noise once and
-    # simulates each level of the 3-level ladder (moments: 1 level) once
+    # simulates every level of the 3-level ladder (moments: 1 level) in one call
     calls = []
     for name in ("generate", "simulate"):
         def counted(*args, _real=getattr(analysis, name), _name=name, **kwargs):
@@ -249,7 +246,7 @@ def test_one_generate_per_block_and_one_simulate_per_level(monkeypatch, cubic_mo
             cubic_model, unit_segment, 2.0, ladder, 5, 1, 6.0, constant_rate(1.0)),
         "moments": lambda: estimate_moments(cubic_model, unit_segment, 2.0, ladder[0], 5, 1),
     }[study]()
-    assert (calls.count("generate"), calls.count("simulate")) == (3, simulate_calls)
+    assert (calls.count("generate"), calls.count("simulate")) == (3, 3)
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
@@ -407,11 +404,11 @@ def test_power_split_vectorized_and_validated():
 
 def test_sup_bound_holds_on_simulated_path(cubic_model, unit_segment):
     grid = make_grid(1.0, 2.0, 0.05)
-    paths = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, range(10)))
+    paths = simulate(cubic_model, unit_segment, [grid], generate(grid, 1, 37, range(10)))[0]
     path_ok = check_contraction_sup_bound(paths, cubic_model.neutral, 0.5)
     assert path_ok.shape == (10,)
     assert path_ok.all()
-    single = simulate(cubic_model, unit_segment, grid, generate(grid, 1, 37, [3]))
+    single = simulate(cubic_model, unit_segment, [grid], generate(grid, 1, 37, [3]))[0]
     ok = check_contraction_sup_bound(single, cubic_model.neutral, 0.5)
     assert ok.tolist() == [True]
 
@@ -419,7 +416,7 @@ def test_sup_bound_holds_on_simulated_path(cubic_model, unit_segment):
 def test_sup_bound_trivial_on_fixed_point():
     model = pure_neutral(0.5, 1.0)
     grid = make_grid(1.0, 2.0, 0.25)
-    path = simulate(model, constant_segment(1.0), grid, generate(grid, 1, 0, [0]))
+    path = simulate(model, constant_segment(1.0), [grid], generate(grid, 1, 0, [0]))[0]
     for neutral, kappa in [(model.neutral, 0.5), (lambda y: 0.0 * y, 0.3)]:
         # with D == 0 the rhs dominates algebraically (1/(1-kappa)^2 > 1), so
         # the bound holds for any claimed kappa
@@ -482,7 +479,7 @@ def path_major_levels(model, xi, ladder, n_paths, seed):
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
     levels = []
     for grid in grids:
-        path = simulate(model, xi, grid, fine_noise)
+        path = simulate(model, xi, [grid], fine_noise)[0]
         values = np.ascontiguousarray(np.moveaxis(path.values[fine.steps_per_delay :], 1, 0))
         levels.append((values, path.finite))
     return fine, levels

@@ -249,6 +249,8 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "box_radius" in err
+        # only check takes samples, so only check may name them
+        assert command == "check" or "samples" not in err
 
     def test_coefficient_overflow_on_a_valid_box_fails_quietly(self, tmp_path, capsys):
         # squared distances of a 1e120 box are finite, the cubic drift is not:
@@ -461,7 +463,7 @@ class TestOutputs:
         from nsdde_sim import builtin_model, constant_segment, simulate
 
         model = builtin_model("sec4", 1.0, {"k": 0.5, "c1": -1.0, "c2": -1.0})
-        path = simulate(model, constant_segment(1.0), grid, noise)
+        path = simulate(model, constant_segment(1.0), [grid], noise)[0]
         assert [float(s) for s in texts] == path.values[:, 0, 0].tolist()
 
     def test_noise_dump_restores_stream(self, tmp_path):

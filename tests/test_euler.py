@@ -1,4 +1,4 @@
-"""Scheme recursion, refinement onto finer noise grids, and path-batched runs."""
+"""Scheme recursion, refinement onto finer noise grids, ladder calls and path-batched runs."""
 
 import math
 from collections import Counter
@@ -15,6 +15,7 @@ from nsdde_sim import (
     DimensionMismatch,
     IncompatibleGrids,
     InitialSegment,
+    InvalidRange,
     NsddeModel,
     additive_noise,
     affine_segment,
@@ -49,7 +50,7 @@ def test_hand_recursion_oracle():
     #   X3 = 0.5*1.5 + 2.0 - 0.5*1 + 0.5 = 2.75
     grid = make_grid(tau=1.0, horizon=1.5, delta=0.5)
     noise = generate(grid, 1, seed=0, path_index=[0])
-    path = simulate(drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, noise)
+    path = simulate(drifted_neutral(0.5, 1.0), constant_segment(1.0), [grid], noise)[0]
     assert path.values[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 1.5, 2.0, 2.75]
 
 
@@ -57,7 +58,7 @@ def test_pure_neutral_single_step():
     # X(0.5) = conserved + 0.5 * xi(-0.5) = 1 + 0.5 * 0.5 = 1.25
     grid = make_grid(1.0, 2.0, 0.5)
     noise = generate(grid, 1, 5, [0])
-    path = simulate(pure_neutral(0.5, 1.0), affine_segment(1.0, 1.0), grid, noise)
+    path = simulate(pure_neutral(0.5, 1.0), affine_segment(1.0, 1.0), [grid], noise)[0]
     # grid index 1 is row 1 + N of values
     assert path.values[1 + grid.steps_per_delay, 0, 0] == 1.25
 
@@ -65,8 +66,8 @@ def test_pure_neutral_single_step():
 def test_values_rows_are_signed_indices_shifted_by_the_delay():
     grid = make_grid(1.0, 2.0, 0.5)
     path = simulate(
-        drifted_neutral(0.5, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, [0])
-    )
+        drifted_neutral(0.5, 1.0), constant_segment(1.0), [grid], generate(grid, 1, 0, [0])
+    )[0]
     n = grid.steps_per_delay
     assert path.values[-2 + n, 0, 0] == 1.0
     assert path.values[0 + n, 0, 0] == 1.0
@@ -81,7 +82,7 @@ def test_neutral_conservation(delta):
     k = 0.7
     grid = make_grid(1.0, 3.0, delta)
     xi = affine_segment(1.0, 1.0)
-    path = simulate(pure_neutral(k, 1.0), xi, grid, generate(grid, 1, 3, [0]))
+    path = simulate(pure_neutral(k, 1.0), xi, [grid], generate(grid, 1, 3, [0]))[0]
     n = grid.steps_per_delay
     vals = path.values[:, 0, 0]
     conserved = vals[n:] - k * vals[: -n]
@@ -92,8 +93,8 @@ def test_linear_delay_ode_method_of_steps():
     # exact solution: 1 + t on [0, 1], 2 + (t^2 - 1)/2 on [1, 2]
     grid = make_grid(1.0, 2.0, 0.025)
     path = simulate(
-        linear_delay_ode(1.0, 1.0), constant_segment(1.0), grid, generate(grid, 1, 0, [0])
-    )
+        linear_delay_ode(1.0, 1.0), constant_segment(1.0), [grid], generate(grid, 1, 0, [0])
+    )[0]
     assert path.values[-1, 0, 0] == pytest.approx(3.5, abs=0.02)
     n = grid.steps_per_delay
     t = np.asarray(grid.times[n:])
@@ -107,10 +108,10 @@ def test_additive_noise_is_exact():
     noise = generate(grid, 2, seed=21, path_index=[4])
     n = grid.steps_per_delay
     # starting from zero the scheme IS the running sum, bit for bit
-    path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), grid, noise)
+    path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), [grid], noise)[0]
     assert np.array_equal(path.values[n:, 0], noise.partial_sums()[0])
     # a nonzero start only changes rounding of the additions
-    shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), grid, noise)
+    shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), [grid], noise)[0]
     assert np.abs(shifted.values[n:, 0] - (3.0 + noise.partial_sums()[0])).max() <= 1e-12
 
 
@@ -120,25 +121,25 @@ def test_simulate_validation():
     model = drifted_neutral(0.5, 1.0)
     xi = constant_segment(1.0)
     with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, other, generate(other, 1, 0, [0]))  # delay mismatch
+        simulate(model, xi, [other], generate(other, 1, 0, [0]))  # delay mismatch
     # noise on a finer grid is sampled on; noise on a coarser grid or with
     # another delay does not nest
     finer = make_grid(1.0, 2.0, 0.05)
-    assert simulate(model, xi, grid, generate(finer, 1, 0, [0])).grid == finer
+    assert simulate(model, xi, [grid], generate(finer, 1, 0, [0]))[0].grid == finer
     with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, grid, generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]))
+        simulate(model, xi, [grid], generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]))
     with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, grid, generate(make_grid(0.5, 1.0, 0.05), 1, 0, [0]))
+        simulate(model, xi, [grid], generate(make_grid(0.5, 1.0, 0.05), 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
-        simulate(model, constant_segment(1.0, dim=2), grid, generate(grid, 1, 0, [0]))
+        simulate(model, constant_segment(1.0, dim=2), [grid], generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
-        simulate(model, xi, grid, generate(grid, 3, 0, [0]))
+        simulate(model, xi, [grid], generate(grid, 3, 0, [0]))
 
 
 def test_divergence_reports_step_and_time():
     # x |-> x + x^3 delta from x=2 overflows after eight steps at delta=1/4
     grid = make_grid(1.0, 2.0, 0.25)
-    path = simulate(cubic_drift(1.0), constant_segment(2.0), grid, generate(grid, 1, 0, [0]))
+    path = simulate(cubic_drift(1.0), constant_segment(2.0), [grid], generate(grid, 1, 0, [0]))[0]
     assert path.finite.tolist() == [False]
     assert not np.isfinite(path.values[8 + grid.steps_per_delay]).all()
     assert grid.times[8 + grid.steps_per_delay] == 2.0
@@ -168,7 +169,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
         t = grid.times[l + n]
         vals[l + n + 1] = x + (-y + 0.5 * x) * dt + (0.3 * x).reshape(1, 1) @ steps[l]
 
-    path = simulate(model, xi, grid, noise)
+    path = simulate(model, xi, [grid], noise)[0]
     assert np.array_equal(path.values[:, 0], vals)
 
 
@@ -186,7 +187,7 @@ def test_refine_interior_oracle():
     coarse_grid = make_grid(1.0, 1.5, 0.5)
     fine_grid = make_grid(1.0, 1.5, 0.25)
     fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
-    fine = simulate(model, xi, coarse_grid, fine_noise)
+    fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
     assert fine.values[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
 
@@ -194,8 +195,8 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     fine_grid = make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
-    coarse = simulate(cubic_model, unit_segment, coarse_grid, coarsen(fine_noise, coarse_grid))
-    fine = simulate(cubic_model, unit_segment, coarse_grid, fine_noise)
+    coarse = simulate(cubic_model, unit_segment, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
+    fine = simulate(cubic_model, unit_segment, [coarse_grid], fine_noise)[0]
     assert np.array_equal(fine.values[::4], coarse.values)
 
 
@@ -203,8 +204,8 @@ def test_refine_identity_at_factor_one(cubic_model, unit_segment):
     # noise on the grid itself drives the scheme with its own increments
     grid = make_grid(1.0, 2.0, 0.1)
     noise = generate(grid, 1, 1, [0])
-    path = simulate(cubic_model, unit_segment, grid, noise)
-    same = simulate(cubic_model, unit_segment, grid, coarsen(noise, grid))
+    path = simulate(cubic_model, unit_segment, [grid], noise)[0]
+    same = simulate(cubic_model, unit_segment, [grid], coarsen(noise, grid))[0]
     assert same.values.tobytes() == path.values.tobytes() and same.grid == grid
 
 
@@ -212,7 +213,7 @@ def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     shifted = make_grid(1.0, 3.0, 0.05)
     with pytest.raises(IncompatibleGrids):
-        simulate(cubic_model, unit_segment, coarse_grid, generate(shifted, 1, 1, [0]))
+        simulate(cubic_model, unit_segment, [coarse_grid], generate(shifted, 1, 1, [0]))
 
 
 def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
@@ -221,7 +222,7 @@ def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     other = make_grid(0.5, 1.0, 0.025)
     with pytest.raises(IncompatibleGrids):
-        simulate(cubic_model, unit_segment, coarse_grid, generate(other, 1, 1, [0]))
+        simulate(cubic_model, unit_segment, [coarse_grid], generate(other, 1, 1, [0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,8 +235,8 @@ def test_refine_node_agreement_property(seed, factor):
     fine_grid = make_grid(1.0, 2.0, 0.1 / factor)
     fine_noise = generate(fine_grid, 1, seed, [0])
     coarse_grid = make_grid(1.0, 2.0, 0.1)
-    coarse = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    fine = simulate(model, xi, coarse_grid, fine_noise)
+    coarse = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
+    fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
     assert np.array_equal(fine.values[::factor], coarse.values)
 
 
@@ -261,16 +262,16 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     xi = affine_segment(0.5, 0.3, model.state_dim)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
-    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    refined = simulate(model, xi, coarse_grid, fine_noise)
+    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
+    refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
     assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
     assert refined.values.shape == (121, 6, model.state_dim)
     for p in range(6):
         single_noise = generate(fine_grid, model.noise_dim, 5, [p])
-        single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
+        single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
         assert single.values.shape == (31, 1, model.state_dim)
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
-        single_refined = simulate(model, xi, coarse_grid, single_noise)
+        single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
         assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
 
 
@@ -286,17 +287,74 @@ def test_diverged_path_in_batch_is_masked():
     xi = constant_segment(0.0)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
-    batch = simulate(model, xi, coarse_grid, coarsen(fine_noise, coarse_grid))
-    refined = simulate(model, xi, coarse_grid, fine_noise)
+    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
+    refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
     assert 0 < batch.finite.sum() < 8
     assert np.array_equal(refined.finite, batch.finite)
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, [p])
-        single = simulate(model, xi, coarse_grid, coarsen(single_noise, coarse_grid))
+        single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
         assert single.finite[0] == batch.finite[p]
         assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
-        single_refined = simulate(model, xi, coarse_grid, single_noise)
+        single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
         assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
+
+
+# --- ladders ---------------------------------------------------------------
+# One call steps every level of a ladder on the fine indices the levels
+# share; each level must be bitwise its own one-grid run.
+
+LADDER_CASES = {
+    # name: (model, xi, horizon, ladder, paths, seed)
+    "sec4": (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0), constant_segment(1.0),
+             2.0, (0.1, 0.05, 0.025, 0.0125), 32, 1),
+    "linear_delay_ode": (lambda: linear_delay_ode(0.7, 1.0), affine_segment(0.5, 0.3),
+                         2.0, (0.2, 0.1, 0.05), 3, 2),
+    "pure_neutral": (lambda: pure_neutral(0.6, 1.0), affine_segment(0.5, 0.3),
+                     2.0, (0.25, 0.125), 4, 3),
+    "cubic_drift_2": (lambda: cubic_drift(1.0, 2), affine_segment(0.5, 0.3, 2),
+                      2.0, (0.5, 0.25, 0.125), 5, 4),
+    "additive_noise_2": (lambda: additive_noise(1.0, 2), affine_segment(0.5, 0.3, 2),
+                         2.0, (0.1, 0.05, 0.025), 9, 5),
+    # from xi = 3, step 0.5 stays huge but finite and step 0.25 reaches inf and NaN
+    "sec4_blow_up": (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0), constant_segment(3.0),
+                     3.0, (0.5, 0.25), 50, 1),
+    "refinement_by_5": (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0),
+                        affine_segment(0.5, 0.3), 2.0, (0.1, 0.02, 0.01), 7, 6),
+    "horizon_2.5_17_paths": (lambda: neutral_cubic_model(0.3, -2.0, -1.0, 1.0),
+                             affine_segment(1.0, 1.0), 2.5, (0.5, 0.25, 0.03125), 17, 7),
+}
+
+
+@pytest.mark.parametrize("finer_noise", [False, True])
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_ladder_call_equals_one_grid_calls(name, finer_noise):
+    make_model, xi, horizon, ladder, n_paths, seed = LADDER_CASES[name]
+    model = make_model()
+    grids = [make_grid(1.0, horizon, delta) for delta in ladder]
+    # the noise on the finest level's grid, or on one twice as fine
+    noise_grid = make_grid(1.0, horizon, ladder[-1] / 2) if finer_noise else grids[-1]
+    noise = generate(noise_grid, model.noise_dim, seed, range(n_paths))
+    paths = simulate(model, xi, grids, noise)
+    assert len(paths) == len(grids)
+    for grid, path in zip(grids, paths):
+        single = simulate(model, xi, [grid], noise)[0]
+        assert path.grid == noise_grid and path.values.shape == single.values.shape
+        assert path.values.tobytes() == single.values.tobytes()
+    if name == "sec4_blow_up":
+        assert not paths[-1].finite.all() and np.isnan(paths[-1].values).any()
+
+
+def test_ladder_grids_must_nest_in_one_another(cubic_model, unit_segment):
+    # 0.1 and 0.04 both nest in 0.02, but not in one another
+    noise = generate(make_grid(1.0, 2.0, 0.02), 1, 0, [0])
+    coarse, odd, fine = (make_grid(1.0, 2.0, delta) for delta in (0.1, 0.04, 0.02))
+    for grids in ([coarse, odd], [odd, coarse], [fine, coarse], [coarse, fine, coarse]):
+        with pytest.raises(IncompatibleGrids):
+            simulate(cubic_model, unit_segment, grids, noise)
+    for empty in ([], (), coarse):  # a bare grid is not a sequence of grids
+        with pytest.raises(InvalidRange):
+            simulate(cubic_model, unit_segment, empty, noise)
 
 
 # --- per-node reference engine ----------------------------------------------
@@ -416,21 +474,26 @@ def test_engine_matches_per_node_reference(name, seed):
     refs = []
     for grid in grids:
         noise = coarsen(fine_noise, grid)
-        path = simulate(model, xi, grid, noise)
+        path = simulate(model, xi, [grid], noise)[0]
         ref = ref_simulate(model, xi, grid, noise)
         check(path, ref)
         refs.append((path, ref))
     for lo, hi in [(0, 1), (0, 2), (1, 2)]:
         (path, ref), target = refs[lo], grids[hi]
         noise = coarsen(fine_noise, target)
-        refined = simulate(model, xi, grids[lo], noise)
+        refined = simulate(model, xi, [grids[lo]], noise)[0]
         check(refined, ref_refine(ref, grids[lo], model, xi, target, noise))
+    # one ladder call on the finest noise: levels 0 and 1 refined, level 2 plain
+    ladder = simulate(model, xi, grids, fine_noise)
+    for lo, path in enumerate(ladder[:-1]):
+        check(path, ref_refine(refs[lo][1], grids[lo], model, xi, fine, fine_noise))
+    check(ladder[-1], refs[-1][1])
 
 
 def test_coefficient_calls_per_delay_window():
-    # simulate: drift and diffusion once per step, neutral once per delay
-    # window, and once more per window for its in-cell nodes on a finer
-    # noise grid.  Horizon 2.5 makes the last window partial.
+    # simulate: drift and diffusion once per step of the finest level, and
+    # neutral once per delay window, whose one call also serves the in-cell
+    # nodes on a finer noise grid.  Horizon 2.5 makes the last window partial.
     calls = Counter()
 
     def counted(name, fn):
@@ -448,13 +511,19 @@ def test_coefficient_calls_per_delay_window():
     coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
     fine_noise = generate(fine, 1, seed=3, path_index=range(4))
 
-    simulate(model, xi, coarse, coarsen(fine_noise, coarse))
+    simulate(model, xi, [coarse], coarsen(fine_noise, coarse))
     m, n = coarse.total_steps, coarse.steps_per_delay
     assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
 
     calls.clear()
-    simulate(model, xi, coarse, fine_noise)
-    assert calls == {"drift": m, "diffusion": m, "neutral": 2 * math.ceil(m / n)}
+    simulate(model, xi, [coarse], fine_noise)
+    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
+
+    # a 3-level ladder steps all its levels together on the nodes they share
+    calls.clear()
+    simulate(model, xi, [coarse, make_grid(1.0, 2.5, 0.125), fine], fine_noise)
+    m, n = fine.total_steps, fine.steps_per_delay
+    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
 
 
 def test_exact_zero_noise_term_keeps_a_positive_zero():
@@ -472,8 +541,8 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     )
     coarse, fine = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
-    path = simulate(model, xi, coarse, coarsen(fine_noise, coarse))
-    refined = simulate(model, xi, coarse, fine_noise)
+    path = simulate(model, xi, [coarse], coarsen(fine_noise, coarse))[0]
+    refined = simulate(model, xi, [coarse], fine_noise)[0]
     for grid, values in ((coarse, path.values), (fine, refined.values)):
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
         assert [format(v, ".17g") for v in after_zero] == ["0"] * grid.total_steps
