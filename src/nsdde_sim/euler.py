@@ -33,9 +33,12 @@ of a delay window lies in the window before, so each window takes one
 Evaluators therefore receive states of shape ``(..., state_dim)`` and the
 time as a Python float, and must act elementwise over all leading axes
 (levels and paths, and for ``neutral`` also nodes), so that each path's
-values are bitwise those of a one-path, one-node-at-a-time run.  Results
-stay in the time-major layout the loop fills, ``(rows, paths, state_dim)``
-per level.  A path that blows up is reported through
+values are bitwise those of a one-path, one-node-at-a-time run.  States
+are stored time-major across levels, ``(rows, levels, paths, state_dim)``
+finest first: the levels due at a step are one contiguous row slice, and
+the update is written into it in place.  Each level's ``values`` is a
+strided view of its rows.  With one noise component sigma dB is a
+product, bitwise the matmul.  A path that blows up is reported through
 :attr:`PathGrid.finite` and leaves the other paths untouched.
 """
 
@@ -55,7 +58,7 @@ from .model import DelayGrid, InitialSegment, NsddeModel
 class PathGrid:
     """A stack of solution paths sampled on the delay grid of their noise.
 
-    ``values`` has shape ``(N + M + 1, paths, state_dim)``:
+    ``values`` (from :func:`simulate`, a strided view) has shape ``(N + M + 1, paths, state_dim)``:
     ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
     (indices up to 0 hold the sampled initial segment), and path ``p`` is
     the one driven by row ``p`` of ``noise``.  A path that turned NaN or
@@ -103,7 +106,9 @@ def simulate(
     ``(..., state_dim, noise_dim)`` for the diffusion.  A path that blows
     up is marked in :attr:`PathGrid.finite`.
     """
-    grids = [] if isinstance(grids, DelayGrid) else list(grids)
+    if isinstance(grids, DelayGrid):
+        raise InvalidRange(f"simulate needs a sequence of grids, not the bare {grids}; pass [grid]")
+    grids = list(grids)
     if not grids:
         raise InvalidRange("simulate needs a non-empty sequence of grids")
     if model.delay != grids[0].tau:
@@ -123,17 +128,17 @@ def simulate(
     n_delay, n_steps = fine.steps_per_delay, fine.total_steps
     n_levels, n_paths, k = len(levels), len(noise.increments), model.noise_dim
     shape = (n_paths, model.state_dim)
-    deltas = np.array([grid.delta for grid in levels])[:, None, None]
+    deltas = np.array([np.full(shape, grid.delta) for grid in levels])  # b * dt needs no broadcast
     # Each delay window steps in one pattern: at offset s the levels j < m,
     # whose factors divide s, step on rows o .. o + m - 1 of the packed
-    # arrays (a lone level as a scalar, the cheaper index), keeping b and
-    # sigma when one of them refines.  Correctly rounded fine times are
-    # every level's own, so each reads t and samples xi as on its own grid.
+    # arrays, keeping b and sigma when one of them refines.  Correctly
+    # rounded fine times are every level's own, so each reads t and samples
+    # xi as on its own grid.
     starts = np.arange(0, n_delay, factors[0])
     counts = (starts[:, None] % factors == 0).sum(axis=1)
     firsts = np.cumsum(counts) - counts
-    sched = [(s, m, 0, o, levels[0].delta, factors[0] > 1) if m == 1
-             else (s, m, slice(0, m), slice(o, o + m), deltas[:m], factors[m - 1] > 1)
+    prefix = [(slice(0, m), deltas[:m], factors[m - 1] > 1) for m in range(1, n_levels + 1)]
+    sched = [(s, m, slice(o, o + m)) + prefix[m - 1]
              for s, m, o in zip(starts.tolist(), counts.tolist(), firsts.tolist())]
     ends = (firsts + counts).tolist()
     packed = ends[-1]
@@ -148,8 +153,8 @@ def simulate(
             c, per = np.arange(grid.total_steps), grid.steps_per_delay
             dbs[c // per * packed + mine[j][c % per]] = incs[j]
 
-    out = np.empty((n_levels, n_delay + n_steps + 1) + shape)
-    out[:, : n_delay + 1] = xi.sample(fine)[:, None]
+    out = np.empty((n_delay + n_steps + 1, n_levels) + shape)
+    out[: n_delay + 1] = xi.sample(fine)[:, None, None]
     if factors[-1] > 1:
         b_win = np.empty((packed,) + shape)
         s_win = np.empty((packed,) + shape + (k,))
@@ -162,41 +167,49 @@ def simulate(
             span = min(n_delay, n_steps - w)
             # D of every level's fine rows one delay back: the node lags of
             # the window's steps and the in-cell lags, all already computed
-            lag = out[:, w : w + span + 1]
+            lag = out[w : w + span + 1]
             d_lag = np.broadcast_to(neutral(lag), lag.shape)
             steps = sched[: -(-span // step)]
             used = ends[len(steps) - 1]
-            d_next = d_lag[lev[:used], lag_rows[:used]]
+            d_next = d_lag[lag_rows[:used], lev[:used]]
             db = dbs[w // n_delay * packed :]
-            for s, m, lv, rows, dt, keep in steps:
+            for s, m, rows, lv, dt, keep in steps:
                 il = w + s + n_delay
-                x, y, t = out[lv, il], out[lv, il - n_delay], times[il]
+                x, y, t = out[il, lv], out[il - n_delay, lv], times[il]
                 b = drift(x, y, t)
                 sg = diffusion(x, y, t)
                 if keep:
                     b_win[rows] = b
                     s_win[rows] = sg
-                out[lv, il + step] = (
-                    d_next[rows] + x - d_lag[lv, s] + b * dt + _noise_term(sg, db[rows])
-                )
+                # (D_next + x) - D_prev + b dt + sigma dB, in place: row il + step lies
+                # past the lag rows w .. w + span, so no evaluator's view aliases it
+                new = out[il + step, lv]
+                np.add(d_next[rows], x, out=new)
+                new -= d_lag[s, lv]
+                new += b * dt
+                new += _noise_term(sg, db[rows])
                 if m < n_levels:  # the others carry their node to the next row
-                    out[m:, il + step] = out[m:, il]
+                    out[il + step, m:] = out[il, m:]
             for j, f in enumerate(factors):
                 if f == 1:
                     continue
                 # the in-cell rows of level j's cells in this window
                 cells, picks = span // f, mine[j][: span // f]
-                cell = out[j, w + n_delay : w + span + n_delay].reshape((cells, f) + shape)
-                lags = d_lag[j, :span].reshape((cells, f) + shape)
+                cell = out[w + n_delay : w + span + n_delay, j].reshape((cells, f) + shape)
+                lags = d_lag[:span, j].reshape((cells, f) + shape)
                 sums = bsum[w : w + span].reshape((cells, f, n_paths, k))
                 cell[:, 1:] = (
                     lags[:, 1:] + (cell[:, :1] - lags[:, :1])
                     + b_win[picks, None] * fine.times[n_delay + 1 : n_delay + f, None, None]
                     + _noise_term(s_win[picks, None], sums[:, 1:] - sums[:, :1])
                 )
-    return [PathGrid(values, noise) for values in out[::-1]]
+    return [PathGrid(out[:, j], noise) for j in range(n_levels - 1, -1, -1)]
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """sigma @ dB per path: ``(..., d, k)`` matrices times ``(paths, k)`` increments."""
+    """sigma @ dB per path: ``(..., d, k)`` matrices times ``(..., k)`` increments.
+
+    For k = 1 a product plus +0.0, bitwise the matmul, which sums from +0.0."""
+    if db.shape[-1] == 1:
+        return sigma[..., 0] * db + 0.0
     return (sigma @ db[..., None])[..., 0]

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IncompatibleGrids, InvalidRange, NonDivisibleStep
+from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange, NonDivisibleStep
 
 # Relative tolerance used when deciding whether a requested step divides
 # the delay / horizon.
@@ -148,10 +148,16 @@ class InitialSegment:
 
     def sample(self, grid: DelayGrid) -> np.ndarray:
         """Evaluate the segment at grid times -tau .. 0, shape (N + 1, dim)."""
-        pts = grid.times[: grid.steps_per_delay + 1]
-        vals = np.empty((len(pts), self.dim), dtype=float)
-        for i, t in enumerate(pts):
-            vals[i] = np.asarray(self.evaluator(float(t)), dtype=float).reshape(self.dim)
+        pts = grid.times[: grid.steps_per_delay + 1].tolist()
+        vals = [self.evaluator(t) for t in pts]
+        try:
+            vals = np.array(vals, dtype=float).reshape(len(pts), self.dim)
+        except ValueError:  # a wrong size, or right sizes in mixed shapes
+            for t, v in zip(pts, vals):
+                if np.size(v) != self.dim:
+                    raise DimensionMismatch(f"initial segment at t={t!r} has {np.size(v)} "
+                                            f"components, expected dim={self.dim}") from None
+            vals = np.array([np.reshape(v, self.dim) for v in vals], dtype=float)
         if not np.isfinite(vals).all():
             raise InvalidRange("initial segment evaluated to a non-finite value")
         return vals

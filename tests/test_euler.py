@@ -134,6 +134,11 @@ def test_simulate_validation():
         simulate(model, constant_segment(1.0, dim=2), [grid], generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
         simulate(model, xi, [grid], generate(grid, 3, 0, [0]))
+    # an empty ladder and a bare grid fail with messages of their own
+    with pytest.raises(InvalidRange, match="non-empty sequence of grids"):
+        simulate(model, xi, [], generate(grid, 1, 0, [0]))
+    with pytest.raises(InvalidRange, match=r"not the bare DelayGrid\(.*\); pass \[grid\]"):
+        simulate(model, xi, grid, generate(grid, 1, 0, [0]))
 
 
 def test_divergence_reports_step_and_time():
@@ -304,6 +309,13 @@ def test_diverged_path_in_batch_is_masked():
 # One call steps every level of a ladder on the fine indices the levels
 # share; each level must be bitwise its own one-grid run.
 
+def view_model() -> NsddeModel:
+    """Evaluators that return views of their inputs: the engine writes each
+    new row in place, so no write may reach a state or lag row they view."""
+    return NsddeModel(1, 1, 1.0, neutral=lambda y: y, drift=lambda x, y, t: x,
+                      diffusion=lambda x, y, t: x[..., None])
+
+
 LADDER_CASES = {
     # name: (model, xi, horizon, ladder, paths, seed)
     "sec4": (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0), constant_segment(1.0),
@@ -323,6 +335,7 @@ LADDER_CASES = {
                         affine_segment(0.5, 0.3), 2.0, (0.1, 0.02, 0.01), 7, 6),
     "horizon_2.5_17_paths": (lambda: neutral_cubic_model(0.3, -2.0, -1.0, 1.0),
                              affine_segment(1.0, 1.0), 2.5, (0.5, 0.25, 0.03125), 17, 7),
+    "view_evaluators": (view_model, affine_segment(0.5, 0.3), 2.5, (0.25, 0.125, 0.0625), 6, 8),
 }
 
 
@@ -451,6 +464,7 @@ REFERENCE_MODELS = {
     "cubic_drift_2": lambda: cubic_drift(1.0, 2),
     "linear_delay_ode": lambda: linear_delay_ode(0.7, 1.0),
     "pure_neutral": lambda: pure_neutral(0.6, 1.0),
+    "view_evaluators": view_model,
 }
 
 # horizon 2.5 leaves a half delay window at the end; 0.25 -> 0.03125 is a
@@ -543,6 +557,14 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
     path = simulate(model, xi, [coarse], coarsen(fine_noise, coarse))[0]
     refined = simulate(model, xi, [coarse], fine_noise)[0]
-    for grid, values in ((coarse, path.values), (fine, refined.values)):
+    # a two-level ladder steps both levels in one row stack
+    ladder = simulate(model, xi, [coarse, fine], fine_noise)
+    # d = 2 with a (2, 1) sigma: one noise component driving both coordinates
+    xi2 = InitialSegment(lambda t: np.full(2, 0.0 if t == -1.0 else -0.0), 2)
+    model2 = replace(model, state_dim=2, diffusion=lambda x, y, t: np.full((2, 1), -1.0))
+    ladder2 = simulate(model2, xi2, [coarse, fine], fine_noise)
+    runs = [(coarse, path.values), (fine, refined.values)]
+    runs += [(fine, p.values) for p in ladder + ladder2]
+    for grid, values in runs:
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
-        assert [format(v, ".17g") for v in after_zero] == ["0"] * grid.total_steps
+        assert [format(v, ".17g") for v in after_zero] == ["0"] * after_zero.size

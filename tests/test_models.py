@@ -124,6 +124,23 @@ def test_affine_segment_samples():
     assert vals[:, 0] == pytest.approx([0.0, 0.5, 1.0], abs=0.0)
 
 
+def test_segment_evaluator_calls_and_wrong_size():
+    from nsdde_sim import DimensionMismatch, InitialSegment
+
+    # one call per node, in time order, each with a Python float
+    grid = make_grid(1.0, 2.0, 0.25)
+    seen = []
+    xi = InitialSegment(lambda t: seen.append(t) or np.array([t, -t]), dim=2)
+    vals = xi.sample(grid)
+    assert [type(t) for t in seen] == [float] * 5
+    assert seen == [-1.0, -0.75, -0.5, -0.25, 0.0]
+    assert vals.tolist() == [[t, -t] for t in seen]
+    # a wrong number of components names the time and the dimension
+    wrong = InitialSegment(lambda t: np.ones(2 if t == -0.5 else 1))
+    with pytest.raises(DimensionMismatch, match=r"t=-0\.5 has 2 components, expected dim=1"):
+        wrong.sample(grid)
+
+
 def test_segment_rejects_non_finite_history():
     from nsdde_sim import InitialSegment
 
