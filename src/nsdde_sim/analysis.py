@@ -242,20 +242,20 @@ def perturbation_integrability(
     delta_f = fine.delta
     weights = np.array([float(weight(float(t))) for t in fine.times[fine.steps_per_delay :]])
     threshold = radius / 3.0
-
-    # interval anchors: coarse cell start for each fine interval j -> j+1
-    interval_idx = np.arange(fine.total_steps)
     factors = [g.refinement(fine) for g in grids]
-    anchor_per_level = [(interval_idx // f) * f for f in factors]
 
     def integrals(levels):
         out = []
-        for (level, kept), anchors in zip(levels, anchor_per_level):
+        for (level, kept), f in zip(levels, factors):
             exceeded = np.linalg.norm(level, axis=-1) > threshold
             exceeded[-1] = True  # a path that stays inside runs to the horizon
             stops = exceeded.argmax(axis=0)
-            left = np.linalg.norm(level[anchors] - level[:-1], axis=-1).T
-            right = np.linalg.norm(level[anchors] - level[1:], axis=-1).T
+            # fine intervals j -> j + 1 by coarse cell, (cells, f, paths, d) as
+            # the engine fills them: a cell's first node anchors its intervals
+            cells = (-1, f) + level.shape[1:]
+            lo, hi = level[:-1].reshape(cells), level[1:].reshape(cells)
+            left = np.linalg.norm(lo[:, :1] - lo, axis=-1).reshape(fine.total_steps, -1).T
+            right = np.linalg.norm(lo[:, :1] - hi, axis=-1).reshape(fine.total_steps, -1).T
             # (2, paths, M): each path's integrands are contiguous
             terms = np.stack([left + right, left * weights[:-1] + right * weights[1:]])
             block = np.empty((stops.size, 2))

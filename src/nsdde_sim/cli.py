@@ -278,6 +278,7 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
     diverged: list[int] = []
     violated = 0  # finite paths past the contraction bound of the rate bundle
     header = ["t"] + [f"x_{i + 1}" for i in range(model.state_dim)]
+    times = grid.times.tolist()
     for indices in analysis.path_blocks(cfg.n_paths):
         noise = generate(grid, model.noise_dim, cfg.seed, indices)
         (paths,) = simulate(model, xi, [grid], noise)
@@ -285,17 +286,14 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
             ok = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
             violated += int((paths.finite & ~ok).sum())
         for row, (index, finite) in enumerate(zip(indices, paths.finite)):
-            if not finite:
+            if finite:
+                name = f"path_{index:04d}.csv"
+                rows = [[t, *state] for t, state in zip(times, paths.values[:, row].tolist())]
+                _write_csv(out_dir / name, header, rows)
+                outputs.append(name)
+            else:
                 diverged.append(index)
-                continue
-            name = f"path_{index:04d}.csv"
-            rows = [
-                [float(t)] + [float(v) for v in state]
-                for t, state in zip(grid.times, paths.values[:, row])
-            ]
-            _write_csv(out_dir / name, header, rows)
-            outputs.append(name)
-            if dump_noise:
+            if dump_noise:  # a diverged path's noise too, to replay it
                 bin_name = f"noise_{index:04d}.bin"
                 _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
                 outputs.append(bin_name)

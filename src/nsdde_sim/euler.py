@@ -145,13 +145,10 @@ def simulate(
     lev = np.arange(packed) - np.repeat(firsts, counts)
     lag_rows = np.repeat(starts, counts) + np.array(factors)[lev]
     mine = [np.flatnonzero(lev == j) for j in range(n_levels)]
-    incs = [np.moveaxis(coarsen(noise, grid).increments, 1, 0) for grid in levels]
-    dbs = incs[0]  # one level packs as it is, with no transposing copy
-    if n_levels > 1:
-        dbs = np.empty((sum(g.total_steps for g in levels), n_paths, k))
-        for j, grid in enumerate(levels):
-            c, per = np.arange(grid.total_steps), grid.steps_per_delay
-            dbs[c // per * packed + mine[j][c % per]] = incs[j]
+    dbs = np.empty((sum(g.total_steps for g in levels), n_paths, k))
+    for j, grid in enumerate(levels):
+        c, per = np.arange(grid.total_steps), grid.steps_per_delay
+        dbs[c // per * packed + mine[j][c % per]] = coarsen(noise, grid).increments.swapaxes(0, 1)
 
     out = np.empty((n_delay + n_steps + 1, n_levels) + shape)
     out[: n_delay + 1] = xi.sample(fine)[:, None, None]

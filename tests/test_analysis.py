@@ -471,10 +471,10 @@ def mixing_model() -> NsddeModel:
     )
 
 
-def path_major_levels(model, xi, ladder, n_paths, seed):
+def path_major_levels(model, xi, horizon, ladder, n_paths, seed):
     """Every level on the finest grid as (paths, M + 1, d) copies, all paths
     in one engine call."""
-    grids = [make_grid(1.0, 2.0, delta) for delta in ladder]
+    grids = [make_grid(1.0, horizon, delta) for delta in ladder]
     fine = grids[-1]
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
     levels = []
@@ -510,12 +510,12 @@ def reference_moments(level, finite, radius):
             spread / np.sqrt(stacked.shape[0]), peak)
 
 
-def reference_perturbation(fine, levels, ladder, radius, weight):
+def reference_perturbation(fine, levels, horizon, ladder, radius, weight):
     m_fine, delta_f = fine.total_steps, fine.delta
     weights = np.array([weight(float(t)) for t in fine.times[fine.steps_per_delay :]])
     out = []
     for delta, (level, _) in zip(ladder, levels):
-        factor = fine.steps_per_delay // make_grid(1.0, 2.0, delta).steps_per_delay
+        factor = fine.steps_per_delay // make_grid(1.0, horizon, delta).steps_per_delay
         anchors = (np.arange(m_fine) // factor) * factor
         vals = []
         for ref in level[reference_kept(level, radius)]:
@@ -535,33 +535,40 @@ def reference_perturbation(fine, levels, ladder, radius, weight):
     return out
 
 
-@pytest.mark.parametrize("which", ["additive_noise_3", "mixing_2x2"])
-def test_studies_match_a_path_major_reduction(which):
+# at horizon 2.5 the last delay window is half full: the engine's packing and
+# in-cell fill, and the quadrature's cell view, must cover it as well
+@pytest.mark.parametrize("which, horizon", [
+    pytest.param("additive_noise_3", 2.0, id="additive_noise_3"),
+    pytest.param("mixing_2x2", 2.0, id="mixing_2x2"),
+    pytest.param("additive_noise_3", 2.5, id="additive_noise_3-horizon_2.5"),
+    pytest.param("mixing_2x2", 2.5, id="mixing_2x2-horizon_2.5"),
+])
+def test_studies_match_a_path_major_reduction(which, horizon):
     if which == "mixing_2x2":
         model, xi = mixing_model(), affine_segment(1.0, 0.5, 2)
     else:
         model, xi = additive_noise(1.0, 3), affine_segment(0.5, 0.3, 3)
     ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
-    fine, levels = path_major_levels(model, xi, ladder, n_paths, seed)
+    fine, levels = path_major_levels(model, xi, horizon, ladder, n_paths, seed)
 
-    table = converge_study(model, xi, 2.0, ladder, 0.5, n_paths, seed)
+    table = converge_study(model, xi, horizon, ladder, 0.5, n_paths, seed)
     for row, sups in zip(table.rows, reference_sups(levels, 3.0e6)):
         assert row.sup_diffs.tobytes() == sups.tobytes()
         assert row.diverged_count == n_paths - sups.size
         assert row.exceed_count == int((sups > 0.5).sum())
 
     moments_radius = 50.0
-    report = estimate_moments(model, xi, 2.0, ladder[0], n_paths, seed, moments_radius)
-    coarse, ((level, finite),) = path_major_levels(model, xi, ladder[:1], n_paths, seed)
+    report = estimate_moments(model, xi, horizon, ladder[0], n_paths, seed, moments_radius)
+    coarse, ((level, finite),) = path_major_levels(model, xi, horizon, ladder[:1], n_paths, seed)
     used, sup_ms, mean_ss, se, peak = reference_moments(level, finite, moments_radius)
     assert report.diverged_count == n_paths - used
     assert (report.sup_mean_square, report.mean_sup_square, report.std_error) == (sup_ms, mean_ss, se)
     assert report.sup_time == coarse.times[peak + coarse.steps_per_delay]
 
     weight = lambda t: 1.0 + t  # noqa: E731
-    ptable = perturbation_integrability(model, xi, 2.0, ladder, n_paths, seed, 6.0, weight)
+    ptable = perturbation_integrability(model, xi, horizon, ladder, n_paths, seed, 6.0, weight)
     got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in ptable.rows]
-    assert got == reference_perturbation(fine, levels, ladder, 6.0, weight)
+    assert got == reference_perturbation(fine, levels, horizon, ladder, 6.0, weight)
 
 
 @pytest.mark.parametrize("n_paths", [1, 2, 3])
@@ -574,10 +581,10 @@ def test_perturbation_sums_each_path_in_one_path_order(cubic_model, cubic_rates,
     # zero-padded rows moves the last bits of some of these means)
     ladder = (0.1, 0.05, 0.025, 0.0125)
     for seed in range(15):
-        fine, levels = path_major_levels(cubic_model, unit_segment, ladder, n_paths, seed)
+        fine, levels = path_major_levels(cubic_model, unit_segment, 2.0, ladder, n_paths, seed)
         table = perturbation_integrability(cubic_model, unit_segment, 2.0, ladder, n_paths, seed,
                                            radius, cubic_rates.local_rate)
         got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count)
                for r in table.rows]
-        assert got == reference_perturbation(fine, levels, ladder, radius,
+        assert got == reference_perturbation(fine, levels, 2.0, ladder, radius,
                                              cubic_rates.local_rate), seed

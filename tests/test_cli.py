@@ -473,6 +473,26 @@ class TestOutputs:
         expected = generate(grid, 1, 99, [0]).increments[0]
         assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(-1, 1), expected)
 
+    def test_noise_dump_covers_diverged_paths(self, tmp_path, capsys):
+        # explicit Euler on sec4 from xi = 3 at step 0.5 blows up on 40 of 50
+        # paths: their noise, which a replay needs, is written, their CSVs not
+        doc = {**json.loads((CONFIGS / "sec4_simulate.json").read_text()), "ladder": [0.5],
+               "horizon": 4, "n_paths": 50, "seed": 1, "xi": {"kind": "constant", "value": 3.0}}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg), "--output", str(out), "--dump-noise"]) == 0
+        assert "wrote 10 paths" in capsys.readouterr().out
+        kept = [0, 4, 7, 8, 10, 13, 17, 31, 40, 41]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diverged_paths"] == [i for i in range(50) if i not in kept]
+        dumps = [f"noise_{i:04d}.bin" for i in range(50)]
+        assert sorted(p.name for p in out.glob("noise_*.bin")) == dumps
+        assert set(dumps) <= set(manifest["outputs"])
+        assert sorted(p.name for p in out.glob("path_*.csv")) == [f"path_{i:04d}.csv" for i in kept]
+        raw = (out / "noise_0001.bin").read_bytes()
+        expected = generate(make_grid(1.0, 4.0, 0.5), 1, 1, [1]).increments[0]
+        assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(-1, 1), expected)
+
     def test_manifest_contents(self, tmp_path):
         out = self.run_simulate(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
