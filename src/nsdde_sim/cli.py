@@ -359,21 +359,21 @@ def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_no
 def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     grid = grids[0]
 
+    contraction = conditions.check_contraction(
+        model.neutral, spec.kappa, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
+    )
+    coercivity, monotonicity, proposal = conditions.coefficient_checks(
+        model, spec, grid, cfg.box_radius, cfg.samples, cfg.seed
+    )
     reports = [
-        conditions.check_contraction(
-            model.neutral, spec.kappa, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
-        ),
-        conditions.check_coercivity(model, spec, grid, cfg.samples, cfg.seed),
-        conditions.check_monotonicity(model, spec, grid, cfg.samples, cfg.seed),
+        contraction, coercivity, monotonicity,
         conditions.check_integrability(model, grid, cfg.box_radius, cfg.samples, cfg.seed),
     ]
     estimates = {
         "kappa": conditions.estimate_contraction(
             model.neutral, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
         ),
-        **{f"heuristic_{k}": v for k, v in conditions.propose_constant_rates(
-            model, grid, cfg.box_radius, cfg.samples, cfg.seed
-        ).items()},
+        **{f"heuristic_{k}": v for k, v in proposal.items()},
     }
     _write_json(out_dir / "check.json", {
         "reports": [

@@ -29,8 +29,9 @@ that C3 compares on ``(2, S, state_dim)`` stacks, under the evaluator
 contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a
 Python float, a constant broadcasts): ``neutral`` once per checker call on
 every sample, ``drift`` and ``diffusion`` once per distinct sampled time on
-the samples at that time.  Everything else (both sides of each bound, the rate
-inequalities, the violation lists) is computed once over all samples.
+the samples at that time.  :func:`coefficient_checks` makes one such pass for
+C2, C3 and the rate proposal together.  Everything else (both sides of each
+bound, the rate inequalities, the violation lists) is computed once over all samples.
 They run with numpy's floating-point warnings off: a side that overflows
 fails in the report and prints nothing.
 """
@@ -232,27 +233,25 @@ def estimate_contraction(
 
 
 def _coefficients(model: NsddeModel, x, y, ts):
-    """The coefficient kernel shared by the checkers: (D(y), b(x, y, t), sigma(x, y, t))
-    for ``(..., S, d)`` stacks x and y whose sample i (axis -2) lies at time ts[i], in
-    sample order; then the distinct times (ascending Python floats) and the index of each
-    sample's time among them.
+    """The coefficient kernel: (D(y), b(x, y, t), sigma(x, y, t)) for ``(N, d)`` stacks x
+    and y whose row i lies at time ts[i], in row order; then the distinct times (ascending
+    array) and the index of each row's time among them.
 
     ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time on its run of
-    the samples sorted by time, every leading index at once.  Evaluators act row by row
-    and the rows go back to sample order, so the sort need not be stable (numpy's stable
-    float sort is far slower)."""
+    the rows sorted by time.  Evaluators act row by row and the rows go back to their
+    order, so the sort need not be stable (numpy's stable float sort is far slower)."""
     order = np.argsort(ts)
-    ordered, xs, ys = ts[order], x.take(order, -2), y.take(order, -2)
+    ordered, xs, ys = ts[order], x[order], y[order]
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    times, bounds = ordered[starts].tolist(), starts.tolist() + [len(ts)]
+    times, bounds = ordered[starts], starts.tolist() + [len(ts)]
     bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
-    for t, lo, hi in zip(times, bounds, bounds[1:]):
-        bv[..., lo:hi, :] = model.drift(xs[..., lo:hi, :], ys[..., lo:hi, :], t)
-        sv[..., lo:hi, :, :] = model.diffusion(xs[..., lo:hi, :], ys[..., lo:hi, :], t)
+    for t, lo, hi in zip(times.tolist(), bounds, bounds[1:]):
+        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
+        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(ts))
     which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
-    return (_rows(model.neutral(y), x.shape), bv.take(rank, -2), sv.take(rank, -3)), times, which
+    return (_rows(model.neutral(y), x.shape), bv[rank], sv[rank]), times, which
 
 
 def _growth_lhs(x, coeffs):
@@ -278,8 +277,10 @@ def _rated_check(condition_id, samples, points, lhs, weights, rates, times, whic
     """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
     K~(t - tau) * weights[1] at t = times[which[i]], and ``points`` names the stacks a
     violation reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor *
-    K(t - tau) and K~ <= K are tested once per distinct time and fail once per sample
-    at that time, after the sample's own violation, in sample order."""
+    K(t - tau) and K~ <= K are tested once per distinct time that ``which`` points to and
+    fail once per sample at that time, after the sample's own violation, in sample order."""
+    drawn = np.bincount(which, minlength=len(times)) > 0
+    times, which = times[drawn].tolist(), (np.cumsum(drawn) - 1)[which]
     rate, rate_delayed, factor = rates
     lagged = [t - tau for t in times]
     now, past, delayed_now, delayed_past = (np.array([float(f(t)) for t in when]) for f, when in (
@@ -304,6 +305,37 @@ def _rated_check(condition_id, samples, points, lhs, weights, rates, times, whic
     return _finish(condition_id, len(lhs), samples, violations)
 
 
+def _coefficient_pass(model: NsddeModel, parts) -> list:
+    """Each part's result, judged from its rows of one :func:`_coefficients` call.  A part is
+    ``(x, y, ts, judge)``: ``(S, d)`` stacks, or ``(2, S, d)`` pair stacks, of points whose
+    sample i lies at time ts[i], and the function that judges the part's coefficients
+    (stacked as x is) given the pass's distinct times and its samples' indices among them."""
+    d = model.state_dim
+    rows = [(x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
+            for x, y, ts, _ in parts]
+    coeffs, times, which = _coefficients(model, *map(np.concatenate, zip(*rows)))
+    results, lo = [], 0
+    for x, _, ts, judge in parts:
+        hi = lo + x.size // d
+        own = [c[lo:hi].reshape(x.shape + c.shape[2:]) for c in coeffs]
+        results.append(judge(own, times, which[lo : lo + len(ts)]))
+        lo = hi
+    return results
+
+
+def _coercivity_part(model, spec, grid, samples, seed):
+    _check_sampling(spec.box_radius, samples, model.state_dim)
+    rng = pcg64.Stream(seed)
+    pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
+    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
+    x, y = pairs[:, 0], pairs[:, 1]
+    weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
+    rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
+    return x, y, ts, lambda coeffs, times, which: _rated_check(
+        "C2", samples, {"x": x, "y": y}, _growth_lhs(x, coeffs), weights, rates, times, which,
+        model.delay)
+
+
 @np.errstate(all="ignore")
 def check_coercivity(
     model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int, seed: int
@@ -314,16 +346,7 @@ def check_coercivity(
     the grid; the rate inequalities K1 >= 0, K1~ >= 0, K1 >= K1~ and
     K1(t) <= C1 * K1(t - tau) are evaluated at every sampled time.
     """
-    _check_sampling(spec.box_radius, samples, model.state_dim)
-    rng = pcg64.Stream(seed)
-    pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
-    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
-    x, y = pairs[:, 0], pairs[:, 1]
-    coeffs, times, which = _coefficients(model, x, y, ts)
-    weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
-    rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
-    return _rated_check("C2", samples, {"x": x, "y": y}, _growth_lhs(x, coeffs), weights,
-                        rates, times, which, model.delay)
+    return _coefficient_pass(model, [_coercivity_part(model, spec, grid, samples, seed)])[0]
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -331,6 +354,22 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
     norm = _rownorm(v)[:, None]
     big = norm > radius
     return np.where(big, v * (radius / np.where(big, norm, radius)), v)
+
+
+def _monotonicity_part(model, spec, grid, samples, seed):
+    _check_sampling(spec.box_radius, samples, model.state_dim)
+    rng = pcg64.Stream(seed)
+    box, tau = spec.box_radius, model.delay
+    quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
+    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
+    x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
+    pair = np.stack([x, xb])
+    dx, dy = x - xb, y - yb
+    rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
+    points = {"x": x, "y": y, "xp": xb, "yp": yb}
+    return pair, np.stack([y, yb]), ts, lambda coeffs, times, which: _rated_check(
+        "C3", samples, points, _local_lhs(pair, coeffs), (_rowdot(dx, dx), _rowdot(dy, dy)),
+        rates, times, which, tau)
 
 
 @np.errstate(all="ignore")
@@ -347,19 +386,7 @@ def check_monotonicity(
 
     is evaluated, together with the KR rate inequalities.
     """
-    _check_sampling(spec.box_radius, samples, model.state_dim)
-    rng = pcg64.Stream(seed)
-    box, tau = spec.box_radius, model.delay
-    quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
-    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
-    x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
-    pair = np.stack([x, xb])
-    coeffs, times, which = _coefficients(model, pair, np.stack([y, yb]), ts)
-    dx, dy = x - xb, y - yb
-    rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
-    points = {"x": x, "y": y, "xp": xb, "yp": yb}
-    return _rated_check("C3", samples, points, _local_lhs(pair, coeffs),
-                        (_rowdot(dx, dx), _rowdot(dy, dy)), rates, times, which, tau)
+    return _coefficient_pass(model, [_monotonicity_part(model, spec, grid, samples, seed)])[0]
 
 
 @np.errstate(all="ignore")
@@ -408,6 +435,23 @@ def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
     return idx, pcg64.uniform(rows, -box, box).reshape(samples, 4, dim)
 
 
+def _proposal_part(model, grid, box, samples, seed):
+    _check_sampling(box, samples, model.state_dim)
+    times = grid.times[grid.steps_per_delay:]
+    idx, quads = _interleaved_draws(seed, len(times), float(box), model.state_dim, samples)
+    x, y, xb, yb = (quads[:, k] for k in range(4))
+    pair = np.stack([x, xb])
+
+    def judge(coeffs, *_):
+        growth = _growth_lhs(x, [c[0] for c in coeffs]) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
+        gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
+        kept = gap >= 1e-12
+        local = _running_max(0.0, _local_lhs(pair, coeffs)[kept] / gap[kept])
+        return {"growth_rate": _running_max(0.0, growth), "local_rate": local}
+
+    return pair, np.stack([y, yb]), times[idx], judge
+
+
 @np.errstate(all="ignore")
 def propose_constant_rates(
     model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
@@ -424,20 +468,17 @@ def propose_constant_rates(
     Each sample in turn draws a grid time, then its (x, y, x', y') block, from
     ``default_rng(seed)``'s stream; :func:`_interleaved_draws` reads them in runs.
     """
-    _check_sampling(box, samples, model.state_dim)
-    times = grid.times[grid.steps_per_delay:]
-    idx, quads = _interleaved_draws(seed, len(times), float(box), model.state_dim, samples)
-    ts = times[idx]
-    x, y, xb, yb = (quads[:, k] for k in range(4))
+    return _coefficient_pass(model, [_proposal_part(model, grid, box, samples, seed)])[0]
 
-    pair = np.stack([x, xb])
-    coeffs, _, _ = _coefficients(model, pair, np.stack([y, yb]), ts)
-    growth = _growth_lhs(x, [c[0] for c in coeffs]) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
-    lhs3 = _local_lhs(pair, coeffs)
-    gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
-    kept = gap >= 1e-12
-    local = _running_max(0.0, lhs3[kept] / gap[kept])
-    return {"growth_rate": _running_max(0.0, growth), "local_rate": local}
+
+@np.errstate(all="ignore")
+def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, box: float,
+                       samples: int, seed: int) -> list:
+    """What check_coercivity, check_monotonicity and propose_constant_rates return, each
+    bitwise, from one coefficient pass over the samples of all three."""
+    return _coefficient_pass(model, [_coercivity_part(model, spec, grid, samples, seed),
+                                     _monotonicity_part(model, spec, grid, samples, seed),
+                                     _proposal_part(model, grid, box, samples, seed)])
 
 
 def neutral_cubic_rates(
@@ -459,7 +500,8 @@ def neutral_cubic_rates(
         P(R) = sqrt(2|k| + R^2 (4 k^2 + 4 |k| + 4 |k|^3)),
 
     with delay factor CR = 1.  Both bounds hold on the box |x|, |y| <= R
-    for every admissible (k, c1, c2).
+    for every admissible (k, c1, c2): |k| < 1, c1 <= c2 <= 0 and K1(-tau)
+    a finite float.
     """
     if not -1.0 < k < 1.0:
         raise InvalidRange(f"k must lie in (-1, 1), got {k}")
@@ -474,6 +516,14 @@ def neutral_cubic_rates(
 
     def growth_delayed(t: float) -> float:
         return ksq * growth(t)
+
+    try:  # K1 is largest at t = -tau, the earliest time the checkers read it at
+        finite = math.isfinite(growth(-tau))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidRange(f"need K1(-tau) = 4 (exp(-c1 tau) + exp(-c2 tau)) finite, "
+                           f"got c1={c1}, c2={c2}, tau={tau}")
 
     r = box_radius
     p_r = math.sqrt(2.0 * kabs + r * r * (4.0 * ksq + 4.0 * kabs + 4.0 * kabs**3))

@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nsdde_sim
-from nsdde_sim import ConfigError, generate, make_grid
+from nsdde_sim import ConfigError, cli, generate, make_grid
 from nsdde_sim.cli import _parse_args, load_config, main
 from test_stdout import CASES as STDOUT_CASES, CONFIGS
 
@@ -287,6 +289,8 @@ class TestExitCodes:
         ("converge", {"model": {"id": "sec4", "params": {"k": 1.5, "c1": -1.0, "c2": -1.0}}}),
         ("simulate", {"model": {"id": "additive_noise", "params": {"dim": 0}}, "ladder": [0.5]}),
         ("check", {"model": {"id": "cubic_drift", "params": {}}, "samples": 10}),
+        ("check", {"model": {"id": "sec4", "params": {"k": 0.5, "c1": -710.0, "c2": -1.0}},
+                   "samples": 10}),
         ("simulate", {"horizon": 1e300, "ladder": [0.5]}),
         ("converge", {"horizon": 1e300}),
         ("perturbation", {"horizon": 1e300}),
@@ -301,8 +305,9 @@ class TestExitCodes:
         ("converge", {"output_dir": 5}),
         ("converge --seed -3", {}),  # the parser takes -3 as the seed; main rejects it
     ], ids=["missing_key", "unknown_model", "simulate_two_levels", "moments_two_levels",
-            "non_contractive_k", "zero_dim", "check_without_rates", "simulate_past_index_limit",
-            "converge_past_index_limit", "perturbation_past_index_limit", "unnested_ladder",
+            "non_contractive_k", "zero_dim", "check_without_rates", "growth_rate_overflow",
+            "simulate_past_index_limit", "converge_past_index_limit",
+            "perturbation_past_index_limit", "unnested_ladder",
             "rising_ladder", "moments_one_path", "radius_past_the_squared_norms",
             "converge_one_level", "model_not_an_object", "model_id_not_a_string",
             "params_not_an_object", "output_dir_not_a_string", "negative_seed_flag"])
@@ -571,6 +576,28 @@ class TestCheckReport:
         h_report = doc["reports"][3]
         assert h_report["estimate"] > 0.0
         assert doc["estimates"]["kappa"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_coefficient_calls(self, tmp_path, monkeypatch):
+        # C4 and the kappa estimate call neutral once each; C2, C3 and the rate
+        # proposal share one neutral call and one drift and diffusion call per
+        # distinct sampled time (21 on [0, 2]); H calls them at each of its 20 times
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def traced(*args, build=cli.builtin_model):
+            model = build(*args)
+            return replace(model, **{name: counted(name, getattr(model, name))
+                                     for name in ("neutral", "drift", "diffusion")})
+
+        monkeypatch.setattr(cli, "builtin_model", traced)
+        cfg = write_config(tmp_path, ladder=[0.1], samples=500)
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert calls == {"neutral": 3, "drift": 41, "diffusion": 41}
 
     def test_failing_check_lists_violations(self, tmp_path):
         cfg = write_config(

@@ -41,6 +41,7 @@ from nsdde_sim.conditions import (
     _rowdot,
     _rownorm,
     _sqsum,
+    coefficient_checks,
 )
 
 GRID = make_grid(1.0, 2.0, 0.1)
@@ -232,6 +233,14 @@ class TestCubicRateBundle:
     def test_zero_k_still_valid(self):
         spec = neutral_cubic_rates(0.0, -1.0, -1.0, 1.0, 2.0)
         assert 0.0 < spec.kappa < 1.0
+
+    @pytest.mark.parametrize("c1", [-710.0, -709.0])
+    def test_growth_rate_overflowing_at_minus_tau_is_rejected(self, c1):
+        # K1(-1) = 4 (e^-c1 + e): math.exp overflows past 709.78, and at c1 = -709
+        # the sum is finite but four times it is not
+        with pytest.raises(InvalidRange, match="K1"):
+            neutral_cubic_rates(0.5, c1, -1.0, 1.0, 2.0)
+        assert math.isfinite(neutral_cubic_rates(0.5, -700.0, -1.0, 1.0, 2.0).growth_rate(-1.0))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -604,6 +613,18 @@ def test_coefficient_calls_per_distinct_sampled_time(check):
     assert sorted(times["drift"]) == sorted(times["diffusion"]) == sampled
 
 
+TIME_VARYING = ConditionSpec(
+    kappa=0.5,
+    growth_rate=lambda t: 1.0 - t,
+    growth_rate_delayed=lambda t: 0.5 * t,
+    local_rate=lambda t: 1.0 - t,
+    local_rate_delayed=constant_rate(0.0),
+    growth_delay_factor=1.0,
+    local_delay_factor=1.0,
+    box_radius=2.0,
+)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 20260815])
 def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
@@ -611,22 +632,50 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
     # later fails the rate inequalities, more than MAX_VIOLATIONS in all;
     # with NaN left sides among them the sort, and so the kept list,
     # depends on the order in which violations were recorded
-    spec = ConditionSpec(
-        kappa=0.5,
-        growth_rate=lambda t: 1.0 - t,
-        growth_rate_delayed=lambda t: 0.5 * t,
-        local_rate=lambda t: 1.0 - t,
-        local_rate_delayed=constant_rate(0.0),
-        growth_delay_factor=1.0,
-        local_delay_factor=1.0,
-        box_radius=2.0,
-    )
     for model in (mixing_model(), blowup_model()):
         for check in ("check_coercivity", "check_monotonicity"):
-            got = BATCHED[check](model, spec, GRID, 150, seed)
-            assert repr(got) == repr(REFERENCE[check](model, spec, GRID, 150, seed))
+            got = BATCHED[check](model, TIME_VARYING, GRID, 150, seed)
+            assert repr(got) == repr(REFERENCE[check](model, TIME_VARYING, GRID, 150, seed))
             assert len(got.violations) == MAX_VIOLATIONS
             assert any("check" in v.inputs for v in got.violations)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 20260815])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
+    # each row's coefficients are those of a one-sample call, so sharing the
+    # pass changes no result; at one sample the pass holds times that some
+    # checker never drew
+    model = ORACLE_MODELS[name]()
+    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
+    cases = [(spec, grid, samples) for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40),
+                                                          (GRID, 1)]]
+    cases += [(replace(spec, box_radius=0.75), GRID, 40), (TIME_VARYING, GRID, 150)]
+    for spec, grid, samples in cases:
+        got = coefficient_checks(model, spec, grid, 1.5, samples, seed)
+        alone = [check_coercivity(model, spec, grid, samples, seed),
+                 check_monotonicity(model, spec, grid, samples, seed),
+                 propose_constant_rates(model, grid, 1.5, samples, seed)]
+        assert [repr(r) for r in got] == [repr(r) for r in alone]
+
+
+@pytest.mark.parametrize("samples", [1, 40])
+def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
+    # the rates are read once per distinct time that the checker drew, not at
+    # the times that only another checker of the pass drew
+    read = []
+
+    def logged(name):
+        return lambda t: read.append((name, t)) or 1.0
+
+    spec = ConditionSpec(0.5, *map(logged, ["K1", "K1~", "KR", "KR~"]), 1.0, 1.0, 1.5)
+    model = cubic_drift(1.0, 2)
+    check_coercivity(model, spec, GRID, samples, 3)
+    check_monotonicity(model, spec, GRID, samples, 3)
+    alone, read[:] = list(read), []
+    coefficient_checks(model, spec, GRID, 1.5, samples, 3)
+    assert read == alone
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 17])
