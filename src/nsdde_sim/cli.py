@@ -363,7 +363,7 @@ def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bo
         model.neutral, spec.kappa, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
     )
     coercivity, monotonicity, proposal = conditions.coefficient_checks(
-        model, spec, grid, cfg.box_radius, cfg.samples, cfg.seed
+        model, spec, grid, cfg.samples, cfg.seed
     )
     reports = [
         contraction, coercivity, monotonicity,

@@ -232,28 +232,6 @@ def estimate_contraction(
     return float(_running_max(ratio[0], ratio[1:]))
 
 
-def _coefficients(model: NsddeModel, x, y, ts):
-    """The coefficient kernel: (D(y), b(x, y, t), sigma(x, y, t)) for ``(N, d)`` stacks x
-    and y whose row i lies at time ts[i], in row order; then the distinct times (ascending
-    array) and the index of each row's time among them.
-
-    ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time on its run of
-    the rows sorted by time.  Evaluators act row by row and the rows go back to their
-    order, so the sort need not be stable (numpy's stable float sort is far slower)."""
-    order = np.argsort(ts)
-    ordered, xs, ys = ts[order], x[order], y[order]
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    times, bounds = ordered[starts], starts.tolist() + [len(ts)]
-    bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
-    for t, lo, hi in zip(times.tolist(), bounds, bounds[1:]):
-        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
-        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(ts))
-    which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
-    return (_rows(model.neutral(y), x.shape), bv[rank], sv[rank]), times, which
-
-
 def _growth_lhs(x, coeffs):
     """Coercivity left side 2<x - D(y), b> + |sigma|^2."""
     dvy, bv, sv = coeffs
@@ -306,19 +284,35 @@ def _rated_check(condition_id, samples, points, lhs, weights, rates, times, whic
 
 
 def _coefficient_pass(model: NsddeModel, parts) -> list:
-    """Each part's result, judged from its rows of one :func:`_coefficients` call.  A part is
-    ``(x, y, ts, judge)``: ``(S, d)`` stacks, or ``(2, S, d)`` pair stacks, of points whose
-    sample i lies at time ts[i], and the function that judges the part's coefficients
-    (stacked as x is) given the pass's distinct times and its samples' indices among them."""
+    """Each part's result from one coefficient pass.  A part is ``(x, y, ts, judge)``:
+    ``(S, d)`` or ``(2, S, d)`` stacks of points whose sample i lies at time ts[i], and the
+    judge of their (D(y), b, sigma), stacked as x is, given the pass's distinct times and
+    each sample's index among them.  ``neutral`` runs once, ``drift`` and ``diffusion`` once
+    per distinct time on the rows sorted by time; evaluators act row by row, so the sort
+    need not be stable (numpy's stable float sort is far slower)."""
     d = model.state_dim
-    rows = [(x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
-            for x, y, ts, _ in parts]
-    coeffs, times, which = _coefficients(model, *map(np.concatenate, zip(*rows)))
+    x, y, ts = map(np.concatenate, zip(*[
+        (x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
+        for x, y, ts, _ in parts]))
+    order = np.argsort(ts)
+    ordered, xs, ys = ts[order], x.take(order, 0), y.take(order, 0)
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    times, bounds = ordered[starts], starts.tolist() + [len(ts)]
+    bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
+    for t, lo, hi in zip(times.tolist(), bounds, bounds[1:]):
+        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
+        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
+    dvy = _rows(model.neutral(y), x.shape)
+    del x, y, xs, ys  # the judges need only the coefficients
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(ts))
+    which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
     results, lo = [], 0
-    for x, _, ts, judge in parts:
-        hi = lo + x.size // d
-        own = [c[lo:hi].reshape(x.shape + c.shape[2:]) for c in coeffs]
-        results.append(judge(own, times, which[lo : lo + len(ts)]))
+    for px, _, pts, judge in parts:
+        hi = lo + px.size // d
+        own = [c.reshape(px.shape + c.shape[2:])
+               for c in (dvy[lo:hi], bv.take(rank[lo:hi], 0), sv.take(rank[lo:hi], 0))]
+        results.append(judge(own, times, which[lo : lo + len(pts)]))
         lo = hi
     return results
 
@@ -472,13 +466,13 @@ def propose_constant_rates(
 
 
 @np.errstate(all="ignore")
-def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, box: float,
-                       samples: int, seed: int) -> list:
-    """What check_coercivity, check_monotonicity and propose_constant_rates return, each
-    bitwise, from one coefficient pass over the samples of all three."""
+def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int,
+                       seed: int) -> list:
+    """What check_coercivity, check_monotonicity and propose_constant_rates (on the box
+    spec.box_radius) return, each bitwise, from one coefficient pass over all their samples."""
     return _coefficient_pass(model, [_coercivity_part(model, spec, grid, samples, seed),
                                      _monotonicity_part(model, spec, grid, samples, seed),
-                                     _proposal_part(model, grid, box, samples, seed)])
+                                     _proposal_part(model, grid, spec.box_radius, samples, seed)])
 
 
 def neutral_cubic_rates(

@@ -651,12 +651,11 @@ def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
     cases = [(spec, grid, samples) for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40),
                                                           (GRID, 1)]]
-    cases += [(replace(spec, box_radius=0.75), GRID, 40), (TIME_VARYING, GRID, 150)]
-    for spec, grid, samples in cases:
-        got = coefficient_checks(model, spec, grid, 1.5, samples, seed)
+    for spec, grid, samples in cases + [(TIME_VARYING, GRID, 150)]:
+        got = coefficient_checks(model, spec, grid, samples, seed)
         alone = [check_coercivity(model, spec, grid, samples, seed),
                  check_monotonicity(model, spec, grid, samples, seed),
-                 propose_constant_rates(model, grid, 1.5, samples, seed)]
+                 propose_constant_rates(model, grid, spec.box_radius, samples, seed)]
         assert [repr(r) for r in got] == [repr(r) for r in alone]
 
 
@@ -674,7 +673,7 @@ def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
     check_coercivity(model, spec, GRID, samples, 3)
     check_monotonicity(model, spec, GRID, samples, 3)
     alone, read[:] = list(read), []
-    coefficient_checks(model, spec, GRID, 1.5, samples, 3)
+    coefficient_checks(model, spec, GRID, samples, 3)
     assert read == alone
 
 
