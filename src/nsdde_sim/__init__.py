@@ -27,14 +27,12 @@ from .conditions import (
     ConditionReport,
     ConditionSpec,
     Violation,
-    check_coercivity,
     check_contraction,
     check_integrability,
-    check_monotonicity,
+    coefficient_checks,
     constant_rate,
     estimate_contraction,
     neutral_cubic_rates,
-    propose_constant_rates,
 )
 from .errors import (
     ConfigError,
@@ -89,12 +87,11 @@ __all__ = [
     "additive_noise",
     "affine_segment",
     "builtin_model",
-    "check_coercivity",
     "check_contraction",
     "check_contraction_sup_bound",
     "check_integrability",
-    "check_monotonicity",
     "coarsen",
+    "coefficient_checks",
     "constant_rate",
     "constant_segment",
     "converge_study",
@@ -109,7 +106,6 @@ __all__ = [
     "neutral_cubic_rates",
     "perturbation_integrability",
     "power_split_bound",
-    "propose_constant_rates",
     "pure_neutral",
     "simulate",
 ]

@@ -24,16 +24,16 @@ without importing ``numpy.random``.  Violations are sorted by severity
 before the list is capped.
 
 Coefficients, and the bare ``neutral`` map of the contraction checks, are
-called on ``(S, state_dim)`` stacks of samples, or for the pairs of points
-that C3 compares on ``(2, S, state_dim)`` stacks, under the evaluator
-contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t`` is a
-Python float, a constant broadcasts): ``neutral`` once per checker call on
-every sample, ``drift`` and ``diffusion`` once per distinct sampled time on
-the samples at that time.  :func:`coefficient_checks` makes one such pass for
-C2, C3 and the rate proposal together.  Everything else (both sides of each
-bound, the rate inequalities, the violation lists) is computed once over all samples.
-They run with numpy's floating-point warnings off: a side that overflows
-fails in the report and prints nothing.
+called on ``(S, state_dim)`` stacks of samples, or for the pairs of points that
+C3 and the rate proposal compare on ``(2, S, state_dim)`` stacks, under the
+evaluator contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t``
+is a Python float, a constant broadcasts).  :func:`coefficient_checks`, the one
+entry to C2, C3 and the rate proposal, makes one pass for all three: ``neutral``
+once on every sample, ``drift`` and ``diffusion`` once per distinct sampled time
+on the samples at that time.  Everything else (both sides of each bound, the rate
+inequalities, the violation lists) is computed once over all samples.  Checkers
+run with numpy's floating-point warnings off: a side that overflows fails in the
+report and prints nothing.
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ def constant_rate(value: float) -> Callable[[float], float]:
     return lambda t: value
 
 
-def _finish(condition_id: str, tested: int, requested: int, violations: list,
+def _finish(condition_id: str, tested: int, violations: list,
             estimate: float | None = None) -> ConditionReport:
     violations.sort(key=lambda v: (-(v.lhs - v.rhs), repr(sorted(v.inputs.items()))))
     kept = tuple(violations[:MAX_VIOLATIONS])
-    verdict = "fail" if kept else "pass" if tested >= requested else "inconclusive"
-    return ConditionReport(condition_id, tested, kept, verdict, estimate)
+    return ConditionReport(condition_id, tested, kept, "fail" if kept else "pass", estimate)
 
 
 def _check_sampling(box: float, samples: int, dim: int) -> None:
@@ -203,7 +202,7 @@ def check_contraction(
         )
         for i in np.flatnonzero(_failed(lhs, rhs)).tolist()
     ]
-    return _finish("C4", n, samples, violations)
+    return _finish("C4", n, violations)
 
 
 @np.errstate(all="ignore")
@@ -251,7 +250,7 @@ def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.nda
     return np.concatenate([alternating, times[rng.integers(0, len(times), size=samples)]])
 
 
-def _rated_check(condition_id, samples, points, lhs, weights, rates, times, which, tau):
+def _rated_check(condition_id, points, lhs, weights, rates, times, which, tau):
     """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
     K~(t - tau) * weights[1] at t = times[which[i]], and ``points`` names the stacks a
     violation reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor *
@@ -280,7 +279,7 @@ def _rated_check(condition_id, samples, points, lhs, weights, rates, times, whic
             inputs = {"t": times[j], **{key: v[i].tolist() for key, v in points.items()}}
             violations.append(Violation(inputs, float(lhs[i]), float(rhs[i])))
         violations += at_time[j]
-    return _finish(condition_id, len(lhs), samples, violations)
+    return _finish(condition_id, len(lhs), violations)
 
 
 def _coefficient_pass(model: NsddeModel, parts) -> list:
@@ -318,7 +317,6 @@ def _coefficient_pass(model: NsddeModel, parts) -> list:
 
 
 def _coercivity_part(model, spec, grid, samples, seed):
-    _check_sampling(spec.box_radius, samples, model.state_dim)
     rng = pcg64.Stream(seed)
     pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
     ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
@@ -326,21 +324,8 @@ def _coercivity_part(model, spec, grid, samples, seed):
     weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
     rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
     return x, y, ts, lambda coeffs, times, which: _rated_check(
-        "C2", samples, {"x": x, "y": y}, _growth_lhs(x, coeffs), weights, rates, times, which,
+        "C2", {"x": x, "y": y}, _growth_lhs(x, coeffs), weights, rates, times, which,
         model.delay)
-
-
-@np.errstate(all="ignore")
-def check_coercivity(
-    model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int, seed: int
-) -> ConditionReport:
-    """Check the coercivity bound and its rate inequalities on the box (id C2).
-
-    Random (x, y) are drawn uniformly from the box, times uniformly from
-    the grid; the rate inequalities K1 >= 0, K1~ >= 0, K1 >= K1~ and
-    K1(t) <= C1 * K1(t - tau) are evaluated at every sampled time.
-    """
-    return _coefficient_pass(model, [_coercivity_part(model, spec, grid, samples, seed)])[0]
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -351,7 +336,6 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _monotonicity_part(model, spec, grid, samples, seed):
-    _check_sampling(spec.box_radius, samples, model.state_dim)
     rng = pcg64.Stream(seed)
     box, tau = spec.box_radius, model.delay
     quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
@@ -362,25 +346,8 @@ def _monotonicity_part(model, spec, grid, samples, seed):
     rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
     points = {"x": x, "y": y, "xp": xb, "yp": yb}
     return pair, np.stack([y, yb]), ts, lambda coeffs, times, which: _rated_check(
-        "C3", samples, points, _local_lhs(pair, coeffs), (_rowdot(dx, dx), _rowdot(dy, dy)),
+        "C3", points, _local_lhs(pair, coeffs), (_rowdot(dx, dx), _rowdot(dy, dy)),
         rates, times, which, tau)
-
-
-@np.errstate(all="ignore")
-def check_monotonicity(
-    model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int, seed: int
-) -> ConditionReport:
-    """Check local monotonicity of coefficient differences on the box (id C3).
-
-    Quadruples (x, y, x', y') are sampled with all norms <= box_radius
-    (uniform cube draws projected onto the ball) and the bound
-
-        2 <x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2
-            <= KR(t) |x - x'|^2 + KR~(t - tau) |y - y'|^2
-
-    is evaluated, together with the KR rate inequalities.
-    """
-    return _coefficient_pass(model, [_monotonicity_part(model, spec, grid, samples, seed)])[0]
 
 
 @np.errstate(all="ignore")
@@ -413,7 +380,7 @@ def check_integrability(
                 for i in np.flatnonzero(~np.isfinite(val)).tolist()]
             peak = _running_max(0.0, val)
         total += max(0.0, peak) * grid.delta
-    return _finish("H", len(times) * len(pairs), samples, violations, estimate=total)
+    return _finish("H", len(times) * len(pairs), violations, estimate=total)
 
 
 def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
@@ -429,10 +396,10 @@ def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
     return idx, pcg64.uniform(rows, -box, box).reshape(samples, 4, dim)
 
 
-def _proposal_part(model, grid, box, samples, seed):
-    _check_sampling(box, samples, model.state_dim)
+def _proposal_part(model, spec, grid, samples, seed):
     times = grid.times[grid.steps_per_delay:]
-    idx, quads = _interleaved_draws(seed, len(times), float(box), model.state_dim, samples)
+    idx, quads = _interleaved_draws(seed, len(times), float(spec.box_radius), model.state_dim,
+                                    samples)
     x, y, xb, yb = (quads[:, k] for k in range(4))
     pair = np.stack([x, xb])
 
@@ -447,32 +414,32 @@ def _proposal_part(model, grid, box, samples, seed):
 
 
 @np.errstate(all="ignore")
-def propose_constant_rates(
-    model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
-) -> dict:
-    """Heuristic: propose constant rates by maximizing normalized left sides.
-
-    Returns ``{"growth_rate": ..., "local_rate": ...}`` where the growth
-    proposal maximizes the coercivity left side over samples divided by
-    (2 + |x|^2 + |y|^2), and the local proposal maximizes the monotonicity
-    left side divided by |x - x'|^2 + |y - y'|^2.  Purely empirical — valid
-    at best on the sampled box, with no correctness guarantee; intended as
-    a starting point when no derived bundle is available.
-
-    Each sample in turn draws a grid time, then its (x, y, x', y') block, from
-    ``default_rng(seed)``'s stream; :func:`_interleaved_draws` reads them in runs.
-    """
-    return _coefficient_pass(model, [_proposal_part(model, grid, box, samples, seed)])[0]
-
-
-@np.errstate(all="ignore")
 def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int,
                        seed: int) -> list:
-    """What check_coercivity, check_monotonicity and propose_constant_rates (on the box
-    spec.box_radius) return, each bitwise, from one coefficient pass over all their samples."""
-    return _coefficient_pass(model, [_coercivity_part(model, spec, grid, samples, seed),
-                                     _monotonicity_part(model, spec, grid, samples, seed),
-                                     _proposal_part(model, grid, spec.box_radius, samples, seed)])
+    """C2, C3 and the rate proposal on the box spec.box_radius, from one coefficient
+    pass over all their samples; each result is bitwise that of a pass of its own.
+
+    C2 draws (x, y) uniformly from the box and times uniformly from the grid on
+    [0, horizon]; it tests coercivity, 2<x - D(y), b> + |sigma|^2 <= K1(t)(1 + |x|^2)
+    + K1~(t - tau)(1 + |y|^2), and K1 >= 0, K1~ >= 0, K1 >= K1~ and K1(t) <= C1 *
+    K1(t - tau) at every sampled time.  C3 draws quadruples (x, y, x', y') from the
+    box, each point projected onto the ball of radius box_radius, and tests local
+    monotonicity with the same rate inequalities for KR, KR~ and CR:
+
+        2 <x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2
+            <= KR(t) |x - x'|^2 + KR~(t - tau) |y - y'|^2
+
+    The proposal is the heuristic ``{"growth_rate": ..., "local_rate": ...}``: the
+    largest C2 left side over 2 + |x|^2 + |y|^2 and the largest C3 left side over
+    |x - x'|^2 + |y - y'|^2, each at least 0.  Purely empirical — valid at best on the
+    sampled box, with no correctness guarantee; a starting point when no derived
+    bundle is available.  Each of its samples in turn draws a grid time, then its
+    (x, y, x', y') block, from ``default_rng(seed)``'s stream; :func:`_interleaved_draws`
+    reads them in runs.
+    """
+    _check_sampling(spec.box_radius, samples, model.state_dim)
+    return _coefficient_pass(model, [part(model, spec, grid, samples, seed) for part in
+                                     (_coercivity_part, _monotonicity_part, _proposal_part)])
 
 
 def neutral_cubic_rates(

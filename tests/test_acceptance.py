@@ -18,9 +18,8 @@ from nsdde_sim import (
     affine_segment,
     check_contraction,
     check_contraction_sup_bound,
-    check_coercivity,
     check_integrability,
-    check_monotonicity,
+    coefficient_checks,
     constant_rate,
     constant_segment,
     ConditionSpec,
@@ -167,11 +166,12 @@ def test_criterion_07_condition_suite():
     rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
     grid = make_grid(1.0, 2.0, 0.1)
     samples = 10_000
+    coercivity, monotonicity, _ = coefficient_checks(model, rates, grid, samples, SEED)
 
     suite = {
         "C4": check_contraction(model.neutral, rates.kappa, 2.0, samples, SEED),
-        "C2": check_coercivity(model, rates, grid, samples, SEED),
-        "C3": check_monotonicity(model, rates, grid, samples, SEED),
+        "C2": coercivity,
+        "C3": monotonicity,
         "H": check_integrability(model, grid, 2.0, samples, SEED),
     }
     all_pass = all(rep.verdict == "pass" for rep in suite.values())
@@ -195,7 +195,7 @@ def test_criterion_07_condition_suite():
         local_delay_factor=1.0,
         box_radius=2.0,
     )
-    cubic_flat = check_coercivity(cubic_drift(1.0), flat, grid, samples, SEED)
+    cubic_flat = coefficient_checks(cubic_drift(1.0), flat, grid, samples, SEED)[0]
 
     ok = (
         all_pass

@@ -87,6 +87,11 @@ def test_converge_study_validates_ladder(cubic_model, unit_segment):
         converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.04], 0.1, 4, 0)
     with pytest.raises(InvalidRange):
         converge_study(cubic_model, unit_segment, 2.0, [0.1], 0.1, 4, 0)
+    with pytest.raises(InvalidRange, match="at least one step"):
+        perturbation_integrability(cubic_model, unit_segment, 2.0, [], 4, 0, 10.0,
+                                   constant_rate(1.0))
+    with pytest.raises(InvalidRange, match="n_paths must be >= 1"):
+        converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.05], 0.1, 0, 0)
 
 
 def synthetic_table(counts, n=100):
@@ -422,6 +427,15 @@ def test_sup_bound_trivial_on_fixed_point():
         # the bound holds for any claimed kappa
         ok = check_contraction_sup_bound(path, neutral, kappa=kappa)
         assert ok.tolist() == [True]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 1.5, math.nan])
+def test_sup_bound_rejects_kappa_outside_zero_to_one(kappa):
+    grid = make_grid(1.0, 2.0, 0.5)
+    path = simulate(pure_neutral(0.5, 1.0), constant_segment(1.0), [grid],
+                    generate(grid, 1, 0, [0]))[0]
+    with pytest.raises(InvalidRange, match="kappa must lie in"):
+        check_contraction_sup_bound(path, lambda y: 0.5 * y, kappa)
 
 
 def test_sup_bound_detects_understated_contraction():

@@ -75,6 +75,11 @@ def test_scalar_path_index_is_rejected(index):
         generate(GRID, 1, seed=0, path_index=index)
 
 
+def test_empty_path_index_is_rejected():
+    with pytest.raises(InvalidRange, match="at least one path index"):
+        generate(GRID, 1, seed=0, path_index=[])
+
+
 @pytest.mark.parametrize("seed, index, name", [
     (1.5, 0, "seed"), (1, 1.5, "path_index"), (-1, 0, "seed"), (0, -2, "path_index"),
     ("7", 0, "seed"), (0, np.float64(3.0), "path_index"), (np.int64(-1), 0, "seed")])

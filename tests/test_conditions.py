@@ -18,10 +18,9 @@ from nsdde_sim import (
     InvalidRange,
     NsddeModel,
     additive_noise,
-    check_coercivity,
     check_contraction,
     check_integrability,
-    check_monotonicity,
+    coefficient_checks,
     constant_rate,
     cubic_drift,
     estimate_contraction,
@@ -29,7 +28,6 @@ from nsdde_sim import (
     make_grid,
     neutral_cubic_model,
     neutral_cubic_rates,
-    propose_constant_rates,
 )
 from nsdde_sim import pcg64
 from nsdde_sim.conditions import (
@@ -37,15 +35,27 @@ from nsdde_sim.conditions import (
     SLACK,
     ConditionReport,
     Violation,
+    _coefficient_pass,
+    _coercivity_part,
     _interleaved_draws,
+    _monotonicity_part,
+    _proposal_part,
     _rowdot,
     _rownorm,
     _sqsum,
-    coefficient_checks,
 )
 
 GRID = make_grid(1.0, 2.0, 0.1)
 SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
+
+
+PARTS = (_coercivity_part, _monotonicity_part, _proposal_part)
+
+
+def alone(part, model, spec, grid, samples, seed):
+    """One of :func:`coefficient_checks`' results from a coefficient pass of its own."""
+    with np.errstate(all="ignore"):
+        return _coefficient_pass(model, [part(model, spec, grid, samples, seed)])[0]
 
 
 def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0):
@@ -63,9 +73,11 @@ def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delaye
 
 class TestSpecValidation:
     def test_kappa_range(self):
-        for kappa in (0.0, 1.0, -0.2):
+        for kappa in (0.0, 1.0, -0.2, math.nan):
             with pytest.raises(InvalidRange):
                 flat_spec(kappa=kappa)
+            with pytest.raises(InvalidRange, match="kappa"):
+                check_contraction(lambda y: 0.5 * y, kappa, 2.0, 10, seed=0)
 
     def test_delay_factors_capped_by_contraction(self):
         spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
@@ -147,13 +159,13 @@ class TestEstimateContraction:
 
 class TestCoercivity:
     def test_passes_for_cubic_bundle(self, cubic_model, cubic_rates):
-        report = check_coercivity(cubic_model, cubic_rates, GRID, 1000, seed=11)
+        report = coefficient_checks(cubic_model, cubic_rates, GRID, 1000, seed=11)[0]
         assert report.verdict == "pass"
 
     def test_cubic_growth_breaks_constant_rate(self):
         # b = x^3 against K1 = 1: the (2, 0) probe gives
         # lhs = 2 * 2 * 8 = 32 > 5 = 1 * (1 + 4) + 0, at every time.
-        report = check_coercivity(cubic_drift(1.0), flat_spec(), GRID, 1, seed=0)
+        report = coefficient_checks(cubic_drift(1.0), flat_spec(), GRID, 1, seed=0)[0]
         assert report.verdict == "fail"
         worst = report.violations[0]
         assert worst.lhs == 32.0 and worst.rhs == 5.0
@@ -162,7 +174,7 @@ class TestCoercivity:
         # growth_rate_delayed > growth_rate violates the domination check
         # even though the coercivity bound itself then holds trivially
         spec = flat_spec(growth=5.0, growth_delayed=50.0)
-        report = check_coercivity(cubic_model, spec, GRID, 5, seed=0)
+        report = coefficient_checks(cubic_model, spec, GRID, 5, seed=0)[0]
         assert report.verdict == "fail"
         assert any(
             v.inputs.get("check") == "dominates-delayed" for v in report.violations
@@ -171,16 +183,16 @@ class TestCoercivity:
 
 class TestMonotonicity:
     def test_passes_for_cubic_bundle(self, cubic_model, cubic_rates):
-        report = check_monotonicity(cubic_model, cubic_rates, GRID, 1000, seed=13)
+        report = coefficient_checks(cubic_model, cubic_rates, GRID, 1000, seed=13)[1]
         assert report.verdict == "pass"
 
     def test_cubic_drift_fails_flat_rate(self):
-        report = check_monotonicity(cubic_drift(1.0), flat_spec(), GRID, 200, seed=1)
+        report = coefficient_checks(cubic_drift(1.0), flat_spec(), GRID, 200, seed=1)[1]
         assert report.verdict == "fail"
 
     def test_quadruples_projected_into_ball(self, cubic_model, cubic_rates):
         # all recorded sample points must lie inside the closed ball
-        report = check_monotonicity(cubic_model, cubic_rates, GRID, 300, seed=17)
+        report = coefficient_checks(cubic_model, cubic_rates, GRID, 300, seed=17)[1]
         for v in report.violations:
             for key in ("x", "y", "xp", "yp"):
                 if key in v.inputs:
@@ -214,8 +226,8 @@ class TestIntegrability:
         assert long_ > short
 
 
-def test_propose_constant_rates_heuristic(cubic_model):
-    rates = propose_constant_rates(cubic_model, GRID, 2.0, 500, seed=23)
+def test_propose_constant_rates_heuristic(cubic_model, cubic_rates):
+    rates = coefficient_checks(cubic_model, cubic_rates, GRID, 500, seed=23)[2]
     assert set(rates) == {"growth_rate", "local_rate"}
     assert rates["growth_rate"] > 0.0 and rates["local_rate"] > 0.0
 
@@ -351,7 +363,7 @@ def ref_estimate_contraction(neutral, box, samples, seed, dim=1):
     return best
 
 
-def ref_check_coercivity(model, spec, grid, samples, seed):
+def ref_coercivity(model, spec, grid, samples, seed):
     rng = np.random.default_rng(seed)
     box, dim = spec.box_radius, model.state_dim
     violations = []
@@ -377,7 +389,7 @@ def _ref_clip(v, radius):
     return v * (radius / norm) if norm > radius else v
 
 
-def ref_check_monotonicity(model, spec, grid, samples, seed):
+def ref_monotonicity(model, spec, grid, samples, seed):
     rng = np.random.default_rng(seed)
     box, dim, tau = spec.box_radius, model.state_dim, model.delay
     violations = []
@@ -426,8 +438,9 @@ def ref_check_integrability(model, grid, box, samples, seed):
     return _ref_finish("H", tested, samples, violations, estimate=total)
 
 
-def ref_propose_constant_rates(model, grid, box, samples, seed):
+def ref_rate_proposal(model, spec, grid, samples, seed):
     rng = np.random.default_rng(seed)
+    box = spec.box_radius
     times = grid.times[grid.steps_per_delay:]
     growth = local = 0.0
     for _ in range(samples):
@@ -441,6 +454,11 @@ def ref_propose_constant_rates(model, grid, box, samples, seed):
             lhs3 = _ref_local_lhs(x, xb, coeffs, _ref_coefficients(model, xb, yb, t))
             local = max(local, lhs3 / gap)
     return {"growth_rate": growth, "local_rate": local}
+
+
+def ref_coefficient_checks(model, spec, grid, samples, seed):
+    return [ref(model, spec, grid, samples, seed)
+            for ref in (ref_coercivity, ref_monotonicity, ref_rate_proposal)]
 
 
 def _sequential_draws(seed, n, box, dim, samples):
@@ -496,7 +514,7 @@ def test_rate_proposal_makes_as_many_generator_calls_at_any_sample_count(monkeyp
         calls = []
         monkeypatch.setattr(pcg64, "_kept", {})
         monkeypatch.setattr(pcg64, "_outputs", lambda *args: calls.append(args) or real(*args))
-        propose_constant_rates(model, GRID, 2.0, samples, seed=20260815)
+        alone(_proposal_part, model, flat_spec(), GRID, samples, seed=20260815)
         return len(calls)
 
     assert generations(10) == generations(10_000) == 1
@@ -546,10 +564,8 @@ def _reports(module, model, spec, grid, samples, seed):
     out = [
         module["check_contraction"](model.neutral, spec.kappa, 1.5, samples, seed, dim),
         module["estimate_contraction"](model.neutral, 1.5, samples, seed, dim),
-        module["check_coercivity"](model, spec, grid, samples, seed),
-        module["check_monotonicity"](model, spec, grid, samples, seed),
+        *module["coefficient_checks"](model, spec, grid, samples, seed),
         module["check_integrability"](model, grid, 1.5, samples, seed),
-        module["propose_constant_rates"](model, grid, 1.5, samples, seed),
     ]
     return [repr(r) for r in out]
 
@@ -557,10 +573,8 @@ def _reports(module, model, spec, grid, samples, seed):
 BATCHED = {
     "check_contraction": check_contraction,
     "estimate_contraction": estimate_contraction,
-    "check_coercivity": check_coercivity,
-    "check_monotonicity": check_monotonicity,
+    "coefficient_checks": coefficient_checks,
     "check_integrability": check_integrability,
-    "propose_constant_rates": propose_constant_rates,
 }
 REFERENCE = {name: globals()["ref_" + name] for name in BATCHED}
 
@@ -572,19 +586,26 @@ def test_batched_checkers_match_per_sample_reference(name, seed):
     model = ORACLE_MODELS[name]()
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
     # the shortest grid (one step per delay, horizon two delays) gives H two
-    # sampled times and C2/C3 three; one sample gives propose_constant_rates
-    # a single sampled time
+    # sampled times and C2/C3 three; one sample gives the rate proposal a
+    # single sampled time
     for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40), (GRID, 1)]:
         got = _reports(BATCHED, model, spec, grid, samples, seed)
         assert got == _reports(REFERENCE, model, spec, grid, samples, seed)
 
 
-@pytest.mark.parametrize("check", ["check_coercivity", "check_monotonicity",
-                                   "propose_constant_rates"])
-def test_coefficient_calls_per_distinct_sampled_time(check):
-    # neutral once per checker call on every sample; drift and diffusion once
-    # per distinct sampled time, together on every sample (both points of a
-    # pair) at that time.  500 draws hit all 21 grid times of [0, 2].
+# the points each part evaluates at 500 samples: C2 its 8 probes and 500 draws,
+# C3 both points of its 5 + 500 pairs, the proposal both points of its 500 pairs
+ROWS_AT_500 = {_coercivity_part: 8 + 500, _monotonicity_part: 2 * (5 + 500),
+               _proposal_part: 2 * 500}
+
+
+@pytest.mark.parametrize("parts", [PARTS[:1], PARTS[1:2], PARTS[2:], PARTS], ids=[
+    "check_coercivity", "check_monotonicity", "propose_constant_rates", "coefficient_checks"])
+def test_coefficient_calls_per_distinct_sampled_time(parts):
+    # neutral once per pass on every sample; drift and diffusion once per
+    # distinct sampled time, together on every sample (both points of a pair)
+    # at that time, whether a part runs alone or all three share the pass.
+    # 500 draws hit all 21 grid times of [0, 2].
     calls, times = Counter(), {"drift": [], "diffusion": []}
     plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
 
@@ -600,13 +621,9 @@ def test_coefficient_calls_per_distinct_sampled_time(check):
 
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
-    if check == "propose_constant_rates":
-        propose_constant_rates(model, GRID, 2.0, 500, seed=5)
-        rows = 2 * 500
-    else:
-        spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
-        report = BATCHED[check](model, spec, GRID, 500, 5)
-        rows = (1 if check == "check_coercivity" else 2) * report.samples_tested
+    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
+    _coefficient_pass(model, [part(model, spec, GRID, 500, 5) for part in parts])
+    rows = sum(ROWS_AT_500[part] for part in parts)
     sampled = GRID.times[GRID.steps_per_delay:].tolist()
     assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
                      "diffusion": 21, "diffusion_rows": rows}
@@ -633,9 +650,9 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
     # with NaN left sides among them the sort, and so the kept list,
     # depends on the order in which violations were recorded
     for model in (mixing_model(), blowup_model()):
-        for check in ("check_coercivity", "check_monotonicity"):
-            got = BATCHED[check](model, TIME_VARYING, GRID, 150, seed)
-            assert repr(got) == repr(REFERENCE[check](model, TIME_VARYING, GRID, 150, seed))
+        reports = coefficient_checks(model, TIME_VARYING, GRID, 150, seed)[:2]
+        for got, ref in zip(reports, (ref_coercivity, ref_monotonicity)):
+            assert repr(got) == repr(ref(model, TIME_VARYING, GRID, 150, seed))
             assert len(got.violations) == MAX_VIOLATIONS
             assert any("check" in v.inputs for v in got.violations)
 
@@ -653,10 +670,8 @@ def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
                                                           (GRID, 1)]]
     for spec, grid, samples in cases + [(TIME_VARYING, GRID, 150)]:
         got = coefficient_checks(model, spec, grid, samples, seed)
-        alone = [check_coercivity(model, spec, grid, samples, seed),
-                 check_monotonicity(model, spec, grid, samples, seed),
-                 propose_constant_rates(model, grid, spec.box_radius, samples, seed)]
-        assert [repr(r) for r in got] == [repr(r) for r in alone]
+        own = [alone(part, model, spec, grid, samples, seed) for part in PARTS]
+        assert [repr(r) for r in got] == [repr(r) for r in own]
 
 
 @pytest.mark.parametrize("samples", [1, 40])
@@ -670,11 +685,11 @@ def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
 
     spec = ConditionSpec(0.5, *map(logged, ["K1", "K1~", "KR", "KR~"]), 1.0, 1.0, 1.5)
     model = cubic_drift(1.0, 2)
-    check_coercivity(model, spec, GRID, samples, 3)
-    check_monotonicity(model, spec, GRID, samples, 3)
-    alone, read[:] = list(read), []
+    alone(_coercivity_part, model, spec, GRID, samples, 3)
+    alone(_monotonicity_part, model, spec, GRID, samples, 3)
+    own, read[:] = list(read), []
     coefficient_checks(model, spec, GRID, samples, 3)
-    assert read == alone
+    assert read == own
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 17])
@@ -710,8 +725,7 @@ def test_box_without_a_finite_sampling_width_is_rejected(box):
         estimate_contraction(model.neutral, box, 10, 0)
     with pytest.raises(InvalidRange):
         check_integrability(model, GRID, box, 10, 0)
-    with pytest.raises(InvalidRange):
-        propose_constant_rates(model, GRID, box, 10, 0)
+    # the only box of C2, C3 and the rate proposal is the spec's
     with pytest.raises(InvalidRange):
         ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
 
@@ -727,10 +741,8 @@ def test_box_whose_squared_sampling_distances_overflow_is_rejected():
         calls = [
             lambda: check_contraction(model.neutral, 0.5, box, 5, 0, dim=dim),
             lambda: estimate_contraction(model.neutral, box, 5, 0, dim=dim),
-            lambda: check_coercivity(model, spec, GRID, 5, 0),
-            lambda: check_monotonicity(model, spec, GRID, 5, 0),
+            lambda: coefficient_checks(model, spec, GRID, 5, 0),
             lambda: check_integrability(model, GRID, box, 5, 0),
-            lambda: propose_constant_rates(model, GRID, box, 5, 0),
         ]
         for call in calls:
             if accepted:
@@ -740,3 +752,16 @@ def test_box_whose_squared_sampling_distances_overflow_is_rejected():
                     call()
     with pytest.raises(InvalidRange, match="box_radius"):
         ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=1e200)
+
+
+def test_zero_samples_are_rejected():
+    model = cubic_drift(1.0)
+    calls = [
+        lambda: check_contraction(model.neutral, 0.5, 2.0, 0, 0),
+        lambda: estimate_contraction(model.neutral, 2.0, 0, 0),
+        lambda: coefficient_checks(model, flat_spec(), GRID, 0, 0),
+        lambda: check_integrability(model, GRID, 2.0, 0, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidRange, match="samples >= 1"):
+            call()

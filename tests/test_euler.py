@@ -17,6 +17,7 @@ from nsdde_sim import (
     InitialSegment,
     InvalidRange,
     NsddeModel,
+    PathGrid,
     additive_noise,
     affine_segment,
     coarsen,
@@ -139,6 +140,16 @@ def test_simulate_validation():
         simulate(model, xi, [], generate(grid, 1, 0, [0]))
     with pytest.raises(InvalidRange, match=r"not the bare DelayGrid\(.*\); pass \[grid\]"):
         simulate(model, xi, grid, generate(grid, 1, 0, [0]))
+
+
+def test_path_values_shape_validated():
+    grid = make_grid(1.0, 2.0, 0.5)
+    noise = generate(grid, 1, 0, [0, 1])
+    rows = grid.steps_per_delay + grid.total_steps + 1
+    assert PathGrid(np.zeros((rows, 2, 1)), noise).grid == grid
+    for shape in [(rows - 1, 2, 1), (rows, 1, 1), (rows, 2)]:
+        with pytest.raises(DimensionMismatch, match="does not match grid"):
+            PathGrid(np.zeros(shape), noise)
 
 
 def test_divergence_reports_step_and_time():

@@ -79,6 +79,14 @@ def test_direct_dataclass_validation():
     # the horizon must exceed the delay, as make_grid requires
     with pytest.raises(InvalidRange, match="total_steps > steps_per_delay"):
         DelayGrid(tau=1.0, horizon=1.0, steps_per_delay=10, total_steps=10)
+    with pytest.raises(InvalidRange, match="step counts must be integers"):
+        DelayGrid(tau=1.0, horizon=2.0, steps_per_delay=10.0, total_steps=20)
+    for tau in (0.0, -1.0):
+        with pytest.raises(InvalidRange, match="delay must be positive"):
+            DelayGrid(tau=tau, horizon=2.0, steps_per_delay=1, total_steps=2)
+    # a step of tau / steps_per_delay = 2 lies outside (0, 1)
+    with pytest.raises(InvalidRange, match=r"step 2\.0 outside"):
+        DelayGrid(tau=2.0, horizon=4.0, steps_per_delay=1, total_steps=2)
 
 
 @pytest.mark.parametrize("horizon, delta", [

@@ -14,6 +14,7 @@ from nsdde_sim import (
     linear_delay_ode,
     make_grid,
     neutral_cubic_model,
+    neutral_cubic_rates,
     pure_neutral,
 )
 
@@ -43,6 +44,10 @@ def test_cubic_model_degenerate_k_is_plain_cubic():
 def test_cubic_model_contraction_coefficient_range(k):
     with pytest.raises(InvalidRange):
         neutral_cubic_model(k, -1.0, -1.0, 1.0)
+    with pytest.raises(InvalidRange, match="k must lie in"):
+        neutral_cubic_rates(k, -1.0, -1.0, 1.0, 2.0)
+    with pytest.raises(InvalidRange, match="neutral coefficient k"):
+        pure_neutral(k, 1.0)
 
 
 @pytest.mark.parametrize("c1, c2", [(-1.0, 0.5), (0.1, 0.2), (-0.5, -1.0)])
@@ -148,3 +153,16 @@ def test_segment_rejects_non_finite_history():
     xi = InitialSegment(lambda t: np.array([1.0 / t if t else math.nan]))
     with pytest.raises(InvalidRange):
         xi.sample(grid)
+
+
+def test_segment_of_mixed_value_shapes():
+    # values of the right size in mixed shapes are reshaped one by one
+    from nsdde_sim import InitialSegment
+
+    grid = make_grid(1.0, 2.0, 0.25)
+    xi = InitialSegment(lambda t: 1.0 if t < -0.5 else np.array([2.0]))
+    assert xi.sample(grid).tolist() == [[1.0], [1.0], [2.0], [2.0], [2.0]]
+    pair = InitialSegment(lambda t: [1.0, -1.0] if t < -0.5 else np.array([[2.0, -2.0]]), dim=2)
+    assert pair.sample(grid).tolist() == [[1.0, -1.0]] * 2 + [[2.0, -2.0]] * 3
+    with pytest.raises(InvalidRange, match="dimension must be >= 1"):
+        InitialSegment(lambda t: np.zeros(1), dim=0)
