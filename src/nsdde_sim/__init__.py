@@ -10,11 +10,9 @@ and convergence analyses rely on.  See the README for the CLI and file formats.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ConvergenceTable,
     LevelPairRow,
     MomentReport,
     PerturbationRow,
-    PerturbationTable,
     check_contraction_sup_bound,
     converge_study,
     estimate_moments,
@@ -68,7 +66,6 @@ __all__ = [
     "ConditionReport",
     "ConditionSpec",
     "ConfigError",
-    "ConvergenceTable",
     "DegenerateSampling",
     "DelayGrid",
     "DimensionMismatch",
@@ -82,7 +79,6 @@ __all__ = [
     "NsddeModel",
     "PathGrid",
     "PerturbationRow",
-    "PerturbationTable",
     "Violation",
     "additive_noise",
     "affine_segment",

@@ -16,6 +16,8 @@ of averaging them in.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,7 +58,7 @@ def ladder_grids(tau: float, horizon: float, ladder) -> list[DelayGrid]:
 
 def check_radius(radius: float) -> None:
     """Reject a radius past sqrt(float max), where |X|**2 overflows to inf."""
-    if not 0.0 < radius <= np.sqrt(np.finfo(float).max):
+    if not 0.0 < radius <= math.sqrt(sys.float_info.max):
         raise InvalidRange(f"truncation radius must lie in (0, 1.34e154], got {radius!r}")
 
 
@@ -132,11 +134,6 @@ class LevelPairRow:
         return self.diverged_count > 0.01 * self.n_paths
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple
-
-
 def converge_study(
     model: NsddeModel,
     xi: InitialSegment,
@@ -146,13 +143,13 @@ def converge_study(
     n_paths: int,
     seed: int,
     radius: float = TRUNCATION_RADIUS,
-) -> ConvergenceTable:
+) -> tuple[LevelPairRow, ...]:
     """Coupled refinement study across a ladder of nested steps.
 
     For every path the same finest-grid increments drive all levels, each
     sampled on the finest grid, and consecutive levels are compared by
     their sup difference over grid points in [0, horizon], over the paths
-    that diverged at neither level.
+    that diverged at neither level.  Returns one row per level pair.
     """
     if len(ladder) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
@@ -174,7 +171,7 @@ def converge_study(
     names = [f"level pair {pair} (steps {lo.delta:g} and {hi.delta:g})"
              for pair, lo, hi in zip(pairs, grids, grids[1:])]
     slots = _ladder_study(model, xi, grids, n_paths, seed, radius, pair_sups, names)
-    return ConvergenceTable(tuple(
+    return tuple(
         LevelPairRow(
             level_pair=pair,
             delta_coarse=lo.delta,
@@ -186,13 +183,13 @@ def converge_study(
             sup_diffs=sups,
         )
         for pair, lo, hi, sups in zip(pairs, grids, grids[1:], slots)
-    ))
+    )
 
 
-def exceedance_trend_ok(table: ConvergenceTable) -> bool:
+def exceedance_trend_ok(rows: tuple[LevelPairRow, ...]) -> bool:
     """True when exceedance fractions are non-increasing along the ladder,
     allowing upticks within 1.96 pooled binomial standard errors."""
-    for lo, hi in zip(table.rows, table.rows[1:]):
+    for lo, hi in zip(rows, rows[1:]):
         n1 = lo.n_paths - lo.diverged_count
         n2 = hi.n_paths - hi.diverged_count
         p1, p2 = lo.p_hat, hi.p_hat
@@ -212,11 +209,6 @@ class PerturbationRow:
     diverged_count: int
 
 
-@dataclass(frozen=True)
-class PerturbationTable:
-    rows: tuple
-
-
 def perturbation_integrability(
     model: NsddeModel,
     xi: InitialSegment,
@@ -226,8 +218,8 @@ def perturbation_integrability(
     seed: int,
     radius: float,
     weight: Callable[[float], float],
-) -> PerturbationTable:
-    """Mean integrals of the deviation from the last coarse node, per level.
+) -> tuple[PerturbationRow, ...]:
+    """Mean integrals of the deviation from the last coarse node, one row per level.
 
     For each ladder level, sampled on the finest grid, the deviation
     p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
@@ -275,7 +267,7 @@ def perturbation_integrability(
         abs_mean, w_mean = sums.T.copy().mean(axis=1).tolist()
         rows.append(PerturbationRow(level, grid.delta, n_paths, abs_mean, w_mean,
                                     n_paths - len(sums)))
-    return PerturbationTable(tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

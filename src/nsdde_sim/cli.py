@@ -306,7 +306,7 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
 
 
 def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
-    table = analysis.converge_study(
+    rows = analysis.converge_study(
         model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed,
         radius=cfg.truncation_radius,
     )
@@ -314,15 +314,15 @@ def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
         "exceed_count", "p_hat", "mean_sup_diff", "max_sup_diff", "diverged_count",
     ]
-    _write_records(out_dir / "converge.csv", columns, table.rows)
+    _write_records(out_dir / "converge.csv", columns, rows)
     summary = [
         f"converge {r.level_pair}: p_hat={r.p_hat:.4f} mean_sup={r.mean_sup_diff:.6g} "
         f"diverged={r.diverged_count}{' SUSPECT(>1% diverged)' if r.suspect else ''}"
-        for r in table.rows
+        for r in rows
     ]
-    trend = analysis.exceedance_trend_ok(table)
+    trend = analysis.exceedance_trend_ok(rows)
     summary.append(f"converge: exceedance trend {'non-increasing' if trend else 'INCREASING'}")
-    return _Result(["converge.csv"], summary, sum(r.diverged_count for r in table.rows))
+    return _Result(["converge.csv"], summary, sum(r.diverged_count for r in rows))
 
 
 def _moments(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
@@ -341,18 +341,18 @@ def _moments(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: 
 def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     weight, weight_id = ((spec.local_rate, "local_rate") if spec is not None
                          else (conditions.constant_rate(1.0), "constant 1"))
-    table = analysis.perturbation_integrability(
+    rows = analysis.perturbation_integrability(
         model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, cfg.seed,
         radius=cfg.truncation_radius, weight=weight,
     )
     columns = [f.name for f in fields(analysis.PerturbationRow)]
-    _write_records(out_dir / "perturbation.csv", columns, table.rows)
+    _write_records(out_dir / "perturbation.csv", columns, rows)
     summary = [
         f"perturbation level {r.level} (delta={r.delta:g}): "
         f"E int |p| = {r.mean_abs_integral:.6g}, diverged={r.diverged_count}"
-        for r in table.rows
+        for r in rows
     ]
-    return _Result(["perturbation.csv"], summary, sum(r.diverged_count for r in table.rows),
+    return _Result(["perturbation.csv"], summary, sum(r.diverged_count for r in rows),
                    extra={"weight": weight_id})
 
 

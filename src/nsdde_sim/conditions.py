@@ -329,10 +329,10 @@ def _coercivity_part(model, spec, grid, samples, seed):
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Rows of v with norm above radius, scaled back onto the sphere of that radius."""
+    """Rows of v with norm above radius, scaled back onto the sphere of that radius.
+    Runs only under the checkers' np.errstate(all="ignore"): a zero row divides by 0."""
     norm = _rownorm(v)[:, None]
-    big = norm > radius
-    return np.where(big, v * (radius / np.where(big, norm, radius)), v)
+    return np.where(norm > radius, v * (radius / norm), v)
 
 
 def _monotonicity_part(model, spec, grid, samples, seed):

@@ -88,11 +88,11 @@ def test_criterion_02_deterministic_first_order_convergence():
 
 
 def test_criterion_03_additive_noise_exactness():
-    table = converge_study(
+    rows = converge_study(
         additive_noise(1.0), constant_segment(0.0), 2.0,
         [0.1, 0.05, 0.025], epsilon=1e-3, n_paths=100, seed=SEED,
     )
-    worst = max(row.max_sup_diff for row in table.rows)
+    worst = max(row.max_sup_diff for row in rows)
     _report(3, "additive-noise exactness across coupled ladder",
             worst <= 1e-12, f"max sup-diff={worst:.3g}")
 
@@ -118,14 +118,14 @@ def test_criterion_04_neutral_conservation():
 def test_criterion_05_cubic_model_cauchy_trend():
     start = time.perf_counter()
     model = neutral_cubic_model(**SEC4)
-    table = converge_study(
+    rows = converge_study(
         model, constant_segment(1.0), 2.0, LADDER,
         epsilon=0.1, n_paths=1000, seed=SEED,
     )
     elapsed = time.perf_counter() - start
-    p_hats = [round(row.p_hat, 4) for row in table.rows]
-    diverged = sum(row.diverged_count for row in table.rows)
-    ok = exceedance_trend_ok(table) and diverged == 0 and elapsed < 60.0
+    p_hats = [round(row.p_hat, 4) for row in rows]
+    diverged = sum(row.diverged_count for row in rows)
+    ok = exceedance_trend_ok(rows) and diverged == 0 and elapsed < 60.0
     _report(5, "probability-trend over coupled ladder", ok,
             f"p_hat={p_hats}, diverged={diverged}, {elapsed:.1f}s")
 
@@ -133,11 +133,11 @@ def test_criterion_05_cubic_model_cauchy_trend():
 def test_criterion_06_perturbation_integrability():
     model = neutral_cubic_model(**SEC4)
     rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
-    table = perturbation_integrability(
+    rows = perturbation_integrability(
         model, constant_segment(1.0), 2.0, LADDER,
         n_paths=1000, seed=SEED, radius=6.0, weight=rates.local_rate,
     )
-    integrals = [row.mean_abs_integral for row in table.rows]
+    integrals = [row.mean_abs_integral for row in rows]
     decreasing = all(a > b for a, b in zip(integrals, integrals[1:]))
 
     ramp = NsddeModel(
@@ -151,7 +151,7 @@ def test_criterion_06_perturbation_integrability():
         n_paths=1, seed=SEED, radius=1e9, weight=constant_rate(1.0),
     )
     rel_errs = []
-    for row in saw.rows:
+    for row in saw:
         m = round(2.0 / row.delta)
         expected = m * row.delta**2 / 2.0
         rel_errs.append(abs(row.mean_abs_integral - expected) / expected)

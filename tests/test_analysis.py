@@ -1,4 +1,4 @@
-"""Convergence tables, perturbation integrals, moments, and inequalities."""
+"""Convergence rows, perturbation integrals, moments, and inequalities."""
 
 import math
 import sys
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nsdde_sim import analysis
 from nsdde_sim import (
-    ConvergenceTable,
     DegenerateSampling,
     IncompatibleGrids,
     InvalidRange,
@@ -53,27 +52,27 @@ def ramp_model(slope: float = 1.0) -> NsddeModel:
 def test_converge_study_on_exact_scheme():
     # additive noise is integrated exactly at every step size, so coupled
     # levels agree to rounding and nothing ever exceeds epsilon
-    table = converge_study(
+    rows = converge_study(
         additive_noise(1.0), constant_segment(0.0), 2.0,
         [0.1, 0.05, 0.025], epsilon=1e-6, n_paths=20, seed=31,
     )
-    assert len(table.rows) == 2
-    for row in table.rows:
+    assert len(rows) == 2
+    for row in rows:
         assert row.exceed_count == 0
         assert row.diverged_count == 0
         assert row.max_sup_diff <= 1e-12
-    assert exceedance_trend_ok(table)
+    assert exceedance_trend_ok(rows)
 
 
 def test_deterministic_model_halves_per_level():
     # sigma == 0: every path is identical and the first-order scheme's
     # level-to-level sup difference halves with the step
-    table = converge_study(
+    rows = converge_study(
         linear_delay_ode(1.0, 1.0), constant_segment(1.0), 2.0,
         [0.1, 0.05, 0.025, 0.0125], epsilon=1e-9, n_paths=3, seed=7,
     )
-    means = [row.mean_sup_diff for row in table.rows]
-    for row in table.rows:
+    means = [row.mean_sup_diff for row in rows]
+    for row in rows:
         assert np.ptp(row.sup_diffs) == 0.0
     for coarse, fine in zip(means, means[1:]):
         assert coarse / fine == pytest.approx(2.0, rel=0.2)
@@ -94,7 +93,7 @@ def test_converge_study_validates_ladder(cubic_model, unit_segment):
         converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.05], 0.1, 0, 0)
 
 
-def synthetic_table(counts, n=100):
+def synthetic_rows(counts, n=100):
     rows = []
     for i, c in enumerate(counts):
         rows.append(
@@ -109,7 +108,7 @@ def synthetic_table(counts, n=100):
                 sup_diffs=np.zeros(n),
             )
         )
-    return ConvergenceTable(tuple(rows))
+    return tuple(rows)
 
 
 def test_row_flagged_when_over_one_percent_diverge():
@@ -126,13 +125,13 @@ def test_row_flagged_when_over_one_percent_diverge():
 
 
 def test_trend_accepts_decreasing_and_banded_noise():
-    assert exceedance_trend_ok(synthetic_table([80, 50, 20]))
+    assert exceedance_trend_ok(synthetic_rows([80, 50, 20]))
     # a 5-point uptick sits inside the 95% band at n=100
-    assert exceedance_trend_ok(synthetic_table([50, 55, 20]))
+    assert exceedance_trend_ok(synthetic_rows([50, 55, 20]))
 
 
 def test_trend_rejects_clear_increase():
-    assert not exceedance_trend_ok(synthetic_table([50, 80]))
+    assert not exceedance_trend_ok(synthetic_rows([50, 80]))
 
 
 @settings(max_examples=100)
@@ -155,11 +154,11 @@ def test_sawtooth_integral_closed_form():
     # p(t) is a sawtooth; each coarse cell integrates to c * delta^2 / 2,
     # so a level with M cells gives exactly c * M * delta^2 / 2.
     c = 1.0
-    table = perturbation_integrability(
+    rows = perturbation_integrability(
         ramp_model(c), constant_segment(0.0), 2.0, [0.1, 0.05, 0.025],
         n_paths=3, seed=0, radius=100.0, weight=constant_rate(1.0),
     )
-    for row in table.rows:
+    for row in rows:
         m = round(2.0 / row.delta)
         expected = c * m * row.delta**2 / 2.0
         assert row.mean_abs_integral == pytest.approx(expected, rel=1e-10)
@@ -172,16 +171,16 @@ def test_sawtooth_scales_with_slope():
         ramp_model(3.0), constant_segment(0.0), 2.0, [0.1, 0.05],
         n_paths=1, seed=0, radius=1000.0, weight=constant_rate(1.0),
     )
-    assert fast.rows[0].mean_abs_integral == pytest.approx(3.0 * 20 * 0.01 / 2, rel=1e-10)
+    assert fast[0].mean_abs_integral == pytest.approx(3.0 * 20 * 0.01 / 2, rel=1e-10)
 
 
 def ramp_integrals(xi, radius: float) -> list:
     """(abs, weighted) mean integrals per level of X(t) = t on [0, 2], ladder [0.5, 0.25]."""
-    table = perturbation_integrability(
+    rows = perturbation_integrability(
         ramp_model(), xi, 2.0, [0.5, 0.25],
         n_paths=1, seed=0, radius=radius, weight=constant_rate(1.0),
     )
-    return [(row.mean_abs_integral, row.mean_weighted_integral) for row in table.rows]
+    return [(row.mean_abs_integral, row.mean_weighted_integral) for row in rows]
 
 
 def test_integration_stops_at_first_fine_node_above_a_third_of_the_radius():
@@ -204,11 +203,11 @@ def test_truncation_ignores_the_history():
 def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
     # |X(0)| = 1 > radius/3 already, so every integral window is empty,
     # while both paths stay inside the radius and are kept
-    table = perturbation_integrability(
+    rows = perturbation_integrability(
         cubic_model, unit_segment, 2.0, [0.1, 0.05],
         n_paths=2, seed=1, radius=2.9, weight=constant_rate(1.0),
     )
-    for row in table.rows:
+    for row in rows:
         assert row.mean_abs_integral == row.mean_weighted_integral == 0.0
         assert row.diverged_count == 0
 
@@ -255,11 +254,11 @@ def test_one_generate_and_one_simulate_per_block(monkeypatch, cubic_model, unit_
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
-    table = perturbation_integrability(
+    rows = perturbation_integrability(
         cubic_model, unit_segment, 2.0, [0.1, 0.05, 0.025],
         n_paths=50, seed=42, radius=6.0, weight=constant_rate(1.0),
     )
-    integrals = [row.mean_abs_integral for row in table.rows]
+    integrals = [row.mean_abs_integral for row in rows]
     assert integrals[0] > integrals[1] > integrals[2] > 0.0
 
 
@@ -338,7 +337,7 @@ def test_studies_share_one_divergence_verdict(cubic_model, radius, diverged):
     xi = constant_segment(3.0)
     moments = estimate_moments(cubic_model, xi, 2.0, 0.5, 50, 1, radius)
     (row,) = perturbation_integrability(cubic_model, xi, 2.0, [0.5], 50, 1, radius,
-                                        constant_rate(1.0)).rows
+                                        constant_rate(1.0))
     assert moments.diverged_count == row.diverged_count == diverged
 
 
@@ -356,6 +355,16 @@ def test_radius_past_the_squared_norms_is_rejected(cubic_model, unit_segment, st
     with pytest.raises(InvalidRange, match="truncation radius"):
         run(1e200)
     run(math.sqrt(sys.float_info.max))
+
+
+def test_radius_bound_is_sqrt_float_max_itself():
+    bound = math.sqrt(sys.float_info.max)
+    assert bound == 1.3407807929942596e+154
+    analysis.check_radius(bound)
+    past = math.nextafter(bound, math.inf)
+    with pytest.raises(InvalidRange) as info:
+        analysis.check_radius(past)
+    assert str(info.value) == f"truncation radius must lie in (0, 1.34e154], got {past!r}"
 
 
 NAN = float("nan")
@@ -565,8 +574,8 @@ def test_studies_match_a_path_major_reduction(which, horizon):
     ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
     fine, levels = path_major_levels(model, xi, horizon, ladder, n_paths, seed)
 
-    table = converge_study(model, xi, horizon, ladder, 0.5, n_paths, seed)
-    for row, sups in zip(table.rows, reference_sups(levels, 3.0e6)):
+    rows = converge_study(model, xi, horizon, ladder, 0.5, n_paths, seed)
+    for row, sups in zip(rows, reference_sups(levels, 3.0e6)):
         assert row.sup_diffs.tobytes() == sups.tobytes()
         assert row.diverged_count == n_paths - sups.size
         assert row.exceed_count == int((sups > 0.5).sum())
@@ -580,8 +589,8 @@ def test_studies_match_a_path_major_reduction(which, horizon):
     assert report.sup_time == coarse.times[peak + coarse.steps_per_delay]
 
     weight = lambda t: 1.0 + t  # noqa: E731
-    ptable = perturbation_integrability(model, xi, horizon, ladder, n_paths, seed, 6.0, weight)
-    got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in ptable.rows]
+    prows = perturbation_integrability(model, xi, horizon, ladder, n_paths, seed, 6.0, weight)
+    got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in prows]
     assert got == reference_perturbation(fine, levels, horizon, ladder, 6.0, weight)
 
 
@@ -596,9 +605,9 @@ def test_perturbation_sums_each_path_in_one_path_order(cubic_model, cubic_rates,
     ladder = (0.1, 0.05, 0.025, 0.0125)
     for seed in range(15):
         fine, levels = path_major_levels(cubic_model, unit_segment, 2.0, ladder, n_paths, seed)
-        table = perturbation_integrability(cubic_model, unit_segment, 2.0, ladder, n_paths, seed,
-                                           radius, cubic_rates.local_rate)
+        rows = perturbation_integrability(cubic_model, unit_segment, 2.0, ladder, n_paths, seed,
+                                          radius, cubic_rates.local_rate)
         got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count)
-               for r in table.rows]
+               for r in rows]
         assert got == reference_perturbation(fine, levels, 2.0, ladder, radius,
                                              cubic_rates.local_rate), seed
