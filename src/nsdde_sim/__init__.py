@@ -18,18 +18,14 @@ from .analysis import (
     estimate_moments,
     exceedance_trend_ok,
     perturbation_integrability,
-    power_split_bound,
 )
 from .brownian import BrownianPath, coarsen, generate
 from .conditions import (
     ConditionReport,
     ConditionSpec,
     Violation,
-    check_contraction,
-    check_integrability,
-    coefficient_checks,
+    check_conditions,
     constant_rate,
-    estimate_contraction,
     neutral_cubic_rates,
 )
 from .errors import (
@@ -83,16 +79,13 @@ __all__ = [
     "additive_noise",
     "affine_segment",
     "builtin_model",
-    "check_contraction",
+    "check_conditions",
     "check_contraction_sup_bound",
-    "check_integrability",
     "coarsen",
-    "coefficient_checks",
     "constant_rate",
     "constant_segment",
     "converge_study",
     "cubic_drift",
-    "estimate_contraction",
     "estimate_moments",
     "exceedance_trend_ok",
     "generate",
@@ -101,7 +94,6 @@ __all__ = [
     "neutral_cubic_model",
     "neutral_cubic_rates",
     "perturbation_integrability",
-    "power_split_bound",
     "pure_neutral",
     "simulate",
 ]

@@ -208,6 +208,9 @@ class PerturbationRow:
     mean_weighted_integral: float
     diverged_count: int
 
+    # the rule of LevelPairRow.suspect: more than 1% of the level's paths diverged
+    suspect = LevelPairRow.suspect
+
 
 def perturbation_integrability(
     model: NsddeModel,
@@ -330,30 +333,6 @@ def estimate_moments(
         std_error=spread / np.sqrt(used),
         sup_time=float(grid.times[n0 + peak]),
     )
-
-
-def power_split_bound(a, b, p: float, epsilon: float):
-    """Both sides of |a+b|^p <= (1 + eps^(1/(p-1)))^(p-1) (|a|^p + |b|^p / eps).
-
-    Accepts scalars or arrays; returns (lhs, rhs) elementwise.  Valid for
-    p > 1 and epsilon > 0.
-    """
-    if not p > 1.0:
-        raise InvalidRange(f"p must exceed 1, got {p}")
-    if not epsilon > 0.0:
-        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lhs = np.abs(a + b) ** p
-    # the constant can overflow double precision for p near 1; the bound
-    # then holds trivially, so saturate to inf rather than raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        constant = (1.0 + np.float64(epsilon) ** (1.0 / (p - 1.0))) ** (p - 1.0)
-        term = np.abs(a) ** p + np.abs(b) ** p / epsilon
-        rhs = constant * term
-    if np.isinf(constant):
-        rhs = np.where(term == 0.0, 0.0, rhs)
-    return lhs, rhs
 
 
 def check_contraction_sup_bound(path: PathGrid, neutral, kappa: float) -> np.ndarray:

@@ -305,6 +305,11 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
     return _Result(outputs, summary, len(diverged), extra={"diverged_paths": diverged})
 
 
+def _suspect(row) -> str:
+    """The mark of a study row whose statistics rest on a conditioned sample."""
+    return " SUSPECT(>1% diverged)" if row.suspect else ""
+
+
 def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     rows = analysis.converge_study(
         model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed,
@@ -317,7 +322,7 @@ def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
     _write_records(out_dir / "converge.csv", columns, rows)
     summary = [
         f"converge {r.level_pair}: p_hat={r.p_hat:.4f} mean_sup={r.mean_sup_diff:.6g} "
-        f"diverged={r.diverged_count}{' SUSPECT(>1% diverged)' if r.suspect else ''}"
+        f"diverged={r.diverged_count}{_suspect(r)}"
         for r in rows
     ]
     trend = analysis.exceedance_trend_ok(rows)
@@ -349,7 +354,7 @@ def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_no
     _write_records(out_dir / "perturbation.csv", columns, rows)
     summary = [
         f"perturbation level {r.level} (delta={r.delta:g}): "
-        f"E int |p| = {r.mean_abs_integral:.6g}, diverged={r.diverged_count}"
+        f"E int |p| = {r.mean_abs_integral:.6g}, diverged={r.diverged_count}{_suspect(r)}"
         for r in rows
     ]
     return _Result(["perturbation.csv"], summary, sum(r.diverged_count for r in rows),
@@ -357,24 +362,8 @@ def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_no
 
 
 def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
-    grid = grids[0]
-
-    contraction = conditions.check_contraction(
-        model.neutral, spec.kappa, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
-    )
-    coercivity, monotonicity, proposal = conditions.coefficient_checks(
-        model, spec, grid, cfg.samples, cfg.seed
-    )
-    reports = [
-        contraction, coercivity, monotonicity,
-        conditions.check_integrability(model, grid, cfg.box_radius, cfg.samples, cfg.seed),
-    ]
-    estimates = {
-        "kappa": conditions.estimate_contraction(
-            model.neutral, cfg.box_radius, cfg.samples, cfg.seed, dim=model.state_dim
-        ),
-        **{f"heuristic_{k}": v for k, v in proposal.items()},
-    }
+    reports, kappa, proposal = conditions.check_conditions(
+        model, spec, grids[0], cfg.samples, cfg.seed)
     _write_json(out_dir / "check.json", {
         "reports": [
             {
@@ -388,7 +377,7 @@ def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bo
             }
             for r in reports
         ],
-        "estimates": estimates,
+        "estimates": {"kappa": kappa, **{f"heuristic_{k}": v for k, v in proposal.items()}},
     })
     summary = [
         f"check {r.condition_id}: {r.verdict} ({r.samples_tested} samples, "

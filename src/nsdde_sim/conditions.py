@@ -27,13 +27,15 @@ Coefficients, and the bare ``neutral`` map of the contraction checks, are
 called on ``(S, state_dim)`` stacks of samples, or for the pairs of points that
 C3 and the rate proposal compare on ``(2, S, state_dim)`` stacks, under the
 evaluator contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t``
-is a Python float, a constant broadcasts).  :func:`coefficient_checks`, the one
-entry to C2, C3 and the rate proposal, makes one pass for all three: ``neutral``
-once on every sample, ``drift`` and ``diffusion`` once per distinct sampled time
-on the samples at that time.  Everything else (both sides of each bound, the rate
-inequalities, the violation lists) is computed once over all samples.  Checkers
-run with numpy's floating-point warnings off: a side that overflows fails in the
-report and prints nothing.
+is a Python float, a constant broadcasts).  :func:`check_conditions` is the one
+entry to all four checks.  It draws the box pairs that C4, C2 and H read once,
+and C4 and the contraction estimate share one ``neutral`` call.  C2, C3 and the
+rate proposal share one pass: ``neutral`` once on every sample, ``drift`` and
+``diffusion`` once per distinct sampled time on the samples at that time.
+Everything else (both sides of each bound, the rate inequalities, the violation
+lists) is computed once over all samples.  Checkers run with numpy's
+floating-point warnings off: a side that overflows fails in the report and prints
+nothing.
 """
 
 from __future__ import annotations
@@ -180,20 +182,25 @@ _PAIRS = [[3, 0], [0, 0], [1, 1], [2, 2], [3, 3], [4, 4], [1, 2], [0, 1]]
 _QUADS = [[3, 0, 4, 0], [1, 2, 2, 1], [0, 0, 0, 0], [1, 1, 1, 1], [3, 1, 0, 2]]
 
 
-@np.errstate(all="ignore")
-def check_contraction(
-    neutral, kappa: float, box: float, samples: int, seed: int, dim: int = 1
-) -> ConditionReport:
-    """Check D(0) = 0 and |D(x) - D(y)| <= kappa |x - y| on the box (id C4)."""
-    if not 0.0 < kappa < 1.0:
-        raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    _check_sampling(box, samples, dim)
-    pairs = _probes_and_draws(pcg64.Stream(seed), box, dim, _PAIRS, samples)
-    n = len(pairs)
-    vals = _rows(neutral(np.concatenate([pairs[:, 0], pairs[:, 1]])), (2 * n, dim))
-    # D(0) is vals[n]: the first probe pair is (box e1, 0)
-    lhs = _rownorm(np.concatenate([vals[n : n + 1], vals[:n] - vals[n:]]))
-    rhs = np.concatenate([[0.0], kappa * _rownorm(pairs[:, 0] - pairs[:, 1])])
+def _contraction(neutral, kappa: float, box: float, pairs: np.ndarray):
+    """C4's report, D(0) = 0 and |D(x) - D(y)| <= kappa |x - y| on the box pairs, and
+    the empirical Lipschitz constant of D, from one ``neutral`` call.
+
+    The estimate reads five pairs 2e-4 * box apart, so that a smooth map reports a
+    value close to its true modulus, then the last probe pair, (0, (box, .., box)),
+    and the draws.  It skips pairs closer than 1e-9 and raises
+    :class:`DegenerateSampling` if nothing remains."""
+    n, _, dim = pairs.shape
+    h = 1e-4 * box
+    close = np.array([(np.full(dim, c) - h, np.full(dim, c) + h)
+                      for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)])
+    every = np.concatenate([pairs, close])
+    m = len(every)
+    vals = _rows(neutral(np.concatenate([every[:, 0], every[:, 1]])), (2 * m, dim))
+    moved, gap = _rownorm(vals[:m] - vals[m:]), _rownorm(every[:, 0] - every[:, 1])
+    # D(0) is vals[m]: the first probe pair is (box e1, 0)
+    lhs = np.concatenate([_rownorm(vals[m : m + 1]), moved[:n]])
+    rhs = np.concatenate([[0.0], kappa * gap[:n]])
     violations = [
         Violation(
             {"x": pairs[i - 1, 0].tolist(), "y": pairs[i - 1, 1].tolist()}
@@ -202,33 +209,12 @@ def check_contraction(
         )
         for i in np.flatnonzero(_failed(lhs, rhs)).tolist()
     ]
-    return _finish("C4", n, violations)
-
-
-@np.errstate(all="ignore")
-def estimate_contraction(
-    neutral, box: float, samples: int, seed: int, dim: int = 1
-) -> float:
-    """Empirical Lipschitz constant of the neutral map over sampled pairs.
-
-    Pairs closer than 1e-9 are skipped; raises :class:`DegenerateSampling`
-    if nothing remains.  Probes at tiny separations are included so smooth
-    maps report a value close to their true modulus.
-    """
-    _check_sampling(box, samples, dim)
-    rng = pcg64.Stream(seed)
-    h = 1e-4 * box
-    centres = [np.full(dim, c) for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)]
-    probes = [(c - h, c + h) for c in centres] + [(np.zeros(dim), np.full(dim, box))]
-    pairs = np.concatenate([probes, rng.uniform(-box, box, size=(samples, 2, dim))])
-    gap = _rownorm(pairs[:, 0] - pairs[:, 1])
-    kept = ~(gap < 1e-9)
-    n = int(kept.sum())
-    if n == 0:
+    order = np.r_[n:m, len(_PAIRS) - 1 : n]
+    kept = order[~(gap[order] < 1e-9)]
+    if not kept.size:
         raise DegenerateSampling("all sampled pairs were closer than 1e-9")
-    vals = _rows(neutral(np.concatenate([pairs[kept, 0], pairs[kept, 1]])), (2 * n, dim))
-    ratio = _rownorm(vals[:n] - vals[n:]) / gap[kept]
-    return float(_running_max(ratio[0], ratio[1:]))
+    ratio = moved[kept] / gap[kept]
+    return _finish("C4", n, violations), float(_running_max(ratio[0], ratio[1:]))
 
 
 def _growth_lhs(x, coeffs):
@@ -316,10 +302,10 @@ def _coefficient_pass(model: NsddeModel, parts) -> list:
     return results
 
 
-def _coercivity_part(model, spec, grid, samples, seed):
-    rng = pcg64.Stream(seed)
-    pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
-    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng, samples)
+def _coercivity_part(model, spec, grid, pairs, rng):
+    """C2 on the box pairs, at grid times drawn next from their stream ``rng``."""
+    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng,
+                       len(pairs) - len(_PAIRS))
     x, y = pairs[:, 0], pairs[:, 1]
     weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
     rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
@@ -350,21 +336,11 @@ def _monotonicity_part(model, spec, grid, samples, seed):
         rates, times, which, tau)
 
 
-@np.errstate(all="ignore")
-def check_integrability(
-    model: NsddeModel, grid: DelayGrid, box: float, samples: int, seed: int
-) -> ConditionReport:
-    """Check finiteness of the integral of sup |b| + |sigma|^2 on the box (id H).
-
-    One batch of (x, y) pairs (random draws plus box probes) is evaluated at
-    every grid time, one drift and one diffusion call per time; the
-    per-time maxima are summed with weight delta.  The check fails only
-    when a coefficient evaluates to a non-finite value; the integral
-    estimate is attached to the report.
-    """
+def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> ConditionReport:
+    """H: the box pairs at every grid time, one drift and one diffusion call per time;
+    the per-time maxima of |b| + |sigma|^2 are summed with weight delta.  It fails only
+    where a coefficient is not finite, and carries the integral estimate."""
     dim = model.state_dim
-    _check_sampling(box, samples, dim)
-    pairs = _probes_and_draws(pcg64.Stream(seed), box, dim, _PAIRS, samples)
     x, y = pairs[:, 0], pairs[:, 1]
     times = grid.times[grid.steps_per_delay:-1].tolist()
     violations: list[Violation] = []
@@ -414,13 +390,15 @@ def _proposal_part(model, spec, grid, samples, seed):
 
 
 @np.errstate(all="ignore")
-def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int,
-                       seed: int) -> list:
-    """C2, C3 and the rate proposal on the box spec.box_radius, from one coefficient
-    pass over all their samples; each result is bitwise that of a pass of its own.
+def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int,
+                     seed: int) -> tuple:
+    """``([C4, C2, C3, H], kappa_estimate, proposal)`` on the box spec.box_radius.
 
-    C2 draws (x, y) uniformly from the box and times uniformly from the grid on
-    [0, horizon]; it tests coercivity, 2<x - D(y), b> + |sigma|^2 <= K1(t)(1 + |x|^2)
+    C4, C2 and H read one draw of (x, y) pairs: the probes, then ``samples`` pairs
+    uniform on the box.  C4 tests D(0) = 0 and |D(x) - D(y)| <= spec.kappa |x - y|;
+    its ``neutral`` call also gives ``kappa_estimate``, the largest |D(x) - D(y)| /
+    |x - y| over the pairs and a few close ones.  C2 draws a grid time on [0, horizon]
+    per pair and tests coercivity, 2<x - D(y), b> + |sigma|^2 <= K1(t)(1 + |x|^2)
     + K1~(t - tau)(1 + |y|^2), and K1 >= 0, K1~ >= 0, K1 >= K1~ and K1(t) <= C1 *
     K1(t - tau) at every sampled time.  C3 draws quadruples (x, y, x', y') from the
     box, each point projected onto the ball of radius box_radius, and tests local
@@ -429,17 +407,29 @@ def coefficient_checks(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, 
         2 <x - D(y) - x' + D(y'), b - b'> + |sigma - sigma'|^2
             <= KR(t) |x - x'|^2 + KR~(t - tau) |y - y'|^2
 
+    H evaluates sup |b| + |sigma|^2 over the pairs at every grid time and attaches
+    the integral of those maxima to its report.
+
     The proposal is the heuristic ``{"growth_rate": ..., "local_rate": ...}``: the
     largest C2 left side over 2 + |x|^2 + |y|^2 and the largest C3 left side over
     |x - x'|^2 + |y - y'|^2, each at least 0.  Purely empirical — valid at best on the
     sampled box, with no correctness guarantee; a starting point when no derived
     bundle is available.  Each of its samples in turn draws a grid time, then its
     (x, y, x', y') block, from ``default_rng(seed)``'s stream; :func:`_interleaved_draws`
-    reads them in runs.
+    reads them in runs.  C2, C3 and the proposal share one coefficient pass; each
+    result is bitwise that of a pass of its own.
     """
-    _check_sampling(spec.box_radius, samples, model.state_dim)
-    return _coefficient_pass(model, [part(model, spec, grid, samples, seed) for part in
-                                     (_coercivity_part, _monotonicity_part, _proposal_part)])
+    box, dim = spec.box_radius, model.state_dim
+    _check_sampling(box, samples, dim)
+    rng = pcg64.Stream(seed)
+    pairs = _probes_and_draws(rng, box, dim, _PAIRS, samples)
+    contraction, estimate = _contraction(model.neutral, spec.kappa, box, pairs)
+    coercivity, monotonicity, proposal = _coefficient_pass(model, [
+        _coercivity_part(model, spec, grid, pairs, rng),
+        _monotonicity_part(model, spec, grid, samples, seed),
+        _proposal_part(model, spec, grid, samples, seed)])
+    reports = [contraction, coercivity, monotonicity, _integrability(model, grid, pairs)]
+    return reports, estimate, proposal
 
 
 def neutral_cubic_rates(

@@ -30,10 +30,10 @@ from nsdde_sim import (
     neutral_cubic_model,
     neutral_cubic_rates,
     perturbation_integrability,
-    power_split_bound,
     pure_neutral,
     simulate,
 )
+from test_acceptance import power_split_bound
 
 
 def ramp_model(slope: float = 1.0) -> NsddeModel:

@@ -578,7 +578,7 @@ class TestCheckReport:
         assert doc["estimates"]["kappa"] == pytest.approx(0.5, abs=1e-9)
 
     def test_coefficient_calls(self, tmp_path, monkeypatch):
-        # C4 and the kappa estimate call neutral once each; C2, C3 and the rate
+        # C4 and the kappa estimate share one neutral call; C2, C3 and the rate
         # proposal share one neutral call and one drift and diffusion call per
         # distinct sampled time (21 on [0, 2]); H calls them at each of its 20 times
         calls = Counter()
@@ -597,7 +597,7 @@ class TestCheckReport:
         monkeypatch.setattr(cli, "builtin_model", traced)
         cfg = write_config(tmp_path, ladder=[0.1], samples=500)
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
-        assert calls == {"neutral": 3, "drift": 41, "diffusion": 41}
+        assert calls == {"neutral": 2, "drift": 41, "diffusion": 41}
 
     def test_failing_check_lists_violations(self, tmp_path):
         cfg = write_config(

@@ -18,12 +18,9 @@ from nsdde_sim import (
     InvalidRange,
     NsddeModel,
     additive_noise,
-    check_contraction,
-    check_integrability,
-    coefficient_checks,
+    check_conditions,
     constant_rate,
     cubic_drift,
-    estimate_contraction,
     linear_delay_ode,
     make_grid,
     neutral_cubic_model,
@@ -31,6 +28,7 @@ from nsdde_sim import (
 )
 from nsdde_sim import pcg64
 from nsdde_sim.conditions import (
+    _PAIRS,
     MAX_VIOLATIONS,
     SLACK,
     ConditionReport,
@@ -39,6 +37,7 @@ from nsdde_sim.conditions import (
     _coercivity_part,
     _interleaved_draws,
     _monotonicity_part,
+    _probes_and_draws,
     _proposal_part,
     _rowdot,
     _rownorm,
@@ -52,13 +51,23 @@ SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
 PARTS = (_coercivity_part, _monotonicity_part, _proposal_part)
 
 
+def build(part, model, spec, grid, samples, seed):
+    """One part as :func:`check_conditions` builds it: C2 reads the box pairs and their stream."""
+    if part is _coercivity_part:
+        rng = pcg64.Stream(seed)
+        pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
+        return part(model, spec, grid, pairs, rng)
+    return part(model, spec, grid, samples, seed)
+
+
 def alone(part, model, spec, grid, samples, seed):
-    """One of :func:`coefficient_checks`' results from a coefficient pass of its own."""
+    """One of the results of :func:`check_conditions`' pass from a coefficient pass of its own."""
     with np.errstate(all="ignore"):
-        return _coefficient_pass(model, [part(model, spec, grid, samples, seed)])[0]
+        return _coefficient_pass(model, [build(part, model, spec, grid, samples, seed)])[0]
 
 
-def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0):
+def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0,
+              box=2.0):
     return ConditionSpec(
         kappa=kappa,
         growth_rate=constant_rate(growth),
@@ -67,8 +76,23 @@ def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delaye
         local_rate_delayed=constant_rate(local_delayed),
         growth_delay_factor=1.0,
         local_delay_factor=1.0,
-        box_radius=2.0,
+        box_radius=box,
     )
+
+
+def contraction(neutral, kappa, box, samples, seed):
+    """C4's report and the kappa estimate of :func:`check_conditions`, on a model whose
+    drift and diffusion are zero."""
+    model = NsddeModel(1, 1, 1.0, neutral=neutral, drift=lambda x, y, t: np.zeros(1),
+                       diffusion=lambda x, y, t: np.zeros((1, 1)))
+    reports, kappa_estimate, _ = check_conditions(model, flat_spec(kappa, box=box), GRID,
+                                                  samples, seed)
+    return reports[0], kappa_estimate
+
+
+def integrability(model, grid, samples, seed):
+    """H's report from :func:`check_conditions` on the box of :func:`flat_spec`."""
+    return check_conditions(model, flat_spec(), grid, samples, seed)[0][3]
 
 
 class TestSpecValidation:
@@ -77,7 +101,7 @@ class TestSpecValidation:
             with pytest.raises(InvalidRange):
                 flat_spec(kappa=kappa)
             with pytest.raises(InvalidRange, match="kappa"):
-                check_contraction(lambda y: 0.5 * y, kappa, 2.0, 10, seed=0)
+                contraction(lambda y: 0.5 * y, kappa, 2.0, 10, seed=0)
 
     def test_delay_factors_capped_by_contraction(self):
         spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
@@ -110,14 +134,14 @@ class TestSpecValidation:
 
 class TestContraction:
     def test_linear_map_passes_at_its_own_constant(self):
-        report = check_contraction(lambda y: 0.7 * y, 0.7, 2.0, 500, seed=1)
+        report = contraction(lambda y: 0.7 * y, 0.7, 2.0, 500, seed=1)[0]
         assert report.verdict == "pass"
         assert report.violations == ()
 
     def test_square_map_fails_via_probe(self):
         # D(y) = y^2 on the box [-2, 2]: the fixed probe pair (2, 0) gives
         # |D(2) - D(0)| = 4 > 0.9 * 2, so failure cannot depend on the draw.
-        report = check_contraction(lambda y: y * y, 0.9, 2.0, 1, seed=123)
+        report = contraction(lambda y: y * y, 0.9, 2.0, 1, seed=123)[0]
         assert report.verdict == "fail"
         probe_hits = [
             v for v in report.violations if v.inputs.get("x") == [2.0] and v.inputs.get("y") == [0.0]
@@ -126,46 +150,46 @@ class TestContraction:
         assert probe_hits[0].rhs == pytest.approx(1.8, rel=1e-15)
 
     def test_nonzero_origin_detected(self):
-        report = check_contraction(lambda y: y + 1.0, 0.9, 2.0, 10, seed=0)
+        report = contraction(lambda y: y + 1.0, 0.9, 2.0, 10, seed=0)[0]
         assert report.verdict == "fail"
         assert any(v.inputs == {"check": "zero-at-origin"} for v in report.violations)
 
     def test_violations_sorted_and_capped(self):
-        report = check_contraction(lambda y: y * y, 0.5, 2.0, 2000, seed=7)
+        report = contraction(lambda y: y * y, 0.5, 2.0, 2000, seed=7)[0]
         assert report.verdict == "fail"
         assert len(report.violations) == MAX_VIOLATIONS
         gaps = [v.lhs - v.rhs for v in report.violations]
         assert gaps == sorted(gaps, reverse=True)
 
     def test_deterministic_given_seed(self):
-        a = check_contraction(lambda y: y * y, 0.9, 2.0, 100, seed=5)
-        b = check_contraction(lambda y: y * y, 0.9, 2.0, 100, seed=5)
+        a = contraction(lambda y: y * y, 0.9, 2.0, 100, seed=5)[0]
+        b = contraction(lambda y: y * y, 0.9, 2.0, 100, seed=5)[0]
         assert a == b
 
 
 class TestEstimateContraction:
     def test_linear_map(self):
-        est = estimate_contraction(lambda y: 0.7 * y, 2.0, 200, seed=2)
+        est = contraction(lambda y: 0.7 * y, 0.5, 2.0, 200, seed=2)[1]
         assert est == pytest.approx(0.7, abs=5e-13)
 
     def test_smooth_map_modulus(self):
-        est = estimate_contraction(np.sin, np.pi, 500, seed=3)
+        est = contraction(np.sin, 0.5, np.pi, 500, seed=3)[1]
         assert est == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_box(self):
         with pytest.raises(DegenerateSampling):
-            estimate_contraction(lambda y: y, 1e-10, 10, seed=0)
+            contraction(lambda y: y, 0.5, 1e-10, 10, seed=0)
 
 
 class TestCoercivity:
     def test_passes_for_cubic_bundle(self, cubic_model, cubic_rates):
-        report = coefficient_checks(cubic_model, cubic_rates, GRID, 1000, seed=11)[0]
+        report = check_conditions(cubic_model, cubic_rates, GRID, 1000, seed=11)[0][1]
         assert report.verdict == "pass"
 
     def test_cubic_growth_breaks_constant_rate(self):
         # b = x^3 against K1 = 1: the (2, 0) probe gives
         # lhs = 2 * 2 * 8 = 32 > 5 = 1 * (1 + 4) + 0, at every time.
-        report = coefficient_checks(cubic_drift(1.0), flat_spec(), GRID, 1, seed=0)[0]
+        report = check_conditions(cubic_drift(1.0), flat_spec(), GRID, 1, seed=0)[0][1]
         assert report.verdict == "fail"
         worst = report.violations[0]
         assert worst.lhs == 32.0 and worst.rhs == 5.0
@@ -174,7 +198,7 @@ class TestCoercivity:
         # growth_rate_delayed > growth_rate violates the domination check
         # even though the coercivity bound itself then holds trivially
         spec = flat_spec(growth=5.0, growth_delayed=50.0)
-        report = coefficient_checks(cubic_model, spec, GRID, 5, seed=0)[0]
+        report = check_conditions(cubic_model, spec, GRID, 5, seed=0)[0][1]
         assert report.verdict == "fail"
         assert any(
             v.inputs.get("check") == "dominates-delayed" for v in report.violations
@@ -183,16 +207,16 @@ class TestCoercivity:
 
 class TestMonotonicity:
     def test_passes_for_cubic_bundle(self, cubic_model, cubic_rates):
-        report = coefficient_checks(cubic_model, cubic_rates, GRID, 1000, seed=13)[1]
+        report = check_conditions(cubic_model, cubic_rates, GRID, 1000, seed=13)[0][2]
         assert report.verdict == "pass"
 
     def test_cubic_drift_fails_flat_rate(self):
-        report = coefficient_checks(cubic_drift(1.0), flat_spec(), GRID, 200, seed=1)[1]
+        report = check_conditions(cubic_drift(1.0), flat_spec(), GRID, 200, seed=1)[0][2]
         assert report.verdict == "fail"
 
     def test_quadruples_projected_into_ball(self, cubic_model, cubic_rates):
         # all recorded sample points must lie inside the closed ball
-        report = coefficient_checks(cubic_model, cubic_rates, GRID, 300, seed=17)[1]
+        report = check_conditions(cubic_model, cubic_rates, GRID, 300, seed=17)[0][2]
         for v in report.violations:
             for key in ("x", "y", "xp", "yp"):
                 if key in v.inputs:
@@ -201,7 +225,7 @@ class TestMonotonicity:
 
 class TestIntegrability:
     def test_cubic_model_estimate(self, cubic_model):
-        report = check_integrability(cubic_model, GRID, 2.0, 500, seed=19)
+        report = integrability(cubic_model, GRID, 500, seed=19)
         assert report.verdict == "pass"
         assert report.estimate is not None and 0.0 < report.estimate < 100.0
 
@@ -214,20 +238,20 @@ class TestIntegrability:
             drift=lambda x, y, t: np.zeros(1) if t <= 1.0 else np.full(1, np.inf),
             diffusion=lambda x, y, t: np.zeros((1, 1)),
         )
-        report = check_integrability(bad, GRID, 2.0, 20, seed=0)
+        report = integrability(bad, GRID, 20, seed=0)
         assert report.verdict == "fail"
         assert any(not np.isfinite(v.lhs) for v in report.violations)
 
     def test_estimate_scales_with_horizon(self, cubic_model):
         # doubling the horizon of a time-decaying integrand must not shrink it
         longer = make_grid(1.0, 4.0, 0.1)
-        short = check_integrability(cubic_model, GRID, 2.0, 200, seed=3).estimate
-        long_ = check_integrability(cubic_model, longer, 2.0, 200, seed=3).estimate
+        short = integrability(cubic_model, GRID, 200, seed=3).estimate
+        long_ = integrability(cubic_model, longer, 200, seed=3).estimate
         assert long_ > short
 
 
 def test_propose_constant_rates_heuristic(cubic_model, cubic_rates):
-    rates = coefficient_checks(cubic_model, cubic_rates, GRID, 500, seed=23)[2]
+    rates = check_conditions(cubic_model, cubic_rates, GRID, 500, seed=23)[2]
     assert set(rates) == {"growth_rate", "local_rate"}
     assert rates["growth_rate"] > 0.0 and rates["local_rate"] > 0.0
 
@@ -558,25 +582,20 @@ ORACLE_MODELS = {
 }
 
 
-def _reports(module, model, spec, grid, samples, seed):
-    """Every checker's result for one model, spec and seed, as reprs."""
-    dim = model.state_dim
-    out = [
-        module["check_contraction"](model.neutral, spec.kappa, 1.5, samples, seed, dim),
-        module["estimate_contraction"](model.neutral, 1.5, samples, seed, dim),
-        *module["coefficient_checks"](model, spec, grid, samples, seed),
-        module["check_integrability"](model, grid, 1.5, samples, seed),
-    ]
-    return [repr(r) for r in out]
+def _reports(model, spec, grid, samples, seed):
+    """[C4, C2, C3, H], the kappa estimate and the rate proposal, as reprs."""
+    reports, kappa, proposal = check_conditions(model, spec, grid, samples, seed)
+    return [repr(r) for r in [*reports, kappa, proposal]]
 
 
-BATCHED = {
-    "check_contraction": check_contraction,
-    "estimate_contraction": estimate_contraction,
-    "coefficient_checks": coefficient_checks,
-    "check_integrability": check_integrability,
-}
-REFERENCE = {name: globals()["ref_" + name] for name in BATCHED}
+def _ref_reports(model, spec, grid, samples, seed):
+    """What :func:`_reports` gives, from the per-sample reference checkers."""
+    box, dim = spec.box_radius, model.state_dim
+    coercivity, monotonicity, proposal = ref_coefficient_checks(model, spec, grid, samples, seed)
+    return [repr(r) for r in [
+        ref_check_contraction(model.neutral, spec.kappa, box, samples, seed, dim),
+        coercivity, monotonicity, ref_check_integrability(model, grid, box, samples, seed),
+        ref_estimate_contraction(model.neutral, box, samples, seed, dim), proposal]]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -589,8 +608,8 @@ def test_batched_checkers_match_per_sample_reference(name, seed):
     # sampled times and C2/C3 three; one sample gives the rate proposal a
     # single sampled time
     for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40), (GRID, 1)]:
-        got = _reports(BATCHED, model, spec, grid, samples, seed)
-        assert got == _reports(REFERENCE, model, spec, grid, samples, seed)
+        got = _reports(model, spec, grid, samples, seed)
+        assert got == _ref_reports(model, spec, grid, samples, seed)
 
 
 # the points each part evaluates at 500 samples: C2 its 8 probes and 500 draws,
@@ -622,8 +641,8 @@ def test_coefficient_calls_per_distinct_sampled_time(parts):
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
-    with np.errstate(all="ignore"):  # as under coefficient_checks
-        _coefficient_pass(model, [part(model, spec, GRID, 500, 5) for part in parts])
+    with np.errstate(all="ignore"):  # as under check_conditions
+        _coefficient_pass(model, [build(part, model, spec, GRID, 500, 5) for part in parts])
     rows = sum(ROWS_AT_500[part] for part in parts)
     sampled = GRID.times[GRID.steps_per_delay:].tolist()
     assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
@@ -651,7 +670,7 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
     # with NaN left sides among them the sort, and so the kept list,
     # depends on the order in which violations were recorded
     for model in (mixing_model(), blowup_model()):
-        reports = coefficient_checks(model, TIME_VARYING, GRID, 150, seed)[:2]
+        reports = check_conditions(model, TIME_VARYING, GRID, 150, seed)[0][1:3]
         for got, ref in zip(reports, (ref_coercivity, ref_monotonicity)):
             assert repr(got) == repr(ref(model, TIME_VARYING, GRID, 150, seed))
             assert len(got.violations) == MAX_VIOLATIONS
@@ -670,7 +689,8 @@ def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
     cases = [(spec, grid, samples) for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40),
                                                           (GRID, 1)]]
     for spec, grid, samples in cases + [(TIME_VARYING, GRID, 150)]:
-        got = coefficient_checks(model, spec, grid, samples, seed)
+        reports, _, proposal = check_conditions(model, spec, grid, samples, seed)
+        got = [reports[1], reports[2], proposal]
         own = [alone(part, model, spec, grid, samples, seed) for part in PARTS]
         assert [repr(r) for r in got] == [repr(r) for r in own]
 
@@ -689,7 +709,7 @@ def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
     alone(_coercivity_part, model, spec, GRID, samples, 3)
     alone(_monotonicity_part, model, spec, GRID, samples, 3)
     own, read[:] = list(read), []
-    coefficient_checks(model, spec, GRID, samples, 3)
+    check_conditions(model, spec, GRID, samples, 3)
     assert read == own
 
 
@@ -711,21 +731,14 @@ def test_checkers_raise_no_warnings_on_zero_probes(cubic_model, cubic_rates):
     # the probes include zero vectors; no warning leaves the checkers on them
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _reports(BATCHED, cubic_model, cubic_rates, GRID, 30, 4)
-        _reports(BATCHED, cubic_drift(1.0, 2), flat_spec(), GRID, 30, 4)
+        _reports(cubic_model, cubic_rates, GRID, 30, 4)
+        _reports(cubic_drift(1.0, 2), flat_spec(), GRID, 30, 4)
 
 
 @pytest.mark.parametrize("box", [1e308, float("nan"), 0.0, -1.0])
 def test_box_without_a_finite_sampling_width_is_rejected(box):
-    # uniform draws from [-box, box] need 2 * box to be a positive float
-    model = cubic_drift(1.0)
-    with pytest.raises(InvalidRange):
-        check_contraction(model.neutral, 0.5, box, 10, 0)
-    with pytest.raises(InvalidRange):
-        estimate_contraction(model.neutral, box, 10, 0)
-    with pytest.raises(InvalidRange):
-        check_integrability(model, GRID, box, 10, 0)
-    # the only box of C2, C3 and the rate proposal is the spec's
+    # uniform draws from [-box, box] need 2 * box to be a positive float; the
+    # only box of check_conditions is the spec's
     with pytest.raises(InvalidRange):
         ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
 
@@ -738,30 +751,15 @@ def test_box_whose_squared_sampling_distances_overflow_is_rejected():
     spec = ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=box)
     for dim, accepted in [(1, True), (2, False)]:
         model = cubic_drift(1.0, dim)
-        calls = [
-            lambda: check_contraction(model.neutral, 0.5, box, 5, 0, dim=dim),
-            lambda: estimate_contraction(model.neutral, box, 5, 0, dim=dim),
-            lambda: coefficient_checks(model, spec, GRID, 5, 0),
-            lambda: check_integrability(model, GRID, box, 5, 0),
-        ]
-        for call in calls:
-            if accepted:
-                call()
-            else:
-                with pytest.raises(InvalidRange, match="box_radius"):
-                    call()
+        if accepted:
+            check_conditions(model, spec, GRID, 5, 0)
+        else:
+            with pytest.raises(InvalidRange, match="box_radius"):
+                check_conditions(model, spec, GRID, 5, 0)
     with pytest.raises(InvalidRange, match="box_radius"):
         ConditionSpec(0.5, *[constant_rate(1.0)] * 4, 1.0, 1.0, box_radius=1e200)
 
 
 def test_zero_samples_are_rejected():
-    model = cubic_drift(1.0)
-    calls = [
-        lambda: check_contraction(model.neutral, 0.5, 2.0, 0, 0),
-        lambda: estimate_contraction(model.neutral, 2.0, 0, 0),
-        lambda: coefficient_checks(model, flat_spec(), GRID, 0, 0),
-        lambda: check_integrability(model, GRID, 2.0, 0, 0),
-    ]
-    for call in calls:
-        with pytest.raises(InvalidRange, match="samples >= 1"):
-            call()
+    with pytest.raises(InvalidRange, match="samples >= 1"):
+        check_conditions(cubic_drift(1.0), flat_spec(), GRID, 0, 0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nsdde_sim import InvalidRange, check_contraction, pcg64
+from nsdde_sim import (InvalidRange, check_conditions, make_grid, neutral_cubic_model,
+                       neutral_cubic_rates, pcg64)
 from nsdde_sim.conditions import _interleaved_draws
 from nsdde_sim.pcg64 import Stream
 
@@ -54,8 +55,10 @@ def test_a_rejected_half_moves_on_to_the_next_half():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, [3]])
 def test_a_negative_or_non_integer_seed_is_invalid(seed):
+    model, grid = neutral_cubic_model(0.5, -1.0, -1.0, 1.0), make_grid(1.0, 2.0, 0.5)
+    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.0)
     for draw in (lambda: Stream(seed),
-                 lambda: check_contraction(lambda y: 0.5 * y, 0.5, 1.0, 10, seed)):
+                 lambda: check_conditions(model, spec, grid, 10, seed)):
         with pytest.raises(InvalidRange) as exc:
             draw()
         assert "seed" in str(exc.value) and "\n" not in str(exc.value)

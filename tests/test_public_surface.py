@@ -22,15 +22,12 @@ def _tracer_targets() -> list:
 
 # Tracer rows whose names the engine no longer has: simulate coarsens its
 # own driver and samples on its noise's grid, so the ladder calls neither
-# coarsen nor refine_to; C2, C3 and the rate proposal are reached only through
-# conditions.coefficient_checks.  The tracer records such a row as ``absent``.
+# coarsen nor refine_to; every condition check is reached only through
+# conditions.check_conditions.  The tracer records such a row as ``absent``.
 RETIRED = {("analysis", "coarsen"), ("analysis", "refine_to"),
-           ("conditions", "check_coercivity"), ("conditions", "check_monotonicity"),
-           ("conditions", "propose_constant_rates")}
-
-# Exported names that no module of the package reads: acceptance criterion 08
-# checks the paper's power-split inequality through power_split_bound.
-READ_ONLY_BY_TESTS = {"power_split_bound"}
+           ("conditions", "check_contraction"), ("conditions", "check_coercivity"),
+           ("conditions", "check_monotonicity"), ("conditions", "check_integrability"),
+           ("conditions", "estimate_contraction"), ("conditions", "propose_constant_rates")}
 
 
 def _resolve(module, attr):
@@ -67,7 +64,7 @@ def test_every_exported_name_exists():
 
 
 def test_every_exported_name_is_read_inside_the_package():
-    # an export that only tests read goes, unless it is listed above
+    # an export that only tests read goes
     package = Path(nsdde_sim.__file__).parent
     read = set()
     for path in package.glob("*.py"):
@@ -77,4 +74,4 @@ def test_every_exported_name_is_read_inside_the_package():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-    assert {name for name in nsdde_sim.__all__ if name not in read} == READ_ONLY_BY_TESTS
+    assert {name for name in nsdde_sim.__all__ if name not in read} == set()
