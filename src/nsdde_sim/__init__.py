@@ -37,10 +37,7 @@ from .errors import (
     NonDivisibleStep,
     NsddeError,
 )
-from .euler import (
-    PathGrid,
-    simulate,
-)
+from .euler import simulate
 from .model import (
     DelayGrid,
     InitialSegment,
@@ -73,7 +70,6 @@ __all__ = [
     "NonDivisibleStep",
     "NsddeError",
     "NsddeModel",
-    "PathGrid",
     "PerturbationRow",
     "Violation",
     "additive_noise",

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .brownian import generate
-from .errors import DegenerateSampling, InvalidRange
-from .euler import PathGrid, simulate
+from .errors import DegenerateSampling, DimensionMismatch, InvalidRange
+from .euler import simulate
 from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
 
 # Paths per engine call.  Memory grows with levels x PATH_BLOCK x grid
@@ -88,7 +88,7 @@ def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
     blocks = []
     for indices in path_blocks(n_paths):
         fine_noise = generate(fine, model.noise_dim, seed, indices)
-        levels = [path.values[skip:] for path in simulate(model, xi, grids, fine_noise)]
+        levels = [values[skip:] for values in simulate(model, xi, grids, fine_noise)]
         with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
             kept = [np.sqrt(np.einsum("ipj,ipj->ip", v, v).max(axis=0)) <= radius for v in levels]
             blocks.append([stats[ok] for stats, ok in reduce(list(zip(levels, kept)))])
@@ -335,7 +335,8 @@ def estimate_moments(
     )
 
 
-def check_contraction_sup_bound(path: PathGrid, neutral, kappa: float) -> np.ndarray:
+def check_contraction_sup_bound(values: np.ndarray, grid: DelayGrid, neutral,
+                                kappa: float) -> np.ndarray:
     """Prefix inequality tying sup |X| to sup |X - D(X_delayed)|, with p = 2.
 
     For every prefix L >= 0 checks
@@ -346,18 +347,23 @@ def check_contraction_sup_bound(path: PathGrid, neutral, kappa: float) -> np.nda
 
     where ||xi|| is the sup over the sampled initial segment.  Holds for
     any path of a model whose neutral map is a kappa-contraction with
-    D(0) = 0.  ``neutral`` is called once on the (M + 1, paths, state_dim)
-    block of delayed states of the stack ``path``.  Returns ``ok``, one
-    entry per path: True where the path is finite and no prefix violates.
-    A diverged path is therefore never ok.
+    D(0) = 0.  ``values`` is a time-major stack on ``grid`` as
+    :func:`~nsdde_sim.euler.simulate` returns it, ``(N + M + 1, paths,
+    state_dim)``, else :class:`DimensionMismatch`.  ``neutral`` is called
+    once on its (M + 1, paths, state_dim) block of delayed states.  Returns
+    ``ok``, one entry per path: True where the path is finite and no prefix
+    violates.  A diverged path is therefore never ok.
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidRange(f"kappa must lie in (0, 1), got {kappa}")
-    n0 = path.grid.steps_per_delay
-    states = path.values[n0:]
-    delayed = path.values[: path.grid.total_steps + 1]
+    n0, n_steps = grid.steps_per_delay, grid.total_steps
+    if values.ndim != 3 or len(values) != n0 + n_steps + 1:
+        raise DimensionMismatch(f"values shape {values.shape} does not match grid "
+                                f"({len(grid.times)} rows)")
+    states = values[n0:]
+    delayed = values[: n_steps + 1]
     with np.errstate(all="ignore"):  # a diverged path makes inf and NaN
-        norms = np.linalg.norm(path.values, axis=-1)
+        norms = np.linalg.norm(values, axis=-1)
         seg_norm = norms[: n0 + 1].max(axis=0)
         diff_norms = np.linalg.norm(states - np.asarray(neutral(delayed), dtype=float), axis=-1)
 
@@ -366,4 +372,4 @@ def check_contraction_sup_bound(path: PathGrid, neutral, kappa: float) -> np.nda
         lhs = sup_state**2.0
         rhs = (kappa / (1.0 - kappa)) * seg_norm**2.0 + sup_diff**2.0 / (1.0 - kappa) ** 2.0
         bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
-    return path.finite & ~bad.any(axis=0)
+    return np.isfinite(values).all(axis=(0, 2)) & ~bad.any(axis=0)

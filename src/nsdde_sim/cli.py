@@ -41,6 +41,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
+import numpy as np
+
 from . import __version__
 from . import analysis, conditions
 from .brownian import generate
@@ -129,7 +131,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -281,14 +283,15 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
     times = grid.times.tolist()
     for indices in analysis.path_blocks(cfg.n_paths):
         noise = generate(grid, model.noise_dim, cfg.seed, indices)
-        (paths,) = simulate(model, xi, [grid], noise)
+        (values,) = simulate(model, xi, [grid], noise)
+        finite = np.isfinite(values).all(axis=(0, 2))
         if spec is not None:
-            ok = analysis.check_contraction_sup_bound(paths, model.neutral, spec.kappa)
-            violated += int((paths.finite & ~ok).sum())
-        for row, (index, finite) in enumerate(zip(indices, paths.finite)):
-            if finite:
+            ok = analysis.check_contraction_sup_bound(values, grid, model.neutral, spec.kappa)
+            violated += int((finite & ~ok).sum())
+        for row, (index, kept) in enumerate(zip(indices, finite.tolist())):
+            if kept:
                 name = f"path_{index:04d}.csv"
-                rows = [[t, *state] for t, state in zip(times, paths.values[:, row].tolist())]
+                rows = [[t, *state] for t, state in zip(times, values[:, row].tolist())]
                 _write_csv(out_dir / name, header, rows)
                 outputs.append(name)
             else:
@@ -297,11 +300,11 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
                 bin_name = f"noise_{index:04d}.bin"
                 _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
                 outputs.append(bin_name)
-    finite = cfg.n_paths - len(diverged)
-    summary = [f"simulate: wrote {finite} paths to {out_dir} ({len(diverged)} diverged)"]
+    written = cfg.n_paths - len(diverged)
+    summary = [f"simulate: wrote {written} paths to {out_dir} ({len(diverged)} diverged)"]
     if spec is not None:
         summary.append(f"simulate: contraction bound (p=2, kappa={spec.kappa:g}) "
-                       f"violated on {violated} of {finite} finite paths")
+                       f"violated on {violated} of {written} finite paths")
     return _Result(outputs, summary, len(diverged), extra={"diverged_paths": diverged})
 
 
@@ -448,7 +451,10 @@ def main(argv=None) -> int:
         if not fewest <= len(cfg.ladder) <= most:
             levels = "a single-entry ladder" if most == 1 else f"at least {fewest} ladder levels"
             raise ConfigError(f"{command} expects {levels}")
-        model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
+        try:
+            model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
+        except MemoryError as exc:  # a count numpy can size but the machine cannot hold
+            raise ConfigError(f"model {cfg.model_id!r} does not fit in memory") from exc
         xi = _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, model.state_dim)
         grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
         analysis.check_radius(cfg.truncation_radius)

@@ -3,9 +3,9 @@
 Everything derives from :class:`NsddeError` so callers can catch the whole
 family with a single except clause.  Input validation errors are raised as
 early as possible (at grid/model construction).  A simulation that blows up
-raises nothing: a non-finite path is marked in
-:attr:`nsdde_sim.euler.PathGrid.finite`, and the studies count a path past
-their truncation radius, too, in their ``diverged_count``.
+raises nothing: a non-finite path keeps its NaN or inf values, and the
+studies count it, and a path past their truncation radius, in their
+``diverged_count``.
 """
 
 

@@ -36,15 +36,14 @@ time as a Python float, and must act elementwise over all leading axes
 values are bitwise those of a one-path, one-node-at-a-time run.  States
 are stored time-major across levels, ``(rows, levels, paths, state_dim)``
 finest first: the levels due at a step are one contiguous row slice, and
-the update is written into it in place.  Each level's ``values`` is a
-strided view of its rows.  With one noise component sigma dB is a
-product, bitwise the matmul.  A path that blows up is reported through
-:attr:`PathGrid.finite` and leaves the other paths untouched.
+the update is written into it in place.  Each level :func:`simulate`
+returns is a strided view of its rows.  With one noise component sigma dB
+is a product, bitwise the matmul.  A path that blows up keeps its NaN or
+inf values and leaves the other paths untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,57 +53,25 @@ from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange
 from .model import DelayGrid, InitialSegment, NsddeModel
 
 
-@dataclass(frozen=True)
-class PathGrid:
-    """A stack of solution paths sampled on the delay grid of their noise.
-
-    ``values`` (from :func:`simulate`, a strided view) has shape ``(N + M + 1, paths, state_dim)``:
-    ``values[l + N]`` is the state at grid index ``l`` for ``l = -N .. M``
-    (indices up to 0 hold the sampled initial segment), and path ``p`` is
-    the one driven by row ``p`` of ``noise``.  A path that turned NaN or
-    infinite is kept and marked in :attr:`finite` (the studies of
-    :mod:`nsdde_sim.analysis` also drop a huge but finite one).
-    """
-
-    values: np.ndarray
-    noise: BrownianPath
-
-    def __post_init__(self):
-        n_rows = self.grid.steps_per_delay + self.grid.total_steps + 1
-        n_paths = len(self.noise.increments)
-        if self.values.ndim != 3 or self.values.shape[:2] != (n_rows, n_paths):
-            raise DimensionMismatch(
-                f"values shape {self.values.shape} does not match grid ({n_rows} rows) "
-                f"and noise ({n_paths} paths)"
-            )
-
-    @property
-    def grid(self) -> DelayGrid:
-        """The grid of the driving noise, which the values are sampled on."""
-        return self.noise.grid
-
-    @property
-    def finite(self) -> np.ndarray:
-        """Per path: True when every value of the path is finite."""
-        return np.isfinite(self.values).all(axis=(0, 2))
-
-
 def simulate(
     model: NsddeModel, xi: InitialSegment, grids: Sequence[DelayGrid], noise: BrownianPath
-) -> list[PathGrid]:
+) -> list[np.ndarray]:
     """Run the explicit scheme on every grid of ``grids`` for every path of ``noise``.
 
     ``grids`` is a non-empty ladder in :func:`~nsdde_sim.analysis.ladder_grids`
     order: each grid nests in the next and all nest in ``noise.grid``
     (:meth:`DelayGrid.refinement`, else :class:`IncompatibleGrids`).  The
-    ``j``-th returned :class:`PathGrid` is level ``j``, driven by
-    ``coarsen(noise, grids[j])`` and sampled on ``noise.grid``: bitwise the
-    scheme's values at the nodes of ``grids[j]``, its continuous
-    interpolation in between, and bitwise the one-grid run
-    ``simulate(model, xi, [grids[j]], noise)``.  Evaluators must return
-    arrays broadcastable to ``(..., state_dim)`` for drift/neutral and
-    ``(..., state_dim, noise_dim)`` for the diffusion.  A path that blows
-    up is marked in :attr:`PathGrid.finite`.
+    ``j``-th returned array is level ``j``, driven by
+    ``coarsen(noise, grids[j])`` and sampled on ``noise.grid``: a strided
+    ``(N + M + 1, paths, state_dim)`` view of one buffer shared by all
+    levels, whose row ``l + N`` is grid index ``l = -N .. M`` (rows up to
+    ``N`` hold the sampled initial segment) and whose path ``p`` is driven
+    by row ``p`` of ``noise``.  It is bitwise the scheme's values at the
+    nodes of ``grids[j]``, its continuous interpolation in between, and
+    bitwise the one-grid run ``simulate(model, xi, [grids[j]], noise)``.
+    Evaluators must return arrays broadcastable to ``(..., state_dim)`` for
+    drift/neutral and ``(..., state_dim, noise_dim)`` for the diffusion.  A
+    path that blows up keeps its NaN or inf values.
     """
     if isinstance(grids, DelayGrid):
         raise InvalidRange(f"simulate needs a sequence of grids, not the bare {grids}; pass [grid]")
@@ -200,7 +167,7 @@ def simulate(
                     + b_win[picks, None] * fine.times[n_delay + 1 : n_delay + f, None, None]
                     + _noise_term(s_win[picks, None], sums[:, 1:] - sums[:, :1])
                 )
-    return [PathGrid(out[:, j], noise) for j in range(n_levels - 1, -1, -1)]
+    return [out[:, j] for j in range(n_levels - 1, -1, -1)]
 
 
 def _noise_term(sigma: np.ndarray, db: np.ndarray) -> np.ndarray:

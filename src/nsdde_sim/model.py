@@ -33,8 +33,11 @@ from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange, NonDivis
 # Relative tolerance used when deciding whether a requested step divides
 # the delay / horizon.
 _DIVISIBILITY_RTOL = 1e-12
-# The largest step count or dimension numpy can index: a platform limit.
+# The largest step count numpy can index: a platform limit.
 _INDEX_LIMIT = int(np.iinfo(np.intp).max)
+# The largest dimension whose (dim, dim) float matrix numpy can size: its
+# bytes, not only its entries, must stay within the index limit.
+_DIM_LIMIT = math.isqrt(_INDEX_LIMIT // 8)
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ def cubic_drift(tau: float, dim: int = 1) -> NsddeModel:
 
 
 # Built-in ids: (factory, required parameters, optional parameters).  The
-# optional parameters are counts, so they must be whole numbers numpy can index.
+# optional parameter is a dimension, a whole number up to :data:`_DIM_LIMIT`.
 _BUILTINS = {
     "sec4": (neutral_cubic_model, {"k", "c1", "c2"}, set()),
     "linear_delay_ode": (linear_delay_ode, {"a"}, set()),
@@ -312,7 +315,7 @@ def builtin_model(model_id: str, tau: float, params: dict) -> NsddeModel:
         )
     for key in sorted(optional & keys):
         value = params[key]
-        if isinstance(value, bool) or not 1 <= value <= _INDEX_LIMIT or value != int(value):
+        if isinstance(value, bool) or not 1 <= value <= _DIM_LIMIT or value != int(value):
             raise InvalidRange(f"model {model_id!r} parameter {key!r} must be a whole "
-                               f"number from 1 to {_INDEX_LIMIT}, got {value!r}")
+                               f"number from 1 to {_DIM_LIMIT}, got {value!r}")
     return factory(tau=tau, **{key: int(v) if key in optional else v for key, v in params.items()})

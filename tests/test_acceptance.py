@@ -86,7 +86,7 @@ def test_criterion_01_hand_recursion_oracle():
         diffusion=lambda x, y, t: np.zeros((1, 1)),
     )
     path = simulate(model, constant_segment(1.0), [grid], generate(grid, 1, SEED, [0]))[0]
-    got = path.values[3:, 0, 0].tolist()
+    got = path[3:, 0, 0].tolist()
     _report(1, "hand recursion oracle", got == [1.5, 2.0, 2.75], f"X={got}")
 
 
@@ -101,7 +101,7 @@ def test_criterion_02_deterministic_first_order_convergence():
         t = np.asarray(grid.times[grid.steps_per_delay:])
         exact = np.where(t <= 1.0, 1.0 + t, 2.0 + (t * t - 1.0) / 2.0)
         assert exact[-1] == 3.5
-        return float(np.abs(path.values[grid.steps_per_delay:, 0, 0] - exact).max())
+        return float(np.abs(path[grid.steps_per_delay:, 0, 0] - exact).max())
 
     errors = {d: max_grid_error(d) for d in (0.1, 0.05, 0.025, 0.0125)}
     ratios = [errors[d] / errors[d / 2] for d in (0.1, 0.05, 0.025)]
@@ -132,7 +132,7 @@ def test_criterion_04_neutral_conservation():
             path = simulate(
                 pure_neutral(k, 1.0), xi, [grid], generate(grid, 1, SEED, [index])
             )[0]
-            vals = path.values[:, 0, 0]
+            vals = path[:, 0, 0]
             conserved = vals[n:] - k * vals[:-n]
             worst = max(worst, float(np.abs(conserved - 1.0).max()))
     _report(4, "neutral conservation at every grid point",
@@ -252,7 +252,7 @@ def test_criterion_08_inequality_sweeps():
     xi = constant_segment(1.0)
     grid = make_grid(1.0, 2.0, 0.025)
     paths = simulate(model, xi, [grid], generate(grid, 1, SEED, range(1000)))[0]
-    ok = check_contraction_sup_bound(paths, model.neutral, rates.kappa)
+    ok = check_contraction_sup_bound(paths, grid, model.neutral, rates.kappa)
     witnesses = int((~ok).sum())
     _report(8, "power-split sweep and pathwise sup bound",
             violations == 0 and total == 100_000 and witnesses == 0,

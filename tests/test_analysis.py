@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from nsdde_sim import analysis
 from nsdde_sim import (
     DegenerateSampling,
+    DimensionMismatch,
     IncompatibleGrids,
     InvalidRange,
     LevelPairRow,
     NsddeModel,
-    PathGrid,
     additive_noise,
     affine_segment,
     check_contraction_sup_bound,
@@ -419,11 +419,11 @@ def test_power_split_vectorized_and_validated():
 def test_sup_bound_holds_on_simulated_path(cubic_model, unit_segment):
     grid = make_grid(1.0, 2.0, 0.05)
     paths = simulate(cubic_model, unit_segment, [grid], generate(grid, 1, 37, range(10)))[0]
-    path_ok = check_contraction_sup_bound(paths, cubic_model.neutral, 0.5)
+    path_ok = check_contraction_sup_bound(paths, grid, cubic_model.neutral, 0.5)
     assert path_ok.shape == (10,)
     assert path_ok.all()
     single = simulate(cubic_model, unit_segment, [grid], generate(grid, 1, 37, [3]))[0]
-    ok = check_contraction_sup_bound(single, cubic_model.neutral, 0.5)
+    ok = check_contraction_sup_bound(single, grid, cubic_model.neutral, 0.5)
     assert ok.tolist() == [True]
 
 
@@ -434,7 +434,7 @@ def test_sup_bound_trivial_on_fixed_point():
     for neutral, kappa in [(model.neutral, 0.5), (lambda y: 0.0 * y, 0.3)]:
         # with D == 0 the rhs dominates algebraically (1/(1-kappa)^2 > 1), so
         # the bound holds for any claimed kappa
-        ok = check_contraction_sup_bound(path, neutral, kappa=kappa)
+        ok = check_contraction_sup_bound(path, grid, neutral, kappa=kappa)
         assert ok.tolist() == [True]
 
 
@@ -444,7 +444,7 @@ def test_sup_bound_rejects_kappa_outside_zero_to_one(kappa):
     path = simulate(pure_neutral(0.5, 1.0), constant_segment(1.0), [grid],
                     generate(grid, 1, 0, [0]))[0]
     with pytest.raises(InvalidRange, match="kappa must lie in"):
-        check_contraction_sup_bound(path, lambda y: 0.5 * y, kappa)
+        check_contraction_sup_bound(path, grid, lambda y: 0.5 * y, kappa)
 
 
 def test_sup_bound_detects_understated_contraction():
@@ -454,11 +454,10 @@ def test_sup_bound_detects_understated_contraction():
     grid = make_grid(1.0, 4.0, 0.5)
     w = [1.0, 1.9, 2.71, 3.439]
     values = np.array([0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]).reshape(-1, 1, 1)
-    path = PathGrid(values, generate(grid, 1, 0, [0]))
-    ok = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.5)
+    ok = check_contraction_sup_bound(values, grid, lambda y: 0.9 * y, kappa=0.5)
     assert ok.tolist() == [False]  # from X(2.5) = 2.71 on, 2.71^2 > 4
     # with the true contraction constant the same path passes
-    ok_true = check_contraction_sup_bound(path, lambda y: 0.9 * y, kappa=0.9)
+    ok_true = check_contraction_sup_bound(values, grid, lambda y: 0.9 * y, kappa=0.9)
     assert ok_true.tolist() == [True]
 
 
@@ -470,10 +469,21 @@ def test_sup_bound_reports_a_diverged_path_as_not_ok():
     violating = [0.0, 0.0, 0.0] + [v for v in w for _ in (0, 1)]
     blown_up = [0.0, 0.0, 0.0, 0.5, 0.5] + [np.inf] * 6
     values = np.array([violating, [1.0] * 11, blown_up]).T[:, :, None]
-    stack = PathGrid(values, generate(grid, 1, 0, range(3)))
-    assert stack.finite.tolist() == [True, True, False]
-    ok = check_contraction_sup_bound(stack, lambda y: 0.9 * y, kappa=0.5)
+    ok = check_contraction_sup_bound(values, grid, lambda y: 0.9 * y, kappa=0.5)
     assert ok.tolist() == [False, True, False]
+
+
+def test_sup_bound_rejects_values_off_the_grid():
+    # a stack with a row too few or too many for its grid, or without a
+    # state axis, is not read as a shifted or shortened path
+    grid = make_grid(1.0, 4.0, 0.5)
+    rows = grid.steps_per_delay + grid.total_steps + 1
+    neutral = pure_neutral(0.5, 1.0).neutral
+    ok = check_contraction_sup_bound(np.zeros((rows, 2, 1)), grid, neutral, 0.5)
+    assert ok.tolist() == [True, True]
+    for shape in [(rows - 1, 2, 1), (rows + 1, 2, 1), (rows, 2)]:
+        with pytest.raises(DimensionMismatch, match="does not match grid"):
+            check_contraction_sup_bound(np.zeros(shape), grid, neutral, 0.5)
 
 
 # --- path-major reference reductions -----------------------------------------
@@ -503,8 +513,8 @@ def path_major_levels(model, xi, horizon, ladder, n_paths, seed):
     levels = []
     for grid in grids:
         path = simulate(model, xi, [grid], fine_noise)[0]
-        values = np.ascontiguousarray(np.moveaxis(path.values[fine.steps_per_delay :], 1, 0))
-        levels.append((values, path.finite))
+        values = np.ascontiguousarray(np.moveaxis(path[fine.steps_per_delay :], 1, 0))
+        levels.append((values, np.isfinite(path).all(axis=(0, 2))))
     return fine, levels
 
 

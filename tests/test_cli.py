@@ -117,6 +117,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="object"):
             load_config(arr)
 
+    def test_nesting_past_the_recursion_limit_is_2(self, tmp_path, capsys):
+        # the decoder gives up with a RecursionError, which is bad JSON as well
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "\n")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(deep)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(deep), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {deep} is not valid JSON") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path, capsys):
@@ -184,13 +196,28 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1 and "step" in err
 
     @pytest.mark.parametrize("model_id", ["additive_noise", "cubic_drift"])
-    @pytest.mark.parametrize("dim", [-1, 0, 2.5, 1e300, 2**63])
+    # 1e15 and 2**62 are whole numbers numpy can index, but a (dim, dim) float
+    # matrix of either has more bytes than the index limit, so none is built
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5, 1e300, 2**63, 1e15, 2**62])
     def test_bad_count_parameter_is_2(self, tmp_path, capsys, model_id, dim):
         cfg = write_config(tmp_path, model={"id": model_id, "params": {"dim": dim}},
                            ladder=[0.5])
-        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "'dim'" in err
+        assert not out.exists()
+
+    def test_model_that_does_not_fit_in_memory_is_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "builtin_model", exhausted)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, ladder=[0.5]),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: model 'sec4' does not fit in memory\n"
+        assert not out.exists()
 
     def test_simulate_needs_single_level(self, tmp_path):
         cfg = write_config(tmp_path)  # two ladder entries
@@ -469,7 +496,7 @@ class TestOutputs:
 
         model = builtin_model("sec4", 1.0, {"k": 0.5, "c1": -1.0, "c2": -1.0})
         path = simulate(model, constant_segment(1.0), [grid], noise)[0]
-        assert [float(s) for s in texts] == path.values[:, 0, 0].tolist()
+        assert [float(s) for s in texts] == path[:, 0, 0].tolist()
 
     def test_noise_dump_restores_stream(self, tmp_path):
         out = self.run_simulate(tmp_path)

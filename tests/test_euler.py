@@ -17,7 +17,6 @@ from nsdde_sim import (
     InitialSegment,
     InvalidRange,
     NsddeModel,
-    PathGrid,
     additive_noise,
     affine_segment,
     coarsen,
@@ -30,6 +29,11 @@ from nsdde_sim import (
     pure_neutral,
     simulate,
 )
+
+
+def finite(values: np.ndarray) -> np.ndarray:
+    """Per path of a time-major (rows, paths, d) stack: every value finite."""
+    return np.isfinite(values).all(axis=(0, 2))
 
 
 def drifted_neutral(k: float, tau: float, rate: float = 1.0) -> NsddeModel:
@@ -52,7 +56,7 @@ def test_hand_recursion_oracle():
     grid = make_grid(tau=1.0, horizon=1.5, delta=0.5)
     noise = generate(grid, 1, seed=0, path_index=[0])
     path = simulate(drifted_neutral(0.5, 1.0), constant_segment(1.0), [grid], noise)[0]
-    assert path.values[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 1.5, 2.0, 2.75]
+    assert path[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 1.5, 2.0, 2.75]
 
 
 def test_pure_neutral_single_step():
@@ -61,7 +65,7 @@ def test_pure_neutral_single_step():
     noise = generate(grid, 1, 5, [0])
     path = simulate(pure_neutral(0.5, 1.0), affine_segment(1.0, 1.0), [grid], noise)[0]
     # grid index 1 is row 1 + N of values
-    assert path.values[1 + grid.steps_per_delay, 0, 0] == 1.25
+    assert path[1 + grid.steps_per_delay, 0, 0] == 1.25
 
 
 def test_values_rows_are_signed_indices_shifted_by_the_delay():
@@ -70,9 +74,9 @@ def test_values_rows_are_signed_indices_shifted_by_the_delay():
         drifted_neutral(0.5, 1.0), constant_segment(1.0), [grid], generate(grid, 1, 0, [0])
     )[0]
     n = grid.steps_per_delay
-    assert path.values[-2 + n, 0, 0] == 1.0
-    assert path.values[0 + n, 0, 0] == 1.0
-    assert path.values[1 + n, 0, 0] == 1.5
+    assert path[-2 + n, 0, 0] == 1.0
+    assert path[0 + n, 0, 0] == 1.0
+    assert path[1 + n, 0, 0] == 1.5
     assert grid.times[-2 + n] == -1.0 and grid.times[1 + n] == 0.5
 
 
@@ -85,7 +89,7 @@ def test_neutral_conservation(delta):
     xi = affine_segment(1.0, 1.0)
     path = simulate(pure_neutral(k, 1.0), xi, [grid], generate(grid, 1, 3, [0]))[0]
     n = grid.steps_per_delay
-    vals = path.values[:, 0, 0]
+    vals = path[:, 0, 0]
     conserved = vals[n:] - k * vals[: -n]
     assert np.abs(conserved - 1.0).max() <= 1e-12
 
@@ -96,11 +100,11 @@ def test_linear_delay_ode_method_of_steps():
     path = simulate(
         linear_delay_ode(1.0, 1.0), constant_segment(1.0), [grid], generate(grid, 1, 0, [0])
     )[0]
-    assert path.values[-1, 0, 0] == pytest.approx(3.5, abs=0.02)
+    assert path[-1, 0, 0] == pytest.approx(3.5, abs=0.02)
     n = grid.steps_per_delay
     t = np.asarray(grid.times[n:])
     exact = np.where(t <= 1.0, 1.0 + t, 2.0 + (t * t - 1.0) / 2.0)
-    err = np.abs(path.values[n:, 0, 0] - exact).max()
+    err = np.abs(path[n:, 0, 0] - exact).max()
     assert 0.0 < err < 0.02
 
 
@@ -110,10 +114,10 @@ def test_additive_noise_is_exact():
     n = grid.steps_per_delay
     # starting from zero the scheme IS the running sum, bit for bit
     path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), [grid], noise)[0]
-    assert np.array_equal(path.values[n:, 0], noise.partial_sums()[0])
+    assert np.array_equal(path[n:, 0], noise.partial_sums()[0])
     # a nonzero start only changes rounding of the additions
     shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), [grid], noise)[0]
-    assert np.abs(shifted.values[n:, 0] - (3.0 + noise.partial_sums()[0])).max() <= 1e-12
+    assert np.abs(shifted[n:, 0] - (3.0 + noise.partial_sums()[0])).max() <= 1e-12
 
 
 def test_simulate_validation():
@@ -126,7 +130,7 @@ def test_simulate_validation():
     # noise on a finer grid is sampled on; noise on a coarser grid or with
     # another delay does not nest
     finer = make_grid(1.0, 2.0, 0.05)
-    assert simulate(model, xi, [grid], generate(finer, 1, 0, [0]))[0].grid == finer
+    assert len(simulate(model, xi, [grid], generate(finer, 1, 0, [0]))[0]) == len(finer.times)
     with pytest.raises(IncompatibleGrids):
         simulate(model, xi, [grid], generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]))
     with pytest.raises(IncompatibleGrids):
@@ -142,24 +146,14 @@ def test_simulate_validation():
         simulate(model, xi, grid, generate(grid, 1, 0, [0]))
 
 
-def test_path_values_shape_validated():
-    grid = make_grid(1.0, 2.0, 0.5)
-    noise = generate(grid, 1, 0, [0, 1])
-    rows = grid.steps_per_delay + grid.total_steps + 1
-    assert PathGrid(np.zeros((rows, 2, 1)), noise).grid == grid
-    for shape in [(rows - 1, 2, 1), (rows, 1, 1), (rows, 2)]:
-        with pytest.raises(DimensionMismatch, match="does not match grid"):
-            PathGrid(np.zeros(shape), noise)
-
-
 def test_divergence_reports_step_and_time():
     # x |-> x + x^3 delta from x=2 overflows after eight steps at delta=1/4
     grid = make_grid(1.0, 2.0, 0.25)
     path = simulate(cubic_drift(1.0), constant_segment(2.0), [grid], generate(grid, 1, 0, [0]))[0]
-    assert path.finite.tolist() == [False]
-    assert not np.isfinite(path.values[8 + grid.steps_per_delay]).all()
+    assert finite(path).tolist() == [False]
+    assert not np.isfinite(path[8 + grid.steps_per_delay]).all()
     assert grid.times[8 + grid.steps_per_delay] == 2.0
-    assert np.isfinite(path.values[: 8 + grid.steps_per_delay]).all()
+    assert np.isfinite(path[: 8 + grid.steps_per_delay]).all()
 
 
 def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
@@ -186,7 +180,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
         vals[l + n + 1] = x + (-y + 0.5 * x) * dt + (0.3 * x).reshape(1, 1) @ steps[l]
 
     path = simulate(model, xi, [grid], noise)[0]
-    assert np.array_equal(path.values[:, 0], vals)
+    assert np.array_equal(path[:, 0], vals)
 
 
 # --- refinement -----------------------------------------------------------
@@ -204,7 +198,7 @@ def test_refine_interior_oracle():
     fine_grid = make_grid(1.0, 1.5, 0.25)
     fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
     fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
-    assert fine.values[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
+    assert fine[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
 
 def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
@@ -213,7 +207,7 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
     coarse = simulate(cubic_model, unit_segment, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
     fine = simulate(cubic_model, unit_segment, [coarse_grid], fine_noise)[0]
-    assert np.array_equal(fine.values[::4], coarse.values)
+    assert np.array_equal(fine[::4], coarse)
 
 
 def test_refine_identity_at_factor_one(cubic_model, unit_segment):
@@ -222,7 +216,7 @@ def test_refine_identity_at_factor_one(cubic_model, unit_segment):
     noise = generate(grid, 1, 1, [0])
     path = simulate(cubic_model, unit_segment, [grid], noise)[0]
     same = simulate(cubic_model, unit_segment, [grid], coarsen(noise, grid))[0]
-    assert same.values.tobytes() == path.values.tobytes() and same.grid == grid
+    assert same.tobytes() == path.tobytes() and len(same) == len(grid.times)
 
 
 def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
@@ -253,7 +247,7 @@ def test_refine_node_agreement_property(seed, factor):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     coarse = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
     fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
-    assert np.array_equal(fine.values[::factor], coarse.values)
+    assert np.array_equal(fine[::factor], coarse)
 
 
 # --- path batches -----------------------------------------------------------
@@ -280,15 +274,15 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
     batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
     refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
-    assert batch.values.shape == (31, 6, model.state_dim) and batch.finite.all()
-    assert refined.values.shape == (121, 6, model.state_dim)
+    assert batch.shape == (31, 6, model.state_dim) and finite(batch).all()
+    assert refined.shape == (121, 6, model.state_dim)
     for p in range(6):
         single_noise = generate(fine_grid, model.noise_dim, 5, [p])
         single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
-        assert single.values.shape == (31, 1, model.state_dim)
-        assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
+        assert single.shape == (31, 1, model.state_dim)
+        assert batch[:, p].tobytes() == single[:, 0].tobytes()
         single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
-        assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
+        assert refined[:, p].tobytes() == single_refined[:, 0].tobytes()
 
 
 def test_diverged_path_in_batch_is_masked():
@@ -305,15 +299,15 @@ def test_diverged_path_in_batch_is_masked():
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
     batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
     refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
-    assert 0 < batch.finite.sum() < 8
-    assert np.array_equal(refined.finite, batch.finite)
+    assert 0 < finite(batch).sum() < 8
+    assert np.array_equal(finite(refined), finite(batch))
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, [p])
         single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
-        assert single.finite[0] == batch.finite[p]
-        assert batch.values[:, p].tobytes() == single.values[:, 0].tobytes()
+        assert finite(single)[0] == finite(batch)[p]
+        assert batch[:, p].tobytes() == single[:, 0].tobytes()
         single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
-        assert refined.values[:, p].tobytes() == single_refined.values[:, 0].tobytes()
+        assert refined[:, p].tobytes() == single_refined[:, 0].tobytes()
 
 
 # --- ladders ---------------------------------------------------------------
@@ -363,10 +357,10 @@ def test_ladder_call_equals_one_grid_calls(name, finer_noise):
     assert len(paths) == len(grids)
     for grid, path in zip(grids, paths):
         single = simulate(model, xi, [grid], noise)[0]
-        assert path.grid == noise_grid and path.values.shape == single.values.shape
-        assert path.values.tobytes() == single.values.tobytes()
+        assert path.shape == single.shape == (len(noise_grid.times), n_paths, model.state_dim)
+        assert path.tobytes() == single.tobytes()
     if name == "sec4_blow_up":
-        assert not paths[-1].finite.all() and np.isnan(paths[-1].values).any()
+        assert not finite(paths[-1]).all() and np.isnan(paths[-1]).any()
 
 
 def test_ladder_grids_must_nest_in_one_another(cubic_model, unit_segment):
@@ -379,6 +373,17 @@ def test_ladder_grids_must_nest_in_one_another(cubic_model, unit_segment):
     for empty in ([], (), coarse):  # a bare grid is not a sequence of grids
         with pytest.raises(InvalidRange):
             simulate(cubic_model, unit_segment, empty, noise)
+
+
+def test_ladder_levels_are_views_of_one_buffer(cubic_model, unit_segment):
+    grids = [make_grid(1.0, 2.0, delta) for delta in (0.1, 0.05, 0.025)]
+    ladder = simulate(cubic_model, unit_segment, grids, generate(grids[-1], 1, 0, range(3)))
+    assert [level.shape for level in ladder] == [(len(grids[-1].times), 3, 1)] * 3
+    # the levels interleave in one (rows, levels, paths, d) buffer: they view
+    # one base, whose span they share, without sharing an element
+    base = ladder[0].base
+    assert base is not None and all(level.base is base for level in ladder)
+    assert np.may_share_memory(ladder[0], ladder[-1]) and not np.shares_memory(ladder[0], ladder[-1])
 
 
 # --- per-node reference engine ----------------------------------------------
@@ -493,8 +498,7 @@ def test_engine_matches_per_node_reference(name, seed):
     fine_noise = generate(fine, model.noise_dim, seed, range(5))
 
     def check(got, ref):
-        assert got.values.shape == ref.shape and got.values.tobytes() == ref.tobytes()
-        assert np.array_equal(got.finite, np.isfinite(ref).all(axis=(0, -1)))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     refs = []
     for grid in grids:
@@ -574,8 +578,7 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     xi2 = InitialSegment(lambda t: np.full(2, 0.0 if t == -1.0 else -0.0), 2)
     model2 = replace(model, state_dim=2, diffusion=lambda x, y, t: np.full((2, 1), -1.0))
     ladder2 = simulate(model2, xi2, [coarse, fine], fine_noise)
-    runs = [(coarse, path.values), (fine, refined.values)]
-    runs += [(fine, p.values) for p in ladder + ladder2]
+    runs = [(coarse, path), (fine, refined)] + [(fine, level) for level in ladder + ladder2]
     for grid, values in runs:
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
         assert [format(v, ".17g") for v in after_zero] == ["0"] * after_zero.size
