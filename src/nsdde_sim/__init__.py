@@ -1,8 +1,8 @@
 """Simulation and condition checking for neutral stochastic delay equations.
 
 The package simulates d[X(t) - D(X(t - tau))] = b dt + sigma dB on an exact
-rational time grid with an explicit Euler scheme, sampled on the grid of its
-noise (which may nest finer grids), and verifies the structural conditions
+rational time grid with an explicit Euler scheme, a ladder of nested grids
+on one noise, all sampled on the finest, and verifies the structural conditions
 (contraction, coercivity, local monotonicity, integrability) that the moment
 and convergence analyses rely on.  See the README for the CLI and file formats.
 """
@@ -19,7 +19,7 @@ from .analysis import (
     exceedance_trend_ok,
     perturbation_integrability,
 )
-from .brownian import BrownianPath, coarsen, generate
+from .brownian import coarsen, generate
 from .conditions import (
     ConditionReport,
     ConditionSpec,
@@ -55,7 +55,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "BrownianPath",
     "ConditionReport",
     "ConditionSpec",
     "ConfigError",

@@ -87,8 +87,8 @@ def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, se
     skip = fine.steps_per_delay
     blocks = []
     for indices in path_blocks(n_paths):
-        fine_noise = generate(fine, model.noise_dim, seed, indices)
-        levels = [values[skip:] for values in simulate(model, xi, grids, fine_noise)]
+        noise = generate(fine, model.noise_dim, seed, indices)
+        levels = [values[skip:] for values in simulate(model, xi, grids, noise)]
         with np.errstate(all="ignore"):  # a diverged path squares to inf or NaN
             kept = [np.sqrt(np.einsum("ipj,ipj->ip", v, v).max(axis=0)) <= radius for v in levels]
             blocks.append([stats[ok] for stats, ok in reduce(list(zip(levels, kept)))])

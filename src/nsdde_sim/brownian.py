@@ -5,9 +5,9 @@ independent: path ``i`` draws from a Philox(4x64-10) bit generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(path_index,))``, transformed by
 numpy's ziggurat ``standard_normal`` and scaled by ``sqrt(delta)``.  Paths
 can therefore be stacked in any order and number: the row of path ``i`` is
-bitwise the same in every stack, and a stack stores no seed or index.  The
-streams are computed in :mod:`nsdde_sim.philox`, bitwise equal to numpy's, so
-no command imports ``numpy.random``.
+bitwise the same in every stack, and a stack stores no seed, index or
+grid.  The streams are computed in :mod:`nsdde_sim.philox`, bitwise equal to
+numpy's, so no command imports ``numpy.random``.
 
 Refinement works by aggregation: increments are generated at the finest
 grid in play and coarser drivers are obtained by summing blocks of fine
@@ -19,7 +19,6 @@ step sizes meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,46 +28,19 @@ from .model import DelayGrid
 from .philox import non_negative, standard_normal
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Increments of a stack of Brownian paths over a grid.
-
-    ``increments[p, l, j]`` is component ``j`` of B(t_{l+1}) - B(t_l) on
-    row ``p``, for l = 0 .. total_steps - 1, so the shape is
-    ``(paths, total_steps, noise_dim)``.  No provenance is stored: the seed
-    and path indices a stack was drawn for stay with the caller.
-    """
-
-    grid: DelayGrid
-    increments: np.ndarray
-
-    def __post_init__(self):
-        shape = self.increments.shape
-        if len(shape) != 3 or shape[1] != self.grid.total_steps or 0 in shape:
-            raise DimensionMismatch(f"increments shape {shape} is not (paths, "
-                                    f"{self.grid.total_steps}, noise_dim), all >= 1")
-
-    @property
-    def noise_dim(self) -> int:
-        return self.increments.shape[-1]
-
-    def partial_sums(self) -> np.ndarray:
-        """B(t_l) - B(0) for l = 0 .. total_steps, shape (paths, M + 1, noise_dim)."""
-        out = np.zeros((len(self.increments), self.grid.total_steps + 1, self.noise_dim))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
-
-
 def generate(
     grid: DelayGrid, noise_dim: int, seed: int, path_index: Sequence[int]
-) -> BrownianPath:
+) -> np.ndarray:
     """Draw the increments of the paths ``path_index`` from the stream family ``seed``.
 
-    Every path is drawn from its own stream and the paths are stacked along
-    the leading axis in sequence order.  Each component of each increment
-    is an independent draw from N(0, delta).  Regenerating with identical
-    arguments is bit-exact.  ``noise_dim``, ``seed`` and every index must be
-    non-negative Python or numpy integers (:class:`InvalidRange` otherwise).
+    Returns the ``(paths, total_steps, noise_dim)`` array whose entry
+    ``[p, l, j]`` is component ``j`` of B(t_{l+1}) - B(t_l) on the stream
+    of the ``p``-th index: every path is drawn from its own stream and the
+    paths are stacked along the leading axis in sequence order.  Each
+    component of each increment is an independent draw from N(0, delta).
+    Regenerating with identical arguments is bit-exact.  ``noise_dim``,
+    ``seed`` and every index must be non-negative Python or numpy integers
+    (:class:`InvalidRange` otherwise).
     """
     if non_negative(noise_dim, "noise_dim") < 1:
         raise InvalidRange("noise_dim must be >= 1")
@@ -80,21 +52,25 @@ def generate(
         raise InvalidRange("need at least one path index")
     draws = standard_normal(non_negative(seed, "seed"), indices, grid.total_steps * noise_dim)
     draws *= math.sqrt(grid.delta)
-    return BrownianPath(grid, draws.reshape((len(indices), grid.total_steps, noise_dim)))
+    return draws.reshape((len(indices), grid.total_steps, noise_dim))
 
 
-def coarsen(path: BrownianPath, grid: DelayGrid) -> BrownianPath:
-    """Aggregate the increments of ``path`` onto the coarser ``grid``.
+def coarsen(noise: np.ndarray, fine: DelayGrid, grid: DelayGrid) -> np.ndarray:
+    """Aggregate the increments ``noise`` on ``fine`` onto the coarser ``grid``.
 
-    With ``factor = grid.refinement(path.grid)``, coarse increment ``l`` is
-    the sum of fine increments ``factor*l .. factor*l + factor - 1`` of the
-    same path, so both sample the same underlying Brownian motion.  A grid
-    that ``path.grid`` does not nest in raises :class:`IncompatibleGrids`;
-    the equal grid gives factor 1 and the path's own increments.
+    With ``factor = grid.refinement(fine)``, coarse increment ``l`` is the
+    sum of fine increments ``factor*l .. factor*l + factor - 1`` of the same
+    path, so both sample the same underlying Brownian motion.  A grid that
+    ``fine`` does not nest in raises :class:`IncompatibleGrids`, and
+    ``noise`` without ``fine.total_steps`` steps :class:`DimensionMismatch`;
+    the equal grid gives factor 1 and the increments themselves.
     """
-    factor = grid.refinement(path.grid)
-    blocks = path.increments.reshape((len(path.increments), -1, factor, path.noise_dim))
-    return BrownianPath(grid, _pairwise_block_sum(blocks))
+    factor = grid.refinement(fine)
+    if noise.ndim != 3 or noise.shape[1] != fine.total_steps:
+        raise DimensionMismatch(f"noise shape {noise.shape} is not (paths, "
+                                f"{fine.total_steps}, noise_dim)")
+    blocks = noise.reshape((len(noise), -1, factor, noise.shape[2]))
+    return _pairwise_block_sum(blocks)
 
 
 def _pairwise_block_sum(blocks: np.ndarray) -> np.ndarray:

@@ -298,7 +298,7 @@ def _simulate(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
                 diverged.append(index)
             if dump_noise:  # a diverged path's noise too, to replay it
                 bin_name = f"noise_{index:04d}.bin"
-                _write(out_dir / bin_name, noise.increments[row].astype("<f8").tobytes())
+                _write(out_dir / bin_name, noise[row].astype("<f8").tobytes())
                 outputs.append(bin_name)
     written = cfg.n_paths - len(diverged)
     summary = [f"simulate: wrote {written} paths to {out_dir} ({len(diverged)} diverged)"]

@@ -10,10 +10,10 @@ with X = xi on [-tau, 0].  Because the step divides the delay, the delayed
 state is a pure index shift (l - N) and is always already computed, so the
 scheme stays fully explicit.
 
-:func:`simulate` runs a ladder of nested grids on one noise.  Each level
-steps on its grid with the block sums of noise drawn on a nested finer
-grid, and returns the scheme's continuous-time interpolation on that finer
-grid: within a cell [l*D, (l+1)*D] the drift and diffusion arguments
+:func:`simulate` runs a ladder of nested grids on one noise, drawn on the
+finest level's grid.  Each level steps on its grid with the block sums of
+that noise, and returns the scheme's continuous-time interpolation on the
+finest grid: within a cell [l*D, (l+1)*D] the drift and diffusion arguments
 (including the time) stay frozen at the left endpoint,
 
     X(t) = D(X(t - tau)) + X(l*D) - D(X(l*D - tau))
@@ -23,11 +23,11 @@ which reproduces the discrete values at the cell nodes exactly and needs
 only fine-grid quantities (the delayed term recurses forward in time
 through already-interpolated values).
 
-Every path of a :class:`~nsdde_sim.brownian.BrownianPath` stack, and every
-level of a ladder, advances together.  The levels share their time nodes:
-level j steps at fine index l exactly when its refinement divides l, so
-one loop over the steps of the finest level makes one drift and one
-diffusion call per step for all levels due there.  Every delayed argument
+Every path of a noise stack, and every level of a ladder, advances
+together.  The levels share their time nodes: level j steps at fine index
+l exactly when its refinement divides l, so one loop over the steps of the
+finest level makes one drift and one diffusion call per step for all
+levels due there.  Every delayed argument
 of a delay window lies in the window before, so each window takes one
 ``neutral`` call for every level's nodes and in-cell nodes alike.
 Evaluators therefore receive states of shape ``(..., state_dim)`` and the
@@ -48,27 +48,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, coarsen
+from .brownian import coarsen
 from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange
 from .model import DelayGrid, InitialSegment, NsddeModel
 
 
 def simulate(
-    model: NsddeModel, xi: InitialSegment, grids: Sequence[DelayGrid], noise: BrownianPath
+    model: NsddeModel, xi: InitialSegment, grids: Sequence[DelayGrid], noise: np.ndarray
 ) -> list[np.ndarray]:
     """Run the explicit scheme on every grid of ``grids`` for every path of ``noise``.
 
     ``grids`` is a non-empty ladder in :func:`~nsdde_sim.analysis.ladder_grids`
-    order: each grid nests in the next and all nest in ``noise.grid``
-    (:meth:`DelayGrid.refinement`, else :class:`IncompatibleGrids`).  The
-    ``j``-th returned array is level ``j``, driven by
-    ``coarsen(noise, grids[j])`` and sampled on ``noise.grid``: a strided
-    ``(N + M + 1, paths, state_dim)`` view of one buffer shared by all
-    levels, whose row ``l + N`` is grid index ``l = -N .. M`` (rows up to
-    ``N`` hold the sampled initial segment) and whose path ``p`` is driven
-    by row ``p`` of ``noise``.  It is bitwise the scheme's values at the
-    nodes of ``grids[j]``, its continuous interpolation in between, and
-    bitwise the one-grid run ``simulate(model, xi, [grids[j]], noise)``.
+    order: each grid nests in the next (:meth:`DelayGrid.refinement`, else
+    :class:`IncompatibleGrids`).  ``noise`` holds the increments on the
+    finest grid ``grids[-1]``, ``(paths, M, noise_dim)`` with at least one
+    path (:class:`DimensionMismatch` otherwise).  The ``j``-th returned
+    array is level ``j``, driven by ``coarsen(noise, grids[-1], grids[j])``
+    and sampled on ``grids[-1]``: a strided ``(N + M + 1, paths,
+    state_dim)`` view of one buffer shared by all levels, whose row ``l + N``
+    is fine index ``l = -N .. M`` (rows up to ``N`` hold the sampled initial
+    segment) and whose path ``p`` is driven by row ``p`` of ``noise``.  It
+    is bitwise the scheme's values at the nodes of ``grids[j]``, its
+    continuous interpolation in between, and bitwise level 0 of
+    ``simulate(model, xi, grids[j:], noise)``.
     Evaluators must return arrays broadcastable to ``(..., state_dim)`` for
     drift/neutral and ``(..., state_dim, noise_dim)`` for the diffusion.  A
     path that blows up keeps its NaN or inf values.
@@ -82,18 +84,16 @@ def simulate(
         raise IncompatibleGrids(f"model delay {model.delay} != grid delay {grids[0].tau}")
     for coarse, finer in zip(grids, grids[1:]):
         coarse.refinement(finer)
-    levels = grids[::-1]  # finest first
-    factors = [grid.refinement(noise.grid) for grid in levels]
-    if noise.noise_dim != model.noise_dim:
-        raise DimensionMismatch(
-            f"noise dimension {noise.noise_dim} != model noise_dim {model.noise_dim}"
-        )
+    levels, fine, k = grids[::-1], grids[-1], model.noise_dim  # finest first
+    factors = [grid.refinement(fine) for grid in levels]
+    if noise.ndim != 3 or not len(noise) or noise.shape[1:] != (fine.total_steps, k):
+        raise DimensionMismatch(f"noise shape {noise.shape} is not (paths >= 1, "
+                                f"{fine.total_steps}, noise_dim {k}) on the finest grid")
     if xi.dim != model.state_dim:
         raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
 
-    fine = noise.grid
     n_delay, n_steps = fine.steps_per_delay, fine.total_steps
-    n_levels, n_paths, k = len(levels), len(noise.increments), model.noise_dim
+    n_levels, n_paths = len(levels), len(noise)
     shape = (n_paths, model.state_dim)
     deltas = np.array([np.full(shape, grid.delta) for grid in levels])  # b * dt needs no broadcast
     # Each delay window steps in one pattern: at offset s the levels j < m,
@@ -101,7 +101,7 @@ def simulate(
     # arrays, keeping b and sigma when one of them refines.  Correctly
     # rounded fine times are every level's own, so each reads t and samples
     # xi as on its own grid.
-    starts = np.arange(0, n_delay, factors[0])
+    starts = np.arange(n_delay)
     counts = (starts[:, None] % factors == 0).sum(axis=1)
     firsts = np.cumsum(counts) - counts
     prefix = [(slice(0, m), deltas[:m], factors[m - 1] > 1) for m in range(1, n_levels + 1)]
@@ -115,17 +115,17 @@ def simulate(
     dbs = np.empty((sum(g.total_steps for g in levels), n_paths, k))
     for j, grid in enumerate(levels):
         c, per = np.arange(grid.total_steps), grid.steps_per_delay
-        dbs[c // per * packed + mine[j][c % per]] = coarsen(noise, grid).increments.swapaxes(0, 1)
+        dbs[c // per * packed + mine[j][c % per]] = coarsen(noise, fine, grid).swapaxes(0, 1)
 
     out = np.empty((n_delay + n_steps + 1, n_levels) + shape)
     out[: n_delay + 1] = xi.sample(fine)[:, None, None]
     if factors[-1] > 1:
         b_win = np.empty((packed,) + shape)
         s_win = np.empty((packed,) + shape + (k,))
-        bsum = np.moveaxis(noise.partial_sums(), 1, 0)
+        bsum = np.zeros((n_steps + 1, n_paths, k))  # B(t_l) - B(0)
+        np.cumsum(noise.swapaxes(0, 1), axis=0, out=bsum[1:])
     neutral, drift, diffusion = model.neutral, model.drift, model.diffusion
     times = fine.times.tolist()
-    step = factors[0]
     with np.errstate(all="ignore"):
         for w in range(0, n_steps, n_delay):
             span = min(n_delay, n_steps - w)
@@ -133,11 +133,10 @@ def simulate(
             # the window's steps and the in-cell lags, all already computed
             lag = out[w : w + span + 1]
             d_lag = np.broadcast_to(neutral(lag), lag.shape)
-            steps = sched[: -(-span // step)]
-            used = ends[len(steps) - 1]
+            used = ends[span - 1]
             d_next = d_lag[lag_rows[:used], lev[:used]]
             db = dbs[w // n_delay * packed :]
-            for s, m, rows, lv, dt, keep in steps:
+            for s, m, rows, lv, dt, keep in sched[:span]:
                 il = w + s + n_delay
                 x, y, t = out[il, lv], out[il - n_delay, lv], times[il]
                 b = drift(x, y, t)
@@ -145,15 +144,15 @@ def simulate(
                 if keep:
                     b_win[rows] = b
                     s_win[rows] = sg
-                # (D_next + x) - D_prev + b dt + sigma dB, in place: row il + step lies
+                # (D_next + x) - D_prev + b dt + sigma dB, in place: row il + 1 lies
                 # past the lag rows w .. w + span, so no evaluator's view aliases it
-                new = out[il + step, lv]
+                new = out[il + 1, lv]
                 np.add(d_next[rows], x, out=new)
                 new -= d_lag[s, lv]
                 new += b * dt
                 new += _noise_term(sg, db[rows])
                 if m < n_levels:  # the others carry their node to the next row
-                    out[il + step, m:] = out[il, m:]
+                    out[il + 1, m:] = out[il, m:]
             for j, f in enumerate(factors):
                 if f == 1:
                     continue

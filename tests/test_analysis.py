@@ -511,8 +511,8 @@ def path_major_levels(model, xi, horizon, ladder, n_paths, seed):
     fine = grids[-1]
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
     levels = []
-    for grid in grids:
-        path = simulate(model, xi, [grid], fine_noise)[0]
+    for j in range(len(grids)):
+        path = simulate(model, xi, grids[j:], fine_noise)[0]
         values = np.ascontiguousarray(np.moveaxis(path[fine.steps_per_delay :], 1, 0))
         levels.append((values, np.isfinite(path).all(axis=(0, 2))))
     return fine, levels

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsdde_sim import (
-    BrownianPath,
     DimensionMismatch,
     IncompatibleGrids,
     InvalidRange,
@@ -25,47 +24,43 @@ def coarser(grid, factor):
 
 
 def test_shapes_and_scaling():
-    path = generate(GRID, noise_dim=2, seed=42, path_index=[0])
-    assert path.increments.shape == (1, GRID.total_steps, 2)
-    sums = path.partial_sums()
-    assert sums.shape == (1, GRID.total_steps + 1, 2)
-    assert (sums[:, 0] == 0.0).all()
+    noise = generate(GRID, noise_dim=2, seed=42, path_index=[0])
+    assert noise.shape == (1, GRID.total_steps, 2)
     # increments must be N(0, delta): crude but deterministic sanity bound
-    assert abs(path.increments.var() - GRID.delta) < 0.3 * GRID.delta
+    assert abs(noise.var() - GRID.delta) < 0.3 * GRID.delta
 
 
 def test_regeneration_is_bit_exact():
     a = generate(GRID, 1, seed=7, path_index=[3])
     b = generate(GRID, 1, seed=7, path_index=[3])
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
 
 
 def test_path_index_and_seed_decorrelate():
     base = generate(GRID, 1, seed=7, path_index=[0])
-    assert not np.array_equal(base.increments, generate(GRID, 1, 7, [1]).increments)
-    assert not np.array_equal(base.increments, generate(GRID, 1, 8, [0]).increments)
+    assert not np.array_equal(base, generate(GRID, 1, 7, [1]))
+    assert not np.array_equal(base, generate(GRID, 1, 8, [0]))
 
 
 def test_path_order_does_not_matter():
     # stream for path 5 is identical whether or not paths 0..4 were drawn
     late = generate(GRID, 1, seed=11, path_index=[5])
     again = generate(GRID, 1, seed=11, path_index=[5])
-    assert np.array_equal(late.increments, again.increments)
+    assert np.array_equal(late, again)
 
 
 def test_stacked_paths_match_single_paths():
     # a stack draws each row from that path's own stream, in the given order,
-    # and coarsens and sums along the step axis only: every row is bitwise
-    # the one-path stack of its index
+    # and coarsens along the step axis only: every row is bitwise the
+    # one-path stack of its index
     stack = generate(GRID, 2, seed=11, path_index=[5, 0, 3])
-    assert stack.increments.shape == (3, GRID.total_steps, 2)
-    coarse, sums = coarsen(stack, coarser(GRID, 4)), stack.partial_sums()
+    assert stack.shape == (3, GRID.total_steps, 2)
+    coarse = coarsen(stack, GRID, coarser(GRID, 4))
     for row, index in enumerate((5, 0, 3)):
         single = generate(GRID, 2, seed=11, path_index=[index])
-        assert stack.increments[row].tobytes() == single.increments[0].tobytes()
-        single_coarse = coarsen(single, coarse.grid)
-        assert coarse.increments[row].tobytes() == single_coarse.increments[0].tobytes()
-        assert sums[row].tobytes() == single.partial_sums()[0].tobytes()
+        assert stack[row].tobytes() == single[0].tobytes()
+        single_coarse = coarsen(single, GRID, coarser(GRID, 4))
+        assert coarse[row].tobytes() == single_coarse[0].tobytes()
 
 
 @pytest.mark.parametrize("index", [0, 3, np.int64(2)])
@@ -98,29 +93,25 @@ def test_noise_dim_must_be_a_positive_integer(noise_dim):
 
 def test_numpy_integers_draw_as_python_ints():
     numpy_ints = generate(GRID, 1, np.uint64(3), [np.int32(2), np.int64(5)])
-    assert numpy_ints.increments.tobytes() == generate(GRID, 1, 3, [2, 5]).increments.tobytes()
+    assert numpy_ints.tobytes() == generate(GRID, 1, 3, [2, 5]).tobytes()
 
 
 def test_coarsen_sums_blocks():
-    path = generate(GRID, 1, seed=5, path_index=[0])
-    coarse = coarsen(path, coarser(GRID, 4))
-    assert coarse.grid.steps_per_delay == GRID.steps_per_delay // 4
-    assert coarse.grid.total_steps == GRID.total_steps // 4
-    assert coarse.grid.tau == GRID.tau
-    assert coarse.grid.horizon == GRID.horizon
+    noise = generate(GRID, 1, seed=5, path_index=[0])
+    coarse = coarsen(noise, GRID, coarser(GRID, 4))
+    assert coarse.shape == (1, GRID.total_steps // 4, 1)
     # block sums agree with the fine partial sums up to rounding
-    fine_sums = path.partial_sums()
     np.testing.assert_allclose(
-        coarse.partial_sums(), fine_sums[:, ::4], rtol=0.0, atol=1e-15
+        np.cumsum(coarse, axis=1), np.cumsum(noise, axis=1)[:, 3::4], rtol=0.0, atol=1e-15
     )
 
 
 def test_coarsen_composes_exactly():
-    path = generate(GRID, 2, seed=9, path_index=[1])
-    two_step = coarsen(coarsen(path, coarser(GRID, 2)), coarser(GRID, 4))
-    one_step = coarsen(path, coarser(GRID, 4))
-    assert np.array_equal(two_step.increments, one_step.increments)
-    assert two_step.grid == one_step.grid
+    noise = generate(GRID, 2, seed=9, path_index=[1])
+    half = coarser(GRID, 2)
+    two_step = coarsen(coarsen(noise, GRID, half), half, coarser(GRID, 4))
+    one_step = coarsen(noise, GRID, coarser(GRID, 4))
+    assert np.array_equal(two_step, one_step)
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,14 +123,14 @@ def test_coarsen_composes_exactly():
 )
 def test_coarsen_composition_property(n, windows, seed, dim):
     grid = make_grid(0.5, 0.5 * windows, 0.5 / n)
-    path = generate(grid, dim, seed, [0])
+    noise = generate(grid, dim, seed, [0])
     for f1, f2 in ((2, 2), (2, 4), (4, 2)):
         if n % (f1 * f2):
             continue
-        coarse = coarser(grid, f1 * f2)
-        composed = coarsen(coarsen(path, coarser(grid, f1)), coarse)
-        direct = coarsen(path, coarse)
-        assert np.array_equal(composed.increments, direct.increments)
+        middle, coarse = coarser(grid, f1), coarser(grid, f1 * f2)
+        composed = coarsen(coarsen(noise, grid, middle), middle, coarse)
+        direct = coarsen(noise, grid, coarse)
+        assert np.array_equal(composed, direct)
 
 
 @pytest.mark.parametrize("coarse", [
@@ -148,10 +139,11 @@ def test_coarsen_composition_property(n, windows, seed, dim):
     make_grid(1.0, 2.0, 0.25),
 ], ids=["finer", "other_delay", "not_nested"])
 def test_coarsen_rejects_grids_it_does_not_nest_in(coarse):
-    # coarsen follows DelayGrid.refinement, onto a path on the 0.1 grid
-    path = generate(make_grid(1.0, 2.0, 0.1), 1, seed=0, path_index=[0])
+    # coarsen follows DelayGrid.refinement, onto noise on the 0.1 grid
+    fine = make_grid(1.0, 2.0, 0.1)
+    noise = generate(fine, 1, seed=0, path_index=[0])
     with pytest.raises(IncompatibleGrids):
-        coarsen(path, coarse)
+        coarsen(noise, fine, coarse)
 
 
 @pytest.mark.parametrize("factor, error", [
@@ -163,23 +155,22 @@ def test_coarsen_rejects_grids_it_does_not_nest_in(coarse):
 def test_coarsen_rejects_bad_factors(factor, error):
     # the grid with ``factor`` times the 0.05 step: zero and negative steps
     # and 0.15, which does not divide the delay, give no grid at all; 0.125
-    # gives 8 steps per delay, which the path's 20 do not nest in
-    path = generate(GRID, 1, seed=0, path_index=[0])
+    # gives 8 steps per delay, which the noise's 20 do not nest in
+    noise = generate(GRID, 1, seed=0, path_index=[0])
     with pytest.raises(error):
-        coarsen(path, coarser(GRID, factor))
+        coarsen(noise, GRID, coarser(GRID, factor))
 
 
 def test_coarsen_onto_its_own_grid_returns_the_increments():
-    path = generate(GRID, 2, seed=3, path_index=[0, 1])
-    same = coarsen(path, make_grid(1.0, 2.0, 0.05))
-    assert same.grid == GRID
-    assert same.increments.tobytes() == path.increments.tobytes()
+    noise = generate(GRID, 2, seed=3, path_index=[0, 1])
+    same = coarsen(noise, GRID, make_grid(1.0, 2.0, 0.05))
+    assert same.tobytes() == noise.tobytes()
 
 
 def test_increment_shape_validated():
-    with pytest.raises(DimensionMismatch):
-        BrownianPath(GRID, np.zeros((1, 5, 1)))
-    with pytest.raises(DimensionMismatch):
-        BrownianPath(GRID, np.zeros((1, GRID.total_steps)))
-    with pytest.raises(DimensionMismatch):
-        BrownianPath(GRID, np.zeros((1, GRID.total_steps, 0)))
+    # coarsen takes increments on ``fine`` only: not on a finer or coarser
+    # grid, and not a 2-D array (simulate checks the rest of the shape)
+    for noise in (generate(coarser(GRID, 0.5), 1, 0, [0]), generate(coarser(GRID, 2), 1, 0, [0]),
+                  np.zeros((1, GRID.total_steps))):
+        with pytest.raises(DimensionMismatch, match="is not"):
+            coarsen(noise, GRID, coarser(GRID, 2))

@@ -441,6 +441,15 @@ class TestExitCodes:
         loose = write_config(tmp_path, "loose.json", truncation_radius=1e40, **doc)
         assert main(["moments", "--config", loose, "--output", str(out), "--strict"]) == 0
         assert (out / "moments.csv").read_text().splitlines()[1].split(",")[2] == "0"
+        # the ladder studies decide by the same radius; at 1e40 the 0.5-0.25
+        # pair of converge still counts the 2 paths that reach inf or NaN
+        for command, ladder, tight, wide, wide_exit in [
+            ("perturbation", [0.5], "34", "0", 0), ("converge", [0.5, 0.25], "36", "2", 3),
+        ]:
+            for radius, count, code in ((None, tight, 3), (1e40, wide, wide_exit)):
+                cfg = write_config(tmp_path, truncation_radius=radius, **{**doc, "ladder": ladder})
+                assert main([command, "--config", cfg, "--output", str(out), "--strict"]) == code
+                assert (out / f"{command}.csv").read_text().splitlines()[1].split(",")[-1] == count
 
     @pytest.mark.parametrize("command, ladder", [
         ("converge", [0.5, 0.25]), ("perturbation", [0.5, 0.25]), ("moments", [0.5]),
@@ -502,8 +511,18 @@ class TestOutputs:
         out = self.run_simulate(tmp_path)
         raw = (out / "noise_0000.bin").read_bytes()
         grid = make_grid(1.0, 2.0, 0.25)
-        expected = generate(grid, 1, 99, [0]).increments[0]
+        expected = generate(grid, 1, 99, [0])[0]
         assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(-1, 1), expected)
+
+    def test_noise_dump_with_two_noise_components(self, tmp_path):
+        # step-major: increment l of path 2 is bytes 16*l .. 16*l + 15
+        cfg = write_config(tmp_path, model={"id": "additive_noise", "params": {"dim": 2}},
+                           ladder=[0.25], n_paths=3, seed=5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--output", str(out), "--dump-noise"]) == 0
+        raw = (out / "noise_0002.bin").read_bytes()
+        assert len(raw) == 128
+        assert raw == generate(make_grid(1.0, 2.0, 0.25), 2, 5, [2])[0].astype("<f8").tobytes()
 
     def test_noise_dump_covers_diverged_paths(self, tmp_path, capsys):
         # explicit Euler on sec4 from xi = 3 at step 0.5 blows up on 40 of 50
@@ -522,7 +541,7 @@ class TestOutputs:
         assert set(dumps) <= set(manifest["outputs"])
         assert sorted(p.name for p in out.glob("path_*.csv")) == [f"path_{i:04d}.csv" for i in kept]
         raw = (out / "noise_0001.bin").read_bytes()
-        expected = generate(make_grid(1.0, 4.0, 0.5), 1, 1, [1]).increments[0]
+        expected = generate(make_grid(1.0, 4.0, 0.5), 1, 1, [1])[0]
         assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(-1, 1), expected)
 
     def test_manifest_contents(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Scheme recursion, refinement onto finer noise grids, ladder calls and path-batched runs."""
+"""Scheme recursion, interpolation onto the finest level, ladder calls and path-batched runs."""
 
 import math
 from collections import Counter
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsdde_sim import (
-    BrownianPath,
     DimensionMismatch,
     IncompatibleGrids,
     InitialSegment,
@@ -113,11 +112,12 @@ def test_additive_noise_is_exact():
     noise = generate(grid, 2, seed=21, path_index=[4])
     n = grid.steps_per_delay
     # starting from zero the scheme IS the running sum, bit for bit
+    sums = np.concatenate([np.zeros((1, 2)), np.cumsum(noise[0], axis=0)])
     path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), [grid], noise)[0]
-    assert np.array_equal(path[n:, 0], noise.partial_sums()[0])
+    assert np.array_equal(path[n:, 0], sums)
     # a nonzero start only changes rounding of the additions
     shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), [grid], noise)[0]
-    assert np.abs(shifted[n:, 0] - (3.0 + noise.partial_sums()[0])).max() <= 1e-12
+    assert np.abs(shifted[n:, 0] - (3.0 + sums)).max() <= 1e-12
 
 
 def test_simulate_validation():
@@ -127,14 +127,6 @@ def test_simulate_validation():
     xi = constant_segment(1.0)
     with pytest.raises(IncompatibleGrids):
         simulate(model, xi, [other], generate(other, 1, 0, [0]))  # delay mismatch
-    # noise on a finer grid is sampled on; noise on a coarser grid or with
-    # another delay does not nest
-    finer = make_grid(1.0, 2.0, 0.05)
-    assert len(simulate(model, xi, [grid], generate(finer, 1, 0, [0]))[0]) == len(finer.times)
-    with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, [grid], generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]))
-    with pytest.raises(IncompatibleGrids):
-        simulate(model, xi, [grid], generate(make_grid(0.5, 1.0, 0.05), 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
         simulate(model, constant_segment(1.0, dim=2), [grid], generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
@@ -144,6 +136,22 @@ def test_simulate_validation():
         simulate(model, xi, [], generate(grid, 1, 0, [0]))
     with pytest.raises(InvalidRange, match=r"not the bare DelayGrid\(.*\); pass \[grid\]"):
         simulate(model, xi, grid, generate(grid, 1, 0, [0]))
+
+
+@pytest.mark.parametrize("noise", [
+    generate(make_grid(1.0, 2.0, 0.05), 1, 0, [0]),
+    generate(make_grid(1.0, 2.0, 0.2), 1, 0, [0]),
+    generate(make_grid(1.0, 2.0, 0.1), 2, 0, [0]),
+    np.zeros((0, 20, 1)),
+    np.zeros((1, 20)),
+], ids=["finer_grid", "coarser_grid", "noise_dim", "no_paths", "2d"])
+def test_noise_shape_validated(noise):
+    # the increments must be on the finest level's grid, (paths >= 1, 20, 1)
+    # here: noise on a finer grid is not sampled on
+    grids = [make_grid(1.0, 2.0, 0.2), make_grid(1.0, 2.0, 0.1)]
+    model, xi = drifted_neutral(0.5, 1.0), constant_segment(1.0)
+    with pytest.raises(DimensionMismatch, match=r"^noise shape .* is not \(paths >= 1, 20, "):
+        simulate(model, xi, grids, noise)
 
 
 def test_divergence_reports_step_and_time():
@@ -172,7 +180,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
     n, m = grid.steps_per_delay, grid.total_steps
     vals = np.empty((n + m + 1, 1))
     vals[: n + 1] = xi.sample(grid)
-    steps = noise.increments[0]
+    steps = noise[0]
     dt = grid.delta
     for l in range(m):
         x, y = vals[l + n], vals[l]
@@ -197,7 +205,7 @@ def test_refine_interior_oracle():
     coarse_grid = make_grid(1.0, 1.5, 0.5)
     fine_grid = make_grid(1.0, 1.5, 0.25)
     fine_noise = generate(fine_grid, 1, seed=2, path_index=[0])
-    fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
+    fine = simulate(model, xi, [coarse_grid, fine_grid], fine_noise)[0]
     assert fine[4:, 0, 0].tolist() == [1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75]
 
 
@@ -205,17 +213,18 @@ def test_refine_copies_coarse_nodes_bitwise(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     fine_grid = make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, 1, seed=13, path_index=[7])
-    coarse = simulate(cubic_model, unit_segment, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
-    fine = simulate(cubic_model, unit_segment, [coarse_grid], fine_noise)[0]
+    coarse_noise = coarsen(fine_noise, fine_grid, coarse_grid)
+    coarse = simulate(cubic_model, unit_segment, [coarse_grid], coarse_noise)[0]
+    fine = simulate(cubic_model, unit_segment, [coarse_grid, fine_grid], fine_noise)[0]
     assert np.array_equal(fine[::4], coarse)
 
 
 def test_refine_identity_at_factor_one(cubic_model, unit_segment):
-    # noise on the grid itself drives the scheme with its own increments
+    # noise coarsened onto its own grid drives the scheme with its own increments
     grid = make_grid(1.0, 2.0, 0.1)
     noise = generate(grid, 1, 1, [0])
     path = simulate(cubic_model, unit_segment, [grid], noise)[0]
-    same = simulate(cubic_model, unit_segment, [grid], coarsen(noise, grid))[0]
+    same = simulate(cubic_model, unit_segment, [grid], coarsen(noise, grid, grid))[0]
     assert same.tobytes() == path.tobytes() and len(same) == len(grid.times)
 
 
@@ -223,7 +232,7 @@ def test_refine_rejects_non_nested_grids(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     shifted = make_grid(1.0, 3.0, 0.05)
     with pytest.raises(IncompatibleGrids):
-        simulate(cubic_model, unit_segment, [coarse_grid], generate(shifted, 1, 1, [0]))
+        simulate(cubic_model, unit_segment, [coarse_grid, shifted], generate(shifted, 1, 1, [0]))
 
 
 def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
@@ -232,7 +241,7 @@ def test_refine_rejects_a_fine_grid_of_another_delay(cubic_model, unit_segment):
     coarse_grid = make_grid(1.0, 2.0, 0.1)
     other = make_grid(0.5, 1.0, 0.025)
     with pytest.raises(IncompatibleGrids):
-        simulate(cubic_model, unit_segment, [coarse_grid], generate(other, 1, 1, [0]))
+        simulate(cubic_model, unit_segment, [coarse_grid, other], generate(other, 1, 1, [0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -245,8 +254,8 @@ def test_refine_node_agreement_property(seed, factor):
     fine_grid = make_grid(1.0, 2.0, 0.1 / factor)
     fine_noise = generate(fine_grid, 1, seed, [0])
     coarse_grid = make_grid(1.0, 2.0, 0.1)
-    coarse = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
-    fine = simulate(model, xi, [coarse_grid], fine_noise)[0]
+    coarse = simulate(model, xi, [coarse_grid], coarsen(fine_noise, fine_grid, coarse_grid))[0]
+    fine = simulate(model, xi, [coarse_grid, fine_grid], fine_noise)[0]
     assert np.array_equal(fine[::factor], coarse)
 
 
@@ -272,16 +281,18 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     xi = affine_segment(0.5, 0.3, model.state_dim)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
-    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
-    refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
+    grids = [coarse_grid, fine_grid]
+    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, fine_grid, coarse_grid))[0]
+    refined = simulate(model, xi, grids, fine_noise)[0]
     assert batch.shape == (31, 6, model.state_dim) and finite(batch).all()
     assert refined.shape == (121, 6, model.state_dim)
     for p in range(6):
         single_noise = generate(fine_grid, model.noise_dim, 5, [p])
-        single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
+        coarse_noise = coarsen(single_noise, fine_grid, coarse_grid)
+        single = simulate(model, xi, [coarse_grid], coarse_noise)[0]
         assert single.shape == (31, 1, model.state_dim)
         assert batch[:, p].tobytes() == single[:, 0].tobytes()
-        single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
+        single_refined = simulate(model, xi, grids, single_noise)[0]
         assert refined[:, p].tobytes() == single_refined[:, 0].tobytes()
 
 
@@ -297,22 +308,25 @@ def test_diverged_path_in_batch_is_masked():
     xi = constant_segment(0.0)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
     fine_noise = generate(fine_grid, 1, seed=0, path_index=range(8))
-    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, coarse_grid))[0]
-    refined = simulate(model, xi, [coarse_grid], fine_noise)[0]
+    grids = [coarse_grid, fine_grid]
+    batch = simulate(model, xi, [coarse_grid], coarsen(fine_noise, fine_grid, coarse_grid))[0]
+    refined = simulate(model, xi, grids, fine_noise)[0]
     assert 0 < finite(batch).sum() < 8
     assert np.array_equal(finite(refined), finite(batch))
     for p in range(8):
         single_noise = generate(fine_grid, 1, 0, [p])
-        single = simulate(model, xi, [coarse_grid], coarsen(single_noise, coarse_grid))[0]
+        coarse_noise = coarsen(single_noise, fine_grid, coarse_grid)
+        single = simulate(model, xi, [coarse_grid], coarse_noise)[0]
         assert finite(single)[0] == finite(batch)[p]
         assert batch[:, p].tobytes() == single[:, 0].tobytes()
-        single_refined = simulate(model, xi, [coarse_grid], single_noise)[0]
+        single_refined = simulate(model, xi, grids, single_noise)[0]
         assert refined[:, p].tobytes() == single_refined[:, 0].tobytes()
 
 
 # --- ladders ---------------------------------------------------------------
 # One call steps every level of a ladder on the fine indices the levels
-# share; each level must be bitwise its own one-grid run.
+# share; each level must be bitwise the call that starts the ladder there,
+# whose first level is then the one grid sampled on the finest.
 
 def view_model() -> NsddeModel:
     """Evaluators that return views of their inputs: the engine writes each
@@ -350,17 +364,20 @@ def test_ladder_call_equals_one_grid_calls(name, finer_noise):
     make_model, xi, horizon, ladder, n_paths, seed = LADDER_CASES[name]
     model = make_model()
     grids = [make_grid(1.0, horizon, delta) for delta in ladder]
-    # the noise on the finest level's grid, or on one twice as fine
-    noise_grid = make_grid(1.0, horizon, ladder[-1] / 2) if finer_noise else grids[-1]
-    noise = generate(noise_grid, model.noise_dim, seed, range(n_paths))
+    # the noise on the finest level's grid, or on one twice as fine that the
+    # ladder then takes as its last level
+    if finer_noise:
+        grids.append(make_grid(1.0, horizon, ladder[-1] / 2))
+    noise = generate(grids[-1], model.noise_dim, seed, range(n_paths))
     paths = simulate(model, xi, grids, noise)
     assert len(paths) == len(grids)
-    for grid, path in zip(grids, paths):
-        single = simulate(model, xi, [grid], noise)[0]
-        assert path.shape == single.shape == (len(noise_grid.times), n_paths, model.state_dim)
+    for j, path in enumerate(paths):
+        single = simulate(model, xi, grids[j:], noise)[0]
+        assert path.shape == single.shape == (len(grids[-1].times), n_paths, model.state_dim)
         assert path.tobytes() == single.tobytes()
-    if name == "sec4_blow_up":
-        assert not finite(paths[-1]).all() and np.isnan(paths[-1]).any()
+    if name == "sec4_blow_up":  # the 0.25 level
+        blown = paths[len(ladder) - 1]
+        assert not finite(blown).all() and np.isnan(blown).any()
 
 
 def test_ladder_grids_must_nest_in_one_another(cubic_model, unit_segment):
@@ -400,7 +417,7 @@ def _ref_noise(sigma, db):
 def ref_simulate(model, xi, grid, noise):
     """Time-major (rows, paths, d) values of the per-node explicit scheme."""
     n, m = grid.steps_per_delay, grid.total_steps
-    steps = np.moveaxis(noise.increments, 1, 0)
+    steps = np.moveaxis(noise, 1, 0)
     vals = np.empty((n + m + 1, steps.shape[1], model.state_dim))
     vals[: n + 1] = xi.sample(grid)[:, None]
     times = grid.times.tolist()
@@ -424,7 +441,8 @@ def ref_refine(cvals, coarse, model, xi, fine_grid, fine_noise):
     factor = n_fine // n_coarse
     out = np.empty((n_fine + fine_grid.total_steps + 1,) + cvals.shape[1:])
     out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
-    bsum = np.moveaxis(fine_noise.partial_sums(), 1, 0)
+    sums = np.moveaxis(np.cumsum(fine_noise, axis=1), 1, 0)
+    bsum = np.concatenate([np.zeros_like(sums[:1]), sums])
     times = fine_grid.times.tolist()
     offs = [float(r * Fraction(coarse.tau) / n_fine) for r in range(factor)]
     with np.errstate(all="ignore"):
@@ -502,15 +520,15 @@ def test_engine_matches_per_node_reference(name, seed):
 
     refs = []
     for grid in grids:
-        noise = coarsen(fine_noise, grid)
+        noise = coarsen(fine_noise, fine, grid)
         path = simulate(model, xi, [grid], noise)[0]
         ref = ref_simulate(model, xi, grid, noise)
         check(path, ref)
         refs.append((path, ref))
     for lo, hi in [(0, 1), (0, 2), (1, 2)]:
         (path, ref), target = refs[lo], grids[hi]
-        noise = coarsen(fine_noise, target)
-        refined = simulate(model, xi, [grids[lo]], noise)[0]
+        noise = coarsen(fine_noise, fine, target)
+        refined = simulate(model, xi, [grids[lo], target], noise)[0]
         check(refined, ref_refine(ref, grids[lo], model, xi, target, noise))
     # one ladder call on the finest noise: levels 0 and 1 refined, level 2 plain
     ladder = simulate(model, xi, grids, fine_noise)
@@ -522,7 +540,7 @@ def test_engine_matches_per_node_reference(name, seed):
 def test_coefficient_calls_per_delay_window():
     # simulate: drift and diffusion once per step of the finest level, and
     # neutral once per delay window, whose one call also serves the in-cell
-    # nodes on a finer noise grid.  Horizon 2.5 makes the last window partial.
+    # nodes of the coarser levels.  Horizon 2.5 makes the last window partial.
     calls = Counter()
 
     def counted(name, fn):
@@ -540,12 +558,8 @@ def test_coefficient_calls_per_delay_window():
     coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
     fine_noise = generate(fine, 1, seed=3, path_index=range(4))
 
-    simulate(model, xi, [coarse], coarsen(fine_noise, coarse))
+    simulate(model, xi, [coarse], coarsen(fine_noise, fine, coarse))
     m, n = coarse.total_steps, coarse.steps_per_delay
-    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
-
-    calls.clear()
-    simulate(model, xi, [coarse], fine_noise)
     assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
 
     # a 3-level ladder steps all its levels together on the nodes they share
@@ -569,16 +583,15 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
         diffusion=lambda x, y, t: np.full((1, 1), -1.0),
     )
     coarse, fine = make_grid(1.0, 2.0, 0.5), make_grid(1.0, 2.0, 0.25)
-    fine_noise = BrownianPath(fine, np.zeros((1, fine.total_steps, 1)))
-    path = simulate(model, xi, [coarse], coarsen(fine_noise, coarse))[0]
-    refined = simulate(model, xi, [coarse], fine_noise)[0]
+    fine_noise = np.zeros((1, fine.total_steps, 1))
+    path = simulate(model, xi, [coarse], coarsen(fine_noise, fine, coarse))[0]
     # a two-level ladder steps both levels in one row stack
     ladder = simulate(model, xi, [coarse, fine], fine_noise)
     # d = 2 with a (2, 1) sigma: one noise component driving both coordinates
     xi2 = InitialSegment(lambda t: np.full(2, 0.0 if t == -1.0 else -0.0), 2)
     model2 = replace(model, state_dim=2, diffusion=lambda x, y, t: np.full((2, 1), -1.0))
     ladder2 = simulate(model2, xi2, [coarse, fine], fine_noise)
-    runs = [(coarse, path), (fine, refined)] + [(fine, level) for level in ladder + ladder2]
+    runs = [(coarse, path)] + [(fine, level) for level in ladder + ladder2]
     for grid, values in runs:
         after_zero = values[grid.steps_per_delay + 1 :].ravel()
         assert [format(v, ".17g") for v in after_zero] == ["0"] * after_zero.size

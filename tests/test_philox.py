@@ -23,7 +23,7 @@ def test_generate_is_numpys_per_path_loop(seed, noise_dim):
     steps = GRID.total_steps
     want = np.stack([numpy_normals(seed, i, steps * noise_dim) for i in PATHS])
     want = want.reshape(len(PATHS), steps, noise_dim) * math.sqrt(GRID.delta)
-    assert generate(GRID, noise_dim, seed, PATHS).increments.tobytes() == want.tobytes()
+    assert generate(GRID, noise_dim, seed, PATHS).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5, 2**200])

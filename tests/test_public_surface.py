@@ -21,7 +21,7 @@ def _tracer_targets() -> list:
 
 
 # Tracer rows whose names the engine no longer has: simulate coarsens its
-# own driver and samples on its noise's grid, so the ladder calls neither
+# own noise and samples on its finest level, so the ladder calls neither
 # coarsen nor refine_to; every condition check is reached only through
 # conditions.check_conditions.  The tracer records such a row as ``absent``.
 RETIRED = {("analysis", "coarsen"), ("analysis", "refine_to"),
