@@ -11,15 +11,16 @@ config's output directory and ``--seed`` its seed, ``--strict`` turns path
 divergence into exit code 3, and ``--dump-noise`` (simulate only) also
 writes the raw noise increments.  ``-h``/``--help`` prints the usage line.
 
-Exit codes: 0 success, 1 condition-check failure, 2 invalid input, 3
-divergence under --strict.  Invalid input prints one stderr line, which
-starts ``nsdde-sim: error:`` for a usage error and ``error:`` otherwise.
+Exit codes: 0 success, 1 condition-check failure, 2 invalid input or a
+run too large for memory, 3 divergence under --strict.  Invalid input prints
+one stderr line, which starts ``nsdde-sim: error:`` for a usage error and
+``error:`` otherwise.
 
-Configs are a single JSON document; unknown keys anywhere are errors, so a
-typo cannot silently change a run.  ``_COMMANDS`` holds one row per command:
-its runner, its required config keys with their least values, the least and
-the most ladder levels it takes, and whether it requires a rate bundle.  The
-bundle (the config's "rates", else the model's built-in one) and
+Configs are a single JSON document; unknown and repeated keys anywhere are
+errors, so a typo cannot silently change a run.  ``_COMMANDS`` holds one row
+per command: its runner, its required config keys with their least values,
+the least and the most ladder levels it takes, and whether it requires a rate
+bundle.  The bundle (the config's "rates", else the model's built-in one) and
 ``truncation_radius`` are checked under every command.  ``main`` checks
 those, builds the model, the initial segment, the ladder grids and the
 bundle, only then creates the output directory, and calls the runner, which
@@ -121,6 +122,16 @@ _TOP_KEYS = {"model", "tau", "horizon", "ladder", "seed", "xi", "output_dir", "r
              *_POSITIVE_KEYS}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key repeated at any depth is an error, like an unknown key."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration (fail-closed)."""
     try:
@@ -130,7 +141,7 @@ def load_config(path: str | Path) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -468,7 +479,10 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        result = runner(cfg, model, xi, grids, spec, out_dir, dump_noise)
+        try:
+            result = runner(cfg, model, xi, grids, spec, out_dir, dump_noise)
+        except MemoryError as exc:  # arrays too large to hold; out_dir stays behind
+            raise ConfigError(f"the {command} run does not fit in memory") from exc
         _write_manifest(out_dir, command, cfg, result.outputs, result.extra)
     except NsddeError as exc:
         print(f"error: {exc}", file=sys.stderr)

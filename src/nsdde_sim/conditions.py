@@ -236,16 +236,15 @@ def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.nda
     return np.concatenate([alternating, times[rng.integers(0, len(times), size=samples)]])
 
 
-def _rated_check(condition_id, points, lhs, weights, rates, times, which, tau):
+def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
     """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
-    K~(t - tau) * weights[1] at t = times[which[i]], and ``points`` names the stacks a
-    violation reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor *
-    K(t - tau) and K~ <= K are tested once per distinct time that ``which`` points to and
-    fail once per sample at that time, after the sample's own violation, in sample order."""
-    drawn = np.bincount(which, minlength=len(times)) > 0
-    times, which = times[drawn].tolist(), (np.cumsum(drawn) - 1)[which]
+    K~(t - tau) * weights[1] at t = ts[i], and ``points`` names the stacks a violation
+    reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor * K(t - tau) and
+    K~ <= K are tested once per distinct sampled time, ascending, and fail once per
+    sample at that time, after the sample's own violation, in sample order."""
+    times, which = np.unique(ts, return_inverse=True)
+    times, lagged = times.tolist(), (times - tau).tolist()
     rate, rate_delayed, factor = rates
-    lagged = [t - tau for t in times]
     now, past, delayed_now, delayed_past = (np.array([float(f(t)) for t in when]) for f, when in (
         (rate, times), (rate, lagged), (rate_delayed, times), (rate_delayed, lagged)))
     rhs = now[which] * weights[0] + delayed_past[which] * weights[1]
@@ -269,49 +268,34 @@ def _rated_check(condition_id, points, lhs, weights, rates, times, which, tau):
 
 
 def _coefficient_pass(model: NsddeModel, parts) -> list:
-    """Each part's result from one coefficient pass.  A part is ``(x, y, ts, judge)``:
-    ``(S, d)`` or ``(2, S, d)`` stacks of points whose sample i lies at time ts[i], and the
-    judge of their (D(y), b, sigma), stacked as x is, given the pass's distinct times and
-    each sample's index among them.  ``neutral`` runs once, ``drift`` and ``diffusion`` once
-    per distinct time on the rows sorted by time; evaluators act row by row, so the sort
-    need not be stable (numpy's stable float sort is far slower)."""
+    """Each part's (D(y), b, sigma), stacked as its x, from one coefficient pass.  A part
+    is ``(x, y, ts)``: ``(S, d)`` or ``(2, S, d)`` stacks of points whose sample i lies at
+    time ts[i].  ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time
+    on the rows sorted by time; evaluators act row by row, so the sort need not be
+    stable (numpy's stable float sort is far slower)."""
     d = model.state_dim
     x, y, ts = map(np.concatenate, zip(*[
         (x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
-        for x, y, ts, _ in parts]))
+        for x, y, ts in parts]))
     order = np.argsort(ts)
     ordered, xs, ys = ts[order], x.take(order, 0), y.take(order, 0)
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    times, bounds = ordered[starts], starts.tolist() + [len(ts)]
+    bounds = starts.tolist() + [len(ts)]
     bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
-    for t, lo, hi in zip(times.tolist(), bounds, bounds[1:]):
+    for t, lo, hi in zip(ordered[starts].tolist(), bounds, bounds[1:]):
         bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
         sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
     dvy = _rows(model.neutral(y), x.shape)
-    del x, y, xs, ys  # the judges need only the coefficients
+    del x, y, xs, ys  # the callers need only the coefficients
     rank = np.empty_like(order)
     rank[order] = np.arange(len(ts))
-    which = np.repeat(np.arange(len(times)), np.diff(bounds)).take(rank)
     results, lo = [], 0
-    for px, _, pts, judge in parts:
+    for px, _, _ in parts:
         hi = lo + px.size // d
-        own = [c.reshape(px.shape + c.shape[2:])
-               for c in (dvy[lo:hi], bv.take(rank[lo:hi], 0), sv.take(rank[lo:hi], 0))]
-        results.append(judge(own, times, which[lo : lo + len(pts)]))
+        results.append([c.reshape(px.shape + c.shape[2:])
+                        for c in (dvy[lo:hi], bv.take(rank[lo:hi], 0), sv.take(rank[lo:hi], 0))])
         lo = hi
     return results
-
-
-def _coercivity_part(model, spec, grid, pairs, rng):
-    """C2 on the box pairs, at grid times drawn next from their stream ``rng``."""
-    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_PAIRS), rng,
-                       len(pairs) - len(_PAIRS))
-    x, y = pairs[:, 0], pairs[:, 1]
-    weights = (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y))
-    rates = (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor)
-    return x, y, ts, lambda coeffs, times, which: _rated_check(
-        "C2", {"x": x, "y": y}, _growth_lhs(x, coeffs), weights, rates, times, which,
-        model.delay)
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -319,21 +303,6 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
     Runs only under the checkers' np.errstate(all="ignore"): a zero row divides by 0."""
     norm = _rownorm(v)[:, None]
     return np.where(norm > radius, v * (radius / norm), v)
-
-
-def _monotonicity_part(model, spec, grid, samples, seed):
-    rng = pcg64.Stream(seed)
-    box, tau = spec.box_radius, model.delay
-    quads = _probes_and_draws(rng, box, model.state_dim, _QUADS, samples)
-    ts = _sample_times(grid.times[grid.steps_per_delay:], len(_QUADS), rng, samples)
-    x, y, xb, yb = (_clip_to_ball(quads[:, k], box) for k in range(4))
-    pair = np.stack([x, xb])
-    dx, dy = x - xb, y - yb
-    rates = (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor)
-    points = {"x": x, "y": y, "xp": xb, "yp": yb}
-    return pair, np.stack([y, yb]), ts, lambda coeffs, times, which: _rated_check(
-        "C3", points, _local_lhs(pair, coeffs), (_rowdot(dx, dx), _rowdot(dy, dy)),
-        rates, times, which, tau)
 
 
 def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> ConditionReport:
@@ -372,23 +341,6 @@ def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
     return idx, pcg64.uniform(rows, -box, box).reshape(samples, 4, dim)
 
 
-def _proposal_part(model, spec, grid, samples, seed):
-    times = grid.times[grid.steps_per_delay:]
-    idx, quads = _interleaved_draws(seed, len(times), float(spec.box_radius), model.state_dim,
-                                    samples)
-    x, y, xb, yb = (quads[:, k] for k in range(4))
-    pair = np.stack([x, xb])
-
-    def judge(coeffs, *_):
-        growth = _growth_lhs(x, [c[0] for c in coeffs]) / (2.0 + _rowdot(x, x) + _rowdot(y, y))
-        gap = _rowdot(x - xb, x - xb) + _rowdot(y - yb, y - yb)
-        kept = gap >= 1e-12
-        local = _running_max(0.0, _local_lhs(pair, coeffs)[kept] / gap[kept])
-        return {"growth_rate": _running_max(0.0, growth), "local_rate": local}
-
-    return pair, np.stack([y, yb]), times[idx], judge
-
-
 @np.errstate(all="ignore")
 def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, samples: int,
                      seed: int) -> tuple:
@@ -417,17 +369,37 @@ def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, sa
     bundle is available.  Each of its samples in turn draws a grid time, then its
     (x, y, x', y') block, from ``default_rng(seed)``'s stream; :func:`_interleaved_draws`
     reads them in runs.  C2, C3 and the proposal share one coefficient pass; each
-    result is bitwise that of a pass of its own.
+    stack's coefficients are bitwise those of a pass of its own.
     """
-    box, dim = spec.box_radius, model.state_dim
+    box, dim, tau = spec.box_radius, model.state_dim, model.delay
     _check_sampling(box, samples, dim)
-    rng = pcg64.Stream(seed)
+    rng, times = pcg64.Stream(seed), grid.times[grid.steps_per_delay:]
     pairs = _probes_and_draws(rng, box, dim, _PAIRS, samples)
     contraction, estimate = _contraction(model.neutral, spec.kappa, box, pairs)
-    coercivity, monotonicity, proposal = _coefficient_pass(model, [
-        _coercivity_part(model, spec, grid, pairs, rng),
-        _monotonicity_part(model, spec, grid, samples, seed),
-        _proposal_part(model, spec, grid, samples, seed)])
+    x, y = pairs[:, 0], pairs[:, 1]
+    ts = _sample_times(times, len(_PAIRS), rng, samples)  # C2's, next on the pairs' stream
+    rng = pcg64.Stream(seed)  # C3's quadruples and times, from a stream of their own
+    quads = _probes_and_draws(rng, box, dim, _QUADS, samples)
+    quad_ts = _sample_times(times, len(_QUADS), rng, samples)
+    qx, qy, qxb, qyb = (_clip_to_ball(quads[:, k], box) for k in range(4))
+    idx, draws = _interleaved_draws(seed, len(times), float(box), dim, samples)
+    px, py, pxb, pyb = (draws[:, k] for k in range(4))
+    quad, pair = np.stack([qx, qxb]), np.stack([px, pxb])
+    growth, local, heuristic = _coefficient_pass(model, [
+        (x, y, ts), (quad, np.stack([qy, qyb]), quad_ts), (pair, np.stack([py, pyb]), times[idx])])
+    coercivity = _rated_check(
+        "C2", {"x": x, "y": y}, _growth_lhs(x, growth), (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y)),
+        (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor), ts, tau)
+    dx, dy = qx - qxb, qy - qyb
+    monotonicity = _rated_check(
+        "C3", {"x": qx, "y": qy, "xp": qxb, "yp": qyb}, _local_lhs(quad, local),
+        (_rowdot(dx, dx), _rowdot(dy, dy)),
+        (spec.local_rate, spec.local_rate_delayed, spec.local_delay_factor), quad_ts, tau)
+    grown = _growth_lhs(px, [c[0] for c in heuristic]) / (2.0 + _rowdot(px, px) + _rowdot(py, py))
+    gap = _rowdot(px - pxb, px - pxb) + _rowdot(py - pyb, py - pyb)
+    kept = gap >= 1e-12
+    proposal = {"growth_rate": _running_max(0.0, grown),
+                "local_rate": _running_max(0.0, _local_lhs(pair, heuristic)[kept] / gap[kept])}
     reports = [contraction, coercivity, monotonicity, _integrability(model, grid, pairs)]
     return reports, estimate, proposal
 

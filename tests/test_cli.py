@@ -117,6 +117,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="object"):
             load_config(arr)
 
+    @pytest.mark.parametrize("literal, repeat, key", [
+        ('"seed": 99', '"seed": 1, "seed": 2', "seed"),
+        ('"k": 0.5', '"k": 0.5, "k": 0.7', "k"),
+    ], ids=["top-level", "model.params"])
+    def test_repeated_key_is_2(self, tmp_path, capsys, literal, repeat, key):
+        # json.loads keeps the last value of a repeated key; a config that
+        # repeats one is as ambiguous as one with an unknown key
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(BASE).replace(literal, repeat))
+        with pytest.raises(ConfigError, match=f"config key '{key}' is repeated"):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}' is repeated\n"
+        assert not out.exists()
+
     def test_nesting_past_the_recursion_limit_is_2(self, tmp_path, capsys):
         # the decoder gives up with a RecursionError, which is bad JSON as well
         deep = tmp_path / "deep.json"
@@ -218,6 +234,26 @@ class TestExitCodes:
                      "--output", str(out)]) == 2
         assert capsys.readouterr().err == "error: model 'sec4' does not fit in memory\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_run_that_does_not_fit_in_memory_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # exit 1 means a failed condition check; arrays too large to allocate
+        # are an input the machine cannot serve, reported in one line
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        owner, name = {"simulate": (cli, "simulate"),
+                       "converge": (cli.analysis, "converge_study"),
+                       "moments": (cli.analysis, "estimate_moments"),
+                       "perturbation": (cli.analysis, "perturbation_integrability"),
+                       "check": (cli.conditions, "check_conditions")}[command]
+        monkeypatch.setattr(owner, name, exhausted)
+        out = tmp_path / "o"
+        ladder = [0.5, 0.25] if command in ("converge", "perturbation") else [0.5]
+        cfg = write_config(tmp_path, ladder=ladder, samples=10)
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: the {command} run does not fit in memory\n")
+        assert out.is_dir()  # made before the run, so it may stay behind
 
     def test_simulate_needs_single_level(self, tmp_path):
         cfg = write_config(tmp_path)  # two ladder entries

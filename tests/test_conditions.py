@@ -26,19 +26,14 @@ from nsdde_sim import (
     neutral_cubic_model,
     neutral_cubic_rates,
 )
-from nsdde_sim import pcg64
+from nsdde_sim import conditions, pcg64
 from nsdde_sim.conditions import (
-    _PAIRS,
     MAX_VIOLATIONS,
     SLACK,
     ConditionReport,
     Violation,
     _coefficient_pass,
-    _coercivity_part,
     _interleaved_draws,
-    _monotonicity_part,
-    _probes_and_draws,
-    _proposal_part,
     _rowdot,
     _rownorm,
     _sqsum,
@@ -48,22 +43,23 @@ GRID = make_grid(1.0, 2.0, 0.1)
 SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
 
 
-PARTS = (_coercivity_part, _monotonicity_part, _proposal_part)
+def parts_of(model, spec, grid, samples, seed):
+    """The ``(x, y, ts)`` parts that :func:`check_conditions` hands its coefficient pass:
+    C2's box pairs, C3's quadruple pairs and the proposal's pairs."""
+    seen = []
+    real = conditions._coefficient_pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_coefficient_pass",
+                   lambda model, parts: seen.append(parts) or real(model, parts))
+        check_conditions(model, spec, grid, samples, seed)
+    (parts,) = seen
+    return parts
 
 
-def build(part, model, spec, grid, samples, seed):
-    """One part as :func:`check_conditions` builds it: C2 reads the box pairs and their stream."""
-    if part is _coercivity_part:
-        rng = pcg64.Stream(seed)
-        pairs = _probes_and_draws(rng, spec.box_radius, model.state_dim, _PAIRS, samples)
-        return part(model, spec, grid, pairs, rng)
-    return part(model, spec, grid, samples, seed)
-
-
-def alone(part, model, spec, grid, samples, seed):
-    """One of the results of :func:`check_conditions`' pass from a coefficient pass of its own."""
+def coefficients(model, parts):
+    """One coefficient pass, under the error state of :func:`check_conditions`."""
     with np.errstate(all="ignore"):
-        return _coefficient_pass(model, [build(part, model, spec, grid, samples, seed)])[0]
+        return _coefficient_pass(model, parts)
 
 
 def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0,
@@ -531,14 +527,14 @@ def test_a_rejected_buffered_half_falls_back_to_the_generator_calls(dim):
 def test_rate_proposal_makes_as_many_generator_calls_at_any_sample_count(monkeypatch):
     # a per-sample draw loop would generate the stream once per sample, or once
     # per pcg64.ROW outputs
-    model = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
     real = pcg64._outputs
+    n = len(GRID.times) - GRID.steps_per_delay  # the grid times the proposal draws from
 
     def generations(samples):
         calls = []
         monkeypatch.setattr(pcg64, "_kept", {})
         monkeypatch.setattr(pcg64, "_outputs", lambda *args: calls.append(args) or real(*args))
-        alone(_proposal_part, model, flat_spec(), GRID, samples, seed=20260815)
+        _interleaved_draws(20260815, n, flat_spec().box_radius, 1, samples)
         return len(calls)
 
     assert generations(10) == generations(10_000) == 1
@@ -614,13 +610,12 @@ def test_batched_checkers_match_per_sample_reference(name, seed):
 
 # the points each part evaluates at 500 samples: C2 its 8 probes and 500 draws,
 # C3 both points of its 5 + 500 pairs, the proposal both points of its 500 pairs
-ROWS_AT_500 = {_coercivity_part: 8 + 500, _monotonicity_part: 2 * (5 + 500),
-               _proposal_part: 2 * 500}
+ROWS_AT_500 = (8 + 500, 2 * (5 + 500), 2 * 500)
 
 
-@pytest.mark.parametrize("parts", [PARTS[:1], PARTS[1:2], PARTS[2:], PARTS], ids=[
+@pytest.mark.parametrize("which", [(0,), (1,), (2,), (0, 1, 2)], ids=[
     "check_coercivity", "check_monotonicity", "propose_constant_rates", "coefficient_checks"])
-def test_coefficient_calls_per_distinct_sampled_time(parts):
+def test_coefficient_calls_per_distinct_sampled_time(which):
     # neutral once per pass on every sample; drift and diffusion once per
     # distinct sampled time, together on every sample (both points of a pair)
     # at that time, whether a part runs alone or all three share the pass.
@@ -640,10 +635,9 @@ def test_coefficient_calls_per_distinct_sampled_time(parts):
 
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
-    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0)
-    with np.errstate(all="ignore"):  # as under check_conditions
-        _coefficient_pass(model, [build(part, model, spec, GRID, 500, 5) for part in parts])
-    rows = sum(ROWS_AT_500[part] for part in parts)
+    parts = parts_of(plain, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0), GRID, 500, 5)
+    coefficients(model, [parts[k] for k in which])
+    rows = sum(ROWS_AT_500[k] for k in which)
     sampled = GRID.times[GRID.steps_per_delay:].tolist()
     assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
                      "diffusion": 21, "diffusion_rows": rows}
@@ -677,28 +671,34 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
             assert any("check" in v.inputs for v in got.violations)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 20260815])
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
-    # each row's coefficients are those of a one-sample call, so sharing the
-    # pass changes no result; at one sample the pass holds times that some
-    # checker never drew
+    # each row's coefficients are those of a one-sample call, so a shared pass
+    # gives each part bitwise what a pass of its own gives, stacked as its x;
+    # at one sample the pass holds times that only one part drew
     model = ORACLE_MODELS[name]()
     spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
     cases = [(spec, grid, samples) for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40),
                                                           (GRID, 1)]]
+    drawn_by_one = 0
     for spec, grid, samples in cases + [(TIME_VARYING, GRID, 150)]:
-        reports, _, proposal = check_conditions(model, spec, grid, samples, seed)
-        got = [reports[1], reports[2], proposal]
-        own = [alone(part, model, spec, grid, samples, seed) for part in PARTS]
-        assert [repr(r) for r in got] == [repr(r) for r in own]
+        parts = parts_of(model, spec, grid, samples, seed)
+        assert [x.ndim for x, _, _ in parts] == [2, 3, 3]
+        drawn = [set(ts.tolist()) for _, _, ts in parts]
+        for k, (part, shared) in enumerate(zip(parts, coefficients(model, parts))):
+            (own,) = coefficients(model, [part])
+            x = part[0]
+            assert [c.shape for c in shared] == [x.shape, x.shape, x.shape + (model.noise_dim,)]
+            assert [c.tobytes() for c in shared] == [c.tobytes() for c in own]
+            drawn_by_one += bool(drawn[k].difference(*drawn[:k], *drawn[k + 1:]))
+    assert drawn_by_one
 
 
 @pytest.mark.parametrize("samples", [1, 40])
 def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
-    # the rates are read once per distinct time that the checker drew, not at
-    # the times that only another checker of the pass drew
+    # C2 and C3 read their rates once per distinct time that they drew,
+    # ascending, and never at the times that only another part of the pass drew
     read = []
 
     def logged(name):
@@ -706,10 +706,11 @@ def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
 
     spec = ConditionSpec(0.5, *map(logged, ["K1", "K1~", "KR", "KR~"]), 1.0, 1.0, 1.5)
     model = cubic_drift(1.0, 2)
-    alone(_coercivity_part, model, spec, GRID, samples, 3)
-    alone(_monotonicity_part, model, spec, GRID, samples, 3)
-    own, read[:] = list(read), []
-    check_conditions(model, spec, GRID, samples, 3)
+    parts = parts_of(model, spec, GRID, samples, 3)
+    drawn = [sorted(set(ts.tolist())) for _, _, ts in parts]
+    assert drawn[0] != drawn[1]
+    own = [(name, t - lag) for names, times in zip([("K1", "K1~"), ("KR", "KR~")], drawn)
+           for name in names for lag in (0.0, model.delay) for t in times]
     assert read == own
 
 
