@@ -8,6 +8,11 @@ levels are compared pathwise in the sup norm over grid points.  Convergence in p
 then read off the exceedance fractions P(sup-difference > epsilon) along
 the ladder.
 
+The studies take the ladder as grids, coarsest first, each nested in the
+next, as :func:`ladder_grids` builds and validates them once per run:
+``converge_study(model, xi, grids, epsilon, n_paths, seed, radius)``,
+``perturbation_integrability(model, xi, grids, n_paths, seed, radius,
+weight)`` and ``estimate_moments(model, xi, grid, n_paths, seed, radius)``.
 Every study is one per-block reduction handed to one ladder driver, which
 runs the paths in blocks of :data:`PATH_BLOCK`, decides divergence for
 every study, and reports the diverged paths via ``diverged_count`` instead
@@ -137,25 +142,23 @@ class LevelPairRow:
 def converge_study(
     model: NsddeModel,
     xi: InitialSegment,
-    horizon: float,
-    ladder,
+    grids,
     epsilon: float,
     n_paths: int,
     seed: int,
     radius: float = TRUNCATION_RADIUS,
 ) -> tuple[LevelPairRow, ...]:
-    """Coupled refinement study across a ladder of nested steps.
+    """Coupled refinement study across a ladder of nested grids, coarsest first.
 
     For every path the same finest-grid increments drive all levels, each
     sampled on the finest grid, and consecutive levels are compared by
     their sup difference over grid points in [0, horizon], over the paths
     that diverged at neither level.  Returns one row per level pair.
     """
-    if len(ladder) < 2:
+    if len(grids) < 2:
         raise InvalidRange("a convergence study needs at least two ladder levels")
     if not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
-    grids = ladder_grids(model.delay, horizon, ladder)
 
     def pair_sups(levels):
         # reduce every path; the driver then drops the diverged ones
@@ -215,8 +218,7 @@ class PerturbationRow:
 def perturbation_integrability(
     model: NsddeModel,
     xi: InitialSegment,
-    horizon: float,
-    ladder,
+    grids,
     n_paths: int,
     seed: int,
     radius: float,
@@ -224,7 +226,7 @@ def perturbation_integrability(
 ) -> tuple[PerturbationRow, ...]:
     """Mean integrals of the deviation from the last coarse node, one row per level.
 
-    For each ladder level, sampled on the finest grid, the deviation
+    For each level of the ladder ``grids``, sampled on the finest grid, the deviation
     p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
     [0, min(horizon, first time |X| > radius/3)], both plainly and with the
     time weight applied, over the paths that did not diverge there.
@@ -232,7 +234,8 @@ def perturbation_integrability(
     so the piecewise behaviour of p at coarse nodes is integrated exactly
     (it gives the closed form c*M*delta^2/2 for constant drift to rounding).
     """
-    grids = ladder_grids(model.delay, horizon, ladder)
+    if not grids:
+        raise InvalidRange("ladder must contain at least one step")
     fine = grids[-1]
     delta_f = fine.delta
     weights = np.array([float(weight(float(t))) for t in fine.times[fine.steps_per_delay :]])
@@ -294,20 +297,18 @@ class MomentReport:
 def estimate_moments(
     model: NsddeModel,
     xi: InitialSegment,
-    horizon: float,
-    delta: float,
+    grid: DelayGrid,
     n_paths: int,
     seed: int,
     radius: float = TRUNCATION_RADIUS,
 ) -> MomentReport:
-    """Estimate sup-of-mean-square and mean-of-sup-square over grid times.
+    """Estimate sup-of-mean-square and mean-of-sup-square over the times of ``grid``.
 
     Diverged paths are left out of every estimate; fewer than two kept
     paths raise :class:`DegenerateSampling`.
     """
     if n_paths < 2:
         raise InvalidRange("need n_paths >= 2 for a standard error")
-    grid = make_grid(model.delay, horizon, delta)
     n0 = grid.steps_per_delay
 
     def square_curves(levels):

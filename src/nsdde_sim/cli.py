@@ -325,10 +325,8 @@ def _suspect(row) -> str:
 
 
 def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
-    rows = analysis.converge_study(
-        model, xi, cfg.horizon, cfg.ladder, cfg.epsilon, cfg.n_paths, cfg.seed,
-        radius=cfg.truncation_radius,
-    )
+    rows = analysis.converge_study(model, xi, grids, cfg.epsilon, cfg.n_paths, cfg.seed,
+                                   radius=cfg.truncation_radius)
     columns = [
         "level_pair", "delta_coarse", "delta_fine", "epsilon", "n_paths",
         "exceed_count", "p_hat", "mean_sup_diff", "max_sup_diff", "diverged_count",
@@ -345,10 +343,8 @@ def _converge(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise:
 
 
 def _moments(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
-    report = analysis.estimate_moments(
-        model, xi, cfg.horizon, cfg.ladder[0], cfg.n_paths, cfg.seed,
-        radius=cfg.truncation_radius,
-    )
+    report = analysis.estimate_moments(model, xi, grids[0], cfg.n_paths, cfg.seed,
+                                       radius=cfg.truncation_radius)
     columns = [f.name for f in fields(analysis.MomentReport)]
     _write_records(out_dir / "moments.csv", columns, [report])
     summary = (f"moments: sup-of-mean-square {report.sup_mean_square:.6g} "
@@ -360,10 +356,8 @@ def _moments(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: 
 def _perturbation(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bool) -> _Result:
     weight, weight_id = ((spec.local_rate, "local_rate") if spec is not None
                          else (conditions.constant_rate(1.0), "constant 1"))
-    rows = analysis.perturbation_integrability(
-        model, xi, cfg.horizon, cfg.ladder, cfg.n_paths, cfg.seed,
-        radius=cfg.truncation_radius, weight=weight,
-    )
+    rows = analysis.perturbation_integrability(model, xi, grids, cfg.n_paths, cfg.seed,
+                                               radius=cfg.truncation_radius, weight=weight)
     columns = [f.name for f in fields(analysis.PerturbationRow)]
     _write_records(out_dir / "perturbation.csv", columns, rows)
     summary = [

@@ -328,16 +328,16 @@ def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> Con
     return _finish("H", len(times) * len(pairs), violations, estimate=total)
 
 
-def _interleaved_draws(seed: int, n: int, box: float, dim: int, samples: int):
+def _interleaved_draws(rng: pcg64.Stream, n: int, box: float, dim: int, samples: int):
     """The time indices ``(samples,)`` and blocks ``(samples, 4, dim)`` that calling
     ``rng.integers(0, n)`` then ``rng.uniform(-box, box, (4, dim))`` once per sample
-    on numpy's ``rng = default_rng(seed)`` draws, bitwise.
+    draws, bitwise, as numpy's ``default_rng`` does.
 
     :meth:`~nsdde_sim.pcg64.Stream.interleaved` reads them in runs: two samples share
     one raw output for their integers, and each block takes the next 4 * dim
     outputs.  A sample whose 32-bit half Lemire's draw rejects is read half by half
     from the same outputs; nothing falls back to numpy's generator."""
-    idx, rows = pcg64.Stream(seed).interleaved(n, samples, 4 * dim)
+    idx, rows = rng.interleaved(n, samples, 4 * dim)
     return idx, pcg64.uniform(rows, -box, box).reshape(samples, 4, dim)
 
 
@@ -378,11 +378,11 @@ def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, sa
     contraction, estimate = _contraction(model.neutral, spec.kappa, box, pairs)
     x, y = pairs[:, 0], pairs[:, 1]
     ts = _sample_times(times, len(_PAIRS), rng, samples)  # C2's, next on the pairs' stream
-    rng = pcg64.Stream(seed)  # C3's quadruples and times, from a stream of their own
+    rng = rng.restart()  # C3's quadruples and times, from a stream of their own
     quads = _probes_and_draws(rng, box, dim, _QUADS, samples)
     quad_ts = _sample_times(times, len(_QUADS), rng, samples)
     qx, qy, qxb, qyb = (_clip_to_ball(quads[:, k], box) for k in range(4))
-    idx, draws = _interleaved_draws(seed, len(times), float(box), dim, samples)
+    idx, draws = _interleaved_draws(rng.restart(), len(times), float(box), dim, samples)
     px, py, pxb, pyb = (draws[:, k] for k in range(4))
     quad, pair = np.stack([qx, qxb]), np.stack([px, pxb])
     growth, local, heuristic = _coefficient_pass(model, [

@@ -97,7 +97,8 @@ class DelayGrid:
         n = self.steps_per_delay
         num, den = self.tau.as_integer_ratio()
         den *= n
-        return np.array([l * num / den for l in range(-n, self.total_steps + 1)], dtype=float)
+        return np.fromiter((l * num / den for l in range(-n, self.total_steps + 1)), float,
+                           count=n + self.total_steps + 1)  # sized first: too large fails at once
 
 
 def make_grid(tau: float, horizon: float, delta: float) -> DelayGrid:

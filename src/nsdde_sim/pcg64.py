@@ -6,11 +6,12 @@ by 128-bit jump-ahead on (hi, lo) ``uint64`` arrays.  A double is (output >> 11)
 2**-53; a bounded integer is Lemire's draw (ACM TOMACS 29, 2019) on a 32-bit half,
 low half first, the high half held for the next integer draw, and a rejected half
 moves on to the next half.  Every checker of a run seeds alike and reads a prefix
-of one stream, so the outputs of the last seed are kept, and grown on demand.
+of one stream, so the streams of a run share one block of outputs, grown on demand.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -21,8 +22,6 @@ from .philox import M32, mulhilo, non_negative, seed_state
 M64, M128 = 2**64 - 1, 2**128 - 1
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 ROW = 128  # outputs per row of the jump-ahead
-
-_kept: dict = {}  # seed -> (state after the outputs, its _jumps, read-only outputs)
 
 
 def _seed(seed: int) -> tuple[int, int]:
@@ -66,35 +65,38 @@ def _outputs(state: int, jumps: tuple, count: int):
     return starts[-1], (x >> rot | x << (np.uint64(64) - rot & 63)).reshape(-1)
 
 
-def _raw(seed: int, count: int) -> np.ndarray:
-    """At least the first ``count`` raw outputs of ``default_rng(seed)``, read-only."""
-    if seed not in _kept:
-        state, inc = _seed(seed)
-        _kept.clear()
-        _kept[seed] = state, _jumps(inc), np.empty(0, dtype=np.uint64)
-    state, jumps, out = _kept[seed]
-    if len(out) < count:
-        state, more = _outputs(state, jumps, count - len(out))
-        out = np.concatenate([out, more])
-        out.flags.writeable = False
-        _kept[seed] = state, jumps, out
-    return out
-
-
 def uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
     """``Generator.uniform(low, high)`` from each raw output."""
     return low + (high - low) * ((raw >> 11) * 2.0**-53)
 
 
 class Stream:
-    """``default_rng(seed)``'s ``uniform`` and ``integers`` calls, in call order."""
+    """``default_rng(seed)``'s ``uniform`` and ``integers`` calls, in call order.
+
+    A stream and those :meth:`restart` makes from it share the outputs generated."""
 
     def __init__(self, seed):
         self.seed, self.pos = non_negative(seed, "seed"), 0
         self.held = None  # the high half that waits for the next integer draw
+        state, inc = _seed(self.seed)
+        # the state after the outputs generated, its _jumps, and those read-only outputs
+        self.block = [state, _jumps(inc), np.empty(0, dtype=np.uint64)]
+
+    def restart(self) -> Stream:
+        """A stream of the same seed from its first draw, sharing this one's outputs."""
+        fresh = copy.copy(self)  # shallow: the block is shared
+        fresh.pos, fresh.held = 0, None
+        return fresh
 
     def peek(self, count: int) -> np.ndarray:
-        return _raw(self.seed, self.pos + count)[self.pos : self.pos + count]
+        state, jumps, out = self.block
+        end = self.pos + count
+        if len(out) < end:  # grow the shared block
+            state, more = _outputs(state, jumps, end - len(out))
+            out = np.concatenate([out, more])
+            out.flags.writeable = False
+            self.block[:] = state, jumps, out
+        return out[self.pos : end]
 
     def take(self, count: int) -> np.ndarray:
         out = self.peek(count)

@@ -36,11 +36,12 @@ from nsdde_sim import (
     pure_neutral,
     simulate,
 )
+from nsdde_sim.analysis import ladder_grids
 from nsdde_sim.cli import main as cli_main
 
 SEED = 20260815
 SEC4 = dict(k=0.5, c1=-1.0, c2=-1.0, tau=1.0)
-LADDER = [0.1, 0.05, 0.025, 0.0125]
+LADDER = ladder_grids(1.0, 2.0, [0.1, 0.05, 0.025, 0.0125])
 
 
 def power_split_bound(a, b, p: float, epsilon: float):
@@ -113,8 +114,8 @@ def test_criterion_02_deterministic_first_order_convergence():
 
 def test_criterion_03_additive_noise_exactness():
     rows = converge_study(
-        additive_noise(1.0), constant_segment(0.0), 2.0,
-        [0.1, 0.05, 0.025], epsilon=1e-3, n_paths=100, seed=SEED,
+        additive_noise(1.0), constant_segment(0.0), LADDER[:3],
+        epsilon=1e-3, n_paths=100, seed=SEED,
     )
     worst = max(row.max_sup_diff for row in rows)
     _report(3, "additive-noise exactness across coupled ladder",
@@ -143,7 +144,7 @@ def test_criterion_05_cubic_model_cauchy_trend():
     start = time.perf_counter()
     model = neutral_cubic_model(**SEC4)
     rows = converge_study(
-        model, constant_segment(1.0), 2.0, LADDER,
+        model, constant_segment(1.0), LADDER,
         epsilon=0.1, n_paths=1000, seed=SEED,
     )
     elapsed = time.perf_counter() - start
@@ -158,7 +159,7 @@ def test_criterion_06_perturbation_integrability():
     model = neutral_cubic_model(**SEC4)
     rates = neutral_cubic_rates(box_radius=2.0, **SEC4)
     rows = perturbation_integrability(
-        model, constant_segment(1.0), 2.0, LADDER,
+        model, constant_segment(1.0), LADDER,
         n_paths=1000, seed=SEED, radius=6.0, weight=rates.local_rate,
     )
     integrals = [row.mean_abs_integral for row in rows]
@@ -171,7 +172,7 @@ def test_criterion_06_perturbation_integrability():
         diffusion=lambda x, y, t: np.zeros((1, 1)),
     )
     saw = perturbation_integrability(
-        ramp, constant_segment(0.0), 2.0, LADDER,
+        ramp, constant_segment(0.0), LADDER,
         n_paths=1, seed=SEED, radius=1e9, weight=constant_rate(1.0),
     )
     rel_errs = []
@@ -262,13 +263,13 @@ def test_criterion_08_inequality_sweeps():
 def test_criterion_09_moment_stability():
     model = neutral_cubic_model(**SEC4)
     xi = constant_segment(1.0)
-    fine = estimate_moments(model, xi, 2.0, 0.025, 1000, SEED)
-    finer = estimate_moments(model, xi, 2.0, 0.0125, 1000, SEED)
+    fine = estimate_moments(model, xi, LADDER[2], 1000, SEED)
+    finer = estimate_moments(model, xi, LADDER[3], 1000, SEED)
     change = abs(fine.sup_mean_square - finer.sup_mean_square) / fine.sup_mean_square
     stable = np.isfinite(fine.sup_mean_square) and change < 0.10
 
     brownian = estimate_moments(
-        additive_noise(1.0), constant_segment(0.0), 2.0, 0.05, 1000, SEED
+        additive_noise(1.0), constant_segment(0.0), make_grid(1.0, 2.0, 0.05), 1000, SEED
     )
     within = abs(brownian.sup_mean_square - 2.0) <= 3.0 * brownian.std_error
     _report(9, "second-moment stability", stable and within,

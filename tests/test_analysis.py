@@ -36,6 +36,11 @@ from nsdde_sim import (
 from test_acceptance import power_split_bound
 
 
+def grids_of(*ladder, horizon=2.0):
+    """The nested grids on tau = 1 of a ladder of steps, coarsest first."""
+    return analysis.ladder_grids(1.0, horizon, ladder)
+
+
 def ramp_model(slope: float = 1.0) -> NsddeModel:
     vec = np.full(1, slope)
     return NsddeModel(
@@ -53,8 +58,8 @@ def test_converge_study_on_exact_scheme():
     # additive noise is integrated exactly at every step size, so coupled
     # levels agree to rounding and nothing ever exceeds epsilon
     rows = converge_study(
-        additive_noise(1.0), constant_segment(0.0), 2.0,
-        [0.1, 0.05, 0.025], epsilon=1e-6, n_paths=20, seed=31,
+        additive_noise(1.0), constant_segment(0.0), grids_of(0.1, 0.05, 0.025),
+        epsilon=1e-6, n_paths=20, seed=31,
     )
     assert len(rows) == 2
     for row in rows:
@@ -68,8 +73,8 @@ def test_deterministic_model_halves_per_level():
     # sigma == 0: every path is identical and the first-order scheme's
     # level-to-level sup difference halves with the step
     rows = converge_study(
-        linear_delay_ode(1.0, 1.0), constant_segment(1.0), 2.0,
-        [0.1, 0.05, 0.025, 0.0125], epsilon=1e-9, n_paths=3, seed=7,
+        linear_delay_ode(1.0, 1.0), constant_segment(1.0), grids_of(0.1, 0.05, 0.025, 0.0125),
+        epsilon=1e-9, n_paths=3, seed=7,
     )
     means = [row.mean_sup_diff for row in rows]
     for row in rows:
@@ -79,18 +84,21 @@ def test_deterministic_model_halves_per_level():
 
 
 def test_converge_study_validates_ladder(cubic_model, unit_segment):
-    with pytest.raises(InvalidRange):
-        converge_study(cubic_model, unit_segment, 2.0, [0.05, 0.1], 0.1, 4, 0)
+    # a ladder of steps is validated once, where its grids are built
+    with pytest.raises(InvalidRange, match="strictly decreasing"):
+        grids_of(0.05, 0.1)
     with pytest.raises(IncompatibleGrids):
         # 0.1 / 0.04 = 2.5: grids do not nest
-        converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.04], 0.1, 4, 0)
-    with pytest.raises(InvalidRange):
-        converge_study(cubic_model, unit_segment, 2.0, [0.1], 0.1, 4, 0)
+        grids_of(0.1, 0.04)
+    # the studies check only what is their own
+    for short in ([], grids_of(0.1)):
+        with pytest.raises(InvalidRange, match="at least two ladder levels"):
+            converge_study(cubic_model, unit_segment, short, 0.1, 4, 0)
     with pytest.raises(InvalidRange, match="at least one step"):
-        perturbation_integrability(cubic_model, unit_segment, 2.0, [], 4, 0, 10.0,
+        perturbation_integrability(cubic_model, unit_segment, [], 4, 0, 10.0,
                                    constant_rate(1.0))
     with pytest.raises(InvalidRange, match="n_paths must be >= 1"):
-        converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.05], 0.1, 0, 0)
+        converge_study(cubic_model, unit_segment, grids_of(0.1, 0.05), 0.1, 0, 0)
 
 
 def synthetic_rows(counts, n=100):
@@ -155,7 +163,7 @@ def test_sawtooth_integral_closed_form():
     # so a level with M cells gives exactly c * M * delta^2 / 2.
     c = 1.0
     rows = perturbation_integrability(
-        ramp_model(c), constant_segment(0.0), 2.0, [0.1, 0.05, 0.025],
+        ramp_model(c), constant_segment(0.0), grids_of(0.1, 0.05, 0.025),
         n_paths=3, seed=0, radius=100.0, weight=constant_rate(1.0),
     )
     for row in rows:
@@ -168,7 +176,7 @@ def test_sawtooth_integral_closed_form():
 
 def test_sawtooth_scales_with_slope():
     fast = perturbation_integrability(
-        ramp_model(3.0), constant_segment(0.0), 2.0, [0.1, 0.05],
+        ramp_model(3.0), constant_segment(0.0), grids_of(0.1, 0.05),
         n_paths=1, seed=0, radius=1000.0, weight=constant_rate(1.0),
     )
     assert fast[0].mean_abs_integral == pytest.approx(3.0 * 20 * 0.01 / 2, rel=1e-10)
@@ -177,7 +185,7 @@ def test_sawtooth_scales_with_slope():
 def ramp_integrals(xi, radius: float) -> list:
     """(abs, weighted) mean integrals per level of X(t) = t on [0, 2], ladder [0.5, 0.25]."""
     rows = perturbation_integrability(
-        ramp_model(), xi, 2.0, [0.5, 0.25],
+        ramp_model(), xi, grids_of(0.5, 0.25),
         n_paths=1, seed=0, radius=radius, weight=constant_rate(1.0),
     )
     return [(row.mean_abs_integral, row.mean_weighted_integral) for row in rows]
@@ -204,7 +212,7 @@ def test_tiny_radius_truncates_immediately(cubic_model, unit_segment):
     # |X(0)| = 1 > radius/3 already, so every integral window is empty,
     # while both paths stay inside the radius and are kept
     rows = perturbation_integrability(
-        cubic_model, unit_segment, 2.0, [0.1, 0.05],
+        cubic_model, unit_segment, grids_of(0.1, 0.05),
         n_paths=2, seed=1, radius=2.9, weight=constant_rate(1.0),
     )
     for row in rows:
@@ -221,11 +229,12 @@ def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
     # |X(0)| = 1 > radius on every path: an empty sample is an error, not a
     # pair or a level that reads as perfect convergence
     run = {
-        "converge": lambda: converge_study(cubic_model, unit_segment, 2.0, [0.1, 0.05], 0.1,
+        "converge": lambda: converge_study(cubic_model, unit_segment, grids_of(0.1, 0.05), 0.1,
                                            2, 1, 0.1),
         "perturbation": lambda: perturbation_integrability(
-            cubic_model, unit_segment, 2.0, [0.1, 0.05], 2, 1, 0.1, constant_rate(1.0)),
-        "moments": lambda: estimate_moments(cubic_model, unit_segment, 2.0, 0.1, 2, 1, 0.1),
+            cubic_model, unit_segment, grids_of(0.1, 0.05), 2, 1, 0.1, constant_rate(1.0)),
+        "moments": lambda: estimate_moments(cubic_model, unit_segment, make_grid(1.0, 2.0, 0.1),
+                                            2, 1, 0.1),
     }[study]
     with pytest.raises(DegenerateSampling) as info:
         run()
@@ -243,19 +252,19 @@ def test_one_generate_and_one_simulate_per_block(monkeypatch, cubic_model, unit_
             return _real(*args, **kwargs)
         monkeypatch.setattr(analysis, name, counted)
     monkeypatch.setattr(analysis, "PATH_BLOCK", 2)
-    ladder = [0.1, 0.05, 0.025]
+    grids = grids_of(0.1, 0.05, 0.025)
     {
-        "converge": lambda: converge_study(cubic_model, unit_segment, 2.0, ladder, 0.1, 5, 1),
+        "converge": lambda: converge_study(cubic_model, unit_segment, grids, 0.1, 5, 1),
         "perturbation": lambda: perturbation_integrability(
-            cubic_model, unit_segment, 2.0, ladder, 5, 1, 6.0, constant_rate(1.0)),
-        "moments": lambda: estimate_moments(cubic_model, unit_segment, 2.0, ladder[0], 5, 1),
+            cubic_model, unit_segment, grids, 5, 1, 6.0, constant_rate(1.0)),
+        "moments": lambda: estimate_moments(cubic_model, unit_segment, grids[0], 5, 1),
     }[study]()
     assert (calls.count("generate"), calls.count("simulate")) == (3, 3)
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
     rows = perturbation_integrability(
-        cubic_model, unit_segment, 2.0, [0.1, 0.05, 0.025],
+        cubic_model, unit_segment, grids_of(0.1, 0.05, 0.025),
         n_paths=50, seed=42, radius=6.0, weight=constant_rate(1.0),
     )
     integrals = [row.mean_abs_integral for row in rows]
@@ -268,7 +277,7 @@ def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
 def test_brownian_moment_oracle():
     # X = B: E |X(t)|^2 = t peaks at the horizon with value 2
     report = estimate_moments(
-        additive_noise(1.0), constant_segment(0.0), 2.0, 0.05,
+        additive_noise(1.0), constant_segment(0.0), make_grid(1.0, 2.0, 0.05),
         n_paths=400, seed=29,
     )
     assert report.diverged_count == 0
@@ -281,7 +290,7 @@ def test_constant_path_moments_are_exact():
     # xi == 1 is a fixed point of the neutral recursion, so every statistic
     # collapses to 1 with zero spread
     report = estimate_moments(
-        pure_neutral(0.5, 1.0), constant_segment(1.0), 2.0, 0.25,
+        pure_neutral(0.5, 1.0), constant_segment(1.0), make_grid(1.0, 2.0, 0.25),
         n_paths=8, seed=3,
     )
     assert report.sup_mean_square == 1.0
@@ -301,7 +310,7 @@ def positive_blow_up() -> NsddeModel:
 
 def test_moments_exclude_diverged_paths():
     report = estimate_moments(
-        positive_blow_up(), constant_segment(0.0), 2.0, 0.5, n_paths=40, seed=0
+        positive_blow_up(), constant_segment(0.0), make_grid(1.0, 2.0, 0.5), n_paths=40, seed=0
     )
     assert 0 < report.diverged_count < 40
     assert np.isfinite(report.sup_mean_square)
@@ -311,7 +320,8 @@ def test_moments_with_one_kept_path_raise():
     # path 0 of seed 1 blows up and path 1 does not: one path has no
     # standard error, and 0.0 would read as an exact estimate
     with pytest.raises(DegenerateSampling) as info:
-        estimate_moments(positive_blow_up(), constant_segment(0.0), 2.0, 0.5, n_paths=2, seed=1)
+        estimate_moments(positive_blow_up(), constant_segment(0.0), make_grid(1.0, 2.0, 0.5),
+                         n_paths=2, seed=1)
     assert str(info.value) == ("only one simulated path did not diverge; "
                                "a standard error needs two")
 
@@ -321,13 +331,13 @@ def test_moments_all_diverged_raises():
 
     with pytest.raises(DegenerateSampling):
         estimate_moments(
-            cubic_drift(1.0), constant_segment(2.0), 2.0, 0.25, n_paths=4, seed=0
+            cubic_drift(1.0), constant_segment(2.0), make_grid(1.0, 2.0, 0.25), n_paths=4, seed=0
         )
 
 
 def test_moments_need_two_paths(cubic_model, unit_segment):
     with pytest.raises(InvalidRange):
-        estimate_moments(cubic_model, unit_segment, 2.0, 0.1, n_paths=1, seed=0)
+        estimate_moments(cubic_model, unit_segment, make_grid(1.0, 2.0, 0.1), n_paths=1, seed=0)
 
 
 @pytest.mark.parametrize("radius, diverged", [(6.0, 42), (3.0e6, 34)])
@@ -335,8 +345,9 @@ def test_studies_share_one_divergence_verdict(cubic_model, radius, diverged):
     # explicit Euler on sec4 from xi = 3 at step 0.5 blows up to huge but
     # finite values on 34 of these paths, and 8 more pass |X| = 6 on the way
     xi = constant_segment(3.0)
-    moments = estimate_moments(cubic_model, xi, 2.0, 0.5, 50, 1, radius)
-    (row,) = perturbation_integrability(cubic_model, xi, 2.0, [0.5], 50, 1, radius,
+    grids = grids_of(0.5)
+    moments = estimate_moments(cubic_model, xi, grids[0], 50, 1, radius)
+    (row,) = perturbation_integrability(cubic_model, xi, grids, 50, 1, radius,
                                         constant_rate(1.0))
     assert moments.diverged_count == row.diverged_count == diverged
 
@@ -345,12 +356,12 @@ def test_studies_share_one_divergence_verdict(cubic_model, radius, diverged):
 def test_radius_past_the_squared_norms_is_rejected(cubic_model, unit_segment, study):
     # sup |X| is compared through |X|^2, which overflows past sqrt(float max)
     # (1.34e154): a path inside a 1e200 ball could not be told from a blow-up
+    grids = grids_of(0.5, 0.25)
     run = {
-        "converge": lambda r: converge_study(cubic_model, unit_segment, 2.0, [0.5, 0.25], 0.1,
-                                             2, 0, r),
-        "moments": lambda r: estimate_moments(cubic_model, unit_segment, 2.0, 0.5, 2, 0, r),
+        "converge": lambda r: converge_study(cubic_model, unit_segment, grids, 0.1, 2, 0, r),
+        "moments": lambda r: estimate_moments(cubic_model, unit_segment, grids[0], 2, 0, r),
         "perturbation": lambda r: perturbation_integrability(
-            cubic_model, unit_segment, 2.0, [0.5, 0.25], 2, 0, r, constant_rate(1.0)),
+            cubic_model, unit_segment, grids, 2, 0, r, constant_rate(1.0)),
     }[study]
     with pytest.raises(InvalidRange, match="truncation radius"):
         run(1e200)
@@ -374,11 +385,11 @@ NAN = float("nan")
     lambda m, xi: neutral_cubic_model(0.5, NAN, -1.0, 1.0),
     lambda m, xi: neutral_cubic_rates(0.5, -1.0, NAN, 1.0, 2.0),
     lambda m, xi: constant_rate(NAN),
-    lambda m, xi: converge_study(m, xi, 2.0, [0.1, 0.05], NAN, 4, 0),
-    lambda m, xi: converge_study(m, xi, 2.0, [0.1, 0.05], 0.1, 4, 0, radius=NAN),
-    lambda m, xi: perturbation_integrability(m, xi, 2.0, [0.1, 0.05], 4, 0, NAN,
+    lambda m, xi: converge_study(m, xi, grids_of(0.1, 0.05), NAN, 4, 0),
+    lambda m, xi: converge_study(m, xi, grids_of(0.1, 0.05), 0.1, 4, 0, radius=NAN),
+    lambda m, xi: perturbation_integrability(m, xi, grids_of(0.1, 0.05), 4, 0, NAN,
                                              constant_rate(1.0)),
-    lambda m, xi: estimate_moments(m, xi, 2.0, 0.1, 4, 0, radius=NAN),
+    lambda m, xi: estimate_moments(m, xi, make_grid(1.0, 2.0, 0.1), 4, 0, radius=NAN),
     lambda m, xi: power_split_bound(1.0, 1.0, NAN, 1.0),
     lambda m, xi: power_split_bound(1.0, 1.0, 2.0, NAN),
 ], ids=["cubic_model_c1", "cubic_rates_c2", "constant_rate", "converge_epsilon",
@@ -584,14 +595,15 @@ def test_studies_match_a_path_major_reduction(which, horizon):
     ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
     fine, levels = path_major_levels(model, xi, horizon, ladder, n_paths, seed)
 
-    rows = converge_study(model, xi, horizon, ladder, 0.5, n_paths, seed)
+    grids = grids_of(*ladder, horizon=horizon)
+    rows = converge_study(model, xi, grids, 0.5, n_paths, seed)
     for row, sups in zip(rows, reference_sups(levels, 3.0e6)):
         assert row.sup_diffs.tobytes() == sups.tobytes()
         assert row.diverged_count == n_paths - sups.size
         assert row.exceed_count == int((sups > 0.5).sum())
 
     moments_radius = 50.0
-    report = estimate_moments(model, xi, horizon, ladder[0], n_paths, seed, moments_radius)
+    report = estimate_moments(model, xi, grids[0], n_paths, seed, moments_radius)
     coarse, ((level, finite),) = path_major_levels(model, xi, horizon, ladder[:1], n_paths, seed)
     used, sup_ms, mean_ss, se, peak = reference_moments(level, finite, moments_radius)
     assert report.diverged_count == n_paths - used
@@ -599,7 +611,7 @@ def test_studies_match_a_path_major_reduction(which, horizon):
     assert report.sup_time == coarse.times[peak + coarse.steps_per_delay]
 
     weight = lambda t: 1.0 + t  # noqa: E731
-    prows = perturbation_integrability(model, xi, horizon, ladder, n_paths, seed, 6.0, weight)
+    prows = perturbation_integrability(model, xi, grids, n_paths, seed, 6.0, weight)
     got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count) for r in prows]
     assert got == reference_perturbation(fine, levels, horizon, ladder, 6.0, weight)
 
@@ -613,9 +625,10 @@ def test_perturbation_sums_each_path_in_one_path_order(cubic_model, cubic_rates,
     # must be summed as a sum over that one path's intervals alone (summing
     # zero-padded rows moves the last bits of some of these means)
     ladder = (0.1, 0.05, 0.025, 0.0125)
+    grids = grids_of(*ladder)
     for seed in range(15):
         fine, levels = path_major_levels(cubic_model, unit_segment, 2.0, ladder, n_paths, seed)
-        rows = perturbation_integrability(cubic_model, unit_segment, 2.0, ladder, n_paths, seed,
+        rows = perturbation_integrability(cubic_model, unit_segment, grids, n_paths, seed,
                                           radius, cubic_rates.local_rate)
         got = [(r.mean_abs_integral, r.mean_weighted_integral, r.diverged_count)
                for r in rows]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -254,6 +255,18 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: the {command} run does not fit in memory\n")
         assert out.is_dir()  # made before the run, so it may stay behind
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_step_too_fine_for_memory_is_2(self, tmp_path, capsys, command):
+        # a 1e-12 step on [-1, 2] is 3e12 grid times, about 22 TiB of them
+        # alone: arrays sized before they are filled fail at once, where a
+        # list of the times would grow until the machine runs out
+        ladder = [0.5, 1e-12] if command == "converge" else [1e-12]
+        cfg = write_config(tmp_path, ladder=ladder, n_paths=2, samples=10)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr() == ("", f"error: the {command} run does not fit in memory\n")
 
     def test_simulate_needs_single_level(self, tmp_path):
         cfg = write_config(tmp_path)  # two ladder entries
@@ -599,6 +612,18 @@ class TestOutputs:
         cfg = write_config(tmp_path, model={"id": "additive_noise", "params": {}})
         assert main(["perturbation", "--config", cfg, "--output", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["weight"] == "constant 1"
+
+    @pytest.mark.parametrize("command", ["converge", "perturbation", "moments"])
+    def test_each_level_grid_is_built_once(self, tmp_path, monkeypatch, command):
+        # main builds and validates the ladder's grids, and the study takes them
+        steps = []
+        real = cli.analysis.make_grid
+        monkeypatch.setattr(cli.analysis, "make_grid",
+                            lambda tau, horizon, delta: steps.append(delta) or real(tau, horizon, delta))
+        ladder = [0.5] if command == "moments" else [0.5, 0.25, 0.125]
+        cfg = write_config(tmp_path, ladder=ladder)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert steps == ladder
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = self.run_simulate(tmp_path)

@@ -503,7 +503,7 @@ def test_interleaved_draws_replay_the_generator_calls(n, dim):
     for seed in (0, 1, 7, 20260815):
         for samples in (1, 2, 3, 500):
             box = 2.0 if seed % 2 else 0.7
-            got = _interleaved_draws(seed, n, box, dim, samples)
+            got = _interleaved_draws(pcg64.Stream(seed), n, box, dim, samples)
             want = _sequential_draws(seed, n, box, dim, samples)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
@@ -518,7 +518,7 @@ def test_a_rejected_buffered_half_falls_back_to_the_generator_calls(dim):
     seed = next(s for s, raw in first.items()
                 if not _lemire_rejects(raw & 0xFFFFFFFF, n) and _lemire_rejects(raw >> 32, n))
     for samples in (2, 3, 40):
-        got = _interleaved_draws(seed, n, 1.5, dim, samples)
+        got = _interleaved_draws(pcg64.Stream(seed), n, 1.5, dim, samples)
         want = _sequential_draws(seed, n, 1.5, dim, samples)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -532,12 +532,21 @@ def test_rate_proposal_makes_as_many_generator_calls_at_any_sample_count(monkeyp
 
     def generations(samples):
         calls = []
-        monkeypatch.setattr(pcg64, "_kept", {})
         monkeypatch.setattr(pcg64, "_outputs", lambda *args: calls.append(args) or real(*args))
-        _interleaved_draws(20260815, n, flat_spec().box_radius, 1, samples)
+        _interleaved_draws(pcg64.Stream(20260815), n, flat_spec().box_radius, 1, samples)
         return len(calls)
 
     assert generations(10) == generations(10_000) == 1
+
+
+def test_one_check_seeds_pcg64_once(monkeypatch, cubic_model, cubic_rates):
+    # the pairs, the quadruples and the proposal read three streams of one seed,
+    # which share the outputs generated; no stream state outlives the call
+    real, seeded = pcg64._seed, []
+    monkeypatch.setattr(pcg64, "_seed", lambda seed: seeded.append(seed) or real(seed))
+    for _ in range(2):
+        check_conditions(cubic_model, cubic_rates, GRID, 50, 20260815)
+    assert seeded == [20260815, 20260815]
 
 
 def mixing_model():

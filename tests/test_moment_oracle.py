@@ -97,7 +97,7 @@ def assert_engine_matches(params, exact, seed):
     assert np.abs(z).max() <= 4.0, z
 
     # estimate_moments: its sup-of-mean-square at the time it attains it
-    report = estimate_moments(model, XI, GRID.horizon, GRID.delta, PATHS, seed)
+    report = estimate_moments(model, XI, GRID, PATHS, seed)
     assert report.diverged_count == 0
     at = n + round(report.sup_time / GRID.delta)
     z_sup = (report.sup_mean_square - exact[at]) / report.std_error

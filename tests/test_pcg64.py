@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsdde_sim import (InvalidRange, check_conditions, make_grid, neutral_cubic_model,
-                       neutral_cubic_rates, pcg64)
+                       neutral_cubic_rates)
 from nsdde_sim.conditions import _interleaved_draws
 from nsdde_sim.pcg64 import Stream
 
@@ -13,13 +13,12 @@ COUNTS = [1, 2, 3, 1000, 100_001]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_raw_outputs_are_numpys(monkeypatch, seed):
+def test_raw_outputs_are_numpys(seed):
     want = np.random.default_rng(seed).bit_generator.random_raw(COUNTS[-1])
-    monkeypatch.setattr(pcg64, "_kept", {})
-    for count in COUNTS:  # each count grows the kept block
-        assert Stream(seed).peek(count).tobytes() == want[:count].tobytes()
+    stream = Stream(seed)
+    for count in COUNTS:  # each count grows the shared block
+        assert stream.restart().peek(count).tobytes() == want[:count].tobytes()
     for count in COUNTS:  # each count generated afresh
-        monkeypatch.setattr(pcg64, "_kept", {})
         assert Stream(seed).peek(count).tobytes() == want[:count].tobytes()
 
 
@@ -68,4 +67,4 @@ def test_integer_ranges_past_32_bits_are_invalid():
     with pytest.raises(InvalidRange, match="2\\*\\*32"):
         Stream(0).integers(0, 2**32 + 1, 1)
     with pytest.raises(InvalidRange, match="2\\*\\*32"):
-        _interleaved_draws(0, 2**32 + 1, 1.0, 1, 3)
+        _interleaved_draws(Stream(0), 2**32 + 1, 1.0, 1, 3)
