@@ -27,11 +27,11 @@ Coefficients, and the bare ``neutral`` map of the contraction checks, are
 called on ``(S, state_dim)`` stacks of samples, or for the pairs of points that
 C3 and the rate proposal compare on ``(2, S, state_dim)`` stacks, under the
 evaluator contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t``
-is a Python float, a constant broadcasts).  :func:`check_conditions` is the one
-entry to all four checks.  It draws the box pairs that C4, C2 and H read once,
-and C4 and the contraction estimate share one ``neutral`` call.  C2, C3 and the
-rate proposal share one pass: ``neutral`` once on every sample, ``drift`` and
-``diffusion`` once per distinct sampled time on the samples at that time.
+is a ``(..., 1)`` array of each sample's time, a constant broadcasts).
+:func:`check_conditions` is the one entry to all four checks.  It draws the box
+pairs that C4, C2 and H read once, and C4 and the contraction estimate share one
+``neutral`` call.  C2, C3 and the rate proposal share one pass: one ``neutral``,
+one ``drift`` and one ``diffusion`` call on every sample, each at its own time.
 Everything else (both sides of each bound, the rate inequalities, the violation
 lists) is computed once over all samples.  Checkers run with numpy's
 floating-point warnings off: a side that overflows fails in the report and prints
@@ -57,6 +57,9 @@ SLACK = 1e-9
 
 # At most this many violations are kept per report (after severity sorting).
 MAX_VIOLATIONS = 100
+
+# H's memory bound: diffusion entries (times x pairs x d x m) per block, at least one time.
+H_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def _rownorm(a):
 
 def _sqsum(s):
     """|sigma|^2 of each sample: its (d, m) block's squares summed as ``np.sum`` does."""
-    return np.sum((s * s).reshape(len(s), -1), axis=-1)
+    return np.sum((s * s).reshape(s.shape[:-2] + (-1,)), axis=-1)
 
 
 def _rows(value, shape):
@@ -270,30 +273,18 @@ def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
 def _coefficient_pass(model: NsddeModel, parts) -> list:
     """Each part's (D(y), b, sigma), stacked as its x, from one coefficient pass.  A part
     is ``(x, y, ts)``: ``(S, d)`` or ``(2, S, d)`` stacks of points whose sample i lies at
-    time ts[i].  ``neutral`` runs once, ``drift`` and ``diffusion`` once per distinct time
-    on the rows sorted by time; evaluators act row by row, so the sort need not be
-    stable (numpy's stable float sort is far slower)."""
+    time ts[i].  ``neutral``, ``drift`` and ``diffusion`` run once each on the rows of
+    every part, ``drift`` and ``diffusion`` with each row's time as a ``(rows, 1)`` stack."""
     d = model.state_dim
     x, y, ts = map(np.concatenate, zip(*[
         (x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
         for x, y, ts in parts]))
-    order = np.argsort(ts)
-    ordered, xs, ys = ts[order], x.take(order, 0), y.take(order, 0)
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    bounds = starts.tolist() + [len(ts)]
-    bv, sv = np.empty(x.shape), np.empty(x.shape + (model.noise_dim,))
-    for t, lo, hi in zip(ordered[starts].tolist(), bounds, bounds[1:]):
-        bv[lo:hi] = model.drift(xs[lo:hi], ys[lo:hi], t)
-        sv[lo:hi] = model.diffusion(xs[lo:hi], ys[lo:hi], t)
-    dvy = _rows(model.neutral(y), x.shape)
-    del x, y, xs, ys  # the callers need only the coefficients
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(ts))
+    coeffs = [_rows(model.neutral(y), x.shape), _rows(model.drift(x, y, ts[:, None]), x.shape),
+              _rows(model.diffusion(x, y, ts[:, None]), x.shape + (model.noise_dim,))]
     results, lo = [], 0
     for px, _, _ in parts:
         hi = lo + px.size // d
-        results.append([c.reshape(px.shape + c.shape[2:])
-                        for c in (dvy[lo:hi], bv.take(rank[lo:hi], 0), sv.take(rank[lo:hi], 0))])
+        results.append([c[lo:hi].reshape(px.shape + c.shape[2:]) for c in coeffs])
         lo = hi
     return results
 
@@ -306,26 +297,28 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> ConditionReport:
-    """H: the box pairs at every grid time, one drift and one diffusion call per time;
-    the per-time maxima of |b| + |sigma|^2 are summed with weight delta.  It fails only
-    where a coefficient is not finite, and carries the integral estimate."""
-    dim = model.state_dim
+    """H: |b| + |sigma|^2 on the box pairs at every grid time, from one drift and one
+    diffusion call per block of ``(T, 1, 1)`` times, :data:`H_BLOCK_ENTRIES` diffusion
+    entries at most.  Each block folds into its per-time peaks, which a NaN row never is
+    and an inf row can be, and its non-finite rows, the only ones that fail.  The peaks
+    are summed with weight delta left to right; the report carries that integral."""
+    n, times = len(pairs), grid.times[grid.steps_per_delay:-1]
     x, y = pairs[:, 0], pairs[:, 1]
-    times = grid.times[grid.steps_per_delay:-1].tolist()
+    step = max(1, H_BLOCK_ENTRIES // (n * model.state_dim * model.noise_dim))
     violations: list[Violation] = []
     total = 0.0
-    bv, sv = np.empty((len(x), dim)), np.empty((len(x), dim, model.noise_dim))
-    for t in times:
-        bv[:], sv[:] = model.drift(x, y, t), model.diffusion(x, y, t)
-        val = _rownorm(bv) + _sqsum(sv)
-        peak = float(val.max())  # NaN or inf when some row is not finite
-        if not math.isfinite(peak):
-            violations += [
-                Violation({"t": t, "x": x[i].tolist(), "y": y[i].tolist()}, math.inf, 0.0)
-                for i in np.flatnonzero(~np.isfinite(val)).tolist()]
-            peak = _running_max(0.0, val)
-        total += max(0.0, peak) * grid.delta
-    return _finish("H", len(times) * len(pairs), violations, estimate=total)
+    for lo in range(0, len(times), step):
+        t = times[lo : lo + step, None, None]
+        shape = (len(t), n, model.state_dim)
+        val = (_rownorm(_rows(model.drift(x, y, t), shape))
+               + _sqsum(_rows(model.diffusion(x, y, t), shape + (model.noise_dim,))))
+        peaks = np.where(val > 0, val, 0).max(axis=-1)
+        total = float(np.concatenate([[total], peaks * grid.delta]).cumsum()[-1])
+        violations += [
+            Violation({"t": float(times[lo + i]), "x": x[j].tolist(), "y": y[j].tolist()},
+                      math.inf, 0.0)
+            for i, j in np.argwhere(~np.isfinite(val)).tolist()]
+    return _finish("H", len(times) * n, violations, estimate=total)
 
 
 def _interleaved_draws(rng: pcg64.Stream, n: int, box: float, dim: int, samples: int):

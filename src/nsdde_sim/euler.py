@@ -27,13 +27,14 @@ Every path of a noise stack, and every level of a ladder, advances
 together.  The levels share their time nodes: level j steps at fine index
 l exactly when its refinement divides l, so one loop over the steps of the
 finest level makes one drift and one diffusion call per step for all
-levels due there.  Every delayed argument
-of a delay window lies in the window before, so each window takes one
-``neutral`` call for every level's nodes and in-cell nodes alike.
-Evaluators therefore receive states of shape ``(..., state_dim)`` and the
-time as a Python float, and must act elementwise over all leading axes
-(levels and paths, and for ``neutral`` also nodes), so that each path's
-values are bitwise those of a one-path, one-node-at-a-time run.  States
+levels due there.  Every delayed argument of a delay window lies in the
+window before, so each window takes one ``neutral`` call for every level's
+nodes and in-cell nodes alike.  Evaluators therefore receive states of
+shape ``(..., state_dim)`` and the step's time as a Python float (the float
+case of the contract of :mod:`nsdde_sim.model`, whose time arrays serve the
+condition checkers), and must act elementwise over all leading axes (levels
+and paths, and for ``neutral`` also nodes), so that each path's values are
+bitwise those of a one-path, one-node-at-a-time run.  States
 are stored time-major across levels, ``(rows, levels, paths, state_dim)``
 finest first: the levels due at a step are one contiguous row slice, and
 the update is written into it in place.  Each level :func:`simulate`

@@ -3,13 +3,13 @@
 A model bundles the neutral map ``D``, drift ``b(x, y, t)`` and diffusion
 ``sigma(x, y, t)`` together with the delay.  ``x`` is the current state,
 ``y`` the state one delay in the past.  Evaluators receive numpy arrays of
-shape ``(..., state_dim)`` and the time ``t`` as a Python float.  The
-leading axes index paths, so the Euler engine evaluates every path of a
-batch in one call; ``neutral`` may also get a block whose leading axes
-index grid nodes as well as paths, such as the ``(cells, r, paths,
-state_dim)`` rows of a whole delay window.  Evaluators must be pure
-functions that act elementwise over all leading axes: each entry must get
-bitwise the result of a call on that one state alone.
+shape ``(..., state_dim)`` whose leading axes index paths, so the Euler
+engine evaluates every path of a batch in one call; ``neutral`` may also get
+grid nodes on them, such as the ``(cells, r, paths, state_dim)`` rows of a
+delay window.  The time ``t`` is a Python float, or for the condition checkers
+a float array of shape ``(..., 1)`` that broadcasts against the leading axes.
+Evaluators must be pure functions that act elementwise over all leading axes:
+each entry must get bitwise the result of a float-``t`` call on it alone.
 
 Grids tie the delay and the horizon to a common step: ``delta = tau / N``
 with ``M`` steps to the horizon.  Grid times are always derived from the
@@ -186,16 +186,17 @@ class NsddeModel:
     (x, y, t) -> (..., state_dim); ``diffusion`` maps (x, y, t) ->
     (..., state_dim, noise_dim).  The leading axes ``...`` index paths, and
     for ``neutral`` also grid nodes: each evaluator acts elementwise over
-    all of them, and ``t`` is a scalar float.  A result without the leading
-    axes (a constant) broadcasts to every path and node.
+    all of them.  ``t`` is a float, or a float array of shape ``(..., 1)``
+    that broadcasts against the leading axes, one time per entry.  A result
+    without the leading axes (a constant) broadcasts to every path and node.
     """
 
     state_dim: int
     noise_dim: int
     delay: float
     neutral: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    diffusion: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
+    diffusion: Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.state_dim < 1 or self.noise_dim < 1:
@@ -226,12 +227,17 @@ def neutral_cubic_model(k: float, c1: float, c2: float, tau: float) -> NsddeMode
     def neutral(y):
         return k * y
 
+    def factor(c, t):  # libm's exp of each time: numpy's rounds some grid times differently
+        if isinstance(t, np.ndarray):
+            return np.fromiter(map(math.exp, (c * t).ravel().tolist()), float, t.size).reshape(t.shape)
+        return math.exp(c * t)
+
     def drift(x, y, t):
         u = x - k * y
-        return math.exp(c1 * t) * (1.0 + u - u * (x * x + ksq * y * y))
+        return factor(c1, t) * (1.0 + u - u * (x * x + ksq * y * y))
 
     def diffusion(x, y, t):
-        return (math.exp(c2 * t) * (1.0 + x - k * y))[..., None]
+        return (factor(c2, t) * (1.0 + x - k * y))[..., None]
 
     return NsddeModel(1, 1, tau, neutral, drift, diffusion)
 

@@ -684,10 +684,9 @@ class TestCheckReport:
         assert h_report["estimate"] > 0.0
         assert doc["estimates"]["kappa"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_coefficient_calls(self, tmp_path, monkeypatch):
-        # C4 and the kappa estimate share one neutral call; C2, C3 and the rate
-        # proposal share one neutral call and one drift and diffusion call per
-        # distinct sampled time (21 on [0, 2]); H calls them at each of its 20 times
+    @staticmethod
+    def coefficient_calls(tmp_path, monkeypatch, **overrides):
+        """The coefficient calls of one ``check`` run on the sec4 config."""
         calls = Counter()
 
         def counted(name, fn):
@@ -702,9 +701,24 @@ class TestCheckReport:
                                      for name in ("neutral", "drift", "diffusion")})
 
         monkeypatch.setattr(cli, "builtin_model", traced)
-        cfg = write_config(tmp_path, ladder=[0.1], samples=500)
+        cfg = write_config(tmp_path, **overrides)
         assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
-        assert calls == {"neutral": 2, "drift": 41, "diffusion": 41}
+        return calls
+
+    def test_coefficient_calls(self, tmp_path, monkeypatch):
+        # C4 and the kappa estimate share one neutral call; C2, C3 and the rate
+        # proposal share one neutral, drift and diffusion call; H's 20 times of
+        # 508 pairs fit in one block, one drift and one diffusion call
+        calls = self.coefficient_calls(tmp_path, monkeypatch, ladder=[0.1], samples=500)
+        assert calls == {"neutral": 2, "drift": 2, "diffusion": 2}
+
+    def test_coefficient_calls_grow_with_h_blocks_not_grid_times(self, tmp_path, monkeypatch):
+        # 20,000 grid times of 18 sec4 pairs, one diffusion entry each: one drift
+        # call per block of H's table and one for the shared pass, whatever the machine
+        calls = self.coefficient_calls(tmp_path, monkeypatch, ladder=[1e-4], samples=10)
+        blocks = -(-20_000 // (nsdde_sim.conditions.H_BLOCK_ENTRIES // 18))
+        assert calls == {"neutral": 2, "drift": 1 + blocks, "diffusion": 1 + blocks}
+        assert blocks < 100
 
     def test_failing_check_lists_violations(self, tmp_path):
         cfg = write_config(

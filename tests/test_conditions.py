@@ -5,6 +5,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,12 +33,17 @@ from nsdde_sim.conditions import (
     SLACK,
     ConditionReport,
     Violation,
+    _PAIRS,
     _coefficient_pass,
+    _integrability,
     _interleaved_draws,
+    _probes_and_draws,
     _rowdot,
     _rownorm,
+    _rows,
     _sqsum,
 )
+from nsdde_sim.model import _BUILTINS, builtin_model
 
 GRID = make_grid(1.0, 2.0, 0.1)
 SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
@@ -219,6 +225,16 @@ class TestMonotonicity:
                     assert np.linalg.norm(v.inputs[key]) <= cubic_rates.box_radius + 1e-12
 
 
+def inf_after_one():
+    """Drift zero up to t = 1 and infinite after it."""
+    return NsddeModel(
+        1, 1, 1.0,
+        neutral=lambda y: np.zeros(1),
+        drift=lambda x, y, t: np.where(t <= 1.0, np.zeros(1), np.inf),
+        diffusion=lambda x, y, t: np.zeros((1, 1)),
+    )
+
+
 class TestIntegrability:
     def test_cubic_model_estimate(self, cubic_model):
         report = integrability(cubic_model, GRID, 500, seed=19)
@@ -226,15 +242,7 @@ class TestIntegrability:
         assert report.estimate is not None and 0.0 < report.estimate < 100.0
 
     def test_non_finite_coefficient_fails(self):
-        from nsdde_sim import NsddeModel
-
-        bad = NsddeModel(
-            1, 1, 1.0,
-            neutral=lambda y: np.zeros(1),
-            drift=lambda x, y, t: np.zeros(1) if t <= 1.0 else np.full(1, np.inf),
-            diffusion=lambda x, y, t: np.zeros((1, 1)),
-        )
-        report = integrability(bad, GRID, 20, seed=0)
+        report = integrability(inf_after_one(), GRID, 20, seed=0)
         assert report.verdict == "fail"
         assert any(not np.isfinite(v.lhs) for v in report.violations)
 
@@ -556,7 +564,7 @@ def mixing_model():
         a, b = x[..., 0], y[..., 1]
         first = np.stack([a, 0.5 * b, 1.0 + 0.0 * a], -1)
         second = np.stack([0.1 * b, np.sin(a), a * b], -1)
-        return np.stack([first, second], -2) * np.exp(-t)
+        return np.stack([first, second], -2) * np.exp(-t)[..., None]
 
     return NsddeModel(
         2, 3, 1.0,
@@ -624,11 +632,10 @@ ROWS_AT_500 = (8 + 500, 2 * (5 + 500), 2 * 500)
 
 @pytest.mark.parametrize("which", [(0,), (1,), (2,), (0, 1, 2)], ids=[
     "check_coercivity", "check_monotonicity", "propose_constant_rates", "coefficient_checks"])
-def test_coefficient_calls_per_distinct_sampled_time(which):
-    # neutral once per pass on every sample; drift and diffusion once per
-    # distinct sampled time, together on every sample (both points of a pair)
-    # at that time, whether a part runs alone or all three share the pass.
-    # 500 draws hit all 21 grid times of [0, 2].
+def test_one_call_per_evaluator_per_pass(which):
+    # neutral, drift and diffusion once per pass on every sample (both points of
+    # a pair), whether a part runs alone or all three share the pass; drift and
+    # diffusion get each row's sampled time, all 21 grid times of [0, 2] in one call
     calls, times = Counter(), {"drift": [], "diffusion": []}
     plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
 
@@ -644,13 +651,16 @@ def test_coefficient_calls_per_distinct_sampled_time(which):
 
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
-    parts = parts_of(plain, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0), GRID, 500, 5)
-    coefficients(model, [parts[k] for k in which])
+    parts = [parts_of(plain, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0), GRID, 500, 5)[k]
+             for k in which]
+    coefficients(model, parts)
     rows = sum(ROWS_AT_500[k] for k in which)
-    sampled = GRID.times[GRID.steps_per_delay:].tolist()
-    assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 21, "drift_rows": rows,
-                     "diffusion": 21, "diffusion_rows": rows}
-    assert sorted(times["drift"]) == sorted(times["diffusion"]) == sampled
+    assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 1, "drift_rows": rows,
+                     "diffusion": 1, "diffusion_rows": rows}
+    row_times = np.concatenate([np.broadcast_to(ts, x.shape[:-1]).ravel() for x, _, ts in parts])
+    for (t,) in times.values():
+        assert t.shape == (rows, 1) and t.tobytes() == row_times.tobytes()
+    assert np.unique(row_times).tolist() == GRID.times[GRID.steps_per_delay:].tolist()
 
 
 TIME_VARYING = ConditionSpec(
@@ -702,6 +712,83 @@ def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
             assert [c.tobytes() for c in shared] == [c.tobytes() for c in own]
             drawn_by_one += bool(drawn[k].difference(*drawn[:k], *drawn[k + 1:]))
     assert drawn_by_one
+
+
+# every built-in model, with parameters of its own, beside the oracle models
+BUILTIN_PARAMS = {"sec4": {"k": 0.5, "c1": -1.0, "c2": -0.5}, "linear_delay_ode": {"a": 0.7},
+                  "pure_neutral": {"k": -0.3}, "additive_noise": {"dim": 3},
+                  "cubic_drift": {"dim": 2}}
+CONTRACT_MODELS = {**{"builtin_" + key: partial(builtin_model, key, 1.0, params)
+                      for key, params in BUILTIN_PARAMS.items()}, **ORACLE_MODELS}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
+def test_time_arrays_give_each_entry_its_float_time_result(name):
+    # an (S, 1) time stack, as the coefficient pass makes, and H's (T, 1, 1)
+    # table against P pairs give each entry bitwise a float-t call on its row
+    # alone; the grid times of [-1, 2] at step 0.01 include times where numpy's
+    # exp rounds differently from libm's
+    model = CONTRACT_MODELS[name]()
+    d, m = model.state_dim, model.noise_dim
+    times = make_grid(1.0, 2.0, 0.01).times
+    x, y = np.random.default_rng(7).uniform(-2.0, 2.0, size=(2, len(times), d))
+    p = 4
+    for f, tail in ((model.drift, (d,)), (model.diffusion, (d, m))):
+        def alone(i, t):
+            return _rows(f(x[i], y[i], t), tail)
+
+        stack = _rows(f(x, y, times[:, None]), times.shape + tail)
+        want = np.array([alone(i, t) for i, t in enumerate(times.tolist())])
+        assert stack.tobytes() == want.tobytes()
+        table = _rows(f(x[:p], y[:p], times[:, None, None]), (len(times), p) + tail)
+        want = np.array([[alone(i, t) for i in range(p)] for t in times.tolist()])
+        assert table.tobytes() == want.tobytes()
+    assert set(BUILTIN_PARAMS) == set(_BUILTINS)
+
+
+# 13 pairs of sec4 and inf_after_one (d = m = 1) or blowup (d = m = 2) at 20 times:
+# one time per block, ragged blocks of 3 or 15 times, one block
+@pytest.mark.parametrize("entries", [1, 40, 200, 1 << 16])
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0), "pass"), (blowup_model, "fail"),
+    (inf_after_one, "fail")], ids=["sec4", "blowup", "inf_after_one"])
+def test_blocked_integrability_matches_the_per_sample_reference(monkeypatch, make, verdict,
+                                                                entries):
+    # blowup_model has NaN and inf rows at every time, inf_after_one only inf rows
+    model = make()
+    pairs = _probes_and_draws(pcg64.Stream(3), 2.0, model.state_dim, _PAIRS, 5)
+    monkeypatch.setattr(conditions, "H_BLOCK_ENTRIES", entries)
+    with np.errstate(all="ignore"):
+        got = _integrability(model, GRID, pairs)
+    assert repr(got) == repr(ref_check_integrability(model, GRID, 2.0, 5, 3))
+    assert (got.samples_tested, got.verdict) == (20 * 13, verdict)
+
+
+@pytest.mark.parametrize("dim, entries", [(100, 1 << 16), (10, 1 << 16), (10, 5000)])
+def test_h_blocks_stay_within_the_entry_bound(monkeypatch, dim, entries):
+    # each block's diffusion stack, which |sigma|^2 squares, holds at most
+    # H_BLOCK_ENTRIES entries, or one time's 13 x dim x dim when that is more
+    model = additive_noise(1.0, dim)
+    pairs = _probes_and_draws(pcg64.Stream(3), 2.0, dim, _PAIRS, 5)
+    grid = make_grid(1.0, 2.0, 0.01)  # 200 times for H
+    shapes, real = [], conditions._sqsum
+    monkeypatch.setattr(conditions, "_sqsum", lambda s: shapes.append(s.shape) or real(s))
+    monkeypatch.setattr(conditions, "H_BLOCK_ENTRIES", entries)
+    report = _integrability(model, grid, pairs)
+    per_time = 13 * dim * dim
+    assert [s[1:] for s in shapes] == [(13, dim, dim)] * len(shapes)
+    assert sum(s[0] for s in shapes) == report.samples_tested // 13 == 200
+    assert len(shapes) == -(-200 // max(1, entries // per_time))
+    assert max(math.prod(s) for s in shapes) <= max(entries, per_time)
+
+
+def test_sec4_takes_any_scalar_time():
+    model = neutral_cubic_model(0.5, -1.0, -0.5, 1.0)
+    x, y = np.array([0.3, -1.1]), np.array([-0.2, 0.7])
+    for f in (model.drift, model.diffusion):
+        want = f(x, y, 0.0).tobytes()
+        assert all(f(x, y, t).tobytes() == want for t in (0, np.int64(0), np.float32(0.0)))
 
 
 @pytest.mark.parametrize("samples", [1, 40])
