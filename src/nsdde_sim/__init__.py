@@ -40,7 +40,6 @@ from .errors import (
 from .euler import simulate
 from .model import (
     DelayGrid,
-    InitialSegment,
     NsddeModel,
     additive_noise,
     affine_segment,
@@ -62,7 +61,6 @@ __all__ = [
     "DelayGrid",
     "DimensionMismatch",
     "IncompatibleGrids",
-    "InitialSegment",
     "InvalidRange",
     "LevelPairRow",
     "MomentReport",

@@ -31,7 +31,7 @@ import numpy as np
 from .brownian import generate
 from .errors import DegenerateSampling, DimensionMismatch, InvalidRange
 from .euler import simulate
-from .model import DelayGrid, InitialSegment, NsddeModel, make_grid
+from .model import DelayGrid, NsddeModel, make_grid
 
 # Paths per engine call.  Memory grows with levels x PATH_BLOCK x grid
 # points; every shipped config fits in one block.
@@ -67,7 +67,7 @@ def check_radius(radius: float) -> None:
         raise InvalidRange(f"truncation radius must lie in (0, 1.34e154], got {radius!r}")
 
 
-def _ladder_study(model: NsddeModel, xi: InitialSegment, grids, n_paths: int, seed: int,
+def _ladder_study(model: NsddeModel, xi: Callable, grids, n_paths: int, seed: int,
                   radius: float, reduce, names) -> list[np.ndarray]:
     """Run the coupled ladder in blocks of paths and keep each slot's reduction.
 
@@ -141,7 +141,7 @@ class LevelPairRow:
 
 def converge_study(
     model: NsddeModel,
-    xi: InitialSegment,
+    xi: Callable,
     grids,
     epsilon: float,
     n_paths: int,
@@ -217,19 +217,20 @@ class PerturbationRow:
 
 def perturbation_integrability(
     model: NsddeModel,
-    xi: InitialSegment,
+    xi: Callable,
     grids,
     n_paths: int,
     seed: int,
     radius: float,
-    weight: Callable[[float], float],
+    weight: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[PerturbationRow, ...]:
     """Mean integrals of the deviation from the last coarse node, one row per level.
 
     For each level of the ladder ``grids``, sampled on the finest grid, the deviation
     p(t) = X(floor-to-coarse(t)) - X(t) is integrated over
     [0, min(horizon, first time |X| > radius/3)], both plainly and with the
-    time weight applied, over the paths that did not diverge there.
+    time weight applied, over the paths that did not diverge there.  ``weight``
+    is called once, on the fine times of [0, horizon].
     Quadrature is per fine interval with the interval's own coarse anchor,
     so the piecewise behaviour of p at coarse nodes is integrated exactly
     (it gives the closed form c*M*delta^2/2 for constant drift to rounding).
@@ -238,7 +239,8 @@ def perturbation_integrability(
         raise InvalidRange("ladder must contain at least one step")
     fine = grids[-1]
     delta_f = fine.delta
-    weights = np.array([float(weight(float(t))) for t in fine.times[fine.steps_per_delay :]])
+    times = fine.times[fine.steps_per_delay :]
+    weights = np.broadcast_to(np.asarray(weight(times), dtype=float), times.shape)
     threshold = radius / 3.0
     factors = [g.refinement(fine) for g in grids]
 
@@ -296,7 +298,7 @@ class MomentReport:
 
 def estimate_moments(
     model: NsddeModel,
-    xi: InitialSegment,
+    xi: Callable,
     grid: DelayGrid,
     n_paths: int,
     seed: int,

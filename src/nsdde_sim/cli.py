@@ -23,13 +23,14 @@ the least and the most ladder levels it takes, and whether it requires a rate
 bundle.  The bundle (the config's "rates", else the model's built-in one) and
 ``truncation_radius`` are checked under every command.  ``main`` checks
 those, builds the model, the initial segment, the ladder grids and the
-bundle, only then creates the output directory, and calls the runner, which
-computes and writes its own output files.  Then ``main`` writes a
-``manifest.json`` (config echo, effective seed, library version, algorithm
-identifiers, output list), prints the runner's summary lines and picks the
-exit code.  Reruns with the same config and seed are byte-identical.  CSV
-output uses comma separators, '.' decimal point, LF line endings, a header
-row, and floats with 17 significant digits.
+bundle, samples the segment on the finest grid as ``simulate`` does, only
+then creates the output directory, and calls the runner, which computes and
+writes its own output files.  Then ``main`` writes a ``manifest.json``
+(config echo, effective seed, library version, algorithm identifiers, output
+list), prints the runner's summary lines and picks the exit code.  Reruns
+with the same config and seed are byte-identical.  CSV output uses comma
+separators, '.' decimal point, LF line endings, a header row, and floats
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from . import analysis, conditions
 from .brownian import generate
 from .errors import ConfigError, NsddeError
 from .euler import simulate
-from .model import affine_segment, builtin_model, constant_segment
+from .model import affine_segment, builtin_model, constant_segment, sample_segment
 
 _ALGORITHMS = {
     "rng": "philox4x64-10, seedsequence(entropy=seed, spawn_key=(path_index,))",
@@ -62,7 +63,7 @@ _ALGORITHMS = {
 # The "rates" object holds every ConditionSpec field but the box, which is
 # the config's own box_radius.
 _RATE_KEYS = {f.name for f in fields(conditions.ConditionSpec)} - {"box_radius"}
-# xi kind -> (segment factory, the factory's parameters before ``dim``)
+# xi kind -> (segment factory, the factory's parameters)
 _XI_KINDS = {
     "constant": (constant_segment, ("value",)),
     "affine": (affine_segment, ("a", "b")),
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
             model = builtin_model(cfg.model_id, cfg.tau, cfg.params)
         except MemoryError as exc:  # a count numpy can size but the machine cannot hold
             raise ConfigError(f"model {cfg.model_id!r} does not fit in memory") from exc
-        xi = _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args, model.state_dim)
+        xi = _XI_KINDS[cfg.xi_kind][0](*cfg.xi_args)
         grids = analysis.ladder_grids(cfg.tau, cfg.horizon, cfg.ladder)
         analysis.check_radius(cfg.truncation_radius)
         spec = _rate_bundle(cfg)
@@ -470,12 +471,13 @@ def main(argv=None) -> int:
             )
         out_dir = Path(output if output is not None else cfg.output_dir)
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
-            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        try:
+            sample_segment(xi, grids[-1], model.state_dim)  # as simulate samples it
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
+                raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
             result = runner(cfg, model, xi, grids, spec, out_dir, dump_noise)
-        except MemoryError as exc:  # arrays too large to hold; out_dir stays behind
+        except MemoryError as exc:  # arrays too large to hold; a made out_dir stays behind
             raise ConfigError(f"the {command} run does not fit in memory") from exc
         _write_manifest(out_dir, command, cfg, result.outputs, result.extra)
     except NsddeError as exc:

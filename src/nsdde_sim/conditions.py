@@ -32,8 +32,9 @@ is a ``(..., 1)`` array of each sample's time, a constant broadcasts).
 pairs that C4, C2 and H read once, and C4 and the contraction estimate share one
 ``neutral`` call.  C2, C3 and the rate proposal share one pass: one ``neutral``,
 one ``drift`` and one ``diffusion`` call on every sample, each at its own time.
-Everything else (both sides of each bound, the rate inequalities, the violation
-lists) is computed once over all samples.  Checkers run with numpy's
+C2 and C3 call each rate once on the distinct times they drew and once on those
+less tau.  Everything else (both sides of each bound, the rate inequalities, the
+violation lists) is computed once over all samples.  Checkers run with numpy's
 floating-point warnings off: a side that overflows fails in the report and prints
 nothing.
 """
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import pcg64
 from .errors import DegenerateSampling, InvalidRange
-from .model import DelayGrid, NsddeModel
+from .model import DelayGrid, NsddeModel, libm_exp
 
 # Absolute slack on (rhs - lhs): an inequality counts as violated only when
 # lhs exceeds rhs by more than this, so exact-equality cases pass.
@@ -85,17 +86,18 @@ class ConditionReport:
 class ConditionSpec:
     """Rate bundle a model claims to satisfy the conditions with.
 
-    The four rate functions must be finite and non-negative on
-    [-tau, horizon].  ``growth_delay_factor`` and ``local_delay_factor``
-    are the admissible ratios C1(tau) and CR(tau) in the delay-comparison
-    inequalities; each must lie in [0, 1/kappa].
+    The four rate functions must be finite and non-negative on [-tau, horizon],
+    and act elementwise on a 1-d float array of times (a constant broadcasts).
+    ``growth_delay_factor`` and ``local_delay_factor`` are the admissible ratios
+    C1(tau) and CR(tau) in the delay-comparison inequalities; each must lie in
+    [0, 1/kappa].
     """
 
     kappa: float
-    growth_rate: Callable[[float], float]
-    growth_rate_delayed: Callable[[float], float]
-    local_rate: Callable[[float], float]
-    local_rate_delayed: Callable[[float], float]
+    growth_rate: Callable[[np.ndarray], np.ndarray]
+    growth_rate_delayed: Callable[[np.ndarray], np.ndarray]
+    local_rate: Callable[[np.ndarray], np.ndarray]
+    local_rate_delayed: Callable[[np.ndarray], np.ndarray]
     growth_delay_factor: float
     local_delay_factor: float
     box_radius: float
@@ -112,8 +114,8 @@ class ConditionSpec:
         _check_sampling(self.box_radius, samples=1, dim=1)
 
 
-def constant_rate(value: float) -> Callable[[float], float]:
-    """Rate function that is constant in time."""
+def constant_rate(value: float) -> Callable[[np.ndarray], float]:
+    """Rate function that is constant in time: it returns ``value``, which broadcasts."""
     if not value >= 0.0:
         raise InvalidRange(f"rate constants must be non-negative, got {value}")
     return lambda t: value
@@ -242,14 +244,14 @@ def _sample_times(times: np.ndarray, n_probes: int, rng, samples: int) -> np.nda
 def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
     """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
     K~(t - tau) * weights[1] at t = ts[i], and ``points`` names the stacks a violation
-    reports.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor * K(t - tau) and
-    K~ <= K are tested once per distinct sampled time, ascending, and fail once per
-    sample at that time, after the sample's own violation, in sample order."""
+    reports.  Each rate is called on the distinct sampled times, ascending, then on
+    those less tau.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor * K(t - tau)
+    and K~ <= K fail once per sample at a time where they fail, after the sample's own
+    violation, in sample order."""
     times, which = np.unique(ts, return_inverse=True)
-    times, lagged = times.tolist(), (times - tau).tolist()
-    rate, rate_delayed, factor = rates
-    now, past, delayed_now, delayed_past = (np.array([float(f(t)) for t in when]) for f, when in (
-        (rate, times), (rate, lagged), (rate_delayed, times), (rate_delayed, lagged)))
+    now, past, delayed_now, delayed_past = (_rows(f(when), times.shape)
+                                            for f in rates[:2] for when in (times, times - tau))
+    factor, times = rates[2], times.tolist()
     rhs = now[which] * weights[0] + delayed_past[which] * weights[1]
     zero = np.zeros(len(times))
     sides = np.stack([[zero, now], [zero, delayed_now], [now, factor * past], [delayed_now, now]])
@@ -427,10 +429,10 @@ def neutral_cubic_rates(
     kappa = kabs if kabs > 0.0 else 0.5
     ksq = k * k
 
-    def growth(t: float) -> float:
-        return 4.0 * (math.exp(c1 * t) + math.exp(c2 * t))
+    def growth(t):
+        return 4.0 * (libm_exp(c1 * t) + libm_exp(c2 * t))
 
-    def growth_delayed(t: float) -> float:
+    def growth_delayed(t):
         return ksq * growth(t)
 
     try:  # K1 is largest at t = -tau, the earliest time the checkers read it at

@@ -31,8 +31,8 @@ levels due there.  Every delayed argument of a delay window lies in the
 window before, so each window takes one ``neutral`` call for every level's
 nodes and in-cell nodes alike.  Evaluators therefore receive states of
 shape ``(..., state_dim)`` and the step's time as a Python float (the float
-case of the contract of :mod:`nsdde_sim.model`, whose time arrays serve the
-condition checkers), and must act elementwise over all leading axes (levels
+case of the contract of :mod:`nsdde_sim.model`; the initial segment gets its
+times as one array), and must act elementwise over all leading axes (levels
 and paths, and for ``neutral`` also nodes), so that each path's values are
 bitwise those of a one-path, one-node-at-a-time run.  States
 are stored time-major across levels, ``(rows, levels, paths, state_dim)``
@@ -45,17 +45,17 @@ inf values and leaves the other paths untouched.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .brownian import coarsen
 from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange
-from .model import DelayGrid, InitialSegment, NsddeModel
+from .model import DelayGrid, NsddeModel, sample_segment
 
 
 def simulate(
-    model: NsddeModel, xi: InitialSegment, grids: Sequence[DelayGrid], noise: np.ndarray
+    model: NsddeModel, xi: Callable, grids: Sequence[DelayGrid], noise: np.ndarray
 ) -> list[np.ndarray]:
     """Run the explicit scheme on every grid of ``grids`` for every path of ``noise``.
 
@@ -67,8 +67,9 @@ def simulate(
     array is level ``j``, driven by ``coarsen(noise, grids[-1], grids[j])``
     and sampled on ``grids[-1]``: a strided ``(N + M + 1, paths,
     state_dim)`` view of one buffer shared by all levels, whose row ``l + N``
-    is fine index ``l = -N .. M`` (rows up to ``N`` hold the sampled initial
-    segment) and whose path ``p`` is driven by row ``p`` of ``noise``.  It
+    is fine index ``l = -N .. M`` (rows up to ``N`` hold the segment ``xi``
+    from one call, :func:`~nsdde_sim.model.sample_segment`) and whose path
+    ``p`` is driven by row ``p`` of ``noise``.  It
     is bitwise the scheme's values at the nodes of ``grids[j]``, its
     continuous interpolation in between, and bitwise level 0 of
     ``simulate(model, xi, grids[j:], noise)``.
@@ -90,8 +91,7 @@ def simulate(
     if noise.ndim != 3 or not len(noise) or noise.shape[1:] != (fine.total_steps, k):
         raise DimensionMismatch(f"noise shape {noise.shape} is not (paths >= 1, "
                                 f"{fine.total_steps}, noise_dim {k}) on the finest grid")
-    if xi.dim != model.state_dim:
-        raise DimensionMismatch(f"segment dimension {xi.dim} != state_dim {model.state_dim}")
+    start = sample_segment(xi, fine, model.state_dim)
 
     n_delay, n_steps = fine.steps_per_delay, fine.total_steps
     n_levels, n_paths = len(levels), len(noise)
@@ -119,7 +119,7 @@ def simulate(
         dbs[c // per * packed + mine[j][c % per]] = coarsen(noise, fine, grid).swapaxes(0, 1)
 
     out = np.empty((n_delay + n_steps + 1, n_levels) + shape)
-    out[: n_delay + 1] = xi.sample(fine)[:, None, None]
+    out[: n_delay + 1] = start[:, None, None]
     if factors[-1] > 1:
         b_win = np.empty((packed,) + shape)
         s_win = np.empty((packed,) + shape + (k,))

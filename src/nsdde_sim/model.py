@@ -6,10 +6,15 @@ A model bundles the neutral map ``D``, drift ``b(x, y, t)`` and diffusion
 shape ``(..., state_dim)`` whose leading axes index paths, so the Euler
 engine evaluates every path of a batch in one call; ``neutral`` may also get
 grid nodes on them, such as the ``(cells, r, paths, state_dim)`` rows of a
-delay window.  The time ``t`` is a Python float, or for the condition checkers
-a float array of shape ``(..., 1)`` that broadcasts against the leading axes.
+delay window.  The time ``t`` is a Python float (the engine's steps), or a
+float array of shape ``(..., 1)`` that broadcasts against the leading axes.
 Evaluators must be pure functions that act elementwise over all leading axes:
 each entry must get bitwise the result of a float-``t`` call on it alone.
+
+Every other function of time takes the same contract: the initial segment
+``xi(t)`` (:func:`sample_segment`), the rates of a condition bundle and the
+perturbation weight receive a float array of times, act elementwise, and may
+return a constant, which broadcasts; a vector-valued one gets ``(..., 1)`` times.
 
 Grids tie the delay and the horizon to a common step: ``delta = tau / N``
 with ``M`` steps to the horizon.  Grid times are always derived from the
@@ -138,44 +143,39 @@ def _exact_time(index: int, tau: float, n: int) -> float:
     return index * num / (den * n)
 
 
-class InitialSegment:
-    """Initial history xi mapping [-tau, 0] to the state space.
-
-    ``evaluator`` must be total and finite on the interval.
-    """
-
-    def __init__(self, evaluator: Callable[[float], np.ndarray], dim: int = 1):
-        if dim < 1:
-            raise InvalidRange("segment dimension must be >= 1")
-        self.evaluator = evaluator
-        self.dim = dim
-
-    def sample(self, grid: DelayGrid) -> np.ndarray:
-        """Evaluate the segment at grid times -tau .. 0, shape (N + 1, dim)."""
-        pts = grid.times[: grid.steps_per_delay + 1].tolist()
-        vals = [self.evaluator(t) for t in pts]
-        try:
-            vals = np.array(vals, dtype=float).reshape(len(pts), self.dim)
-        except ValueError:  # a wrong size, or right sizes in mixed shapes
-            for t, v in zip(pts, vals):
-                if np.size(v) != self.dim:
-                    raise DimensionMismatch(f"initial segment at t={t!r} has {np.size(v)} "
-                                            f"components, expected dim={self.dim}") from None
-            vals = np.array([np.reshape(v, self.dim) for v in vals], dtype=float)
-        if not np.isfinite(vals).all():
-            raise InvalidRange("initial segment evaluated to a non-finite value")
-        return vals
+def sample_segment(xi: Callable, grid: DelayGrid, dim: int) -> np.ndarray:
+    """The segment ``xi`` at grid times -tau .. 0 as (N + 1, dim), from one call on their
+    ``(N + 1, 1)`` stack.  Raises :class:`DimensionMismatch` when its values do not
+    broadcast to that shape and :class:`InvalidRange` when one is not finite."""
+    times = grid.times[: grid.steps_per_delay + 1, None]
+    with np.errstate(all="ignore"):  # an overflow fails below, and prints nothing
+        vals = np.asarray(xi(times), dtype=float)
+    try:
+        rows = np.broadcast_to(vals, (len(times), dim))
+    except ValueError:
+        raise DimensionMismatch(f"initial segment values of shape {vals.shape} do not "
+                                f"broadcast to ({len(times)}, state_dim {dim})") from None
+    if not np.isfinite(vals).all():
+        raise InvalidRange("initial segment evaluated to a non-finite value")
+    return rows
 
 
-def constant_segment(value: float, dim: int = 1) -> InitialSegment:
+def constant_segment(value: float) -> Callable:
     """Segment xi(theta) = value in every coordinate."""
-    vec = np.full(dim, float(value))
-    return InitialSegment(lambda t: vec, dim)
+    return lambda t: value
 
 
-def affine_segment(a: float, b: float, dim: int = 1) -> InitialSegment:
+def affine_segment(a: float, b: float) -> Callable:
     """Segment xi(theta) = a + b * theta in every coordinate."""
-    return InitialSegment(lambda t: np.full(dim, a + b * t), dim)
+    return lambda t: a + b * t
+
+
+def libm_exp(x):
+    """exp of each entry of an array by libm, as :func:`math.exp`; numpy's ``exp``
+    rounds some grid times differently.  A scalar gives a float."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -227,17 +227,12 @@ def neutral_cubic_model(k: float, c1: float, c2: float, tau: float) -> NsddeMode
     def neutral(y):
         return k * y
 
-    def factor(c, t):  # libm's exp of each time: numpy's rounds some grid times differently
-        if isinstance(t, np.ndarray):
-            return np.fromiter(map(math.exp, (c * t).ravel().tolist()), float, t.size).reshape(t.shape)
-        return math.exp(c * t)
-
     def drift(x, y, t):
         u = x - k * y
-        return factor(c1, t) * (1.0 + u - u * (x * x + ksq * y * y))
+        return libm_exp(c1 * t) * (1.0 + u - u * (x * x + ksq * y * y))
 
     def diffusion(x, y, t):
-        return (factor(c2, t) * (1.0 + x - k * y))[..., None]
+        return (libm_exp(c2 * t) * (1.0 + x - k * y))[..., None]
 
     return NsddeModel(1, 1, tau, neutral, drift, diffusion)
 

@@ -34,6 +34,7 @@ from nsdde_sim import (
     simulate,
 )
 from test_acceptance import power_split_bound
+from test_euler import ref_segment
 
 
 def grids_of(*ladder, horizon=2.0):
@@ -245,7 +246,7 @@ def test_every_path_diverged_raises(cubic_model, unit_segment, study, where):
 def test_one_generate_and_one_simulate_per_block(monkeypatch, cubic_model, unit_segment, study):
     # 5 paths in blocks of 2 are 3 blocks: each draws its noise once and
     # simulates every level of the 3-level ladder (moments: 1 level) in one call
-    calls = []
+    calls, weighed = [], []
     for name in ("generate", "simulate"):
         def counted(*args, _real=getattr(analysis, name), _name=name, **kwargs):
             calls.append(_name)
@@ -256,10 +257,14 @@ def test_one_generate_and_one_simulate_per_block(monkeypatch, cubic_model, unit_
     {
         "converge": lambda: converge_study(cubic_model, unit_segment, grids, 0.1, 5, 1),
         "perturbation": lambda: perturbation_integrability(
-            cubic_model, unit_segment, grids, 5, 1, 6.0, constant_rate(1.0)),
+            cubic_model, unit_segment, grids, 5, 1, 6.0, lambda t: weighed.append(t) or 1.0),
         "moments": lambda: estimate_moments(cubic_model, unit_segment, grids[0], 5, 1),
     }[study]()
     assert (calls.count("generate"), calls.count("simulate")) == (3, 3)
+    # and the perturbation weight once, on the fine times of [0, horizon]
+    fine = grids[-1]
+    once = [fine.times[fine.steps_per_delay :].tolist()] if study == "perturbation" else []
+    assert [t.tolist() for t in weighed] == once
 
 
 def test_perturbation_decreases_for_cubic_model(cubic_model, unit_segment):
@@ -517,13 +522,14 @@ def mixing_model() -> NsddeModel:
 
 def path_major_levels(model, xi, horizon, ladder, n_paths, seed):
     """Every level on the finest grid as (paths, M + 1, d) copies, all paths
-    in one engine call."""
+    in one engine call, from the segment evaluated one float time at a time."""
     grids = [make_grid(1.0, horizon, delta) for delta in ladder]
     fine = grids[-1]
     fine_noise = generate(fine, model.noise_dim, seed, range(n_paths))
+    start = ref_segment(xi, fine, model.state_dim)
     levels = []
     for j in range(len(grids)):
-        path = simulate(model, xi, grids[j:], fine_noise)[0]
+        path = simulate(model, lambda t: start, grids[j:], fine_noise)[0]
         values = np.ascontiguousarray(np.moveaxis(path[fine.steps_per_delay :], 1, 0))
         levels.append((values, np.isfinite(path).all(axis=(0, 2))))
     return fine, levels
@@ -589,9 +595,9 @@ def reference_perturbation(fine, levels, horizon, ladder, radius, weight):
 ])
 def test_studies_match_a_path_major_reduction(which, horizon):
     if which == "mixing_2x2":
-        model, xi = mixing_model(), affine_segment(1.0, 0.5, 2)
+        model, xi = mixing_model(), affine_segment(1.0, 0.5)
     else:
-        model, xi = additive_noise(1.0, 3), affine_segment(0.5, 0.3, 3)
+        model, xi = additive_noise(1.0, 3), affine_segment(0.5, 0.3)
     ladder, n_paths, seed = (0.5, 0.25, 0.0625), 1030, 7
     fine, levels = path_major_levels(model, xi, horizon, ladder, n_paths, seed)
 

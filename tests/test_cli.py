@@ -411,6 +411,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: kappa must lie in (0, 1), got 1.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "converge", "moments", "perturbation",
+                                         "check"])
+    def test_non_finite_segment_is_2_under_every_command(self, tmp_path, capsys, command):
+        # xi(-1) = 1e308 + 1e308 overflows; check reads no segment but samples it too
+        xi = {"kind": "affine", "a": 1e308, "b": -1e308}
+        ladder = [0.5] if command in ("simulate", "moments") else [0.5, 0.25]
+        cfg, out = write_config(tmp_path, ladder=ladder, samples=10, xi=xi), tmp_path / "o"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        err = "error: initial segment evaluated to a non-finite value\n"
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(tmp_path, ladder=[0.25])
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 0

@@ -19,8 +19,10 @@ from nsdde_sim import (
     InvalidRange,
     NsddeModel,
     additive_noise,
+    affine_segment,
     check_conditions,
     constant_rate,
+    constant_segment,
     cubic_drift,
     linear_delay_ode,
     make_grid,
@@ -267,6 +269,11 @@ class TestCubicRateBundle:
         # K1(0) = 4 * (e^0 + e^0) = 8, and the delayed rate is k^2 K1
         assert spec.growth_rate(0.0) == 8.0
         assert spec.growth_rate_delayed(0.0) == 2.0
+        # libm's exp of each time, as sec4's coefficients take it; numpy's exp
+        # rounds some of these grid times differently
+        times = make_grid(1.0, 2.0, 0.01).times
+        libm = [4.0 * (math.exp(-t) + math.exp(-t)) for t in times.tolist()]
+        assert spec.growth_rate(times).tolist() == libm
         assert spec.growth_delay_factor == pytest.approx(np.exp(-1.0), rel=1e-15)
         assert spec.local_delay_factor == 1.0
 
@@ -722,16 +729,34 @@ CONTRACT_MODELS = {**{"builtin_" + key: partial(builtin_model, key, 1.0, params)
                       for key, params in BUILTIN_PARAMS.items()}, **ORACLE_MODELS}
 
 
+# every other function of time: the segments, sec4's rates and a constant rate
+SEC4_RATES = partial(neutral_cubic_rates, 0.5, -1.0, -0.5, 1.0, 2.0)
+TIME_FUNCTIONS = {
+    "constant_segment": partial(constant_segment, 0.7),
+    "affine_segment": partial(affine_segment, 0.5, -0.3),
+    "constant_rate": partial(constant_rate, 2.5),
+    **{"sec4_" + field: lambda field=field: getattr(SEC4_RATES(), field)
+       for field in ("growth_rate", "growth_rate_delayed", "local_rate", "local_rate_delayed")},
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
+@pytest.mark.parametrize("name", sorted(CONTRACT_MODELS) + sorted(TIME_FUNCTIONS))
 def test_time_arrays_give_each_entry_its_float_time_result(name):
     # an (S, 1) time stack, as the coefficient pass makes, and H's (T, 1, 1)
     # table against P pairs give each entry bitwise a float-t call on its row
     # alone; the grid times of [-1, 2] at step 0.01 include times where numpy's
-    # exp rounds differently from libm's
+    # exp rounds differently from libm's.  A function of time alone gets the
+    # times as the rates do, (T,), and as the segment does, (T, 1).
+    times = make_grid(1.0, 2.0, 0.01).times
+    if name in TIME_FUNCTIONS:
+        f = TIME_FUNCTIONS[name]()
+        want = np.array([float(f(t)) for t in times.tolist()])
+        for shape in (times.shape, times.shape + (1,)):
+            assert _rows(f(times.reshape(shape)), shape).tobytes() == want.tobytes()
+        return
     model = CONTRACT_MODELS[name]()
     d, m = model.state_dim, model.noise_dim
-    times = make_grid(1.0, 2.0, 0.01).times
     x, y = np.random.default_rng(7).uniform(-2.0, 2.0, size=(2, len(times), d))
     p = 4
     for f, tail in ((model.drift, (d,)), (model.diffusion, (d, m))):
@@ -793,20 +818,22 @@ def test_sec4_takes_any_scalar_time():
 
 @pytest.mark.parametrize("samples", [1, 40])
 def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
-    # C2 and C3 read their rates once per distinct time that they drew,
-    # ascending, and never at the times that only another part of the pass drew
+    # C2 and C3 call each rate once on the distinct times that they drew,
+    # ascending, then once on those less tau, and never at the times that only
+    # another part of the pass drew
     read = []
 
     def logged(name):
-        return lambda t: read.append((name, t)) or 1.0
+        return lambda t: read.append((name, t.tolist())) or 1.0
 
     spec = ConditionSpec(0.5, *map(logged, ["K1", "K1~", "KR", "KR~"]), 1.0, 1.0, 1.5)
     model = cubic_drift(1.0, 2)
     parts = parts_of(model, spec, GRID, samples, 3)
     drawn = [sorted(set(ts.tolist())) for _, _, ts in parts]
     assert drawn[0] != drawn[1]
-    own = [(name, t - lag) for names, times in zip([("K1", "K1~"), ("KR", "KR~")], drawn)
-           for name in names for lag in (0.0, model.delay) for t in times]
+    own = [(name, [t - lag for t in times])
+           for names, times in zip([("K1", "K1~"), ("KR", "KR~")], drawn)
+           for name in names for lag in (0.0, model.delay)]
     assert read == own
 
 

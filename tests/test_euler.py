@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nsdde_sim import (
     DimensionMismatch,
     IncompatibleGrids,
-    InitialSegment,
     InvalidRange,
     NsddeModel,
     additive_noise,
@@ -113,10 +112,10 @@ def test_additive_noise_is_exact():
     n = grid.steps_per_delay
     # starting from zero the scheme IS the running sum, bit for bit
     sums = np.concatenate([np.zeros((1, 2)), np.cumsum(noise[0], axis=0)])
-    path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0, 2), [grid], noise)[0]
+    path = simulate(additive_noise(1.0, dim=2), constant_segment(0.0), [grid], noise)[0]
     assert np.array_equal(path[n:, 0], sums)
     # a nonzero start only changes rounding of the additions
-    shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0, 2), [grid], noise)[0]
+    shifted = simulate(additive_noise(1.0, dim=2), constant_segment(3.0), [grid], noise)[0]
     assert np.abs(shifted[n:, 0] - (3.0 + sums)).max() <= 1e-12
 
 
@@ -128,7 +127,7 @@ def test_simulate_validation():
     with pytest.raises(IncompatibleGrids):
         simulate(model, xi, [other], generate(other, 1, 0, [0]))  # delay mismatch
     with pytest.raises(DimensionMismatch):
-        simulate(model, constant_segment(1.0, dim=2), [grid], generate(grid, 1, 0, [0]))
+        simulate(model, lambda t: np.ones(2), [grid], generate(grid, 1, 0, [0]))
     with pytest.raises(DimensionMismatch):
         simulate(model, xi, [grid], generate(grid, 3, 0, [0]))
     # an empty ladder and a bare grid fail with messages of their own
@@ -179,7 +178,7 @@ def test_reduces_to_plain_delay_euler_when_neutral_is_zero():
 
     n, m = grid.steps_per_delay, grid.total_steps
     vals = np.empty((n + m + 1, 1))
-    vals[: n + 1] = xi.sample(grid)
+    vals[: n + 1] = ref_segment(xi, grid, 1)
     steps = noise[0]
     dt = grid.delta
     for l in range(m):
@@ -278,7 +277,7 @@ def test_batch_rows_match_single_path_runs(which, cubic_model):
     # row p of a P-path run is bitwise the one-path run of path p, also
     # where sigma @ dB sums over several noise components
     model = cubic_model if which == "sec4" else mixing_model()
-    xi = affine_segment(0.5, 0.3, model.state_dim)
+    xi = affine_segment(0.5, 0.3)
     coarse_grid, fine_grid = make_grid(1.0, 2.0, 0.1), make_grid(1.0, 2.0, 0.025)
     fine_noise = generate(fine_grid, model.noise_dim, seed=5, path_index=range(6))
     grids = [coarse_grid, fine_grid]
@@ -343,9 +342,9 @@ LADDER_CASES = {
                          2.0, (0.2, 0.1, 0.05), 3, 2),
     "pure_neutral": (lambda: pure_neutral(0.6, 1.0), affine_segment(0.5, 0.3),
                      2.0, (0.25, 0.125), 4, 3),
-    "cubic_drift_2": (lambda: cubic_drift(1.0, 2), affine_segment(0.5, 0.3, 2),
+    "cubic_drift_2": (lambda: cubic_drift(1.0, 2), affine_segment(0.5, 0.3),
                       2.0, (0.5, 0.25, 0.125), 5, 4),
-    "additive_noise_2": (lambda: additive_noise(1.0, 2), affine_segment(0.5, 0.3, 2),
+    "additive_noise_2": (lambda: additive_noise(1.0, 2), affine_segment(0.5, 0.3),
                          2.0, (0.1, 0.05, 0.025), 9, 5),
     # from xi = 3, step 0.5 stays huge but finite and step 0.25 reaches inf and NaN
     "sec4_blow_up": (lambda: neutral_cubic_model(0.5, -1.0, -1.0, 1.0), constant_segment(3.0),
@@ -414,12 +413,18 @@ def _ref_noise(sigma, db):
     return (sigma @ db[..., None])[..., 0]
 
 
+def ref_segment(xi, grid, dim):
+    """The segment at grid times -tau .. 0 as (N + 1, dim), one float time at a time."""
+    times = grid.times[: grid.steps_per_delay + 1].tolist()
+    return np.array([np.broadcast_to(np.asarray(xi(t), dtype=float), dim) for t in times])
+
+
 def ref_simulate(model, xi, grid, noise):
     """Time-major (rows, paths, d) values of the per-node explicit scheme."""
     n, m = grid.steps_per_delay, grid.total_steps
     steps = np.moveaxis(noise, 1, 0)
     vals = np.empty((n + m + 1, steps.shape[1], model.state_dim))
-    vals[: n + 1] = xi.sample(grid)[:, None]
+    vals[: n + 1] = ref_segment(xi, grid, model.state_dim)[:, None]
     times = grid.times.tolist()
     with np.errstate(all="ignore"):
         d_lag = model.neutral(vals[0])
@@ -440,7 +445,7 @@ def ref_refine(cvals, coarse, model, xi, fine_grid, fine_noise):
     n_fine, n_coarse = fine_grid.steps_per_delay, coarse.steps_per_delay
     factor = n_fine // n_coarse
     out = np.empty((n_fine + fine_grid.total_steps + 1,) + cvals.shape[1:])
-    out[: n_fine + 1] = xi.sample(fine_grid)[:, None]
+    out[: n_fine + 1] = ref_segment(xi, fine_grid, cvals.shape[-1])[:, None]
     sums = np.moveaxis(np.cumsum(fine_noise, axis=1), 1, 0)
     bsum = np.concatenate([np.zeros_like(sums[:1]), sums])
     times = fine_grid.times.tolist()
@@ -510,7 +515,7 @@ REFERENCE_LADDER = (0.5, 0.25, 0.03125)
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_engine_matches_per_node_reference(name, seed):
     model = REFERENCE_MODELS[name]()
-    xi = affine_segment(0.5, 0.3, model.state_dim)
+    xi = affine_segment(0.5, 0.3)
     grids = [make_grid(1.0, 2.5, delta) for delta in REFERENCE_LADDER]
     fine = grids[-1]
     fine_noise = generate(fine, model.noise_dim, seed, range(5))
@@ -541,7 +546,8 @@ def test_coefficient_calls_per_delay_window():
     # simulate: drift and diffusion once per step of the finest level, and
     # neutral once per delay window, whose one call also serves the in-cell
     # nodes of the coarser levels.  Horizon 2.5 makes the last window partial.
-    calls = Counter()
+    # The segment is called once, on the finest grid's (N + 1, 1) times.
+    calls, segment_times = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -554,19 +560,23 @@ def test_coefficient_calls_per_delay_window():
         plain,
         **{name: counted(name, getattr(plain, name)) for name in ("neutral", "drift", "diffusion")},
     )
-    xi = constant_segment(1.0)
+    xi = counted("segment", lambda t: segment_times.append(t) or 1.0)
     coarse, fine = make_grid(1.0, 2.5, 0.25), make_grid(1.0, 2.5, 0.0625)
     fine_noise = generate(fine, 1, seed=3, path_index=range(4))
 
     simulate(model, xi, [coarse], coarsen(fine_noise, fine, coarse))
     m, n = coarse.total_steps, coarse.steps_per_delay
-    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
+    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n), "segment": 1}
+    assert segment_times[-1].shape == (n + 1, 1)
+    assert segment_times[-1].tobytes() == coarse.times[: n + 1].tobytes()
 
     # a 3-level ladder steps all its levels together on the nodes they share
     calls.clear()
     simulate(model, xi, [coarse, make_grid(1.0, 2.5, 0.125), fine], fine_noise)
     m, n = fine.total_steps, fine.steps_per_delay
-    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n)}
+    assert calls == {"drift": m, "diffusion": m, "neutral": math.ceil(m / n), "segment": 1}
+    assert segment_times[-1].shape == (n + 1, 1)
+    assert segment_times[-1].tobytes() == fine.times[: n + 1].tobytes()
 
 
 def test_exact_zero_noise_term_keeps_a_positive_zero():
@@ -575,7 +585,7 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     # gives -0.0.  Every other term of the first step is -0.0 here (xi is
     # +0.0 only at -tau, D and b keep the sign of zero), so that sign
     # reaches the state, and a path CSV would print "-0" instead of "0".
-    xi = InitialSegment(lambda t: np.full(1, 0.0 if t == -1.0 else -0.0))
+    xi = lambda t: np.where(t == -1.0, 0.0, -0.0)  # noqa: E731
     model = NsddeModel(
         1, 1, 1.0,
         neutral=lambda y: 0.5 * y,
@@ -588,9 +598,8 @@ def test_exact_zero_noise_term_keeps_a_positive_zero():
     # a two-level ladder steps both levels in one row stack
     ladder = simulate(model, xi, [coarse, fine], fine_noise)
     # d = 2 with a (2, 1) sigma: one noise component driving both coordinates
-    xi2 = InitialSegment(lambda t: np.full(2, 0.0 if t == -1.0 else -0.0), 2)
     model2 = replace(model, state_dim=2, diffusion=lambda x, y, t: np.full((2, 1), -1.0))
-    ladder2 = simulate(model2, xi2, [coarse, fine], fine_noise)
+    ladder2 = simulate(model2, xi, [coarse, fine], fine_noise)
     runs = [(coarse, path)] + [(fine, level) for level in ladder + ladder2]
     for grid, values in runs:
         after_zero = values[grid.steps_per_delay + 1 :].ravel()

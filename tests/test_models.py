@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsdde_sim import (
+    DimensionMismatch,
     InvalidRange,
     NsddeModel,
     additive_noise,
@@ -11,12 +12,15 @@ from nsdde_sim import (
     builtin_model,
     constant_segment,
     cubic_drift,
+    generate,
     linear_delay_ode,
     make_grid,
     neutral_cubic_model,
     neutral_cubic_rates,
     pure_neutral,
+    simulate,
 )
+from nsdde_sim.model import sample_segment
 
 X1 = np.array([1.0])
 Y1 = np.array([1.0])
@@ -116,8 +120,7 @@ class TestBuiltinRegistry:
 
 def test_constant_segment_samples():
     grid = make_grid(1.0, 2.0, 0.25)
-    xi = constant_segment(3.0, dim=2)
-    vals = xi.sample(grid)
+    vals = sample_segment(constant_segment(3.0), grid, 2)
     assert vals.shape == (5, 2)
     assert (vals == 3.0).all()
 
@@ -125,44 +128,22 @@ def test_constant_segment_samples():
 def test_affine_segment_samples():
     grid = make_grid(1.0, 2.0, 0.5)
     xi = affine_segment(1.0, 1.0)  # xi(theta) = 1 + theta: 0 at -tau, 1 at 0
-    vals = xi.sample(grid)
+    vals = sample_segment(xi, grid, 1)
     assert vals[:, 0] == pytest.approx([0.0, 0.5, 1.0], abs=0.0)
 
 
-def test_segment_evaluator_calls_and_wrong_size():
-    from nsdde_sim import DimensionMismatch, InitialSegment
-
-    # one call per node, in time order, each with a Python float
+def test_segment_of_the_wrong_size_fails_in_simulate():
+    # values that do not broadcast to (N + 1, state_dim) name both shapes
     grid = make_grid(1.0, 2.0, 0.25)
-    seen = []
-    xi = InitialSegment(lambda t: seen.append(t) or np.array([t, -t]), dim=2)
-    vals = xi.sample(grid)
-    assert [type(t) for t in seen] == [float] * 5
-    assert seen == [-1.0, -0.75, -0.5, -0.25, 0.0]
-    assert vals.tolist() == [[t, -t] for t in seen]
-    # a wrong number of components names the time and the dimension
-    wrong = InitialSegment(lambda t: np.ones(2 if t == -0.5 else 1))
-    with pytest.raises(DimensionMismatch, match=r"t=-0\.5 has 2 components, expected dim=1"):
-        wrong.sample(grid)
+    pair = lambda t: np.concatenate([t, -t], axis=-1)  # noqa: E731
+    with pytest.raises(DimensionMismatch, match=r"\(5, 2\) do not broadcast to \(5, state_dim 1"):
+        simulate(linear_delay_ode(1.0, 1.0), pair, [grid], generate(grid, 1, 0, [0]))
+    path = simulate(additive_noise(1.0, 2), pair, [grid], generate(grid, 2, 0, [0]))[0]
+    assert path[:5, 0].tolist() == [[t, -t] for t in grid.times[:5].tolist()]
 
 
 def test_segment_rejects_non_finite_history():
-    from nsdde_sim import InitialSegment
-
     grid = make_grid(1.0, 2.0, 0.5)
-    xi = InitialSegment(lambda t: np.array([1.0 / t if t else math.nan]))
-    with pytest.raises(InvalidRange):
-        xi.sample(grid)
-
-
-def test_segment_of_mixed_value_shapes():
-    # values of the right size in mixed shapes are reshaped one by one
-    from nsdde_sim import InitialSegment
-
-    grid = make_grid(1.0, 2.0, 0.25)
-    xi = InitialSegment(lambda t: 1.0 if t < -0.5 else np.array([2.0]))
-    assert xi.sample(grid).tolist() == [[1.0], [1.0], [2.0], [2.0], [2.0]]
-    pair = InitialSegment(lambda t: [1.0, -1.0] if t < -0.5 else np.array([[2.0, -2.0]]), dim=2)
-    assert pair.sample(grid).tolist() == [[1.0, -1.0]] * 2 + [[2.0, -2.0]] * 3
-    with pytest.raises(InvalidRange, match="dimension must be >= 1"):
-        InitialSegment(lambda t: np.zeros(1), dim=0)
+    xi = lambda t: np.where(t == 0.0, math.nan, t)  # noqa: E731
+    with pytest.raises(InvalidRange, match="initial segment evaluated to a non-finite value"):
+        simulate(linear_delay_ode(1.0, 1.0), xi, [grid], generate(grid, 1, 0, [0]))

@@ -17,6 +17,7 @@ from nsdde_sim import (
     make_grid,
     simulate,
 )
+from test_euler import ref_segment
 
 GRID = make_grid(1.0, 2.0, 0.1)
 XI = constant_segment(1.0)
@@ -52,7 +53,7 @@ def exact_scheme_moments(K, A, B, C, E, xi, grid, F=0.0):
     """
     n, delta = grid.steps_per_delay, grid.delta
     size = n + grid.total_steps + 1
-    start = xi.sample(grid)[:, 0]
+    start = ref_segment(xi, grid, 1)[:, 0]
     mu = np.zeros(size)  # E[X_i], entry i holding grid index i - n
     mu[: n + 1] = start
     moments = np.zeros((size, size))  # E[X_i X_j]
