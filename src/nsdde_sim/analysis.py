@@ -31,7 +31,7 @@ import numpy as np
 from .brownian import generate
 from .errors import DegenerateSampling, DimensionMismatch, InvalidRange
 from .euler import simulate
-from .model import DelayGrid, NsddeModel, make_grid
+from .model import DelayGrid, NsddeModel, broadcast_result, make_grid
 
 # Paths per engine call.  Memory grows with levels x PATH_BLOCK x grid
 # points; every shipped config fits in one block.
@@ -240,7 +240,7 @@ def perturbation_integrability(
     fine = grids[-1]
     delta_f = fine.delta
     times = fine.times[fine.steps_per_delay :]
-    weights = np.broadcast_to(np.asarray(weight(times), dtype=float), times.shape)
+    weights = broadcast_result(weight(times), times.shape)
     threshold = radius / 3.0
     factors = [g.refinement(fine) for g in grids]
 
@@ -368,7 +368,7 @@ def check_contraction_sup_bound(values: np.ndarray, grid: DelayGrid, neutral,
     with np.errstate(all="ignore"):  # a diverged path makes inf and NaN
         norms = np.linalg.norm(values, axis=-1)
         seg_norm = norms[: n0 + 1].max(axis=0)
-        diff_norms = np.linalg.norm(states - np.asarray(neutral(delayed), dtype=float), axis=-1)
+        diff_norms = np.linalg.norm(states - broadcast_result(neutral(delayed), delayed.shape), axis=-1)
 
         sup_state = np.maximum.accumulate(norms[n0:], axis=0)
         sup_diff = np.maximum.accumulate(diff_norms, axis=0)

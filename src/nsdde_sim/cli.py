@@ -23,11 +23,12 @@ the least and the most ladder levels it takes, and whether it requires a rate
 bundle.  The bundle (the config's "rates", else the model's built-in one) and
 ``truncation_radius`` are checked under every command.  ``main`` checks
 those, builds the model, the initial segment, the ladder grids and the
-bundle, samples the segment on the finest grid as ``simulate`` does, only
-then creates the output directory, and calls the runner, which computes and
-writes its own output files.  Then ``main`` writes a ``manifest.json``
-(config echo, effective seed, library version, algorithm identifiers, output
-list), prints the runner's summary lines and picks the exit code.  Reruns
+bundle, samples the segment on the grid the command reads (``check`` its
+coarsest, the others the finest, as ``simulate`` does), only then creates the
+output directory, and calls the runner, which computes and writes its own
+output files.  Then ``main`` writes a ``manifest.json`` (config echo,
+effective seed, library version, algorithm identifiers, output list), prints
+the runner's summary lines and picks the exit code.  Reruns
 with the same config and seed are byte-identical.  CSV output uses comma
 separators, '.' decimal point, LF line endings, a header row, and floats
 with 17 significant digits.
@@ -469,9 +470,12 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"model {cfg.model_id!r} has no built-in rate bundle; provide a \"rates\" object"
             )
-        out_dir = Path(output if output is not None else cfg.output_dir)
+        output = output if output is not None else cfg.output_dir
+        if not output:  # Path("") is the working directory
+            raise ConfigError("the output directory must be a non-empty path")
+        out_dir = Path(output)
         try:
-            sample_segment(xi, grids[-1], model.state_dim)  # as simulate samples it
+            sample_segment(xi, grids[0 if command == "check" else -1], model.state_dim)
             try:
                 out_dir.mkdir(parents=True, exist_ok=True)
             except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte

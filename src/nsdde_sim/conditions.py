@@ -30,13 +30,13 @@ evaluator contract of :mod:`nsdde_sim.model` (leading axes index samples, ``t``
 is a ``(..., 1)`` array of each sample's time, a constant broadcasts).
 :func:`check_conditions` is the one entry to all four checks.  It draws the box
 pairs that C4, C2 and H read once, and C4 and the contraction estimate share one
-``neutral`` call.  C2, C3 and the rate proposal share one pass: one ``neutral``,
-one ``drift`` and one ``diffusion`` call on every sample, each at its own time.
-C2 and C3 call each rate once on the distinct times they drew and once on those
-less tau.  Everything else (both sides of each bound, the rate inequalities, the
-violation lists) is computed once over all samples.  Checkers run with numpy's
-floating-point warnings off: a side that overflows fails in the report and prints
-nothing.
+``neutral`` call.  C2, C3, the rate proposal and each block of H's times make one
+:func:`_coefficients` call on one stack, never reshaped or joined with another, at
+times that broadcast against it.  C2 and C3 call each rate once on the distinct
+times they drew and once on those less tau.  Everything else (both sides of each
+bound, the rate inequalities, the violation lists) is computed once over all
+samples.  Checkers run with numpy's floating-point warnings off: a side that
+overflows fails in the report and prints nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import pcg64
 from .errors import DegenerateSampling, InvalidRange
-from .model import DelayGrid, NsddeModel, libm_exp
+from .model import DelayGrid, NsddeModel, broadcast_result, libm_exp
 
 # Absolute slack on (rhs - lhs): an inequality counts as violated only when
 # lhs exceeds rhs by more than this, so exact-equality cases pass.
@@ -160,11 +160,6 @@ def _sqsum(s):
     return np.sum((s * s).reshape(s.shape[:-2] + (-1,)), axis=-1)
 
 
-def _rows(value, shape):
-    """An evaluator result as a float stack of ``shape``; a constant broadcasts."""
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
-
 def _running_max(start, values):
     """max(start, *values) as a running Python ``max``: NaN never becomes the maximum."""
     above = values[values > start]
@@ -201,7 +196,7 @@ def _contraction(neutral, kappa: float, box: float, pairs: np.ndarray):
                       for c in (0.0, 0.5 * box, -0.5 * box, box - 2 * h, -box + 2 * h)])
     every = np.concatenate([pairs, close])
     m = len(every)
-    vals = _rows(neutral(np.concatenate([every[:, 0], every[:, 1]])), (2 * m, dim))
+    vals = broadcast_result(neutral(np.concatenate([every[:, 0], every[:, 1]])), (2 * m, dim))
     moved, gap = _rownorm(vals[:m] - vals[m:]), _rownorm(every[:, 0] - every[:, 1])
     # D(0) is vals[m]: the first probe pair is (box e1, 0)
     lhs = np.concatenate([_rownorm(vals[m : m + 1]), moved[:n]])
@@ -249,7 +244,7 @@ def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
     and K~ <= K fail once per sample at a time where they fail, after the sample's own
     violation, in sample order."""
     times, which = np.unique(ts, return_inverse=True)
-    now, past, delayed_now, delayed_past = (_rows(f(when), times.shape)
+    now, past, delayed_now, delayed_past = (broadcast_result(f(when), times.shape)
                                             for f in rates[:2] for when in (times, times - tau))
     factor, times = rates[2], times.tolist()
     rhs = now[which] * weights[0] + delayed_past[which] * weights[1]
@@ -272,23 +267,16 @@ def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
     return _finish(condition_id, len(lhs), violations)
 
 
-def _coefficient_pass(model: NsddeModel, parts) -> list:
-    """Each part's (D(y), b, sigma), stacked as its x, from one coefficient pass.  A part
-    is ``(x, y, ts)``: ``(S, d)`` or ``(2, S, d)`` stacks of points whose sample i lies at
-    time ts[i].  ``neutral``, ``drift`` and ``diffusion`` run once each on the rows of
-    every part, ``drift`` and ``diffusion`` with each row's time as a ``(rows, 1)`` stack."""
-    d = model.state_dim
-    x, y, ts = map(np.concatenate, zip(*[
-        (x.reshape(-1, d), y.reshape(-1, d), np.broadcast_to(ts, x.shape[:-1]).ravel())
-        for x, y, ts in parts]))
-    coeffs = [_rows(model.neutral(y), x.shape), _rows(model.drift(x, y, ts[:, None]), x.shape),
-              _rows(model.diffusion(x, y, ts[:, None]), x.shape + (model.noise_dim,))]
-    results, lo = [], 0
-    for px, _, _ in parts:
-        hi = lo + px.size // d
-        results.append([c[lo:hi].reshape(px.shape + c.shape[2:]) for c in coeffs])
-        lo = hi
-    return results
+def _coefficients(model: NsddeModel, x, y, t) -> tuple:
+    """(D(y), b, sigma) of one stack of points from one ``neutral``, one ``drift`` and one
+    ``diffusion`` call: ``x`` and ``y`` are ``(..., d)`` stacks, and ``t`` is a ``(..., 1)``
+    array of times that broadcasts against them, so points that share a time share its
+    entry.  D(y) and b come back in ``np.broadcast_shapes(x.shape, t.shape)``, sigma
+    with a trailing noise axis."""
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    return (broadcast_result(model.neutral(y), shape),
+            broadcast_result(model.drift(x, y, t), shape),
+            broadcast_result(model.diffusion(x, y, t), shape + (model.noise_dim,)))
 
 
 def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -299,21 +287,20 @@ def _clip_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> ConditionReport:
-    """H: |b| + |sigma|^2 on the box pairs at every grid time, from one drift and one
-    diffusion call per block of ``(T, 1, 1)`` times, :data:`H_BLOCK_ENTRIES` diffusion
-    entries at most.  Each block folds into its per-time peaks, which a NaN row never is
-    and an inf row can be, and its non-finite rows, the only ones that fail.  The peaks
-    are summed with weight delta left to right; the report carries that integral."""
+    """H: |b| + |sigma|^2 on the box pairs at every grid time, from one
+    :func:`_coefficients` call per block of ``(T, 1, 1)`` times, :data:`H_BLOCK_ENTRIES`
+    diffusion entries at most.  Each block folds into its per-time peaks, which a NaN
+    row never is and an inf row can be, and its non-finite rows, the only ones that
+    fail.  The peaks are summed with weight delta left to right; the report carries
+    that integral."""
     n, times = len(pairs), grid.times[grid.steps_per_delay:-1]
     x, y = pairs[:, 0], pairs[:, 1]
     step = max(1, H_BLOCK_ENTRIES // (n * model.state_dim * model.noise_dim))
     violations: list[Violation] = []
     total = 0.0
     for lo in range(0, len(times), step):
-        t = times[lo : lo + step, None, None]
-        shape = (len(t), n, model.state_dim)
-        val = (_rownorm(_rows(model.drift(x, y, t), shape))
-               + _sqsum(_rows(model.diffusion(x, y, t), shape + (model.noise_dim,))))
+        _, bv, sv = _coefficients(model, x, y, times[lo : lo + step, None, None])
+        val = _rownorm(bv) + _sqsum(sv)
         peaks = np.where(val > 0, val, 0).max(axis=-1)
         total = float(np.concatenate([[total], peaks * grid.delta]).cumsum()[-1])
         violations += [
@@ -363,8 +350,8 @@ def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, sa
     sampled box, with no correctness guarantee; a starting point when no derived
     bundle is available.  Each of its samples in turn draws a grid time, then its
     (x, y, x', y') block, from ``default_rng(seed)``'s stream; :func:`_interleaved_draws`
-    reads them in runs.  C2, C3 and the proposal share one coefficient pass; each
-    stack's coefficients are bitwise those of a pass of its own.
+    reads them in runs.  C2's pairs, C3's and the proposal's pair stacks and each
+    block of H's times make one :func:`_coefficients` call each, at their own times.
     """
     box, dim, tau = spec.box_radius, model.state_dim, model.delay
     _check_sampling(box, samples, dim)
@@ -380,8 +367,9 @@ def check_conditions(model: NsddeModel, spec: ConditionSpec, grid: DelayGrid, sa
     idx, draws = _interleaved_draws(rng.restart(), len(times), float(box), dim, samples)
     px, py, pxb, pyb = (draws[:, k] for k in range(4))
     quad, pair = np.stack([qx, qxb]), np.stack([px, pxb])
-    growth, local, heuristic = _coefficient_pass(model, [
-        (x, y, ts), (quad, np.stack([qy, qyb]), quad_ts), (pair, np.stack([py, pyb]), times[idx])])
+    growth = _coefficients(model, x, y, ts[:, None])
+    local = _coefficients(model, quad, np.stack([qy, qyb]), quad_ts[:, None])
+    heuristic = _coefficients(model, pair, np.stack([py, pyb]), times[idx, None])
     coercivity = _rated_check(
         "C2", {"x": x, "y": y}, _growth_lhs(x, growth), (1.0 + _rowdot(x, x), 1.0 + _rowdot(y, y)),
         (spec.growth_rate, spec.growth_rate_delayed, spec.growth_delay_factor), ts, tau)

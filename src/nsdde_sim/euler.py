@@ -51,7 +51,7 @@ import numpy as np
 
 from .brownian import coarsen
 from .errors import DimensionMismatch, IncompatibleGrids, InvalidRange
-from .model import DelayGrid, NsddeModel, sample_segment
+from .model import DelayGrid, NsddeModel, broadcast_result, sample_segment
 
 
 def simulate(
@@ -133,7 +133,7 @@ def simulate(
             # D of every level's fine rows one delay back: the node lags of
             # the window's steps and the in-cell lags, all already computed
             lag = out[w : w + span + 1]
-            d_lag = np.broadcast_to(neutral(lag), lag.shape)
+            d_lag = broadcast_result(neutral(lag), lag.shape)
             used = ends[span - 1]
             d_next = d_lag[lag_rows[:used], lev[:used]]
             db = dbs[w // n_delay * packed :]

@@ -15,6 +15,7 @@ Every other function of time takes the same contract: the initial segment
 ``xi(t)`` (:func:`sample_segment`), the rates of a condition bundle and the
 perturbation weight receive a float array of times, act elementwise, and may
 return a constant, which broadcasts; a vector-valued one gets ``(..., 1)`` times.
+:func:`broadcast_result` is that broadcast rule, written once for every caller.
 
 Grids tie the delay and the horizon to a common step: ``delta = tau / N``
 with ``M`` steps to the horizon.  Grid times are always derived from the
@@ -143,6 +144,12 @@ def _exact_time(index: int, tau: float, n: int) -> float:
     return index * num / (den * n)
 
 
+def broadcast_result(value, shape: tuple) -> np.ndarray:
+    """An evaluator's result as a read-only float array of ``shape``: a constant, or a result
+    without some leading axes, broadcasts; one that does not raises ``ValueError``."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 def sample_segment(xi: Callable, grid: DelayGrid, dim: int) -> np.ndarray:
     """The segment ``xi`` at grid times -tau .. 0 as (N + 1, dim), from one call on their
     ``(N + 1, 1)`` stack.  Raises :class:`DimensionMismatch` when its values do not
@@ -151,7 +158,7 @@ def sample_segment(xi: Callable, grid: DelayGrid, dim: int) -> np.ndarray:
     with np.errstate(all="ignore"):  # an overflow fails below, and prints nothing
         vals = np.asarray(xi(times), dtype=float)
     try:
-        rows = np.broadcast_to(vals, (len(times), dim))
+        rows = broadcast_result(vals, (len(times), dim))
     except ValueError:
         raise DimensionMismatch(f"initial segment values of shape {vals.shape} do not "
                                 f"broadcast to ({len(times)}, state_dim {dim})") from None

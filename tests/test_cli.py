@@ -171,6 +171,18 @@ class TestExitCodes:
         assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
         assert "null byte" in err
 
+    @pytest.mark.parametrize("where", ["output_dir", "option"])
+    def test_empty_output_dir_is_2(self, tmp_path, capsys, monkeypatch, where):
+        # Path("") is the working directory, whose files of the outputs' names an
+        # empty output directory would overwrite
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, samples=10, **{"output_dir": ""} if where == "output_dir"
+                           else {})
+        args = ["check", "--config", cfg] + (["--output", ""] if where == "option" else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: the output directory must be a non-empty path\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command, name, overrides", [
         ("converge", "converge.csv", {}),
         ("converge", "manifest.json", {}),
@@ -719,18 +731,30 @@ class TestCheckReport:
 
     def test_coefficient_calls(self, tmp_path, monkeypatch):
         # C4 and the kappa estimate share one neutral call; C2, C3 and the rate
-        # proposal share one neutral, drift and diffusion call; H's 20 times of
-        # 508 pairs fit in one block, one drift and one diffusion call
+        # proposal each make one neutral, drift and diffusion call on their own
+        # stack; H's 20 times of 508 pairs fit in one block, one call of each
         calls = self.coefficient_calls(tmp_path, monkeypatch, ladder=[0.1], samples=500)
-        assert calls == {"neutral": 2, "drift": 2, "diffusion": 2}
+        assert calls == {"neutral": 5, "drift": 4, "diffusion": 4}
 
     def test_coefficient_calls_grow_with_h_blocks_not_grid_times(self, tmp_path, monkeypatch):
-        # 20,000 grid times of 18 sec4 pairs, one diffusion entry each: one drift
-        # call per block of H's table and one for the shared pass, whatever the machine
+        # 20,000 grid times of 18 sec4 pairs, one diffusion entry each: one call
+        # of each evaluator per block of H's table and one for each of C2, C3 and
+        # the proposal, whatever the machine
         calls = self.coefficient_calls(tmp_path, monkeypatch, ladder=[1e-4], samples=10)
         blocks = -(-20_000 // (nsdde_sim.conditions.H_BLOCK_ENTRIES // 18))
-        assert calls == {"neutral": 2, "drift": 1 + blocks, "diffusion": 1 + blocks}
+        assert calls == {"neutral": 4 + blocks, "drift": 3 + blocks, "diffusion": 3 + blocks}
         assert blocks < 100
+
+    def test_check_samples_the_segment_on_the_grid_it_reads(self, tmp_path, monkeypatch):
+        # check reads the coarsest grid only, so the finest grid's times, 3e6 + 1
+        # of them at step 1e-6, are never built
+        built, real = [], cli.analysis.ladder_grids
+        monkeypatch.setattr(cli.analysis, "ladder_grids",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        cfg = write_config(tmp_path, ladder=[0.5, 1e-6], samples=10)
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        (grids,) = built
+        assert "times" in grids[0].__dict__ and "times" not in grids[-1].__dict__
 
     def test_failing_check_lists_violations(self, tmp_path):
         cfg = write_config(

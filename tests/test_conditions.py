@@ -3,7 +3,6 @@
 import math
 import sys
 import warnings
-from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -36,38 +35,39 @@ from nsdde_sim.conditions import (
     ConditionReport,
     Violation,
     _PAIRS,
-    _coefficient_pass,
+    _coefficients,
     _integrability,
     _interleaved_draws,
     _probes_and_draws,
     _rowdot,
     _rownorm,
-    _rows,
     _sqsum,
 )
+from nsdde_sim import model as model_module
 from nsdde_sim.model import _BUILTINS, builtin_model
+from nsdde_sim.model import broadcast_result as _rows
 
 GRID = make_grid(1.0, 2.0, 0.1)
 SHORTEST_GRID = DelayGrid(0.5, 1.0, 1, 2)
 
 
 def parts_of(model, spec, grid, samples, seed):
-    """The ``(x, y, ts)`` parts that :func:`check_conditions` hands its coefficient pass:
-    C2's box pairs, C3's quadruple pairs and the proposal's pairs."""
+    """The ``(x, y, t)`` stacks that :func:`check_conditions` hands the coefficient kernel,
+    one per call, in call order: C2's box pairs, C3's quadruple pairs, the proposal's
+    pairs, then H's blocks."""
     seen = []
-    real = conditions._coefficient_pass
+    real = conditions._coefficients
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conditions, "_coefficient_pass",
-                   lambda model, parts: seen.append(parts) or real(model, parts))
+        mp.setattr(conditions, "_coefficients",
+                   lambda model, x, y, t: seen.append((x, y, t)) or real(model, x, y, t))
         check_conditions(model, spec, grid, samples, seed)
-    (parts,) = seen
-    return parts
+    return seen
 
 
-def coefficients(model, parts):
-    """One coefficient pass, under the error state of :func:`check_conditions`."""
+def coefficients(model, x, y, t):
+    """One kernel call, under the error state of :func:`check_conditions`."""
     with np.errstate(all="ignore"):
-        return _coefficient_pass(model, parts)
+        return _coefficients(model, x, y, t)
 
 
 def flat_spec(kappa=0.5, growth=1.0, growth_delayed=0.0, local=1.0, local_delayed=0.0,
@@ -632,42 +632,69 @@ def test_batched_checkers_match_per_sample_reference(name, seed):
         assert got == _ref_reports(model, spec, grid, samples, seed)
 
 
-# the points each part evaluates at 500 samples: C2 its 8 probes and 500 draws,
-# C3 both points of its 5 + 500 pairs, the proposal both points of its 500 pairs
-ROWS_AT_500 = (8 + 500, 2 * (5 + 500), 2 * 500)
+# the (x, t) shapes of the kernel's calls at 500 samples: C2's 8 probes and 500 draws,
+# C3's 5 + 500 pairs and the proposal's 500 pairs (both points of a pair in one stack)
+# at their (S, 1) times, then H's 508 pairs at blocks of 3 of its 20 times
+STACKS_AT_500 = ([((508, 1), (508, 1)), ((2, 505, 1), (505, 1)), ((2, 500, 1), (500, 1))]
+                 + [((508, 1), (3, 1, 1))] * 6 + [((508, 1), (2, 1, 1))])
 
 
-@pytest.mark.parametrize("which", [(0,), (1,), (2,), (0, 1, 2)], ids=[
-    "check_coercivity", "check_monotonicity", "propose_constant_rates", "coefficient_checks"])
-def test_one_call_per_evaluator_per_pass(which):
-    # neutral, drift and diffusion once per pass on every sample (both points of
-    # a pair), whether a part runs alone or all three share the pass; drift and
-    # diffusion get each row's sampled time, all 21 grid times of [0, 2] in one call
-    calls, times = Counter(), {"drift": [], "diffusion": []}
+@pytest.mark.parametrize("which", [0, 1, 2, 3, None], ids=[
+    "check_coercivity", "check_monotonicity", "propose_constant_rates", "check_integrability",
+    "coefficient_checks"])
+def test_one_call_per_evaluator_per_pass(monkeypatch, which):
+    # one neutral, drift and diffusion call per kernel call, on the stack as the
+    # checker holds it, neither reshaped nor joined with another: C2, C3 and the
+    # proposal each at their own (S, 1) times, H once per block at (T, 1, 1) times
+    calls = []
     plain = neutral_cubic_model(0.5, -1.0, -1.0, 1.0)
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
-            # a pair stack (2, n, state_dim) holds 2 n points
-            calls[name + "_rows"] += args[0].size // plain.state_dim
-            if name in times:
-                times[name].append(args[2])
+            calls.append((name, args))
             return fn(*args)
         return wrapper
 
     model = replace(plain, **{name: counted(name, getattr(plain, name))
                               for name in ("neutral", "drift", "diffusion")})
-    parts = [parts_of(plain, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0), GRID, 500, 5)[k]
-             for k in which]
-    coefficients(model, parts)
-    rows = sum(ROWS_AT_500[k] for k in which)
-    assert calls == {"neutral": 1, "neutral_rows": rows, "drift": 1, "drift_rows": rows,
-                     "diffusion": 1, "diffusion_rows": rows}
-    row_times = np.concatenate([np.broadcast_to(ts, x.shape[:-1]).ravel() for x, _, ts in parts])
-    for (t,) in times.values():
-        assert t.shape == (rows, 1) and t.tobytes() == row_times.tobytes()
-    assert np.unique(row_times).tolist() == GRID.times[GRID.steps_per_delay:].tolist()
+    monkeypatch.setattr(conditions, "H_BLOCK_ENTRIES", 3 * 508)
+    stacks = parts_of(model, neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 2.0), GRID, 500, 5)
+    assert [(x.shape, t.shape) for x, _, t in stacks] == STACKS_AT_500
+    # C4's neutral call comes first, outside the kernel
+    assert [name for name, _ in calls] == ["neutral"] + ["neutral", "drift", "diffusion"] * 10
+    grid_times = GRID.times[GRID.steps_per_delay:]
+    picked = {None: range(10), 3: range(3, 10)}.get(which, [which])
+    for k in picked:
+        x, y, t = stacks[k]
+        (_, (dy,)), (_, drift_args), (_, diffusion_args) = calls[1 + 3 * k : 4 + 3 * k]
+        assert dy is y and all(a is b for a, b in zip(drift_args + diffusion_args, 2 * (x, y, t)))
+        assert set(t.ravel().tolist()) <= set(grid_times.tolist())
+    if which == 3:
+        blocks = np.concatenate([t.ravel() for _, _, t in stacks[3:]])
+        assert blocks.tobytes() == grid_times[:-1].tobytes()
+    if which is None:  # the three sampled stacks draw all 21 grid times of [0, 2]
+        drawn = np.concatenate([t.ravel() for _, _, t in stacks[:3]])
+        assert np.unique(drawn).tolist() == grid_times.tolist()
+
+
+def test_kernel_takes_one_exp_per_time_not_per_point(monkeypatch):
+    # a (T, P, d) stack of P paths at T grid nodes at (T, 1, 1) times: sec4's drift
+    # runs once, and libm's exp sees the T times, not T x P points, in drift and
+    # diffusion alike; every entry is bitwise the one-time-per-row result
+    plain = neutral_cubic_model(0.5, -1.0, -0.5, 1.0)
+    drifts, exps = [], []
+    model = replace(plain, drift=lambda x, y, t: drifts.append(t.shape) or plain.drift(x, y, t))
+    real_exp = model_module.libm_exp
+    monkeypatch.setattr(model_module, "libm_exp", lambda v: exps.append(v.shape) or real_exp(v))
+    t = make_grid(1.0, 2.0, 0.01).times[:, None, None]
+    x, y = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, len(t), 7, 1))
+    got = coefficients(model, x, y, t)
+    assert drifts == [t.shape] and exps == [t.shape] * 2
+    rows = np.repeat(t.ravel(), 7)[:, None]
+    want = [plain.neutral(y), plain.drift(x.reshape(-1, 1), y.reshape(-1, 1), rows),
+            plain.diffusion(x.reshape(-1, 1), y.reshape(-1, 1), rows)]
+    assert [c.shape for c in got] == [x.shape, x.shape, x.shape + (1,)]
+    assert [c.tobytes() for c in got] == [np.ascontiguousarray(c).tobytes() for c in want]
 
 
 TIME_VARYING = ConditionSpec(
@@ -695,30 +722,6 @@ def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
             assert repr(got) == repr(ref(model, TIME_VARYING, GRID, 150, seed))
             assert len(got.violations) == MAX_VIOLATIONS
             assert any("check" in v.inputs for v in got.violations)
-
-
-@pytest.mark.parametrize("seed", [0, 20260815])
-@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-def test_one_coefficient_pass_gives_the_standalone_results(name, seed):
-    # each row's coefficients are those of a one-sample call, so a shared pass
-    # gives each part bitwise what a pass of its own gives, stacked as its x;
-    # at one sample the pass holds times that only one part drew
-    model = ORACLE_MODELS[name]()
-    spec = neutral_cubic_rates(0.5, -1.0, -1.0, 1.0, 1.5) if name == "sec4" else flat_spec()
-    cases = [(spec, grid, samples) for grid, samples in [(GRID, 40), (SHORTEST_GRID, 40),
-                                                          (GRID, 1)]]
-    drawn_by_one = 0
-    for spec, grid, samples in cases + [(TIME_VARYING, GRID, 150)]:
-        parts = parts_of(model, spec, grid, samples, seed)
-        assert [x.ndim for x, _, _ in parts] == [2, 3, 3]
-        drawn = [set(ts.tolist()) for _, _, ts in parts]
-        for k, (part, shared) in enumerate(zip(parts, coefficients(model, parts))):
-            (own,) = coefficients(model, [part])
-            x = part[0]
-            assert [c.shape for c in shared] == [x.shape, x.shape, x.shape + (model.noise_dim,)]
-            assert [c.tobytes() for c in shared] == [c.tobytes() for c in own]
-            drawn_by_one += bool(drawn[k].difference(*drawn[:k], *drawn[k + 1:]))
-    assert drawn_by_one
 
 
 # every built-in model, with parameters of its own, beside the oracle models
@@ -828,8 +831,8 @@ def test_shared_pass_reads_each_checkers_rates_at_its_own_times(samples):
 
     spec = ConditionSpec(0.5, *map(logged, ["K1", "K1~", "KR", "KR~"]), 1.0, 1.0, 1.5)
     model = cubic_drift(1.0, 2)
-    parts = parts_of(model, spec, GRID, samples, 3)
-    drawn = [sorted(set(ts.tolist())) for _, _, ts in parts]
+    stacks = parts_of(model, spec, GRID, samples, 3)
+    drawn = [sorted(set(t.ravel().tolist())) for _, _, t in stacks[:2]]
     assert drawn[0] != drawn[1]
     own = [(name, [t - lag for t in times])
            for names, times in zip([("K1", "K1~"), ("KR", "KR~")], drawn)
