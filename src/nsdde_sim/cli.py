@@ -262,7 +262,12 @@ def _write_records(path: Path, columns: list[str], records) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+    _write(path, (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
+
+
+def _number(value: float) -> float | str:
+    """``value`` as RFC 8259 JSON holds it: a non-finite float as the string float() reads."""
+    return value if math.isfinite(value) else repr(value)
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str], extra: dict | None) -> None:
@@ -380,14 +385,14 @@ def _check(cfg: RunConfig, model, xi, grids, spec, out_dir: Path, dump_noise: bo
                 "condition": r.condition_id,
                 "samples": r.samples_tested,
                 "verdict": r.verdict,
-                "violations": [
-                    {"inputs": v.inputs, "lhs": v.lhs, "rhs": v.rhs} for v in r.violations
-                ],
-                **({"estimate": r.estimate} if r.estimate is not None else {}),
+                "violations": [{"inputs": v.inputs, "lhs": _number(v.lhs), "rhs": _number(v.rhs)}
+                               for v in r.violations],
+                **({"estimate": _number(r.estimate)} if r.estimate is not None else {}),
             }
             for r in reports
         ],
-        "estimates": {"kappa": kappa, **{f"heuristic_{k}": v for k, v in proposal.items()}},
+        "estimates": {"kappa": _number(kappa),
+                      **{f"heuristic_{k}": _number(v) for k, v in proposal.items()}},
     })
     summary = [
         f"check {r.condition_id}: {r.verdict} ({r.samples_tested} samples, "

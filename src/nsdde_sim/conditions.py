@@ -20,8 +20,8 @@ points, the origin, coincident pairs) are injected alongside the random
 samples so that known failure modes are hit with certainty.  All checkers
 are deterministic given their seed: they draw what numpy's
 ``default_rng(seed)`` would draw, bitwise, from :class:`~nsdde_sim.pcg64.Stream`,
-without importing ``numpy.random``.  Violations are sorted by severity
-before the list is capped.
+without importing ``numpy.random``.  A report builds violations only for the
+:data:`MAX_VIOLATIONS` failures it keeps, in the order :func:`_finish` ranks them.
 
 Coefficients, and the bare ``neutral`` map of the contraction checks, are
 called on ``(S, state_dim)`` stacks of samples, or for the pairs of points that
@@ -34,7 +34,7 @@ pairs that C4, C2 and H read once, and C4 and the contraction estimate share one
 :func:`_coefficients` call on one stack, never reshaped or joined with another, at
 times that broadcast against it.  C2 and C3 call each rate once on the distinct
 times they drew and once on those less tau.  Everything else (both sides of each
-bound, the rate inequalities, the violation lists) is computed once over all
+bound, the rate inequalities, the failure masks) is computed once over all
 samples.  Checkers run with numpy's floating-point warnings off: a side that
 overflows fails in the report and prints nothing.
 """
@@ -56,7 +56,7 @@ from .model import DelayGrid, NsddeModel, broadcast_result, libm_exp
 # lhs exceeds rhs by more than this, so exact-equality cases pass.
 SLACK = 1e-9
 
-# At most this many violations are kept per report (after severity sorting).
+# At most this many violations are kept per report, the largest lhs - rhs first.
 MAX_VIOLATIONS = 100
 
 # H's memory bound: diffusion entries (times x pairs x d x m) per block, at least one time.
@@ -121,11 +121,16 @@ def constant_rate(value: float) -> Callable[[np.ndarray], float]:
     return lambda t: value
 
 
-def _finish(condition_id: str, tested: int, violations: list,
+def _finish(condition_id: str, tested: int, lhs, rhs, inputs: Callable[[int], dict],
             estimate: float | None = None) -> ConditionReport:
-    violations.sort(key=lambda v: (-(v.lhs - v.rhs), repr(sorted(v.inputs.items()))))
-    kept = tuple(violations[:MAX_VIOLATIONS])
-    return ConditionReport(condition_id, tested, kept, "fail" if kept else "pass", estimate)
+    """The report on candidates with 1-d sides ``lhs`` and ``rhs``, in the order drawn: it
+    builds violations, candidate i's inputs ``inputs(i)``, for the :data:`MAX_VIOLATIONS`
+    failures of largest lhs - rhs only, a NaN gap as infinite and ties in drawn order."""
+    bad = np.flatnonzero(_failed(lhs, rhs))
+    gap = lhs[bad] - rhs[bad]
+    kept = bad[np.argsort(-np.where(np.isnan(gap), np.inf, gap), kind="stable")[:MAX_VIOLATIONS]]
+    found = tuple(Violation(inputs(i), float(lhs[i]), float(rhs[i])) for i in kept.tolist())
+    return ConditionReport(condition_id, tested, found, "fail" if found else "pass", estimate)
 
 
 def _check_sampling(box: float, samples: int, dim: int) -> None:
@@ -201,20 +206,13 @@ def _contraction(neutral, kappa: float, box: float, pairs: np.ndarray):
     # D(0) is vals[m]: the first probe pair is (box e1, 0)
     lhs = np.concatenate([_rownorm(vals[m : m + 1]), moved[:n]])
     rhs = np.concatenate([[0.0], kappa * gap[:n]])
-    violations = [
-        Violation(
-            {"x": pairs[i - 1, 0].tolist(), "y": pairs[i - 1, 1].tolist()}
-            if i else {"check": "zero-at-origin"},
-            float(lhs[i]), float(rhs[i]),
-        )
-        for i in np.flatnonzero(_failed(lhs, rhs)).tolist()
-    ]
     order = np.r_[n:m, len(_PAIRS) - 1 : n]
     kept = order[~(gap[order] < 1e-9)]
     if not kept.size:
         raise DegenerateSampling("all sampled pairs were closer than 1e-9")
     ratio = moved[kept] / gap[kept]
-    return _finish("C4", n, violations), float(_running_max(ratio[0], ratio[1:]))
+    return (_finish("C4", n, lhs, rhs, lambda i: dict(zip("xy", pairs[i - 1].tolist())) if i
+                    else {"check": "zero-at-origin"}), float(_running_max(ratio[0], ratio[1:])))
 
 
 def _growth_lhs(x, coeffs):
@@ -240,31 +238,24 @@ def _rated_check(condition_id, points, lhs, weights, rates, ts, tau):
     """Shared driver of C2 and C3: sample i's bound is lhs <= K(t) * weights[0] +
     K~(t - tau) * weights[1] at t = ts[i], and ``points`` names the stacks a violation
     reports.  Each rate is called on the distinct sampled times, ascending, then on
-    those less tau.  The rate inequalities K >= 0, K~ >= 0, K(t) <= factor * K(t - tau)
-    and K~ <= K fail once per sample at a time where they fail, after the sample's own
-    violation, in sample order."""
+    those less tau.  Candidate 5i is sample i's bound and 5i + k the k-th of K >= 0,
+    K~ >= 0, K(t) <= factor * K(t - tau) and K~ <= K at its time: the ``(S, 5)``
+    failure mask comes first, and only its failures' sides are gathered."""
     times, which = np.unique(ts, return_inverse=True)
     now, past, delayed_now, delayed_past = (broadcast_result(f(when), times.shape)
                                             for f in rates[:2] for when in (times, times - tau))
-    factor, times = rates[2], times.tolist()
     rhs = now[which] * weights[0] + delayed_past[which] * weights[1]
     zero = np.zeros(len(times))
-    sides = np.stack([[zero, now], [zero, delayed_now], [now, factor * past], [delayed_now, now]])
-    rate_bad = _failed(sides[:, 0], sides[:, 1])
-    names = ("rate-nonnegative", "rate-nonnegative-delayed", "delay-comparison",
+    sides = np.stack([[zero, now], [zero, delayed_now], [now, rates[2] * past], [delayed_now, now]])
+    bad = np.column_stack([_failed(lhs, rhs), _failed(sides[:, 0], sides[:, 1]).T[which]])
+    i, k = np.divmod(np.flatnonzero(bad), 5)
+    at = sides[k - 1, :, which[i]]  # (failures, 2); a bound's row, k = 0, is not read
+    names = (None, "rate-nonnegative", "rate-nonnegative-delayed", "delay-comparison",
              "dominates-delayed")
-    at_time = [[Violation({"check": c, "t": t}, *two) for c, two, b in zip(names, ends, bads) if b]
-               for t, ends, bads in zip(times, sides.transpose(2, 0, 1).tolist(),
-                                        rate_bad.T.tolist())]
-    bad = _failed(lhs, rhs)
-    violations: list[Violation] = []
-    for i in np.flatnonzero(bad | rate_bad.any(axis=0)[which]).tolist():
-        j = int(which[i])
-        if bad[i]:
-            inputs = {"t": times[j], **{key: v[i].tolist() for key, v in points.items()}}
-            violations.append(Violation(inputs, float(lhs[i]), float(rhs[i])))
-        violations += at_time[j]
-    return _finish(condition_id, len(lhs), violations)
+    return _finish(condition_id, len(lhs), np.where(k > 0, at[:, 0], lhs[i]),
+                   np.where(k > 0, at[:, 1], rhs[i]),
+                   lambda j: {"check": names[k[j]], "t": float(ts[i[j]])} if k[j] else
+                   {"t": float(ts[i[j]]), **{key: v[i[j]].tolist() for key, v in points.items()}})
 
 
 def _coefficients(model: NsddeModel, x, y, t) -> tuple:
@@ -290,24 +281,25 @@ def _integrability(model: NsddeModel, grid: DelayGrid, pairs: np.ndarray) -> Con
     """H: |b| + |sigma|^2 on the box pairs at every grid time, from one
     :func:`_coefficients` call per block of ``(T, 1, 1)`` times, :data:`H_BLOCK_ENTRIES`
     diffusion entries at most.  Each block folds into its per-time peaks, which a NaN
-    row never is and an inf row can be, and its non-finite rows, the only ones that
-    fail.  The peaks are summed with weight delta left to right; the report carries
-    that integral."""
+    row never is and an inf row can be, and its non-finite entries, which all fail with
+    lhs inf and rhs 0, up to the first :data:`MAX_VIOLATIONS` in grid order.  The peaks
+    are summed with weight delta left to right; the report carries that integral."""
     n, times = len(pairs), grid.times[grid.steps_per_delay:-1]
     x, y = pairs[:, 0], pairs[:, 1]
     step = max(1, H_BLOCK_ENTRIES // (n * model.state_dim * model.noise_dim))
-    violations: list[Violation] = []
-    total = 0.0
+    hits, total = np.empty((0, 2), dtype=np.intp), 0.0
     for lo in range(0, len(times), step):
         _, bv, sv = _coefficients(model, x, y, times[lo : lo + step, None, None])
         val = _rownorm(bv) + _sqsum(sv)
         peaks = np.where(val > 0, val, 0).max(axis=-1)
         total = float(np.concatenate([[total], peaks * grid.delta]).cumsum()[-1])
-        violations += [
-            Violation({"t": float(times[lo + i]), "x": x[j].tolist(), "y": y[j].tolist()},
-                      math.inf, 0.0)
-            for i, j in np.argwhere(~np.isfinite(val)).tolist()]
-    return _finish("H", len(times) * n, violations, estimate=total)
+        if len(hits) < MAX_VIOLATIONS:  # the rest of the table is only summed
+            more = np.argwhere(~np.isfinite(val))[: MAX_VIOLATIONS - len(hits)]
+            hits = np.concatenate([hits, more + (lo, 0)])
+    t, j = hits.T
+    return _finish("H", len(times) * n, np.full(len(hits), math.inf), np.zeros(len(hits)),
+                   lambda v: {"t": float(times[t[v]]), **dict(zip("xy", pairs[j[v]].tolist()))},
+                   estimate=total)
 
 
 def _interleaved_draws(rng: pcg64.Stream, n: int, box: float, dim: int, samples: int):

@@ -56,13 +56,15 @@ def _outputs(state: int, jumps: tuple, count: int):
     """The state after, and the outputs of, the next ``count`` steps rounded up to rows
     of ROW."""
     m, c, *table = jumps
+    out = np.empty((-(-count // ROW), ROW), dtype=np.uint64)  # sized first: too large fails at once
     starts = [state]
-    for _ in range(-(-count // ROW)):
+    for _ in range(len(out)):
         starts.append((m * starts[-1] + c) & M128)
     words = np.array([(s >> 64, s & M64) for s in starts[:-1]], dtype=np.uint64)
     hi, lo = _step(words[:, :1], words[:, 1:], *table)  # a row per start
     x, rot = hi ^ lo, hi >> 58  # XSL-RR: the halves xor-ed, rotated right by the top 6 bits
-    return starts[-1], (x >> rot | x << (np.uint64(64) - rot & 63)).reshape(-1)
+    np.bitwise_or(x >> rot, x << (np.uint64(64) - rot & 63), out=out)
+    return starts[-1], out.reshape(-1)
 
 
 def uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config parsing, output formats, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -279,6 +280,15 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - start < 5.0
         assert capsys.readouterr() == ("", f"error: the {command} run does not fit in memory\n")
+
+    def test_samples_too_many_for_memory_is_2(self, tmp_path, capsys):
+        # 1e12 sampled pairs read 2e12 raw outputs, 16 TB: the output block is
+        # sized before the jump-ahead states are listed, so it fails at once
+        cfg = write_config(tmp_path, ladder=[0.5], samples=10**12)
+        start = time.perf_counter()
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr() == ("", "error: the check run does not fit in memory\n")
 
     def test_simulate_needs_single_level(self, tmp_path):
         cfg = write_config(tmp_path)  # two ladder entries
@@ -774,6 +784,33 @@ class TestCheckReport:
         assert by_id["C2"]["verdict"] == "fail"
         worst = by_id["C2"]["violations"][0]
         assert worst["lhs"] > worst["rhs"]
+
+    def test_overflowing_sides_are_written_as_strict_json(self, tmp_path):
+        # x^3 overflows on the box of radius 1e103, and with it C2's and C3's left
+        # sides, H's estimate and both heuristic rates; RFC 8259 has no Infinity
+        # or NaN, so each is the string float() reads back
+        cfg = write_config(
+            tmp_path,
+            model={"id": "cubic_drift", "params": {}}, ladder=[0.1], samples=40, box_radius=1e103,
+            rates={
+                "kappa": 0.5, "growth_rate": 1.0, "growth_rate_delayed": 0.0,
+                "local_rate": 1.0, "local_rate_delayed": 0.0,
+                "growth_delay_factor": 1.0, "local_delay_factor": 1.0,
+            },
+        )
+        out = tmp_path / "chk"
+        assert main(["check", "--config", cfg, "--output", str(out)]) == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads((out / "check.json").read_text(), parse_constant=reject)
+        by_id = {r["condition"]: r for r in doc["reports"]}
+        assert by_id["C2"]["violations"][0]["lhs"] == "inf"
+        assert by_id["H"]["estimate"] == doc["estimates"]["heuristic_growth_rate"] == "inf"
+        sides = [v[side] for r in doc["reports"] for v in r["violations"] for side in ("lhs", "rhs")]
+        assert {s for s in sides if isinstance(s, str)} == {"inf", "nan"}  # C3's inf - inf
+        assert all(math.isfinite(s) for s in sides if not isinstance(s, str))
 
 
 # argv -> (command, config, output, seed, strict, dump_noise)

@@ -313,7 +313,9 @@ def _ref_record(violations, inputs, lhs, rhs):
 
 
 def _ref_finish(condition_id, tested, requested, violations, estimate=None):
-    violations.sort(key=lambda v: (-(v.lhs - v.rhs), repr(sorted(v.inputs.items()))))
+    # the largest lhs - rhs first, a NaN gap as infinite; the sort is stable, so equal
+    # gaps stay in recording order, which is the order the checkers draw candidates in
+    violations.sort(key=lambda v: -math.inf if math.isnan(v.lhs - v.rhs) else -(v.lhs - v.rhs))
     kept = tuple(violations[:MAX_VIOLATIONS])
     verdict = "fail" if kept else "pass" if tested >= requested else "inconclusive"
     return ConditionReport(condition_id, tested, kept, verdict, estimate)
@@ -714,14 +716,83 @@ TIME_VARYING = ConditionSpec(
 def test_time_varying_rates_match_reference_and_hit_the_cap(seed):
     # the rates 1 - t turn negative after t = 1, so every sample drawn
     # later fails the rate inequalities, more than MAX_VIOLATIONS in all;
-    # with NaN left sides among them the sort, and so the kept list,
-    # depends on the order in which violations were recorded
-    for model in (mixing_model(), blowup_model()):
+    # blowup_model's NaN and inf left sides count as infinite gaps and come
+    # first, in the order drawn, so they fill its cap, while mixing_model's
+    # finite sides leave room for the rate inequalities
+    for model, rated in ((mixing_model(), True), (blowup_model(), False)):
         reports = check_conditions(model, TIME_VARYING, GRID, 150, seed)[0][1:3]
         for got, ref in zip(reports, (ref_coercivity, ref_monotonicity)):
             assert repr(got) == repr(ref(model, TIME_VARYING, GRID, 150, seed))
             assert len(got.violations) == MAX_VIOLATIONS
-            assert any("check" in v.inputs for v in got.violations)
+            finite = [math.isfinite(v.lhs - v.rhs) for v in got.violations]
+            assert finite == sorted(finite)
+            assert any("check" in v.inputs for v in got.violations) or not rated
+
+
+def counted_violations(monkeypatch):
+    """The argument tuples of every :class:`Violation` the checkers build from now on."""
+    built, real = [], conditions.Violation
+    monkeypatch.setattr(conditions, "Violation", lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def test_finish_ranks_failures_and_builds_only_those_it_keeps(monkeypatch):
+    # after a passing candidate, gaps 2, NaN, 4, inf, 2, -inf (rhs inf), -inf (lhs
+    # -inf), 2, NaN (inf - inf) and 2: NaN and +inf gaps come first in candidate
+    # order, then 4, then the ties at 2 in candidate order, then the -inf gaps
+    lhs = np.array([1.0, 3.0, np.nan, 5.0, np.inf, 3.0, 0.0, -np.inf, 2.0, np.inf, 3.0])
+    rhs = np.array([2.0, 1.0, 0.0, 1.0, 0.0, 1.0, np.inf, 0.0, 0.0, np.inf, 1.0])
+    order = [2, 4, 9, 3, 1, 5, 8, 10, 6, 7]
+    built = counted_violations(monkeypatch)
+    monkeypatch.setattr(conditions, "_finish", np.errstate(all="ignore")(conditions._finish))
+    for cap in (MAX_VIOLATIONS, 5):
+        monkeypatch.setattr(conditions, "MAX_VIOLATIONS", cap)
+        built.clear()
+        report = conditions._finish("X", 11, lhs, rhs, lambda i: {"i": i})
+        assert [v.inputs for v in report.violations] == [{"i": i} for i in order[:cap]]
+        assert repr([(v.lhs, v.rhs) for v in report.violations]) == repr(
+            [(float(lhs[i]), float(rhs[i])) for i in order[:cap]])
+        assert len(built) == len(report.violations) and report.verdict == "fail"
+    report = conditions._finish("X", 2, lhs[:1], rhs[:1], lambda i: {"i": i}, estimate=0.5)
+    assert (report.violations, report.verdict, report.estimate) == ((), "pass", 0.5)
+
+
+def test_a_failing_check_builds_only_the_violations_it_keeps(monkeypatch, cubic_model):
+    # K~ = 50 > K = 5 fails the domination inequality at every sampled time, so
+    # each of C2's and C3's 5,000 samples fails; each report builds its 100 only
+    failing, finish = {}, conditions._finish
+
+    def counted(condition_id, tested, lhs, rhs, *rest, **kwargs):
+        failing[condition_id] = int(np.count_nonzero(conditions._failed(lhs, rhs)))
+        return finish(condition_id, tested, lhs, rhs, *rest, **kwargs)
+
+    monkeypatch.setattr(conditions, "_finish", counted)
+    built = counted_violations(monkeypatch)
+    spec = flat_spec(growth=5.0, growth_delayed=50.0, local=5.0, local_delayed=50.0)
+    reports = check_conditions(cubic_model, spec, GRID, 5000, 3)[0]
+    assert [r.verdict for r in reports] == ["pass", "fail", "fail", "pass"]
+    assert failing["C2"] >= 5000 and failing["C3"] >= 5000
+    assert [len(r.violations) for r in reports] == [0, MAX_VIOLATIONS, MAX_VIOLATIONS, 0]
+    assert len(built) == 2 * MAX_VIOLATIONS
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 16])
+def test_h_keeps_and_builds_the_first_non_finite_entries_in_grid_order(monkeypatch, entries):
+    # inf_after_one is infinite at the 9 grid times after t = 1 on all 28 pairs:
+    # 252 failures, all of gap inf, of which H builds and keeps the first 100, the
+    # times ascending and each time's pairs in the order drawn, one time per block
+    # or all in one
+    pairs = _probes_and_draws(pcg64.Stream(3), 2.0, 1, _PAIRS, 20)
+    monkeypatch.setattr(conditions, "H_BLOCK_ENTRIES", entries)
+    built = counted_violations(monkeypatch)
+    with np.errstate(all="ignore"):
+        report = _integrability(inf_after_one(), GRID, pairs)
+    times = GRID.times[GRID.steps_per_delay:-1].tolist()
+    every = [{"t": t, "x": x.tolist(), "y": y.tolist()} for t in times if t > 1.0 for x, y in pairs]
+    assert len(every) == 9 * 28 and report.samples_tested == 20 * 28
+    assert [v.inputs for v in report.violations] == every[:MAX_VIOLATIONS]
+    assert {(v.lhs, v.rhs) for v in report.violations} == {(math.inf, 0.0)}
+    assert len(built) == MAX_VIOLATIONS
 
 
 # every built-in model, with parameters of its own, beside the oracle models
